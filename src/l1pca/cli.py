@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import (
+    _DENSE_MAGIC,
     FixedEffectSpec,
     gen_fixed_effect,
     read_dense_matrix,
@@ -48,7 +49,6 @@ from .verify import (
 )
 
 SCHEMA_VERSION = 1
-_DENSE_MAGIC = b"L1PCABIN"
 
 
 def _emit(payload: dict, out: str | None) -> None:

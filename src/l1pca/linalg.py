@@ -1,9 +1,10 @@
 """Minimal dense/sparse linear algebra used by everything else.
 
-Thin SVD via a Jacobi eigensolver on the small Gram matrix, polar factors
-for orthogonal Procrustes steps, a power-iteration spectral norm estimate,
-and orthonormality diagnostics.  All routines are deterministic for fixed
-inputs; randomized helpers take an explicit generator.
+Thin SVD and exact spectral norms from LAPACK (ARPACK for sparse input),
+with a deterministic sign convention and rank completion on top; polar
+factors for orthogonal Procrustes steps; orthonormality diagnostics.  All
+routines are deterministic for fixed inputs; randomized helpers take an
+explicit generator.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import svds
 
 from .errors import InvalidInputError, PreconditionError
 
@@ -45,60 +47,6 @@ def frob(M) -> float:
     if sp.issparse(M):
         return float(np.sqrt((M.data ** 2).sum()))
     return float(np.linalg.norm(M))
-
-
-def jacobi_eigh(G: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns eigenvalues sorted nonincreasing and the matching orthonormal
-    eigenvector columns.  Intended for the small Gram matrices that arise in
-    thin factorizations (the cost is O(n^3) per sweep with small constants).
-    """
-    A = np.array(G, dtype=np.float64, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise PreconditionError("jacobi_eigh expects a square matrix")
-    V = np.eye(n)
-    if n == 1:
-        return A[0, :1].copy(), V
-    scale = max(np.linalg.norm(A), 1.0)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # sum the off-diagonal squares directly; the ||A||^2 - ||diag||^2
-        # form cancels catastrophically near convergence
-        off = np.sqrt(np.sum(A[off_mask] ** 2))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * (abs(A[p, p]) + abs(A[q, q])):
-                    A[p, q] = A[q, p] = 0.0
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = A[p, p], A[q, q]
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = A[q, p] = 0.0
-                rows = np.arange(n)
-                mask = (rows != p) & (rows != q)
-                aip = A[mask, p].copy()
-                aiq = A[mask, q].copy()
-                A[mask, p] = c * aip - s * aiq
-                A[mask, q] = s * aip + c * aiq
-                A[p, mask] = A[mask, p]
-                A[q, mask] = A[mask, q]
-                vip = V[:, p].copy()
-                V[:, p] = c * vip - s * V[:, q]
-                V[:, q] = s * vip + c * V[:, q]
-    w = np.diag(A).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
 
 
 def complete_orthonormal(U: np.ndarray, n_cols: int) -> np.ndarray:
@@ -141,75 +89,15 @@ class ThinSvd:
         return (self.U * self.sigma) @ self.V.T
 
 
-def _onesided_jacobi(W: np.ndarray, V: np.ndarray, max_sweeps: int = 40) -> None:
-    # Rotate column pairs of W (mirrored into V) until mutually orthogonal
-    # under a relative criterion.  Each rotation is orthogonal, so the
-    # product W V^T is preserved exactly; column norms become the singular
-    # values with high relative accuracy.
-    cols = W.shape[1]
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                a = float(W[:, p] @ W[:, p])
-                b = float(W[:, q] @ W[:, q])
-                c = float(W[:, p] @ W[:, q])
-                if a == 0.0 or b == 0.0 or abs(c) <= 1e-14 * np.sqrt(a * b):
-                    continue
-                theta = (b - a) / (2.0 * c)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * cs
-                wp = W[:, p].copy()
-                W[:, p] = cs * wp - sn * W[:, q]
-                W[:, q] = sn * wp + cs * W[:, q]
-                vp = V[:, p].copy()
-                V[:, p] = cs * vp - sn * V[:, q]
-                V[:, q] = sn * vp + cs * V[:, q]
-                rotated = True
-        if not rotated:
-            break
-
-
-def _thin_svd_tall(M: np.ndarray) -> ThinSvd:
-    # rows >= cols; Gram eigendecomposition warm-starts a one-sided Jacobi
-    # pass on W = M V.  The warm start converges in a sweep or two; the
-    # one-sided refinement restores the orthogonality the squared
-    # conditioning of the Gram matrix can lose, and the recomputed column
-    # norms resolve true zero singular values at machine precision.
-    rows, cols = M.shape
-    G = M.T @ M
-    _, V = jacobi_eigh(G)
-    W = M @ V
-    _onesided_jacobi(W, V)
-    sigma = np.linalg.norm(W, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    V = V[:, order]
-    W = W[:, order]
-    smax = sigma[0] if sigma.size else 0.0
-    rank_tol = max(rows, cols) * _EPS
-    U = np.zeros((rows, cols))
-    kept = 0
-    for i in range(cols):
-        if sigma[i] > rank_tol * smax and sigma[i] > 0.0:
-            U[:, i] = W[:, i] / sigma[i]
-            kept = i + 1
-    if kept < cols:
-        U = complete_orthonormal(U[:, :kept], cols)
-    return ThinSvd(U=U, sigma=sigma, V=V)
-
-
 def thin_svd(M, rank: int | None = None) -> ThinSvd:
-    """Thin SVD of a dense matrix, deterministic across calls.
+    """Thin SVD of a dense matrix via LAPACK, deterministic across calls.
 
     Works for any shape (the factorization is taken over the smaller
-    dimension).  Zero singular values get deterministically completed
-    singular vectors.  Each right-factor column is sign-normalized so its
-    largest-magnitude entry is positive, with the left column flipped in
-    tandem.
+    dimension).  Columns of the taller factor whose singular value is at
+    most ``max(rows, cols) * eps * sigma_max`` are replaced by a
+    deterministic completion (``complete_orthonormal``) of the others.
+    Each right-factor column is sign-normalized so its largest-magnitude
+    entry is positive, with the left column flipped in tandem.
 
     Args:
         M: input matrix, rows x cols.
@@ -222,21 +110,25 @@ def thin_svd(M, rank: int | None = None) -> ThinSvd:
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise PreconditionError("thin_svd expects a non-empty 2-d matrix")
     require_finite(A, "thin_svd input")
-    if A.shape[1] > A.shape[0]:
-        inner = _thin_svd_tall(A.T)
-        out = ThinSvd(U=inner.V, sigma=inner.sigma, V=inner.U)
-    else:
-        out = _thin_svd_tall(A)
+    rows, cols = A.shape
+    U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+    V = Vt.T
+    # replace the tall factor's columns for (numerically) zero singular
+    # values by a deterministic completion of the kept ones
+    kept = int(np.count_nonzero(sigma > max(rows, cols) * _EPS * sigma[0]))
+    if kept < sigma.size:
+        if rows >= cols:
+            U = complete_orthonormal(U[:, :kept], cols)
+        else:
+            V = complete_orthonormal(V[:, :kept], rows)
     # sign convention: largest-magnitude entry of each V column positive
-    for j in range(out.V.shape[1]):
-        i = int(np.argmax(np.abs(out.V[:, j])))
-        if out.V[i, j] < 0.0:
-            out.V[:, j] = -out.V[:, j]
-            out.U[:, j] = -out.U[:, j]
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    flip = np.where(lead < 0.0, -1.0, 1.0)
+    U, V = U * flip, V * flip
     if rank is not None:
-        r = min(rank, out.sigma.size)
-        out = ThinSvd(U=out.U[:, :r], sigma=out.sigma[:r], V=out.V[:, :r])
-    return out
+        r = min(rank, sigma.size)
+        U, sigma, V = U[:, :r], sigma[:r], V[:, :r]
+    return ThinSvd(U=U, sigma=sigma, V=V)
 
 
 def polar_factor(M) -> np.ndarray:
@@ -253,67 +145,27 @@ def polar_factor(M) -> np.ndarray:
     return s.U @ s.V.T
 
 
-def _power_estimate(X, v: np.ndarray, rel_tol: float, max_iter: int, rng: np.random.Generator) -> float:
-    est = 0.0
-    prev_inc = None
-    noise_hits = 0
-    for _ in range(max_iter):
-        w = X @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            v = rng.standard_normal(v.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        u = w / nw
-        z = X.T @ u
-        new = float(np.linalg.norm(z))
-        if new == 0.0:
-            return float(nw)
-        v = z / new
-        inc = new - est
-        if est > 0.0:
-            if inc <= 4.0 * _EPS * new:
-                noise_hits += 1
-                if noise_hits >= 3:
-                    return new
-            else:
-                noise_hits = 0
-            # increments decay geometrically with the squared spectral gap;
-            # stop once the modeled remaining rise is safely below rel_tol
-            if prev_inc is not None and 0.0 < inc < prev_inc:
-                r = inc / prev_inc
-                if inc * r / (1.0 - r) <= 0.25 * rel_tol * new:
-                    return new
-        prev_inc = inc
-        est = new
-    return float(est)
+def spectral_norm(X) -> float:
+    """Largest singular value ||X||_2 of a dense or sparse matrix, exact to roundoff.
 
-
-def spectral_norm(X, rel_tol: float = 1e-6, max_iter: int = 20000, starts: int = 3) -> float:
-    """Largest singular value estimate via power iteration on X^T X.
-
-    Returns an estimate ``s`` with ``s <= ||X||`` (every iterate yields a
-    Rayleigh quotient, hence a lower bound).  Each of several deterministic
-    seeded starts iterates until its modeled remaining progress drops safely
-    below ``rel_tol``; the maximum is returned so a single start that is
-    accidentally near-orthogonal to the leading direction cannot stall the
-    estimate on a lower singular value.  ``s * (1 + rel_tol)`` is then a
-    practical upper bound (heuristic, not certified, for spectra whose top
-    values are closer than roundoff allows resolving).
+    Dense input goes to LAPACK.  Sparse input goes to ARPACK (``svds`` with
+    a fixed start) after dividing by a power of two near its largest
+    entry, so the Lanczos recurrence neither overflows nor underflows at
+    extreme scales; a sparse row or column vector returns its Frobenius
+    norm, which equals its 2-norm.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise PreconditionError("rel_tol must lie in (0, 1)")
     require_finite(X, "spectral_norm input")
-    n = X.shape[1]
-    if frob(X) == 0.0:
+    if not sp.issparse(X):
+        return float(np.linalg.norm(np.asarray(X, dtype=np.float64), 2))
+    amax = float(np.abs(X.data).max()) if X.nnz else 0.0
+    if amax == 0.0:
         return 0.0
-    best = 0.0
-    for s in range(starts):
-        rng = seeded_rng(0x5EED, X.shape[0], n, s)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        best = max(best, _power_estimate(X, v, rel_tol, max_iter, rng))
-    return best
+    e = int(np.frexp(amax)[1])
+    Xs = X * np.ldexp(1.0, -e)
+    if min(X.shape) == 1:
+        return float(np.ldexp(frob(Xs), e))
+    top = svds(Xs, k=1, return_singular_vectors=False, random_state=0)
+    return float(np.ldexp(top[0], e))
 
 
 def stiefel_residual(Q) -> float:

@@ -32,6 +32,7 @@ subgradient norms needed by the decrease/relative-error audits.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -261,12 +262,13 @@ def resolve_config(cfg: SolverConfig, X) -> _Plan:
             raise PreconditionError(
                 f"theorem_mode: beta condition violated: beta={beta_inf:g} < 1.5 * beta_star={1.5 * beta_star:g}"
             )
-        est = spectral_norm(X, rel_tol=cfg.spectral_rel_tol)
-        norm_upper = est * (1.0 + cfg.spectral_rel_tol)
+        if not (0.0 < cfg.spectral_rel_tol < 1.0):
+            raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
+        norm_upper = spectral_norm(X) * (1.0 + cfg.spectral_rel_tol)
         if norm_upper == 0.0:
             gamma_star = 1.0
         else:
-            gamma_star = min(1.0, alpha_star * beta_star / (2.0 * norm_upper**2))
+            gamma_star = min(1.0, (alpha_star / norm_upper) * (beta_star / norm_upper) / 2.0)
         if gamma_sup >= gamma_star:
             raise PreconditionError(
                 "theorem_mode: extrapolation bound violated: "
@@ -405,7 +407,7 @@ def solve(
             elem_p = (X.T @ (E - Q_new)) - a_k * (P_new - P)
             q_dist = subgrad_dist_linear(-XP + plan.beta_star * (Q_new - Q), Q_new)
             coupling = plan.beta_star * dQ
-            subgrad_norms.append(float(np.sqrt(frob(elem_p) ** 2 + q_dist**2 + coupling**2)))
+            subgrad_norms.append(math.hypot(frob(elem_p), q_dist, coupling))
             alphas.append(a_k)
             betas.append(b_k)
             gammas.append(g_k)
@@ -501,19 +503,22 @@ def theorem_config(
 ) -> SolverConfig:
     """Convenient theorem-mode config scaled to ||X||.
 
-    Uses alpha = s and beta = beta_scale * s with s the spectral-norm
-    estimate, so the extrapolation bound min(1, alpha*beta_star/(2||X||^2))
-    stays well above zero; gamma is set to ``gamma_frac`` of that bound for
-    pame and to zero for pam.
+    Uses alpha = s and beta = beta_scale * s with s = ||X||_2, so the
+    extrapolation bound min(1, alpha*beta_star/(2||X||^2)), taken with the
+    upper bound ``s * (1 + spectral_rel_tol)``, stays well above zero;
+    gamma is set to ``gamma_frac`` of that bound for pame and to zero for
+    pam.
     """
-    s = spectral_norm(X, rel_tol=spectral_rel_tol)
+    if not (0.0 < spectral_rel_tol < 1.0):
+        raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
+    s = spectral_norm(X)
     if s == 0.0:
         s = 1.0
     alpha = s
     beta = beta_scale * s
     beta_star = (2.0 / 3.0) * beta
     upper = s * (1.0 + spectral_rel_tol)
-    gamma_star = min(1.0, alpha * beta_star / (2.0 * upper**2))
+    gamma_star = min(1.0, (alpha / upper) * (beta_star / upper) / 2.0)
     gamma = gamma_frac * gamma_star if method == "pame" else 0.0
     return SolverConfig(
         method=method,

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from l1pca.errors import InvalidInputError, PreconditionError
 from l1pca.linalg import (
     complete_orthonormal,
-    jacobi_eigh,
     polar_factor,
     random_stiefel,
     seeded_rng,
@@ -13,6 +12,7 @@ from l1pca.linalg import (
     stiefel_residual,
     thin_svd,
 )
+from l1pca.solvers import theorem_config
 
 
 class TestThinSvd:
@@ -75,6 +75,14 @@ class TestThinSvd:
         assert s.sigma[0] == pytest.approx(2.0, rel=1e-12)
         assert np.all(s.sigma[1:] < 1e-12)
         assert np.linalg.norm(s.U.T @ s.U - np.eye(3)) < 1e-10
+        # wide input: the completion lands in V, the taller factor
+        w = thin_svd(2.0 * v @ u.T)
+        assert w.U.shape == (3, 3) and w.V.shape == (6, 3)
+        assert w.sigma[0] == pytest.approx(2.0, rel=1e-12)
+        assert np.all(w.sigma[1:] < 1e-12)
+        assert np.linalg.norm(w.V.T @ w.V - np.eye(3)) < 1e-10
+        assert np.linalg.norm(w.U.T @ w.U - np.eye(3)) < 1e-10
+        assert np.linalg.norm(w.reconstruct() - 2.0 * v @ u.T) < 1e-12
 
     def test_truncation(self):
         rng = seeded_rng(5)
@@ -95,19 +103,6 @@ class TestThinSvd:
         M = np.array([[1.0], [np.nan]])
         with pytest.raises(InvalidInputError):
             thin_svd(M)
-
-
-class TestJacobiEigh:
-    def test_against_numpy(self):
-        rng = seeded_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(1, 12))
-            B = rng.standard_normal((n, n))
-            G = B @ B.T
-            w, V = jacobi_eigh(G)
-            w_np = np.sort(np.linalg.eigvalsh(G))[::-1]
-            assert np.allclose(w, w_np, rtol=1e-10, atol=1e-10 * max(1, abs(w_np[0])))
-            assert np.linalg.norm(V @ np.diag(w) @ V.T - G) < 1e-10 * max(1.0, np.linalg.norm(G))
 
 
 class TestPolarFactor:
@@ -157,24 +152,31 @@ class TestSpectralNorm:
     def test_rank_one(self):
         assert spectral_norm(np.ones((2, 2))) == pytest.approx(2.0, rel=1e-6)
 
-    def test_lower_bound_against_svd(self):
+    def test_exact_against_svd(self):
         rng = seeded_rng(9)
         for _ in range(20):
             d = int(rng.integers(2, 30))
             n = int(rng.integers(2, 30))
             X = rng.standard_normal((d, n))
-            true = thin_svd(X).sigma[0]
-            est = spectral_norm(X, rel_tol=1e-6)
-            assert est <= true * (1 + 1e-12)
-            assert true <= est * (1 + 1e-6)
+            true = np.linalg.svd(X, compute_uv=False)[0]
+            for scale in (1.0, 1e160, 1e-160):
+                Xs = X * scale
+                for M in (Xs, sp.csc_matrix(Xs)):
+                    assert spectral_norm(M) == pytest.approx(true * scale, rel=1e-13)
 
     def test_sparse_input(self):
         X = sp.csc_matrix(np.diag([3.0, 1.0]))
         assert spectral_norm(X) == pytest.approx(3.0, rel=1e-6)
 
+    def test_sparse_vector(self):
+        # ARPACK needs k < min(shape); a vector's 2-norm is its Frobenius norm
+        x = np.array([[3.0, 0.0, 4.0]])
+        assert spectral_norm(sp.csr_matrix(x)) == pytest.approx(5.0, rel=1e-15)
+        assert spectral_norm(sp.csc_matrix(x.T * 1e300)) == pytest.approx(5e300, rel=1e-15)
+
     def test_rel_tol_range(self):
         with pytest.raises(PreconditionError):
-            spectral_norm(np.eye(2), rel_tol=2.0)
+            theorem_config(np.eye(2), spectral_rel_tol=2.0)
 
 
 class TestStiefelResidual:

@@ -362,3 +362,31 @@ class TestConfigValidation:
                            gamma=lambda k: 0.3, tol=1e-9, max_iter=500)
         P0, Q0 = make_start(inst, seed=28)
         assert solve(inst, cfg, P0, Q0).converged
+
+    def test_spectral_rel_tol_range(self):
+        cfg = SolverConfig(method="pam", alpha=1.0, beta=2.0, theorem_mode=True, spectral_rel_tol=0.0)
+        with pytest.raises(PreconditionError, match="spectral_rel_tol"):
+            resolve_config(cfg, np.eye(2))
+
+
+class TestTheoremModeScale:
+    """Theorem mode is invariant to the floating-point scale of X."""
+
+    @staticmethod
+    def _run(X):
+        inst = ProblemInstance(X, 3)
+        cfg = theorem_config(inst.X)
+        P0, Q0 = draw_start(inst, seed=1)
+        return cfg, solve(inst, cfg, P0, Q0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_extreme_scale_matches_unit_scale(self, scale):
+        X = np.random.default_rng(0).standard_normal((20, 40))
+        cfg1, res1 = self._run(X)
+        assert res1.iterations == 64 and res1.converged
+        cfg, res = self._run(X * scale)
+        assert cfg.alpha / scale == pytest.approx(cfg1.alpha, rel=1e-12)
+        assert cfg.gamma == pytest.approx(cfg1.gamma, rel=1e-12)
+        assert res.converged
+        assert res.iterations == res1.iterations
+        assert res.final_objective / scale == pytest.approx(res1.final_objective, rel=1e-12)
