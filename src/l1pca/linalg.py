@@ -9,15 +9,20 @@ explicit generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import ddot
 from scipy.sparse.linalg import svds
 
 from .errors import InvalidInputError, PreconditionError
 
 _EPS = np.finfo(np.float64).eps
+#: a sum of squares at least this large lost at most n * 2^-422 of itself to
+#: squares that underflowed (each below 2^-1022)
+_SQ_MIN = 2.0**-600
 
 
 def seeded_rng(*parts: int) -> np.random.Generator:
@@ -43,10 +48,25 @@ def require_finite(M, name: str = "matrix") -> None:
 
 
 def frob(M) -> float:
-    """Frobenius norm of a dense or sparse matrix."""
-    if sp.issparse(M):
-        return float(np.sqrt((M.data ** 2).sum()))
-    return float(np.linalg.norm(M))
+    """Frobenius norm of a dense or sparse matrix, at any floating-point scale.
+
+    The plain sum of squares is kept when it is finite and at least
+    ``_SQ_MIN``; otherwise (overflow, or squares lost to underflow) the
+    entries are divided by a power of two near the largest magnitude first,
+    which is exact.  Non-finite entries give inf or nan, without a warning.
+    """
+    a = np.asarray(M.data if sp.issparse(M) else M, dtype=np.float64).ravel(order="K")
+    if a.size == 0:
+        return 0.0
+    s = ddot(a, a)
+    if _SQ_MIN <= s < math.inf:
+        return math.sqrt(s)
+    amax = float(np.abs(a).max())
+    if amax == 0.0 or not math.isfinite(amax):
+        return amax
+    e = math.frexp(amax)[1]
+    b = a * math.ldexp(1.0, -e)
+    return math.ldexp(math.sqrt(ddot(b, b)), e)
 
 
 def complete_orthonormal(U: np.ndarray, n_cols: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
-from .linalg import as_dense, require_finite, stiefel_residual
+from .linalg import as_dense, frob, require_finite, stiefel_residual
 
 #: feasibility tolerance at construction time
 CONSTRUCTION_TOL = 1e-8
@@ -133,7 +133,7 @@ def subgrad_dist_linear(A: np.ndarray, Q: np.ndarray, feas_tol: float = OPERATIO
     Q = require_stiefel(Q, tol=feas_tol)
     R = residual_R(A, Q)
     G = R - 0.5 * Q @ (Q.T @ R)
-    return float(np.linalg.norm(G))
+    return frob(G)
 
 
 def subgrad_dist_h(X, P: np.ndarray, Q: np.ndarray, feas_tol: float = OPERATION_TOL) -> float:

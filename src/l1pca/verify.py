@@ -33,6 +33,7 @@ from .linalg import (
     polar_factor,
     random_orthogonal,
     random_stiefel,
+    require_finite,
     seeded_rng,
     stiefel_residual,
     tangent_project,
@@ -172,14 +173,31 @@ class OracleResult(NamedTuple):
     Q: np.ndarray
 
 
+#: byte budget of one chunk's stacked candidates: the (chunk, n, K) sign
+#: matrices and the (chunk, d, K) products X P each stay within it
+_ORACLE_CHUNK_BYTES = 8 << 20
+
+
 def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
     """Exact global maximum of the L1 objective by sign enumeration.
 
-    For each of the 2^(nK) sign matrices the inner subspace problem is an
+    For each n x K sign matrix P the inner subspace problem is an
     orthogonal Procrustes problem, whose optimal value is the nuclear norm
-    of X P.  Ties are broken by the first maximizer in ascending bit order
-    (bit t of the counter toggles entry t of P in row-major order; bit 0
-    means +1).
+    of X P (Markopoulos-Karystinos-Pados).  Flipping a column of P leaves
+    that value unchanged, so only the 2^((n-1)K) sign matrices whose last
+    row is all +1 are scored.  ``hard_cap`` bounds the full count:
+    more than 2^hard_cap sign matrices (nK bits) are refused.
+
+    Bit t of a counter toggles entry t of P in row-major order (bit 0 means
+    +1), so the last row holds the most significant bits and the scored
+    set is the counters below 2^((n-1)K).  Ties go to the first maximizer
+    in ascending counter order; since every column flip toggles a last-row
+    bit, that is also the first maximizer over all 2^(nK) counters, up to
+    roundoff between tied values.
+
+    Candidates are scored in chunks, with one stacked SVD of X P per chunk;
+    a chunk's stacked sign matrices and products each take at most
+    ``_ORACLE_CHUNK_BYTES`` (8 MB), whatever d.
     """
     d, n = X.shape
     if not (1 <= K <= min(n, d)):
@@ -189,17 +207,24 @@ def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
         raise UnsupportedRegimeError(
             f"enumeration over 2^{bits_total} sign matrices refused (cap 2^{hard_cap})"
         )
-    shifts = np.arange(bits_total, dtype=np.uint64)
+    A = as_dense(X)
+    require_finite(A, "X")
+    free_bits = bits_total - K
+    count = 1 << free_bits
+    chunk = max(1, _ORACLE_CHUNK_BYTES // (8 * K * max(n, d)))
+    shifts = np.arange(free_bits, dtype=np.int64)
     best_val = -math.inf
     best_P = None
-    for m in range(1 << bits_total):
-        bits = (np.uint64(m) >> shifts) & np.uint64(1)
-        P = (1.0 - 2.0 * bits.astype(np.float64)).reshape(n, K)
-        val = float(thin_svd(X @ P).sigma.sum())
-        if val > best_val:
-            best_val = val
-            best_P = P
-    Q = polar_factor(X @ best_P)
+    for start in range(0, count, chunk):
+        m = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        P = np.ones((m.size, n, K))
+        P[:, : n - 1, :] = (1 - 2 * ((m[:, None] >> shifts) & 1)).reshape(m.size, n - 1, K)
+        vals = np.linalg.svd(A @ P, compute_uv=False).sum(axis=-1)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_P = P[i].copy()
+    Q = polar_factor(A @ best_P)
     return OracleResult(value=best_val, P=best_P, Q=Q)
 
 
@@ -747,7 +772,9 @@ def audit_constants(result: SolveResult) -> tuple[float, float]:
     strengthens the audited inequality).  The error constant is
     sqrt(max(3 alpha_sup^2, (beta_sup - beta_star)^2 + beta_star^2
     + 3 ||X||^2)) with ||X|| replaced by the run's ``norm_upper``, the exact
-    2-norm times (1 + spectral_rel_tol).
+    2-norm times (1 + spectral_rel_tol).  It is evaluated as
+    max(sqrt(3) alpha_sup, hypot(beta_sup - beta_star, beta_star,
+    sqrt(3) norm_upper)), which squares nothing and so cannot overflow.
     """
     info = result.audit_info
     if info is None:
@@ -755,12 +782,10 @@ def audit_constants(result: SolveResult) -> tuple[float, float]:
     gammas = info["gammas"]
     g = 0.0 if all(v == 0.0 for v in gammas) else float(info["gamma_sup"])
     kappa1 = min(info["alpha_star"] * (1.0 - g) / 2.0, info["beta_star"] / 4.0)
-    norm_up = info["norm_upper"]
-    kappa2 = math.sqrt(
-        max(
-            3.0 * info["alpha_sup"] ** 2,
-            (info["beta_sup"] - info["beta_star"]) ** 2 + info["beta_star"] ** 2 + 3.0 * norm_up**2,
-        )
+    root3 = math.sqrt(3.0)
+    kappa2 = max(
+        root3 * info["alpha_sup"],
+        math.hypot(info["beta_sup"] - info["beta_star"], info["beta_star"], root3 * info["norm_upper"]),
     )
     return kappa1, kappa2
 

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from l1pca.errors import InvalidInputError, PreconditionError
 from l1pca.linalg import (
     complete_orthonormal,
+    frob,
     polar_factor,
     random_stiefel,
     seeded_rng,
@@ -177,6 +178,24 @@ class TestSpectralNorm:
     def test_rel_tol_range(self):
         with pytest.raises(PreconditionError):
             theorem_config(np.eye(2), spectral_rel_tol=2.0)
+
+
+class TestFrob:
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160, 1e-170])
+    def test_scale_invariant(self, scale):
+        # squares overflow at 1e160, lose digits at 1e-160 and vanish at 1e-170
+        rng = seeded_rng(12)
+        for shape in ((1, 1), (5, 2), (30, 17)):
+            A = rng.standard_normal(shape)
+            ref = frob(A)
+            assert ref == pytest.approx(float(np.sqrt((A**2).sum())), rel=1e-14)
+            for M in (A * scale, sp.csc_matrix(A) * scale):
+                assert frob(M) / scale == pytest.approx(ref, rel=1e-14)
+
+    def test_zero(self):
+        assert frob(np.zeros((3, 2))) == 0.0
+        assert frob(sp.csc_matrix((3, 2))) == 0.0
+        assert frob(np.zeros((0, 2))) == 0.0
 
 
 class TestStiefelResidual:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from l1pca.solvers import (
     solve,
     theorem_config,
 )
-from l1pca.verify import enumerate_oracle
+from l1pca.verify import decrease_and_error_audit, enumerate_oracle
 
 SQRT2 = np.sqrt(2.0)
 
@@ -390,3 +392,6 @@ class TestTheoremModeScale:
         assert res.converged
         assert res.iterations == res1.iterations
         assert res.final_objective / scale == pytest.approx(res1.final_objective, rel=1e-12)
+        # the recorded subgradient norms and the audit constants stay finite
+        assert all(math.isfinite(v) for v in res.audit_info["subgrad_norms"])
+        assert decrease_and_error_audit(res).passed

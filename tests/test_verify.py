@@ -5,7 +5,8 @@ import pytest
 
 from conftest import make_instance, make_start
 from l1pca.errors import InvalidInputError, PreconditionError, UnsupportedRegimeError
-from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng
+from l1pca import verify
+from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng, stiefel_residual
 from l1pca.model import ProblemInstance, residual_R
 from l1pca.solvers import SolverConfig, solve
 from l1pca.verify import (
@@ -83,7 +84,87 @@ class TestCriticalityReport:
         assert rep.alpha_condition_vacuous
 
 
+def _oracle_reference(X, K):
+    """Per-candidate loop over all 2^(nK) sign matrices: the reference oracle.
+
+    Scores each candidate by the singular values ``thin_svd`` returns (its
+    LAPACK call, without the sign and completion work on the factors).
+    """
+    d, n = X.shape
+    bits_total = n * K
+    shifts = np.arange(bits_total, dtype=np.uint64)
+    best_val = -math.inf
+    best_P = None
+    for m in range(1 << bits_total):
+        bits = (np.uint64(m) >> shifts) & np.uint64(1)
+        P = (1.0 - 2.0 * bits.astype(np.float64)).reshape(n, K)
+        val = float(np.linalg.svd(X @ P, full_matrices=False)[1].sum())
+        if val > best_val:
+            best_val = val
+            best_P = P
+    return best_val, best_P
+
+
+def _oracle_cases():
+    """Seeded instances with nK <= 12, then rank-deficient and zero data."""
+    rng = seeded_rng(35)
+    shapes = [(n, d, K) for n in range(1, 7) for d in range(1, 6) for K in range(1, min(3, n, d) + 1) if n * K <= 12]
+    small = [shape for shape in shapes if shape[0] * shape[2] <= 8]
+    for n, d, K in shapes + small + small:
+        yield rng.standard_normal((d, n)), K
+    for n, d, K in ((4, 5, 2), (5, 3, 2), (3, 4, 3)):
+        yield rng.standard_normal((d, 1)) @ rng.standard_normal((1, n)), K
+        yield rng.standard_normal((d, 2)) @ rng.standard_normal((2, n)), K
+        yield np.zeros((d, n)), K
+
+
+def _check_oracle(X, K, orc):
+    """Returned P is a last-row-(+1) sign matrix scoring the value; Q its polar factor."""
+    assert orc.P.shape == (X.shape[1], K)
+    assert np.all(np.abs(orc.P) == 1.0)
+    assert np.all(orc.P[-1] == 1.0)
+    XP = X @ orc.P
+    assert np.linalg.svd(XP, compute_uv=False).sum() == pytest.approx(orc.value, rel=1e-12, abs=0.0)
+    assert stiefel_residual(orc.Q) <= 1e-12
+    assert float(np.sum(orc.Q * XP)) == pytest.approx(orc.value, rel=1e-12, abs=0.0)
+
+
 class TestEnumerateOracle:
+    def test_matches_reference(self):
+        n_cases = 0
+        for X, K in _oracle_cases():
+            ref_val, ref_P = _oracle_reference(X, K)
+            orc = enumerate_oracle(X, K)
+            assert orc.value == pytest.approx(ref_val, rel=1e-12, abs=0.0)
+            _check_oracle(X, K, orc)
+            if K == 1 and ref_val > 0.0:
+                # no ties up to the column flip: the same maximizer
+                assert np.array_equal(orc.P, ref_P * ref_P[-1])
+            n_cases += 1
+        assert n_cases >= 100
+
+    def test_chunk_boundaries(self, monkeypatch):
+        rng = seeded_rng(36)
+        cases = [(rng.standard_normal((d, n)), K) for n, d, K in ((6, 5, 1), (5, 4, 2), (4, 3, 3), (2, 2, 1))]
+        # three candidates per chunk: 2^((n-1)K) is never a multiple of 3
+        for X, K in cases:
+            d, n = X.shape
+            monkeypatch.setattr(verify, "_ORACLE_CHUNK_BYTES", 3 * 8 * K * max(n, d))
+            ref_val, ref_P = _oracle_reference(X, K)
+            orc = enumerate_oracle(X, K)
+            assert orc.value == pytest.approx(ref_val, rel=1e-12, abs=0.0)
+            _check_oracle(X, K, orc)
+            if K == 1:
+                assert np.array_equal(orc.P, ref_P * ref_P[-1])
+
+    def test_single_sample(self):
+        # n = 1: the last row is the whole sign matrix, one candidate
+        x = np.array([[3.0], [-4.0]])
+        orc = enumerate_oracle(x, 1)
+        assert orc.value == pytest.approx(5.0, rel=1e-15)
+        assert np.array_equal(orc.P, [[1.0]])
+        assert np.allclose(orc.Q, x / 5.0, atol=1e-15)
+
     def test_identity(self):
         orc = enumerate_oracle(np.eye(2), 1)
         assert orc.value == pytest.approx(SQRT2, abs=1e-12)
@@ -100,6 +181,13 @@ class TestEnumerateOracle:
     def test_cap_refused(self):
         with pytest.raises(UnsupportedRegimeError):
             enumerate_oracle(np.ones((2, 12)), 2)  # 24 sign bits
+
+    def test_cap_counts_all_sign_bits(self):
+        # the cap bounds nK, not the (n - 1)K bits actually enumerated
+        X = seeded_rng(37).standard_normal((2, 3))
+        with pytest.raises(UnsupportedRegimeError):
+            enumerate_oracle(X, 2, hard_cap=5)
+        assert enumerate_oracle(X, 2, hard_cap=6).value > 0.0
 
     def test_dominates_solver(self):
         rng = seeded_rng(34)
