@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,18 @@ from scipy.optimize import linear_sum_assignment
 from .errors import PreconditionError, UndefinedMetricError
 from .linalg import as_dense, frob, require_finite, seeded_rng
 from .model import require_stiefel
+
+
+def _unit_scaled(X, norm: float):
+    """X, or X divided by a power of two near its Frobenius norm ``norm``.
+
+    The division is exact and leaves every ratio of quadratic forms in X
+    unchanged; it is applied only when ``norm`` lies outside [2^-300, 2^300],
+    where X X^T would overflow or lose entries to underflow.
+    """
+    if 2.0**-300 <= norm <= 2.0**300:
+        return X
+    return X * math.ldexp(1.0, -math.frexp(norm)[1])
 
 
 def _cov_eigenvalues(X) -> np.ndarray:
@@ -31,8 +44,10 @@ def tev(X, Q: np.ndarray) -> float:
     """
     require_finite(X, "X")
     Q = require_stiefel(Q)
-    if frob(X) == 0.0:
+    norm = frob(X)
+    if norm == 0.0:
         raise UndefinedMetricError("explained variation undefined for zero data")
+    X = _unit_scaled(X, norm)
     K = Q.shape[1]
     num = float(frob(X.T @ Q) ** 2)
     den = float(_cov_eigenvalues(X)[:K].sum())
@@ -48,11 +63,12 @@ def choose_K_by_variance(X, threshold: float, large_side: int = 10000, cap: int 
     if not (0.0 < threshold <= 1.0):
         raise PreconditionError("threshold must lie in (0, 1]")
     require_finite(X, "X")
-    if frob(X) == 0.0:
+    norm = frob(X)
+    if norm == 0.0:
         raise UndefinedMetricError("cannot choose K for zero data")
     if min(X.shape) >= large_side:
         return cap
-    w = _cov_eigenvalues(X)
+    w = _cov_eigenvalues(_unit_scaled(X, norm))
     w = w[w > w[0] * 1e-12]
     total = float(w.sum())
     cum = np.cumsum(w)

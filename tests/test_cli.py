@@ -103,6 +103,13 @@ class TestSolve:
         assert rc == 2
         assert "extrapolation bound" in capsys.readouterr().err
 
+    def test_infinite_beta_exit_2(self, tmp_path, capsys):
+        inst = _generate(tmp_path)
+        rc = main(["solve", "--method", "pame", "--alpha", "1e-4", "--beta", "inf",
+                   "--input", str(inst), "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        assert "finite positive beta" in capsys.readouterr().err
+
     def test_paper_style_flags_run_outside_theorem_mode(self, tmp_path):
         inst = _generate(tmp_path)
         out = tmp_path / "run"

@@ -68,6 +68,20 @@ class TestChooseK:
             choose_K_by_variance(np.eye(2), 0.0)
 
 
+class TestScale:
+    """tev and choose_K_by_variance are invariant to the floating-point scale of X."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    def test_extreme_scale_matches_unit_scale(self, scale, sparse):
+        rng = seeded_rng(58)
+        X = rng.standard_normal((20, 40))
+        Q = random_stiefel(20, 3, rng)
+        Xs = sp.csc_matrix(X * scale) if sparse else X * scale
+        assert tev(Xs, Q) == pytest.approx(tev(X, Q), rel=1e-12)
+        assert choose_K_by_variance(Xs, 0.7) == choose_K_by_variance(X, 0.7)
+
+
 class TestKmeans:
     def test_separable_perfect(self):
         pts, labels = _separable()

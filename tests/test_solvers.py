@@ -201,30 +201,62 @@ class TestInertialVariants:
         res = ipalm_solve(inst, cfg, np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]]))
         assert res.final_objective == pytest.approx(SQRT2, abs=1e-8)
 
-    def test_gipalm_matches_manual_iteration(self):
-        inst = make_instance(9, 5, 2, seed=17)
-        P0, Q0 = make_start(inst, seed=18)
-        cfg = SolverConfig(method="gipalm", alpha=1e-2, beta=2.0, tol=1e-15, max_iter=3)
-        res = gipalm_solve(inst, cfg, P0, Q0)
-        # replay with constant weights 1/2 (sign block) and 1/4 (subspace block)
-        from l1pca.linalg import polar_factor
-
-        X = inst.X
-        P, Q, Pp, Qp = P0.copy(), Q0.copy(), P0.copy(), Q0.copy()
-        for _ in range(3):
-            Pbar = P + 0.5 * (P - Pp)
-            Qbar = Q + 0.25 * (Q - Qp)
-            Pn = sign_select(Pbar + (X.T @ Qbar) / 1e-2, P)
-            Qn = polar_factor(Qbar + (X @ Pn) / 2.0)
-            Pp, P, Qp, Q = P, Pn, Q, Qn
-        assert np.array_equal(res.P_final, P)
-        assert np.allclose(res.Q_final, Q, atol=1e-14)
-
     def test_gipalm_identity(self):
         inst = _eye2_instance()
         cfg = SolverConfig(method="gipalm", alpha=1e-3, beta=1.0, tol=1e-11, max_iter=2000)
         res = gipalm_solve(inst, cfg, np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]]))
         assert res.final_objective == pytest.approx(SQRT2, abs=1e-8)
+
+
+class TestStepRules:
+    """Each method's step, replayed by hand from its formula rather than from the rule table."""
+
+    @staticmethod
+    def _nesterov_weight(k):
+        # t_0 = 1, t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2; the default restart (10) is not reached here
+        t = [1.0]
+        for _ in range(k + 1):
+            t.append(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[-1] * t[-1])))
+        return (t[k] - 1.0) / t[k + 1]
+
+    @pytest.mark.parametrize("method", ["pame", "pam", "fpm", "pdcae", "ipalm", "gipalm"])
+    def test_matches_manual_iteration(self, method):
+        from l1pca.linalg import polar_factor
+
+        # on this instance every weight but ipalm's sign-block one changes the result within
+        # 3 iterations; that one only reinforces signs that just flipped
+        inst = make_instance(30, 8, 3, seed=4)
+        P0, Q0 = make_start(inst, seed=104)
+        a, b, g = 0.2, 1.0, 0.6
+        cfg = SolverConfig(method=method, alpha=a, beta=b, gamma=g, tol=1e-15, max_iter=3)
+        res = solve(inst, cfg, P0, Q0)
+        X = inst.X
+        P, Q, Pp, Qp = P0.copy(), Q0.copy(), P0.copy(), Q0.copy()
+        for k in range(3):
+            if method == "pame":  # the sign step sees Q extrapolated by gamma
+                Pn = sign_select(P + (X.T @ (Q + g * (Q - Qp))) / a, P)
+                Qn = polar_factor(Q + (X @ Pn) / b)
+            elif method == "pam":
+                Pn = sign_select(P + (X.T @ Q) / a, P)
+                Qn = polar_factor(Q + (X @ Pn) / b)
+            elif method == "fpm":
+                Pn = sign_select(X.T @ Q, P)
+                Qn = polar_factor(X @ Pn)
+            elif method == "pdcae":  # only the subspace anchor, Nesterov-extrapolated
+                Pn = sign_select(X.T @ Q, P)
+                Qn = polar_factor(Q + self._nesterov_weight(k) * (Q - Qp) + (X @ Pn) / b)
+            else:  # both anchors extrapolated: (k-1)/(k+2) for ipalm, 1/2 and 1/4 for gipalm
+                wp = wq = max(0.0, (k - 1.0) / (k + 2.0))
+                if method == "gipalm":
+                    wp, wq = 0.5, 0.25
+                Pbar = P + wp * (P - Pp)
+                Qbar = Q + wq * (Q - Qp)
+                Pn = sign_select(Pbar + (X.T @ Qbar) / a, P)
+                Qn = polar_factor(Qbar + (X @ Pn) / b)
+            Pp, P, Qp, Q = P, Pn, Q, Qn
+        assert res.iterations == 3
+        assert np.array_equal(res.P_final, P)
+        assert np.allclose(res.Q_final, Q, atol=1e-14)
 
 
 class TestProcrustesStepOptimality:
@@ -369,6 +401,33 @@ class TestConfigValidation:
         cfg = SolverConfig(method="pam", alpha=1.0, beta=2.0, theorem_mode=True, spectral_rel_tol=0.0)
         with pytest.raises(PreconditionError, match="spectral_rel_tol"):
             resolve_config(cfg, np.eye(2))
+
+
+class TestStepSizeValidation:
+    """A constant step size of a block with a proximal anchor must be finite and positive."""
+
+    @staticmethod
+    def _solve(**kw):
+        inst = ProblemInstance(np.random.default_rng(0).standard_normal((20, 40)), 3)
+        P0, Q0 = draw_start(inst, seed=1)
+        return solve(inst, SolverConfig(tol=1e-8, max_iter=1000, **kw), P0, Q0)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-4, math.inf, math.nan])
+    @pytest.mark.parametrize("method", ["pame", "pam", "ipalm", "gipalm"])
+    def test_bad_alpha_rejected(self, method, value):
+        with pytest.raises(PreconditionError, match="finite positive alpha"):
+            self._solve(method=method, alpha=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("method", ["pame", "pam", "pdcae", "ipalm", "gipalm"])
+    def test_bad_beta_rejected(self, method, value):
+        with pytest.raises(PreconditionError, match="finite positive beta"):
+            self._solve(method=method, beta=value)
+
+    def test_unused_step_sizes_unchecked(self):
+        # fpm has no anchors and pdcae no sign anchor, so their alpha (and fpm's beta) are never read
+        assert self._solve(method="fpm", alpha=0.0, beta=math.inf).converged
+        assert self._solve(method="pdcae", alpha=-1.0).converged
 
 
 class TestTheoremModeScale:
