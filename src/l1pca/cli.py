@@ -35,8 +35,8 @@ from .errors import (
     UndefinedMetricError,
     UnsupportedRegimeError,
 )
-from .metrics import choose_K_by_variance, kmeans_accuracy, tev
-from .model import ProblemInstance
+from .metrics import _TEV_ZERO, _choose_K, _spectrum, _tev_ratio, kmeans_accuracy, tev
+from .model import ProblemInstance, require_stiefel
 from .solvers import METHODS, SolverConfig, draw_start, run_comparison, solve
 from .verify import (
     audit_suite,
@@ -220,11 +220,15 @@ def cmd_compare(args) -> int:
     ]
     outcomes = run_comparison(inst, configs, seed=args.seed)
     lines = ["method,iterations,objective_l1,tev,converged,error"]
+    spectrum = None  # one spectrum of X serves every method's tev
     for oc in outcomes:
         if oc.result is not None:
             r = oc.result
+            Q = require_stiefel(r.Q_final)
             try:
-                t = f"{tev(inst.X, r.Q_final):.17g}"
+                if spectrum is None:
+                    spectrum = _spectrum(inst.X, _TEV_ZERO)
+                t = f"{_tev_ratio(*spectrum, Q):.17g}"
             except UndefinedMetricError:
                 t = ""
             lines.append(f"{oc.method},{r.iterations},{r.final_objective:.17g},{t},{int(r.converged)},")
@@ -297,7 +301,8 @@ def cmd_cluster(args) -> int:
     inst = _load_instance(args.input)
     if inst.labels is None:
         raise PreconditionError("clustering requires a labeled dataset")
-    K = choose_K_by_variance(inst.X, args.threshold) if args.auto_K else args.K
+    # under --auto-K the spectrum that picks K also serves tev below
+    K, spectrum = _choose_K(inst.X, args.threshold) if args.auto_K else (args.K, None)
     if K is None:
         raise PreconditionError("pass --K or --auto-K")
     inst = ProblemInstance(inst.X, K, labels=inst.labels)
@@ -306,13 +311,17 @@ def cmd_cluster(args) -> int:
     res = solve(inst, cfg, P0, Q0)
     k = len(np.unique(inst.labels))
     accuracy = kmeans_accuracy(inst.X, res.Q_final, inst.labels, k=k, restarts=args.restarts, seed=args.seed)
+    if spectrum is None:
+        tev_value = tev(inst.X, res.Q_final)
+    else:
+        tev_value = _tev_ratio(*spectrum, require_stiefel(res.Q_final))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "method": res.method,
         "K": int(K),
         "clusters": int(k),
         "accuracy": accuracy,
-        "tev": tev(inst.X, res.Q_final),
+        "tev": tev_value,
         "converged": res.converged,
         "iterations": res.iterations,
     }

@@ -87,6 +87,50 @@ def gen_fixed_effect(spec: FixedEffectSpec) -> tuple[np.ndarray, np.ndarray, np.
 # indices 1-based strictly ascending, absent features zero
 
 
+def _parse_features_slow(toks: list[str], lineno: int) -> tuple[list[int], list[float]]:
+    """Token-by-token parse of one line's features; raises ParseError on the first bad token."""
+    indices: list[int] = []
+    data: list[float] = []
+    prev = 0
+    for tok in toks:
+        idx_s, sep, val_s = tok.partition(":")
+        if not sep:
+            raise ParseError(f"expected index:value, got {tok!r}", lineno)
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise ParseError(f"non-numeric token {tok!r}", lineno) from None
+        if idx <= prev:
+            raise ParseError(f"indices must be 1-based and ascending, got {idx} after {prev}", lineno)
+        prev = idx
+        indices.append(idx)
+        data.append(val)
+    return indices, data
+
+
+def _parse_features(toks: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One line's 1-based indices and values as arrays, and its largest index.
+
+    The index and value columns are converted by one numpy call each, which
+    reads every token as ``int()`` and ``float()`` do.  A line that fails a
+    conversion or the ascending check is parsed again token by token, which
+    either accepts it (an index beyond int64, which only the final shape
+    check rejects) or raises the ParseError naming its first bad token.
+    """
+    try:
+        idx_s, _, val_s = zip(*[tok.partition(":") for tok in toks])
+        indices = np.array(idx_s, dtype=np.int64)
+        data = np.array(val_s, dtype=np.float64)
+        if indices[0] > 0 and (indices[1:] > indices[:-1]).all():
+            return indices, data, int(indices[-1])
+    except (ValueError, OverflowError):
+        pass
+    indices, data = _parse_features_slow(toks, lineno)
+    # int64 unless an index exceeds it, which the shape check then rejects
+    return np.array(indices), np.array(data, dtype=np.float64), indices[-1]
+
+
 def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> ProblemInstance:
     """Parse a sparse labeled text file into a problem instance.
 
@@ -95,37 +139,25 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     lines raise ParseError with their 1-based line number.
     """
     labels: list[float] = []
-    data: list[float] = []
-    indices: list[int] = []
+    data: list[np.ndarray] = []
+    indices: list[np.ndarray] = []
     indptr: list[int] = [0]
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts:
                 continue
-            parts = line.split()
             try:
                 labels.append(float(parts[0]))
             except ValueError:
                 raise ParseError(f"bad label {parts[0]!r}", lineno) from None
-            prev = 0
-            for tok in parts[1:]:
-                idx_s, sep, val_s = tok.partition(":")
-                if not sep:
-                    raise ParseError(f"expected index:value, got {tok!r}", lineno)
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise ParseError(f"non-numeric token {tok!r}", lineno) from None
-                if idx <= prev:
-                    raise ParseError(f"indices must be 1-based and ascending, got {idx} after {prev}", lineno)
-                prev = idx
-                indices.append(idx - 1)
-                data.append(val)
-            max_index = max(max_index, prev)
-            indptr.append(len(data))
+            if len(parts) > 1:
+                line_indices, line_data, last = _parse_features(parts[1:], lineno)
+                indices.append(line_indices)
+                data.append(line_data)
+                max_index = max(max_index, last)
+            indptr.append(indptr[-1] + len(parts) - 1)
     n = len(labels)
     if n == 0:
         raise ParseError("empty file", 1)
@@ -134,7 +166,10 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
         raise PreconditionError(f"n_features={d} below largest index {max_index}")
     if d == 0:
         raise PreconditionError("no features present; pass n_features explicitly")
-    X = sp.csc_matrix((data, indices, indptr), shape=(d, n))
+    X = sp.csc_matrix(
+        (np.concatenate(data or [np.empty(0)]), np.concatenate(indices or [np.empty(0, np.int64)]) - 1, indptr),
+        shape=(d, n),
+    )
     return ProblemInstance(X=X, K=K, labels=np.asarray(labels))
 
 

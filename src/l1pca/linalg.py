@@ -37,7 +37,7 @@ def seeded_rng(*parts: int) -> np.random.Generator:
 def as_dense(M) -> np.ndarray:
     """Return a float64 ndarray view/copy of a dense or sparse matrix."""
     if sp.issparse(M):
-        return np.asarray(M.todense(), dtype=np.float64)
+        return np.asarray(M.toarray(), dtype=np.float64)
     return np.asarray(M, dtype=np.float64)
 
 

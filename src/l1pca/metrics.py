@@ -1,4 +1,12 @@
-"""Solution-quality metrics: explained variation and clustering accuracy."""
+"""Solution-quality metrics: explained variation and clustering accuracy.
+
+``tev`` and ``choose_K_by_variance`` both need the eigenvalues of X X^T:
+one O(min(d, n)^3) eigendecomposition of the smaller-side Gram matrix, which
+costs more than everything else these metrics do.  ``_spectrum`` takes it,
+and ``_tev_ratio`` and ``_variance_K`` work from its result, so a caller that
+needs the spectrum more than once (the ``cluster`` and ``compare`` commands)
+takes it once and passes it on.
+"""
 
 from __future__ import annotations
 
@@ -14,18 +22,6 @@ from .linalg import as_dense, frob, require_finite, seeded_rng
 from .model import require_stiefel
 
 
-def _unit_scaled(X, norm: float):
-    """X, or X divided by a power of two near its Frobenius norm ``norm``.
-
-    The division is exact and leaves every ratio of quadratic forms in X
-    unchanged; it is applied only when ``norm`` lies outside [2^-300, 2^300],
-    where X X^T would overflow or lose entries to underflow.
-    """
-    if 2.0**-300 <= norm <= 2.0**300:
-        return X
-    return X * math.ldexp(1.0, -math.frexp(norm)[1])
-
-
 def _cov_eigenvalues(X) -> np.ndarray:
     """Nonincreasing eigenvalues of X X^T, computed on the smaller Gram side."""
     Xd = as_dense(X)
@@ -33,6 +29,40 @@ def _cov_eigenvalues(X) -> np.ndarray:
     G = Xd @ Xd.T if d <= n else Xd.T @ Xd
     w = np.linalg.eigvalsh(G)
     return np.maximum(w[::-1], 0.0)
+
+
+def _spectrum(X, zero_message: str):
+    """(X scaled, the nonincreasing eigenvalues w of its X X^T) for finite, nonzero X.
+
+    X is divided by a power of two near its Frobenius norm when that norm
+    lies outside [2^-300, 2^300], where X X^T would overflow or lose entries
+    to underflow; the division is exact and leaves every ratio of quadratic
+    forms in X unchanged.  Zero data raises UndefinedMetricError(zero_message).
+    """
+    require_finite(X, "X")
+    norm = frob(X)
+    if norm == 0.0:
+        raise UndefinedMetricError(zero_message)
+    if not 2.0**-300 <= norm <= 2.0**300:
+        X = X * math.ldexp(1.0, -math.frexp(norm)[1])
+    return X, _cov_eigenvalues(X)
+
+
+def _tev_ratio(X, w: np.ndarray, Q: np.ndarray) -> float:
+    """tev from the spectrum (X scaled, w) of ``_spectrum`` and a checked frame Q."""
+    return float(frob(X.T @ Q) ** 2) / float(w[: Q.shape[1]].sum())
+
+
+def _variance_K(w: np.ndarray, threshold: float) -> int:
+    """Smallest K whose leading eigenvalues in w hold ``threshold`` of their sum."""
+    w = w[w > w[0] * 1e-12]
+    total = float(w.sum())
+    cum = np.cumsum(w)
+    return int(np.argmax(cum >= threshold * total - 1e-12 * total)) + 1
+
+
+_TEV_ZERO = "explained variation undefined for zero data"
+_K_ZERO = "cannot choose K for zero data"
 
 
 def tev(X, Q: np.ndarray) -> float:
@@ -44,14 +74,20 @@ def tev(X, Q: np.ndarray) -> float:
     """
     require_finite(X, "X")
     Q = require_stiefel(Q)
-    norm = frob(X)
-    if norm == 0.0:
-        raise UndefinedMetricError("explained variation undefined for zero data")
-    X = _unit_scaled(X, norm)
-    K = Q.shape[1]
-    num = float(frob(X.T @ Q) ** 2)
-    den = float(_cov_eigenvalues(X)[:K].sum())
-    return num / den
+    return _tev_ratio(*_spectrum(X, _TEV_ZERO), Q)
+
+
+def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
+    """``choose_K_by_variance``, and the ``_spectrum`` it took (None at the cap)."""
+    if not (0.0 < threshold <= 1.0):
+        raise PreconditionError("threshold must lie in (0, 1]")
+    if min(X.shape) < large_side:
+        spectrum = _spectrum(X, _K_ZERO)
+        return _variance_K(spectrum[1], threshold), spectrum
+    require_finite(X, "X")
+    if frob(X) == 0.0:
+        raise UndefinedMetricError(_K_ZERO)
+    return cap, None
 
 
 def choose_K_by_variance(X, threshold: float, large_side: int = 10000, cap: int = 50) -> int:
@@ -60,20 +96,7 @@ def choose_K_by_variance(X, threshold: float, large_side: int = 10000, cap: int 
     Falls back to the fixed cap when the smaller matrix side is so large
     that forming the full spectrum is impractical.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise PreconditionError("threshold must lie in (0, 1]")
-    require_finite(X, "X")
-    norm = frob(X)
-    if norm == 0.0:
-        raise UndefinedMetricError("cannot choose K for zero data")
-    if min(X.shape) >= large_side:
-        return cap
-    w = _cov_eigenvalues(_unit_scaled(X, norm))
-    w = w[w > w[0] * 1e-12]
-    total = float(w.sum())
-    cum = np.cumsum(w)
-    idx = int(np.argmax(cum >= threshold * total - 1e-12 * total))
-    return idx + 1
+    return _choose_K(X, threshold, large_side, cap)[0]
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

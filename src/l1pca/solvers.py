@@ -165,6 +165,28 @@ def _as_fn(s: Schedule) -> Callable[[int], float]:
     return lambda k: v
 
 
+def _step_fn(method: str, name: str, s: Schedule, used: bool) -> Callable[[int], float]:
+    """A block's step-size schedule, which must be finite and positive if the block's anchor reads it.
+
+    A constant is checked here, once; a callable is checked at each step,
+    so a bad value stops the run at the iteration that produced it.
+    """
+    if not used:
+        return _as_fn(s)
+    if not callable(s):
+        if not 0.0 < float(s) < math.inf:
+            raise PreconditionError(f"{method} needs a finite positive {name}, got {s!r}")
+        return _as_fn(s)
+
+    def checked(k: int) -> float:
+        v = s(k)
+        if not 0.0 < v < math.inf:
+            raise PreconditionError(f"{method} needs a finite positive {name}, got {v!r} at iteration {k}")
+        return v
+
+    return checked
+
+
 def _nesterov_restart_gamma(interval: int) -> Callable[[int], float]:
     def gamma(k: int) -> float:
         j = k % interval
@@ -268,11 +290,9 @@ def resolve_config(cfg: SolverConfig, X) -> _Plan:
         raise PreconditionError("tol must be positive and max_iter at least 1")
     if cfg.theorem_mode and cfg.method not in ("pame", "pam"):
         raise PreconditionError("theorem_mode applies to the pame/pam scheme only")
-    for used, name, step in ((rule.prox_p, "alpha", cfg.alpha), (rule.prox_q, "beta", cfg.beta)):
-        if used and not callable(step) and not 0.0 < float(step) < math.inf:
-            raise PreconditionError(f"{cfg.method} needs a finite positive {name}, got {step!r}")
+    alpha_fn = _step_fn(cfg.method, "alpha", cfg.alpha, rule.prox_p)
+    beta_fn = _step_fn(cfg.method, "beta", cfg.beta, rule.prox_q)
     weight_fns = tuple(_as_fn(w) for w in rule.weights(cfg))
-    beta_fn = _as_fn(cfg.beta)
 
     beta_star = 0.0  # the potential's Q weight; 2/3 of beta makes the theorem's beta condition tight
     if rule.prox_q:
@@ -285,7 +305,7 @@ def resolve_config(cfg: SolverConfig, X) -> _Plan:
 
     return _Plan(
         rule=rule,
-        alpha_fn=_as_fn(cfg.alpha),
+        alpha_fn=alpha_fn,
         beta_fn=beta_fn,
         weight_fns=weight_fns,
         beta_star=beta_star,

@@ -1,11 +1,16 @@
 import json
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+from l1pca import metrics
 from l1pca.cli import main
 from l1pca.data import read_dense_matrix, read_sparse_labeled, write_sparse_labeled
 from l1pca.linalg import seeded_rng
+from l1pca.metrics import choose_K_by_variance, tev
+from l1pca.model import ProblemInstance
+from l1pca.solvers import METHODS, SolverConfig, draw_start, solve
 
 
 def _generate(tmp_path, seed=7, extra=()):
@@ -246,6 +251,62 @@ class TestCluster:
         write_dense_matrix(xfile, np.eye(4))
         rc = main(["cluster", "--input", str(xfile), "--K", "1", "--method", "pame"])
         assert rc == 2
+
+
+def _three_cluster_dataset(path, n_per=30):
+    rng = seeded_rng(321)
+    pts = rng.standard_normal((6, 3 * n_per)) * 0.3
+    for c in range(3):
+        pts[c, c * n_per:(c + 1) * n_per] += 4.0
+    pts[np.abs(pts) < 0.2] = 0.0
+    write_sparse_labeled(path, sp.csc_matrix(pts), np.repeat([0.0, 1.0, 2.0], n_per))
+    return path
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Shapes of the matrices whose X X^T spectrum is taken, in call order."""
+    calls = []
+    real = metrics._cov_eigenvalues
+
+    def counting(X):
+        calls.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(metrics, "_cov_eigenvalues", counting)
+    return calls
+
+
+class TestOneSpectrum:
+    """cluster and compare take the covariance spectrum once and report what the public metrics give."""
+
+    def test_auto_K_matches_direct_metrics(self, tmp_path, capsys):
+        data = _three_cluster_dataset(tmp_path / "three.txt")
+        assert main(["cluster", "--input", str(data), "--auto-K", "--seed", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        inst = read_sparse_labeled(data)
+        K = choose_K_by_variance(inst.X, 0.8)
+        inst = ProblemInstance(inst.X, K, labels=inst.labels)
+        cfg = SolverConfig(method="pame", alpha=1e-4, beta=1.0, gamma=0.0, tol=1e-6, max_iter=1000, seed=5)
+        res = solve(inst, cfg, *draw_start(inst, 5))
+        assert K == 3
+        assert payload["K"] == K
+        assert payload["tev"] == tev(inst.X, res.Q_final)
+
+    @pytest.mark.parametrize("flags", [["--auto-K"], ["--K", "2"]])
+    def test_cluster_takes_one_spectrum(self, tmp_path, capsys, eig_calls, flags):
+        data = _three_cluster_dataset(tmp_path / "three.txt")
+        assert main(["cluster", "--input", str(data), "--seed", "1", *flags]) == 0
+        assert eig_calls == [(6, 90)]
+
+    def test_compare_takes_one_spectrum(self, tmp_path, capsys, eig_calls):
+        inst = _generate(tmp_path)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--methods", ",".join(METHODS), "--max-iter", "3000", "--seed", "4",
+                     "--input", str(inst), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(row.split(",")[3] for row in rows)
+        assert eig_calls == [(16, 50)]
 
 
 def test_no_command_exit_2(capsys):

@@ -13,6 +13,7 @@ from l1pca.data import (
     write_trace,
 )
 from l1pca.errors import InvalidInputError, ParseError, PreconditionError
+from l1pca.model import ProblemInstance
 from l1pca.solvers import IterateTrace
 
 
@@ -114,6 +115,127 @@ class TestSparseLabeled:
         inst = read_sparse_labeled(p, n_features=7)
         assert (inst.X != X).nnz == 0
         assert np.array_equal(inst.labels, labels)
+
+
+def _parse_reference(path, K=1, n_features=None):
+    """The token-by-token parser that read_sparse_labeled replaced, kept as its specification."""
+    labels, data, indices, indptr = [], [], [], [0]
+    max_index = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split()
+            try:
+                labels.append(float(parts[0]))
+            except ValueError:
+                raise ParseError(f"bad label {parts[0]!r}", lineno) from None
+            prev = 0
+            for tok in parts[1:]:
+                idx_s, sep, val_s = tok.partition(":")
+                if not sep:
+                    raise ParseError(f"expected index:value, got {tok!r}", lineno)
+                try:
+                    idx = int(idx_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise ParseError(f"non-numeric token {tok!r}", lineno) from None
+                if idx <= prev:
+                    raise ParseError(f"indices must be 1-based and ascending, got {idx} after {prev}", lineno)
+                prev = idx
+                indices.append(idx - 1)
+                data.append(val)
+            max_index = max(max_index, prev)
+            indptr.append(len(data))
+    n = len(labels)
+    if n == 0:
+        raise ParseError("empty file", 1)
+    d = n_features if n_features is not None else max_index
+    if d < max_index:
+        raise PreconditionError(f"n_features={d} below largest index {max_index}")
+    if d == 0:
+        raise PreconditionError("no features present; pass n_features explicitly")
+    X = sp.csc_matrix((data, indices, indptr), shape=(d, n))
+    return ProblemInstance(X=X, K=K, labels=np.asarray(labels))
+
+
+def _outcome(parse, path, **kw):
+    """The arrays a parse produces, bytes and dtype, or the error it raises."""
+    try:
+        inst = parse(path, **kw)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    X = inst.X
+    return X.shape, [(a.dtype.str, a.tobytes()) for a in (X.indices, X.data, X.indptr, inst.labels)]
+
+
+_FIRST = "1 1:0.5 3:-2\n"
+
+#: file contents, each read by both parsers: odd but valid tokens, malformed
+#: tokens on line 2, and line layout
+_PARSE_CASES = {
+    "plus_sign": _FIRST + "-1 +3:1\n",
+    "underscore": _FIRST + "-1 1_0:2\n",
+    "exponent": _FIRST + "-1 2:1e3\n",
+    "negative_zero": _FIRST + "-1 2:-0\n",
+    "non_ascii_digits": _FIRST + "-1 \u0663:\u0661\u0662\n",
+    "inf_nan_values": _FIRST + "-1 1:inf 2:nan 4:-inf\n",
+    "beyond_int32": _FIRST + "-1 3000000000:1\n",
+    "empty_index": _FIRST + "-1 :1\n",
+    "empty_value": _FIRST + "-1 1:\n",
+    "two_colons": _FIRST + "-1 1:2:3\n",
+    "letter_index": _FIRST + "-1 a:1\n",
+    "float_index": _FIRST + "-1 1.5:2\n",
+    "bare_number": _FIRST + "-1 5\n",
+    "bare_after_good": _FIRST + "-1 1:1 5\n",
+    "descending": _FIRST + "-1 2:1 1:1\n",
+    "repeated": _FIRST + "-1 2:1 2:1\n",
+    "zero_index": _FIRST + "-1 0:1\n",
+    "negative_index": _FIRST + "-1 -1:2\n",
+    "hex_index": _FIRST + "-1 0x10:2\n",
+    "beyond_int64": _FIRST + "-1 9223372036854775808:1\n",
+    "twenty_digit_index": _FIRST + "-1 99999999999999999999:1\n",
+    "twenty_digit_then_bad_line": _FIRST + "-1 99999999999999999999:1\n1 a:1\n",
+    "twenty_digit_then_bad_token": _FIRST + "-1 99999999999999999999:1 5:1\n",
+    "bad_label": _FIRST + "x 1:1\n",
+    "blank_lines_before_bad": _FIRST + "\n  \n\t\n-1 1:2:3\n",
+    "no_trailing_newline": _FIRST + "-1 2:3",
+    "crlf": "1 1:1\r\n-1 2:3\r\n",
+    "label_only_lines": "1\n-1 2:3\n2\n",
+    "only_labels": "1\n-1\n",
+    "empty": "",
+    "blank_only": "\n \n",
+}
+
+
+class TestParseAgainstReference:
+    """read_sparse_labeled gives the reference parser's arrays, or its error, on every input."""
+
+    @pytest.mark.parametrize("name", sorted(_PARSE_CASES))
+    def test_case(self, tmp_path, name):
+        p = tmp_path / "x.txt"
+        p.write_text(_PARSE_CASES[name], encoding="utf-8")
+        assert _outcome(read_sparse_labeled, p) == _outcome(_parse_reference, p)
+
+    @pytest.mark.parametrize("name", ["only_labels", "beyond_int32", "twenty_digit_index", "exponent"])
+    @pytest.mark.parametrize("n_features", [0, 3, 4, 2**64])
+    def test_case_with_n_features(self, tmp_path, name, n_features):
+        p = tmp_path / "x.txt"
+        p.write_text(_PARSE_CASES[name], encoding="utf-8")
+        got = _outcome(read_sparse_labeled, p, n_features=n_features)
+        assert got == _outcome(_parse_reference, p, n_features=n_features)
+
+    def test_generated_file_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(11)
+        dense = rng.standard_normal((40, 3000))
+        dense[rng.random(dense.shape) < 0.8] = 0.0
+        labels = rng.integers(-2, 3, 3000).astype(float)
+        p = tmp_path / "big.txt"
+        write_sparse_labeled(p, sp.csc_matrix(dense), labels)
+        got = _outcome(read_sparse_labeled, p)
+        assert got == _outcome(_parse_reference, p)
+        assert got[0] == (40, 3000)
 
 
 class TestTraceIO:

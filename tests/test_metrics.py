@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from l1pca import metrics
 from l1pca.errors import PreconditionError, UndefinedMetricError
 from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng
 from l1pca.metrics import choose_K_by_variance, kmeans_accuracy, kmeans_cluster, tev
@@ -80,6 +81,32 @@ class TestScale:
         Xs = sp.csc_matrix(X * scale) if sparse else X * scale
         assert tev(Xs, Q) == pytest.approx(tev(X, Q), rel=1e-12)
         assert choose_K_by_variance(Xs, 0.7) == choose_K_by_variance(X, 0.7)
+
+
+class TestSharedSpectrum:
+    """One spectrum serves both metrics, with the values and errors of the public calls."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    def test_spectrum_of_choose_K_serves_tev(self, scale, sparse):
+        rng = seeded_rng(59)
+        X = rng.standard_normal((12, 30)) * scale
+        X = sp.csc_matrix(X) if sparse else X
+        K, spectrum = metrics._choose_K(X, 0.7)
+        Q = random_stiefel(12, K, rng)
+        assert K == choose_K_by_variance(X, 0.7)
+        assert metrics._tev_ratio(*spectrum, Q) == tev(X, Q)
+
+    def test_large_side_takes_no_spectrum(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_cov_eigenvalues", None)
+        assert metrics._choose_K(sp.eye(6, format="csc"), 0.8, large_side=6, cap=3) == (3, None)
+
+    def test_zero_data_messages(self):
+        with pytest.raises(UndefinedMetricError, match="explained variation undefined for zero data"):
+            tev(np.zeros((3, 4)), np.eye(3)[:, :1])
+        for large_side in (10000, 3):
+            with pytest.raises(UndefinedMetricError, match="cannot choose K for zero data"):
+                choose_K_by_variance(np.zeros((3, 4)), 0.8, large_side=large_side)
 
 
 class TestKmeans:

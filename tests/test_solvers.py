@@ -404,7 +404,7 @@ class TestConfigValidation:
 
 
 class TestStepSizeValidation:
-    """A constant step size of a block with a proximal anchor must be finite and positive."""
+    """A step size of a block with a proximal anchor must be finite and positive: a constant, or a callable's every value."""
 
     @staticmethod
     def _solve(**kw):
@@ -424,10 +424,30 @@ class TestStepSizeValidation:
         with pytest.raises(PreconditionError, match="finite positive beta"):
             self._solve(method=method, beta=value)
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ({"alpha": lambda k: 0.0}, "alpha, got 0.0 at iteration 0"),
+            ({"beta": lambda k: math.inf}, "beta, got inf at iteration 0"),
+            ({"beta": lambda k: -1.0}, "beta, got -1.0 at iteration 0"),
+            ({"alpha": lambda k: 1e-4 if k < 3 else math.nan}, "alpha, got nan at iteration 3"),
+        ],
+    )
+    def test_bad_callable_rejected_at_its_iteration(self, schedule, message):
+        with pytest.raises(PreconditionError, match=f"pame needs a finite positive {message}"):
+            self._solve(method="pame", **schedule)
+
+    def test_checked_callables_give_the_constants_trace(self):
+        const = self._solve(alpha=1e-4, beta=1.0)
+        sched = self._solve(alpha=lambda k: 1e-4, beta=lambda k: 1.0)
+        assert _trace_tuple(sched.trace) == _trace_tuple(const.trace)
+        assert np.array_equal(sched.Q_final, const.Q_final)
+
     def test_unused_step_sizes_unchecked(self):
         # fpm has no anchors and pdcae no sign anchor, so their alpha (and fpm's beta) are never read
         assert self._solve(method="fpm", alpha=0.0, beta=math.inf).converged
         assert self._solve(method="pdcae", alpha=-1.0).converged
+        assert self._solve(method="fpm", alpha=lambda k: 0.0, beta=lambda k: math.inf).converged
 
 
 class TestTheoremModeScale:
