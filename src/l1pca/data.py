@@ -84,7 +84,10 @@ def gen_fixed_effect(spec: FixedEffectSpec) -> tuple[np.ndarray, np.ndarray, np.
 
 # ---------------------------------------------------------------------------
 # sparse labeled text format: one sample per line, "label index:value ...",
-# indices 1-based strictly ascending, absent features zero
+# indices 1-based strictly ascending and below 2^63, absent features zero
+
+#: indices are stored as int64
+_INDEX_LIMIT = 2**63
 
 
 def _parse_features_slow(toks: list[str], lineno: int) -> tuple[list[int], list[float]]:
@@ -103,6 +106,8 @@ def _parse_features_slow(toks: list[str], lineno: int) -> tuple[list[int], list[
             raise ParseError(f"non-numeric token {tok!r}", lineno) from None
         if idx <= prev:
             raise ParseError(f"indices must be 1-based and ascending, got {idx} after {prev}", lineno)
+        if idx >= _INDEX_LIMIT:
+            raise ParseError(f"index {idx} too large (indices must be below 2^63)", lineno)
         prev = idx
         indices.append(idx)
         data.append(val)
@@ -114,9 +119,9 @@ def _parse_features(toks: list[str], lineno: int) -> tuple[np.ndarray, np.ndarra
 
     The index and value columns are converted by one numpy call each, which
     reads every token as ``int()`` and ``float()`` do.  A line that fails a
-    conversion or the ascending check is parsed again token by token, which
-    either accepts it (an index beyond int64, which only the final shape
-    check rejects) or raises the ParseError naming its first bad token.
+    conversion or the ascending check (an index of 2^63 or more fails the
+    int64 conversion) is parsed again token by token, which raises the
+    ParseError naming its first bad token.
     """
     try:
         idx_s, _, val_s = zip(*[tok.partition(":") for tok in toks])
@@ -127,8 +132,7 @@ def _parse_features(toks: list[str], lineno: int) -> tuple[np.ndarray, np.ndarra
     except (ValueError, OverflowError):
         pass
     indices, data = _parse_features_slow(toks, lineno)
-    # int64 unless an index exceeds it, which the shape check then rejects
-    return np.array(indices), np.array(data, dtype=np.float64), indices[-1]
+    return np.array(indices, dtype=np.int64), np.array(data, dtype=np.float64), indices[-1]
 
 
 def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> ProblemInstance:

@@ -1,10 +1,14 @@
 """Minimal dense/sparse linear algebra used by everything else.
 
-Thin SVD and exact spectral norms from LAPACK (ARPACK for sparse input),
-with a deterministic sign convention and rank completion on top; polar
-factors for orthogonal Procrustes steps; orthonormality diagnostics.  All
-routines are deterministic for fixed inputs; randomized helpers take an
-explicit generator.
+Thin SVD from LAPACK, with a deterministic sign convention and rank
+completion on top; polar factors for orthogonal Procrustes steps;
+orthonormality diagnostics.  ``_gram`` is the one place that forms the
+smaller-side Gram matrix X X^T (or X^T X), prescaled by a power of two at
+extreme scales: the dense spectral norm is the square root of its top
+eigenvalue, and the covariance spectrum in ``metrics`` is all of its
+eigenvalues.  Sparse spectral norms come from ARPACK.  All routines are
+deterministic for fixed inputs; randomized helpers take an explicit
+generator.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import ddot
 from scipy.sparse.linalg import svds
@@ -23,6 +28,9 @@ _EPS = np.finfo(np.float64).eps
 #: a sum of squares at least this large lost at most n * 2^-422 of itself to
 #: squares that underflowed (each below 2^-1022)
 _SQ_MIN = 2.0**-600
+#: Frobenius norms outside this range are prescaled before a Gram matrix is
+#: formed: beyond it X X^T overflows or loses entries to underflow
+_GRAM_SAFE = (2.0**-300, 2.0**300)
 
 
 def seeded_rng(*parts: int) -> np.random.Generator:
@@ -67,6 +75,28 @@ def frob(M) -> float:
     e = math.frexp(amax)[1]
     b = a * math.ldexp(1.0, -e)
     return math.ldexp(math.sqrt(ddot(b, b)), e)
+
+
+def _prescaled(X, norm: float):
+    """(X / 2^e, e): e = 0 when ``norm`` = frob(X) lies in ``_GRAM_SAFE`` or is 0,
+    else e puts the scaled norm in [1/2, 1).  The division is exact."""
+    if norm == 0.0 or _GRAM_SAFE[0] <= norm <= _GRAM_SAFE[1]:
+        return X, 0
+    e = math.frexp(norm)[1]
+    return X * math.ldexp(1.0, -e), e
+
+
+def _gram(X) -> tuple[np.ndarray, int]:
+    """(G, e): the smaller-side Gram matrix G of X / 2^e, with e from ``_prescaled``.
+
+    G is X X^T when X has no more rows than columns, else X^T X; both have
+    the nonzero eigenvalues of X X^T, here scaled by 4^-e.  X is made dense
+    first and must be finite.
+    """
+    Xd = as_dense(X)
+    Xd, e = _prescaled(Xd, frob(Xd))
+    d, n = Xd.shape
+    return (Xd @ Xd.T if d <= n else Xd.T @ Xd), e
 
 
 def complete_orthonormal(U: np.ndarray, n_cols: int) -> np.ndarray:
@@ -168,15 +198,25 @@ def polar_factor(M) -> np.ndarray:
 def spectral_norm(X) -> float:
     """Largest singular value ||X||_2 of a dense or sparse matrix, exact to roundoff.
 
-    Dense input goes to LAPACK.  Sparse input goes to ARPACK (``svds`` with
-    a fixed start) after dividing by a power of two near its largest
-    entry, so the Lanczos recurrence neither overflows nor underflows at
-    extreme scales; a sparse row or column vector returns its Frobenius
-    norm, which equals its 2-norm.
+    Dense input: the square root of the top eigenvalue of the smaller-side
+    Gram matrix (``_gram``), taken alone by LAPACK's ``syevr``.  The largest
+    eigenvalue of a symmetric matrix is perfectly conditioned (Weyl: it
+    moves by at most the 2-norm of a perturbation), and forming G perturbs
+    it by a few ulps of ||X||^2, so the root is exact to roundoff; the
+    prescale keeps G finite and its entries normal at any scale.  Sparse
+    input goes to ARPACK (``svds`` with a fixed start) after dividing by a
+    power of two near its largest entry, so the Lanczos recurrence neither
+    overflows nor underflows; a sparse row or column vector returns its
+    Frobenius norm, which equals its 2-norm.
     """
     require_finite(X, "spectral_norm input")
     if not sp.issparse(X):
-        return float(np.linalg.norm(np.asarray(X, dtype=np.float64), 2))
+        G, e = _gram(X)
+        m = G.shape[0]
+        if m == 0:
+            return 0.0
+        top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[m - 1, m - 1])[0]
+        return math.ldexp(math.sqrt(max(float(top), 0.0)), e)
     amax = float(np.abs(X.data).max()) if X.nnz else 0.0
     if amax == 0.0:
         return 0.0

@@ -11,40 +11,37 @@ takes it once and passes it on.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import PreconditionError, UndefinedMetricError
-from .linalg import as_dense, frob, require_finite, seeded_rng
+from .linalg import _gram, _prescaled, frob, require_finite, seeded_rng
 from .model import require_stiefel
 
 
 def _cov_eigenvalues(X) -> np.ndarray:
-    """Nonincreasing eigenvalues of X X^T, computed on the smaller Gram side."""
-    Xd = as_dense(X)
-    d, n = Xd.shape
-    G = Xd @ Xd.T if d <= n else Xd.T @ Xd
+    """Nonincreasing eigenvalues of X X^T, from the smaller-side Gram matrix ``_gram``."""
+    G, e = _gram(X)
     w = np.linalg.eigvalsh(G)
-    return np.maximum(w[::-1], 0.0)
+    return np.ldexp(np.maximum(w[::-1], 0.0), 2 * e)
 
 
 def _spectrum(X, zero_message: str):
     """(X scaled, the nonincreasing eigenvalues w of its X X^T) for finite, nonzero X.
 
     X is divided by a power of two near its Frobenius norm when that norm
-    lies outside [2^-300, 2^300], where X X^T would overflow or lose entries
-    to underflow; the division is exact and leaves every ratio of quadratic
-    forms in X unchanged.  Zero data raises UndefinedMetricError(zero_message).
+    lies outside [2^-300, 2^300] (``linalg._prescaled``), where X X^T would
+    overflow or lose entries to underflow; the division is exact and leaves
+    every ratio of quadratic forms in X unchanged.  Zero data raises
+    UndefinedMetricError(zero_message).
     """
     require_finite(X, "X")
     norm = frob(X)
     if norm == 0.0:
         raise UndefinedMetricError(zero_message)
-    if not 2.0**-300 <= norm <= 2.0**300:
-        X = X * math.ldexp(1.0, -math.frexp(norm)[1])
+    X = _prescaled(X, norm)[0]
     return X, _cov_eigenvalues(X)
 
 

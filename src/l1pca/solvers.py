@@ -26,6 +26,13 @@ The subproblems are exactly solvable for this bilinear objective, so the
 linearized and exact proximal updates coincide.  All methods stop when the
 combined state moves less than ``tol`` (Frobenius) and share one trace.
 
+``solve`` carries ``X^T Q`` (and its previous value) through the loop.
+``X^T`` is linear, so ``X^T E = ext(X^T Q, X^T Q_prev, gs)``, which is
+``X^T Q`` itself when gs is 0; the objective h = -<P, X^T Q>, the
+theorem-mode subgradient element and the final objective are read off the
+same carried product.  Each iteration therefore forms exactly two products
+with X, ``X P_new`` and ``X^T Q_new``, plus one ``X^T Q0`` at the start.
+
 ``theorem_mode`` enforces the step-size and extrapolation bounds under
 which the extrapolated scheme is provably convergent (bounded alpha, beta
 at least 3/2 of the potential weight, extrapolation below
@@ -47,8 +54,6 @@ from .linalg import frob, polar_factor, random_signs, random_stiefel, seeded_rng
 from .model import (
     CONSTRUCTION_TOL,
     ProblemInstance,
-    objective_h,
-    objective_l1,
     require_signs,
     require_stiefel,
     sign_select,
@@ -355,9 +360,11 @@ def solve(
 
     Q_prev = Q.copy()  # the pre-first-iteration state reuses Q0
     P_prev = P.copy()
+    XtQ = X.T @ Q
+    XtQ_prev = XtQ
     trace = IterateTrace()
     t0 = time.perf_counter()
-    h0 = objective_h(X, P, Q)
+    h0 = -float(np.sum(P * XtQ))
     trace.append(0, h0, h0, 0.0, 0.0, 0.0, 0.0)
 
     rule, bounds = plan.rule, plan.bounds
@@ -377,8 +384,7 @@ def solve(
             if gs_k > bounds["gamma_sup"]:
                 raise PreconditionError(f"theorem_mode: gamma_{k}={gs_k:g} exceeds its declared bound")
 
-        E = _ext(Q, Q_prev, gs_k)
-        XtE = X.T @ E
+        XtE = _ext(XtQ, XtQ_prev, gs_k)  # X^T ext(Q, Q_prev, gs_k)
         P_new = sign_select(_ext(P, P_prev, gp_fn(k)) + XtE / a_k if rule.prox_p else XtE, P)
         XP = X @ P_new
         if rule.prox_q:
@@ -396,13 +402,14 @@ def solve(
         feas = stiefel_residual(Q_new)
         if not np.isfinite(feas) or feas > CONSTRUCTION_TOL:
             raise DivergedError(f"orthonormality lost at iteration {k} (residual {feas:.3e})", trace=trace)
-        h_new = objective_h(X, P_new, Q_new)
+        XtQ_new = X.T @ Q_new
+        h_new = -float(np.sum(P_new * XtQ_new))
         psi_new = h_new + 0.5 * plan.beta_star * dQ * dQ
         if not np.isfinite(h_new):
             raise DivergedError(f"non-finite objective at iteration {k}", trace=trace)
 
         if bounds is not None:
-            elem_p = (X.T @ (E - Q_new)) - a_k * (P_new - P)
+            elem_p = (XtE - XtQ_new) - a_k * (P_new - P)
             q_dist = subgrad_dist_linear(-XP + plan.beta_star * (Q_new - Q), Q_new)
             coupling = plan.beta_star * dQ
             audit["subgrad_norms"].append(math.hypot(frob(elem_p), q_dist, coupling))
@@ -413,6 +420,7 @@ def solve(
         trace.append(k + 1, h_new, psi_new, dP, dQ, dC, time.perf_counter() - t0)
         P_prev, P = P, P_new
         Q_prev, Q = Q, Q_new
+        XtQ_prev, XtQ = XtQ, XtQ_new
         if callback is not None:
             callback(k, P, Q)
         if dC < cfg.tol:
@@ -427,7 +435,7 @@ def solve(
         iterations=k + 1,
         converged=converged,
         termination_reason="tol" if converged else "max_iter",
-        final_objective=objective_l1(X, Q),
+        final_objective=float(np.abs(XtQ).sum()),
         audit_info=None if bounds is None else {**bounds, **audit},
     )
 

@@ -41,6 +41,7 @@ from .linalg import (
 )
 from .model import (
     ProblemInstance,
+    _check_dims,
     objective_h,
     objective_l1,
     require_signs,
@@ -121,19 +122,16 @@ class CriticalityReport:
         }
 
 
-def check_alpha_condition(X, Qstar: np.ndarray, alpha_star: float, zero_tol: float = 0.0) -> tuple[bool, float]:
-    """Step-size certificate: alpha_star below the smallest nonzero |(X^T Q*)_ij|.
-
-    Entries with magnitude at most ``zero_tol`` are treated as zero.  When
-    every entry is zero the condition is vacuous and the certificate is
-    withheld (flag False, threshold 0).
-    """
+def _require_alpha_args(alpha_star: float, zero_tol: float) -> None:
     if alpha_star <= 0:
         raise PreconditionError("alpha_star must be positive")
     if zero_tol < 0:
         raise PreconditionError("zero_tol must be nonnegative")
-    Q = require_stiefel(Qstar, name="Qstar")
-    mags = np.abs(X.T @ Q)
+
+
+def _alpha_condition(M: np.ndarray, alpha_star: float, zero_tol: float) -> tuple[bool, float]:
+    """``check_alpha_condition`` from M = X^T Q* and checked arguments."""
+    mags = np.abs(M)
     nz = mags > zero_tol
     if not nz.any():
         return False, 0.0
@@ -141,17 +139,42 @@ def check_alpha_condition(X, Qstar: np.ndarray, alpha_star: float, zero_tol: flo
     return alpha_star < threshold, threshold
 
 
+def check_alpha_condition(X, Qstar: np.ndarray, alpha_star: float, zero_tol: float = 0.0) -> tuple[bool, float]:
+    """Step-size certificate: alpha_star below the smallest nonzero |(X^T Q*)_ij|.
+
+    Entries with magnitude at most ``zero_tol`` are treated as zero.  When
+    every entry is zero the condition is vacuous and the certificate is
+    withheld (flag False, threshold 0).
+    """
+    _require_alpha_args(alpha_star, zero_tol)
+    Q = require_stiefel(Qstar, name="Qstar")
+    return _alpha_condition(X.T @ Q, alpha_star, zero_tol)
+
+
 def criticality_report(X, Pstar: np.ndarray, Qstar: np.ndarray, alpha_star: float, zero_tol: float = 1e-12) -> CriticalityReport:
-    """Evaluate all criticality residuals at a candidate limit pair."""
+    """Evaluate all criticality residuals at a candidate limit pair.
+
+    Takes X P and X^T Q once each; the sign choices P_gen and P_l1 reuse
+    X P when they equal P, as they do at a converged pair, so a limit point
+    costs two large products.
+    """
     P = require_signs(Pstar, "Pstar")
     Q = require_stiefel(Qstar, name="Qstar")
-    h_res = subgrad_dist_h(X, P, Q)
+    _check_dims(X, Q, P)
+    XP = X @ P
+
+    def times_X(S: np.ndarray) -> np.ndarray:
+        # BLAS may round X S differently for another memory layout of the same S
+        return XP if S.strides == P.strides and np.array_equal(S, P) else X @ S
+
+    h_res = subgrad_dist_linear(-XP, Q)
     M = X.T @ Q
     P_gen = sign_select(P + M / alpha_star, P)
-    gen_eq = subgrad_dist_linear(-(X @ P_gen), Q)
+    gen_eq = subgrad_dist_linear(-times_X(P_gen), Q)
     P_l1 = sign_select(M, P)
-    l1_res = subgrad_dist_linear(-(X @ P_l1), Q)
-    fired, threshold = check_alpha_condition(X, Q, alpha_star, zero_tol)
+    l1_res = subgrad_dist_linear(-times_X(P_l1), Q)
+    _require_alpha_args(alpha_star, zero_tol)
+    fired, threshold = _alpha_condition(M, alpha_star, zero_tol)
     return CriticalityReport(
         h_residual=h_res,
         gen_eq_residual=gen_eq,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from l1pca.linalg import random_signs, random_stiefel, seeded_rng
@@ -17,3 +18,17 @@ def make_instance(n, d, K, seed=0, scale=1.0):
 def make_start(inst, seed=0):
     g = seeded_rng(seed, 0xABCD)
     return random_signs(inst.n, inst.K, g), random_stiefel(inst.d, inst.K, g)
+
+
+def counting_products(X):
+    """X as an ndarray subclass that counts the matrix products taken with it or its transpose."""
+    counter = {"matmul": 0}
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                counter["matmul"] += 1
+            inputs = tuple(x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return X.view(Counting), counter

@@ -252,6 +252,13 @@ class TestCluster:
         rc = main(["cluster", "--input", str(xfile), "--K", "1", "--method", "pame"])
         assert rc == 2
 
+    def test_index_beyond_int64_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "big.txt"
+        data.write_text("1 1:0.5 3:-2\n-1 99999999999999999999:1\n")
+        rc = main(["cluster", "--input", str(data), "--K", "1"])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 def _three_cluster_dataset(path, n_per=30):
     rng = seeded_rng(321)

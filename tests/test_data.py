@@ -118,7 +118,11 @@ class TestSparseLabeled:
 
 
 def _parse_reference(path, K=1, n_features=None):
-    """The token-by-token parser that read_sparse_labeled replaced, kept as its specification."""
+    """The token-by-token parser that read_sparse_labeled replaced, kept as its specification.
+
+    It rejects an index of 2^63 or more (stored indices are int64) with a
+    ParseError naming the line, as read_sparse_labeled does.
+    """
     labels, data, indices, indptr = [], [], [], [0]
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -143,6 +147,8 @@ def _parse_reference(path, K=1, n_features=None):
                     raise ParseError(f"non-numeric token {tok!r}", lineno) from None
                 if idx <= prev:
                     raise ParseError(f"indices must be 1-based and ascending, got {idx} after {prev}", lineno)
+                if idx >= 2**63:
+                    raise ParseError(f"index {idx} too large (indices must be below 2^63)", lineno)
                 prev = idx
                 indices.append(idx - 1)
                 data.append(val)

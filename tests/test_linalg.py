@@ -165,6 +165,27 @@ class TestSpectralNorm:
                 for M in (Xs, sp.csc_matrix(Xs)):
                     assert spectral_norm(M) == pytest.approx(true * scale, rel=1e-13)
 
+    @staticmethod
+    def _agrees_with_svd(X):
+        true = np.linalg.svd(X, compute_uv=False)[0]
+        for M in (X, sp.csc_matrix(X)):
+            assert spectral_norm(M) == pytest.approx(true, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-170])
+    def test_far_scales_against_svd(self, scale):
+        # X X^T overflows at 1e300; at 1e-170 and 1e-300 its entries underflow
+        X = seeded_rng(13).standard_normal((7, 11))
+        self._agrees_with_svd(X * scale)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
+    def test_single_row_or_column(self, shape):
+        self._agrees_with_svd(seeded_rng(14).standard_normal(shape))
+
+    def test_rank_deficient_wide(self):
+        rng = seeded_rng(15)
+        X = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 40))
+        self._agrees_with_svd(X)
+
     def test_sparse_input(self):
         X = sp.csc_matrix(np.diag([3.0, 1.0]))
         assert spectral_norm(X) == pytest.approx(3.0, rel=1e-6)

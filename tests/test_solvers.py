@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import make_instance, make_start
+from conftest import counting_products, make_instance, make_start
 from l1pca.errors import DegenerateUpdateError, PreconditionError
 from l1pca.linalg import random_stiefel, seeded_rng, stiefel_residual
-from l1pca.model import ProblemInstance, objective_l1, sign_select
+from l1pca.model import ProblemInstance, objective_h, objective_l1, sign_select
 from l1pca.solvers import (
+    METHODS,
     SolverConfig,
     _nesterov_restart_gamma,
     draw_start,
@@ -257,6 +259,38 @@ class TestStepRules:
         assert res.iterations == 3
         assert np.array_equal(res.P_final, P)
         assert np.allclose(res.Q_final, Q, atol=1e-14)
+
+
+class TestCarriedProducts:
+    """solve carries X^T Q: two products with X per iteration, objectives exact."""
+
+    @pytest.mark.parametrize("theorem", [False, True], ids=["paper_flags", "theorem_config"])
+    def test_two_products_per_iteration(self, theorem):
+        # one X^T Q0, then X P_new and X^T Q_new per iteration; theorem mode's
+        # spectral_norm forms its Gram matrix from a plain-array view of X
+        inst = make_instance(60, 12, 3, seed=5)
+        cfg = theorem_config(inst.X) if theorem else SolverConfig()
+        P0, Q0 = make_start(inst, seed=6)
+        ref = solve(inst, cfg, P0, Q0)
+        inst.X, counter = counting_products(inst.X)
+        res = solve(inst, cfg, P0, Q0)
+        assert res.iterations == ref.iterations > 2
+        assert counter["matmul"] == 1 + 2 * res.iterations
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_objectives_match_recomputed(self, method, sparse):
+        inst = make_instance(40, 10, 3, seed=7)
+        if sparse:
+            inst = ProblemInstance(sp.csc_matrix(inst.X), inst.K)
+        P0, Q0 = make_start(inst, seed=8)
+        iterates = [(P0, Q0)]
+        cfg = SolverConfig(method=method, alpha=0.2, beta=1.0, gamma=0.6, tol=1e-10, max_iter=60)
+        res = solve(inst, cfg, P0, Q0, callback=lambda k, P, Q: iterates.append((P, Q)))
+        assert len(iterates) == len(res.trace) == res.iterations + 1
+        for (P, Q), h in zip(iterates, res.trace.h_value):
+            assert h == pytest.approx(objective_h(inst.X, P, Q), rel=1e-12, abs=0.0)
+        assert res.final_objective == pytest.approx(objective_l1(inst.X, res.Q_final), rel=1e-12, abs=0.0)
 
 
 class TestProcrustesStepOptimality:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_instance, make_start
+from conftest import counting_products, make_instance, make_start
 from l1pca.errors import InvalidInputError, PreconditionError, UnsupportedRegimeError
 from l1pca import verify
 from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng, stiefel_residual
-from l1pca.model import ProblemInstance, residual_R
+from l1pca.model import ProblemInstance, residual_R, sign_select, subgrad_dist_h, subgrad_dist_linear
 from l1pca.solvers import SolverConfig, solve
 from l1pca.verify import (
     audit_constants,
@@ -67,6 +67,31 @@ class TestCriticalityReport:
         assert rep.certified_critical_for_l1
         assert rep.l1_residual <= 1e-6
         assert rep.h_residual <= 1e-6
+
+    def test_converged_pair_takes_two_products(self):
+        # X P and X^T Q once each: at a converged pair both sign choices equal P
+        inst = make_instance(8, 5, 2, seed=31)
+        alpha = 1e-6
+        cfg = SolverConfig(method="pame", alpha=alpha, beta=1.0, gamma=0.0, tol=1e-10, max_iter=5000)
+        res = solve(inst, cfg, *make_start(inst, seed=32))
+        X, counter = counting_products(inst.X)
+        rep = criticality_report(X, res.P_final, res.Q_final, alpha_star=alpha)
+        assert counter["matmul"] == 2
+        assert rep == criticality_report(inst.X, res.P_final, res.Q_final, alpha_star=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 100.0])
+    def test_fields_match_definitions(self, alpha):
+        # an unconverged pair, where the sign choices differ from P
+        inst = make_instance(30, 8, 3, seed=34)
+        X = inst.X
+        P, Q = make_start(inst, seed=35)
+        rep = criticality_report(X, P, Q, alpha_star=alpha)
+        M = X.T @ Q
+        assert rep.h_residual == subgrad_dist_h(X, P, Q)
+        assert rep.gen_eq_residual == subgrad_dist_linear(-(X @ sign_select(P + M / alpha, P)), Q)
+        assert rep.l1_residual == subgrad_dist_linear(-(X @ sign_select(M, P)), Q)
+        fired, threshold = check_alpha_condition(X, Q, alpha, zero_tol=1e-12)
+        assert (rep.certified_critical_for_l1, rep.alpha_condition_threshold) == (fired, threshold)
 
     def test_oracle_optimum_is_critical(self):
         rng = seeded_rng(33)
