@@ -241,46 +241,38 @@ def cmd_compare(args) -> int:
     return 0
 
 
+#: suite name -> the JSON payload of that suite run with the parsed flags;
+#: the audit suite falls back to n=200, d=80, K=5 for unset (or zero) sizes
+_VERIFY_SUITES = {
+    "sandwich": lambda a: sandwich_probe(samples=a.samples, seed=a.seed).to_dict(),
+    "critical-sets": lambda a: separation_suite(n_specs=a.specs, samples=a.samples, seed=a.seed).to_dict(),
+    "error-bound": lambda a: error_bound_suite(samples=a.samples, seed=a.seed),
+    "kl": lambda a: kl_suite(instances=a.instances, samples=a.samples, seed=a.seed),
+    "audit": lambda a: audit_suite(
+        instances=a.instances,
+        n=a.n or 200,
+        d=a.d or 80,
+        K=a.K or 5,
+        sigma=a.sigma,
+        seed=a.seed,
+        method=a.method,
+    ),
+    "oracle": lambda a: oracle_suite(
+        instances=a.instances,
+        restarts=a.restarts,
+        seed=a.seed,
+        n=a.n,
+        d=a.d,
+        K=a.K,
+    ).to_dict(),
+}
+
+
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite == "sandwich":
-        rep = sandwich_probe(samples=args.samples, seed=args.seed)
-        payload, passed = rep.to_dict(), rep.passed
-    elif suite == "critical-sets":
-        rep = separation_suite(n_specs=args.specs, samples=args.samples, seed=args.seed)
-        payload, passed = rep.to_dict(), rep.passed
-    elif suite == "error-bound":
-        payload = error_bound_suite(samples=args.samples, seed=args.seed)
-        passed = payload["passed"]
-    elif suite == "kl":
-        payload = kl_suite(instances=args.instances, samples=args.samples, seed=args.seed)
-        passed = payload["passed"]
-    elif suite == "audit":
-        payload = audit_suite(
-            instances=args.instances,
-            n=args.n or 200,
-            d=args.d or 80,
-            K=args.K or 5,
-            sigma=args.sigma,
-            seed=args.seed,
-            method=args.method,
-        )
-        passed = payload["passed"]
-    elif suite == "oracle":
-        rep = oracle_suite(
-            instances=args.instances,
-            restarts=args.restarts,
-            seed=args.seed,
-            n=args.n,
-            d=args.d,
-            K=args.K,
-        )
-        payload, passed = rep.to_dict(), rep.passed
-    else:  # pragma: no cover - argparse choices guard this
-        raise PreconditionError(f"unknown suite {suite!r}")
+    payload = _VERIFY_SUITES[args.suite](args)
     payload["schema_version"] = SCHEMA_VERSION
     _emit(payload, args.out)
-    return 0 if passed else 1
+    return 0 if payload["passed"] else 1
 
 
 def cmd_cluster(args) -> int:
@@ -377,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_compare)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True, choices=("sandwich", "critical-sets", "error-bound", "kl", "audit", "oracle"))
+    v.add_argument("--suite", required=True, choices=tuple(_VERIFY_SUITES))
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--specs", type=int, default=10)

@@ -195,11 +195,29 @@ def write_sparse_labeled(path, X, labels) -> None:
 # ---------------------------------------------------------------------------
 # trace export (CSV and JSON, floats at 17 significant digits)
 
-_CSV_COLUMNS = ("k", "h_value", "psi_value", "delta_P_norm", "delta_Q_norm", "delta_C_norm", "wall_time_seconds")
+#: (column, IterateTrace attribute) for each trace column, in file order,
+#: which is also the argument order of IterateTrace.append
+_TRACE_COLUMNS = (
+    ("k", "k"),
+    ("h_value", "h_value"),
+    ("psi_value", "psi_value"),
+    ("delta_P_norm", "delta_P_norm"),
+    ("delta_Q_norm", "delta_Q_norm"),
+    ("delta_C_norm", "delta_C_norm"),
+    ("wall_time_seconds", "wall_time"),
+)
+_CSV_COLUMNS = tuple(column for column, _ in _TRACE_COLUMNS)
 
 
 def _g(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _trace_rows(trace: IterateTrace):
+    """Each record's cells as text in column order: k as an integer, the rest via ``_g``."""
+    k, *floats = (getattr(trace, attr) for _, attr in _TRACE_COLUMNS)
+    for i in range(len(trace)):
+        yield [str(k[i]), *(_g(col[i]) for col in floats)]
 
 
 def write_trace(trace: IterateTrace, path, fmt: str = "csv") -> None:
@@ -207,35 +225,13 @@ def write_trace(trace: IterateTrace, path, fmt: str = "csv") -> None:
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(_CSV_COLUMNS) + "\n")
-            for i in range(len(trace)):
-                row = (
-                    str(trace.k[i]),
-                    _g(trace.h_value[i]),
-                    _g(trace.psi_value[i]),
-                    _g(trace.delta_P_norm[i]),
-                    _g(trace.delta_Q_norm[i]),
-                    _g(trace.delta_C_norm[i]),
-                    _g(trace.wall_time[i]),
-                )
+            for row in _trace_rows(trace):
                 fh.write(",".join(row) + "\n")
     elif fmt == "json":
-        records = []
-        for i in range(len(trace)):
-            records.append(
-                "{"
-                + ", ".join(
-                    (
-                        f'"k": {trace.k[i]}',
-                        f'"h_value": {_g(trace.h_value[i])}',
-                        f'"psi_value": {_g(trace.psi_value[i])}',
-                        f'"delta_P_norm": {_g(trace.delta_P_norm[i])}',
-                        f'"delta_Q_norm": {_g(trace.delta_Q_norm[i])}',
-                        f'"delta_C_norm": {_g(trace.delta_C_norm[i])}',
-                        f'"wall_time_seconds": {_g(trace.wall_time[i])}',
-                    )
-                )
-                + "}"
-            )
+        records = [
+            "{" + ", ".join(f'"{column}": {cell}' for column, cell in zip(_CSV_COLUMNS, row)) + "}"
+            for row in _trace_rows(trace)
+        ]
         body = ",\n    ".join(records)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{\n  "schema_version": 1,\n  "records": [\n    ' + body + "\n  ]\n}\n")
@@ -251,15 +247,7 @@ def read_trace(path) -> IterateTrace:
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         for rec in payload["records"]:
-            trace.append(
-                rec["k"],
-                rec["h_value"],
-                rec["psi_value"],
-                rec["delta_P_norm"],
-                rec["delta_Q_norm"],
-                rec["delta_C_norm"],
-                rec["wall_time_seconds"],
-            )
+            trace.append(*(rec[column] for column in _CSV_COLUMNS))
         return trace
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")

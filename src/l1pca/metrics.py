@@ -10,7 +10,6 @@ takes it once and passes it on.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 
 import numpy as np
@@ -156,19 +155,15 @@ def kmeans_cluster(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0
 def _assignment_accuracy(pred: np.ndarray, truth: np.ndarray, k: int) -> float:
     values = np.unique(truth)
     m = len(values)
-    C = np.zeros((k, m))
-    for j in range(k):
-        for i, v in enumerate(values):
-            C[j, i] = np.sum((pred == j) & (truth == v))
+    # C[j, i] counts the samples in cluster j whose label equals values[i]
+    # (a NaN label equals no value, so its sample is counted nowhere)
+    at = np.searchsorted(values, truth)
+    C = np.bincount(pred * m + at, weights=values[at] == truth, minlength=k * m).reshape(k, m)
     n = len(truth)
     if m < k:
         # fewer label values than clusters: per-cluster majority mapping
         return float(C.max(axis=1).sum() / n)
-    if k <= 8:
-        best = 0.0
-        for perm in itertools.permutations(range(m), k):
-            best = max(best, sum(C[j, perm[j]] for j in range(k)))
-        return float(best / n)
+    # the counts are integers, so the matching's optimum is exact
     rows, cols = linear_sum_assignment(-C)
     return float(C[rows, cols].sum() / n)
 
@@ -178,9 +173,8 @@ def kmeans_accuracy(X, Q: np.ndarray, labels, k: int, restarts: int = 10, seed: 
 
     Projects each sample to its K frame coordinates, clusters with
     best-of-restarts Lloyd, then scores the best cluster-to-label
-    assignment (exact permutation search up to k = 8, Hungarian matching
-    above).  Degenerate inputs (all projected points identical) score the
-    majority label and emit a warning.
+    assignment by Hungarian matching.  Degenerate inputs (all projected
+    points identical) score the majority label and emit a warning.
     """
     Q = require_stiefel(Q)
     labels = np.asarray(labels)

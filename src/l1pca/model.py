@@ -40,6 +40,9 @@ class ProblemInstance:
         d, n = self.X.shape
         if not (1 <= self.K <= min(n, d)):
             raise PreconditionError(f"K={self.K} must satisfy 1 <= K <= min(n, d)={min(n, d)}")
+        # the solvers allocate d x K and n x K float64 arrays
+        if max(d, n) * int(self.K) * 8 > np.iinfo(np.intp).max:
+            raise PreconditionError(f"a {max(d, n)} x {self.K} float64 array exceeds numpy's maximum array size")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != (n,):

@@ -9,14 +9,16 @@ explicit constant, empirical Kurdyka-Lojasiewicz ratios, per-iteration
 sufficient-decrease / relative-error audits, and a brute-force global
 oracle for tiny instances.
 
-Probe reports are plain dataclasses serializable to JSON.
+Probe reports are plain dataclasses that share one serializer: the base
+class ``_Report`` maps each field, in declaration order, to JSON-ready data,
+turning nested reports into dicts and numpy bools into Python bools.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +29,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import (
+    ThinSvd,
     as_dense,
     complete_orthonormal,
     frob,
@@ -60,8 +63,26 @@ _EPS = np.finfo(np.float64).eps
 # reports
 
 
+def _json_ready(value):
+    """A report field as JSON data: nested reports become dicts, numpy bools Python bools."""
+    if isinstance(value, list):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, np.bool_):
+        return bool(value)
+    return value
+
+
+class _Report:
+    """Base of the report dataclasses: ``to_dict`` gives the fields in order."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _json_ready(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass
-class ProbeReport:
+class ProbeReport(_Report):
     """Common JSON-serializable shape for probe outcomes."""
 
     name: str
@@ -73,25 +94,13 @@ class ProbeReport:
     min_ratio: float | None = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "samples": self.samples,
-            "violations": self.violations,
-            "passed": bool(self.passed),
-            "worst_ratio": self.worst_ratio,
-            "min_ratio": self.min_ratio,
-            "details": self.details,
-        }
-
 
 # ---------------------------------------------------------------------------
 # criticality certificates
 
 
 @dataclass
-class CriticalityReport:
+class CriticalityReport(_Report):
     """Residual norms and the step-size certificate at a candidate limit pair.
 
     ``gen_eq_residual`` measures the fixed-point inclusion the solver's
@@ -109,17 +118,6 @@ class CriticalityReport:
     certified_critical_for_l1: bool
     l1_residual: float
     alpha_condition_vacuous: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "h_residual": self.h_residual,
-            "gen_eq_residual": self.gen_eq_residual,
-            "alpha_condition_threshold": self.alpha_condition_threshold,
-            "alpha_star_used": self.alpha_star_used,
-            "certified_critical_for_l1": bool(self.certified_critical_for_l1),
-            "l1_residual": self.l1_residual,
-            "alpha_condition_vacuous": bool(self.alpha_condition_vacuous),
-        }
 
 
 def _require_alpha_args(alpha_star: float, zero_tol: float) -> None:
@@ -291,6 +289,32 @@ class CriticalSetSpec:
         return tuple(counts)
 
 
+def _tie_blocks(A: np.ndarray, tie_tol: float, rank_tol: float | None) -> tuple[ThinSvd, int, tuple[int, ...]]:
+    """Thin SVD of a nonzero A, its rank r, and the multiplicities of its tie blocks.
+
+    The rank counts the singular values above ``rank_tol`` (default
+    max(d, K) eps) times the largest.  Walking down those r values, the
+    first opens block one; each later value joins the current block when it
+    is within relative ``tie_tol`` of the block's first value, and opens a
+    new block otherwise.
+    """
+    s = thin_svd(A)
+    smax = float(s.sigma[0]) if s.sigma.size else 0.0
+    if smax == 0.0:
+        raise InvalidInputError("A must be nonzero")
+    if rank_tol is None:
+        rank_tol = max(A.shape) * _EPS
+    r = int(np.sum(s.sigma > rank_tol * smax))
+    mult = [0]
+    block_head = s.sigma[0]
+    for v in s.sigma[:r]:
+        if mult[-1] and not v >= block_head * (1.0 - tie_tol):
+            mult.append(0)
+            block_head = v
+        mult[-1] += 1
+    return s, r, tuple(mult)
+
+
 def critical_set_spec(A, q, tie_tol: float = 1e-9, rank_tol: float | None = None) -> CriticalSetSpec:
     """Build a critical-set description from A and a sign vector q.
 
@@ -302,34 +326,17 @@ def critical_set_spec(A, q, tie_tol: float = 1e-9, rank_tol: float | None = None
     d, K = Ad.shape
     if d < K or K < 1:
         raise PreconditionError("A must be d x K with d >= K >= 1")
-    s = thin_svd(Ad)
-    smax = float(s.sigma[0]) if s.sigma.size else 0.0
-    if smax == 0.0:
-        raise InvalidInputError("A must be nonzero")
-    if rank_tol is None:
-        rank_tol = max(d, K) * _EPS
-    r = int(np.sum(s.sigma > rank_tol * smax))
+    s, r, mult = _tie_blocks(Ad, tie_tol, rank_tol)
     qv = np.asarray(q, dtype=np.float64).reshape(-1)
     if qv.shape != (r,):
         raise PreconditionError(f"q must have one sign per positive singular value (rank {r})")
     if not np.all(np.abs(qv) == 1.0):
         raise PreconditionError("q entries must be exactly +-1")
-    mult = []
-    block_head = s.sigma[0]
-    count = 0
-    for i in range(r):
-        if s.sigma[i] >= block_head * (1.0 - tie_tol):
-            count += 1
-        else:
-            mult.append(count)
-            block_head = s.sigma[i]
-            count = 1
-    mult.append(count)
     U_full = complete_orthonormal(s.U[:, :r], d)
     return CriticalSetSpec(
         A=Ad,
         q=qv,
-        multiplicities=tuple(mult),
+        multiplicities=mult,
         U_full=U_full,
         sigma_pos=s.sigma[:r].copy(),
         V_full=s.V,
@@ -439,39 +446,20 @@ def kappa_constant(A, tie_tol: float = 1e-9, rank_tol: float | None = None) -> K
     the gap term is an empty minimum and is dropped.  Also returns the
     induced gradient-inequality factor eta_g = (2 kappa^2 ||A||)^(-1/2).
     """
-    Ad = as_dense(A)
-    s = thin_svd(Ad)
-    smax = float(s.sigma[0]) if s.sigma.size else 0.0
-    if smax == 0.0:
-        raise InvalidInputError("A must be nonzero")
-    if rank_tol is None:
-        rank_tol = max(Ad.shape) * _EPS
-    pos = s.sigma[s.sigma > rank_tol * smax]
-    reps = []
-    block_head = pos[0]
-    block_vals = [pos[0]]
-    for v in pos[1:]:
-        if v >= block_head * (1.0 - tie_tol):
-            block_vals.append(v)
-        else:
-            reps.append(float(np.mean(block_vals)))
-            block_head = v
-            block_vals = [v]
-    reps.append(float(np.mean(block_vals)))
-    p = len(reps)
+    s, r, mult = _tie_blocks(as_dense(A), tie_tol, rank_tol)
+    pos = s.sigma[:r]
     a_r = float(pos[-1])
+    reps = np.array([block.mean() for block in np.split(pos, np.cumsum(mult)[:-1])])
+    p = len(mult)
     if p == 1:
         delta_min = math.inf
         kappa = math.sqrt(13.0) / a_r
     else:
-        deltas = [
-            abs(reps[i] / reps[j] - reps[j] / reps[i])
-            for i in range(p)
-            for j in range(p)
-            if i != j
-        ]
-        delta_min = min(deltas)
+        # delta_ij for every ordered pair i != j of levels
+        deltas = np.abs(reps[:, None] / reps - reps / reps[:, None])
+        delta_min = float(deltas[~np.eye(p, dtype=bool)].min())
         kappa = math.sqrt(13.0 + 6.0 * (6.0 * p - 5.0) / (delta_min**2)) / a_r
+    smax = float(s.sigma[0])
     eta_g = 1.0 / math.sqrt(2.0 * kappa**2 * smax)
     return KappaConstants(kappa=kappa, eta_g=eta_g, p=p, delta_min=delta_min)
 
@@ -563,23 +551,24 @@ def exact_l1_subgrad_dist(
     Q = require_stiefel(Q)
     M = X.T @ Q
     xi = np.where(M > zero_tol, 1.0, -1.0)
-    zero_idx = np.argwhere(np.abs(M) <= zero_tol)
-    if len(zero_idx) == 0:
+    zeros = np.nonzero(np.abs(M) <= zero_tol)
+    z = zeros[0].size
+    if z == 0:
         return subgrad_dist_linear(-(X @ xi), Q), False
-    if len(zero_idx) > max_zero_enum:
-        xi[tuple(zero_idx.T)] = 1.0
+    if z > max_zero_enum:
+        xi[zeros] = 1.0
         return subgrad_dist_linear(-(X @ xi), Q), True
+    # row m gives zero entry t (row-major order) the sign -1 where bit t of m is set
+    patterns = 1.0 - 2.0 * ((np.arange(1 << z)[:, None] >> np.arange(z)) & 1)
     best = math.inf
-    for m in range(1 << len(zero_idx)):
-        trial = xi.copy()
-        for t, (i, j) in enumerate(zero_idx):
-            trial[i, j] = 1.0 if (m >> t) & 1 == 0 else -1.0
-        best = min(best, subgrad_dist_linear(-(X @ trial), Q))
+    for signs in patterns:
+        xi[zeros] = signs
+        best = min(best, subgrad_dist_linear(-(X @ xi), Q))
     return best, False
 
 
 @dataclass
-class KlRadiusResult:
+class KlRadiusResult(_Report):
     radius: float
     min_ratio: float
     samples_used: int
@@ -587,33 +576,14 @@ class KlRadiusResult:
     fallback_samples: int
     all_flat: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "min_ratio": self.min_ratio,
-            "samples_used": self.samples_used,
-            "samples_skipped": self.samples_skipped,
-            "fallback_samples": self.fallback_samples,
-            "all_flat": bool(self.all_flat),
-        }
-
 
 @dataclass
-class KlProbeReport:
+class KlProbeReport(_Report):
     name: str
     parameters: dict
     per_radius: list[KlRadiusResult]
     passed: bool
     stability_factor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "per_radius": [r.to_dict() for r in self.per_radius],
-            "passed": bool(self.passed),
-            "stability_factor": self.stability_factor,
-        }
 
 
 def _sample_near(Q0: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray | None:
@@ -631,7 +601,52 @@ def _sample_near(Q0: np.ndarray, radius: float, rng: np.random.Generator) -> np.
     return None
 
 
-def _kl_report(name, params, per_radius, stability_cap) -> KlProbeReport:
+def _kl_sweep(
+    Qstar: np.ndarray,
+    radii: Sequence[float],
+    samples: int,
+    rng: np.random.Generator,
+    value_guard: float,
+    gap: Callable[[np.ndarray], float],
+    dist: Callable[[np.ndarray], tuple[float, bool]],
+) -> list[KlRadiusResult]:
+    """Per-radius minimum of dist / sqrt(gap) over points sampled near Qstar.
+
+    A sample is skipped when it cannot be drawn or its value gap is at most
+    ``value_guard``; ``dist`` runs only on the samples kept and returns the
+    distance with its fallback flag.
+    """
+    per_radius: list[KlRadiusResult] = []
+    for radius in radii:
+        used = skipped = fallback = 0
+        min_ratio = math.inf
+        for _ in range(samples):
+            Q = _sample_near(Qstar, radius, rng)
+            if Q is None:
+                skipped += 1
+                continue
+            g = gap(Q)
+            if g <= value_guard:
+                skipped += 1
+                continue
+            dist_q, fb = dist(Q)
+            fallback += int(fb)
+            used += 1
+            min_ratio = min(min_ratio, dist_q / math.sqrt(g))
+        per_radius.append(
+            KlRadiusResult(
+                radius=float(radius),
+                min_ratio=min_ratio,
+                samples_used=used,
+                samples_skipped=skipped,
+                fallback_samples=fallback,
+                all_flat=used == 0,
+            )
+        )
+    return per_radius
+
+
+def _kl_report(name, radii, samples, seed, per_radius, stability_cap) -> KlProbeReport:
     finite = [r.min_ratio for r in per_radius if math.isfinite(r.min_ratio)]
     positive = all(r.min_ratio > 0 for r in per_radius)
     if len(finite) >= 2:
@@ -641,7 +656,7 @@ def _kl_report(name, params, per_radius, stability_cap) -> KlProbeReport:
     passed = positive and factor < stability_cap
     return KlProbeReport(
         name=name,
-        parameters=params,
+        parameters={"radii": list(map(float, radii)), "samples": samples, "seed": seed},
         per_radius=per_radius,
         passed=passed,
         stability_factor=factor,
@@ -671,37 +686,16 @@ def kl_ratio_probe(
     if dist0 > crit_tol:
         raise PreconditionError(f"Qstar is not critical (residual {dist0:.3e} > {crit_tol:.1e})")
     ell_star = -objective_l1(X, Qstar)
-    rng = seeded_rng(seed, 0x4C)
-    value_guard = 1e-12 * max(1.0, abs(ell_star))
-    per_radius: list[KlRadiusResult] = []
-    for radius in radii:
-        used = skipped = fallback = 0
-        min_ratio = math.inf
-        for _ in range(samples):
-            Q = _sample_near(Qstar, radius, rng)
-            if Q is None:
-                skipped += 1
-                continue
-            gap = abs(-objective_l1(X, Q) - ell_star)
-            if gap <= value_guard:
-                skipped += 1
-                continue
-            dist, fb = exact_l1_subgrad_dist(X, Q, max_zero_enum=max_zero_enum)
-            fallback += int(fb)
-            used += 1
-            min_ratio = min(min_ratio, dist / math.sqrt(gap))
-        per_radius.append(
-            KlRadiusResult(
-                radius=float(radius),
-                min_ratio=min_ratio,
-                samples_used=used,
-                samples_skipped=skipped,
-                fallback_samples=fallback,
-                all_flat=used == 0,
-            )
-        )
-    params = {"radii": list(map(float, radii)), "samples": samples, "seed": seed}
-    return _kl_report("kl_ratio_l1", params, per_radius, stability_cap)
+    per_radius = _kl_sweep(
+        Qstar,
+        radii,
+        samples,
+        seeded_rng(seed, 0x4C),
+        1e-12 * max(1.0, abs(ell_star)),
+        gap=lambda Q: abs(-objective_l1(X, Q) - ell_star),
+        dist=lambda Q: exact_l1_subgrad_dist(X, Q, max_zero_enum=max_zero_enum),
+    )
+    return _kl_report("kl_ratio_l1", radii, samples, seed, per_radius, stability_cap)
 
 
 def kl_ratio_probe_h(
@@ -725,37 +719,17 @@ def kl_ratio_probe_h(
     if res0 > crit_tol:
         raise PreconditionError(f"(Pstar, Qstar) is not critical (residual {res0:.3e} > {crit_tol:.1e})")
     h_star = objective_h(X, P, Qstar)
-    XP = X @ P
-    rng = seeded_rng(seed, 0x4D)
-    value_guard = 1e-12 * max(1.0, abs(h_star))
-    per_radius: list[KlRadiusResult] = []
-    for radius in radii:
-        used = skipped = 0
-        min_ratio = math.inf
-        for _ in range(samples):
-            Q = _sample_near(Qstar, radius, rng)
-            if Q is None:
-                skipped += 1
-                continue
-            gap = abs(objective_h(X, P, Q) - h_star)
-            if gap <= value_guard:
-                skipped += 1
-                continue
-            dist = subgrad_dist_linear(-XP, Q)
-            used += 1
-            min_ratio = min(min_ratio, dist / math.sqrt(gap))
-        per_radius.append(
-            KlRadiusResult(
-                radius=float(radius),
-                min_ratio=min_ratio,
-                samples_used=used,
-                samples_skipped=skipped,
-                fallback_samples=0,
-                all_flat=used == 0,
-            )
-        )
-    params = {"radii": list(map(float, radii)), "samples": samples, "seed": seed}
-    return _kl_report("kl_ratio_two_block", params, per_radius, stability_cap)
+    neg_XP = -(X @ P)
+    per_radius = _kl_sweep(
+        Qstar,
+        radii,
+        samples,
+        seeded_rng(seed, 0x4D),
+        1e-12 * max(1.0, abs(h_star)),
+        gap=lambda Q: abs(objective_h(X, P, Q) - h_star),
+        dist=lambda Q: (subgrad_dist_linear(neg_XP, Q), False),
+    )
+    return _kl_report("kl_ratio_two_block", radii, samples, seed, per_radius, stability_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +737,7 @@ def kl_ratio_probe_h(
 
 
 @dataclass
-class AuditReport:
+class AuditReport(_Report):
     name: str
     parameters: dict
     iterations: int
@@ -772,18 +746,6 @@ class AuditReport:
     worst_decrease_slack: float
     worst_relative_error_slack: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "iterations": self.iterations,
-            "violations_decrease": self.violations_decrease,
-            "violations_relative_error": self.violations_relative_error,
-            "worst_decrease_slack": self.worst_decrease_slack,
-            "worst_relative_error_slack": self.worst_relative_error_slack,
-            "passed": bool(self.passed),
-        }
 
 
 def audit_constants(result: SolveResult) -> tuple[float, float]:

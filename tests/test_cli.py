@@ -259,6 +259,14 @@ class TestCluster:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_index_beyond_array_size_exit_2(self, tmp_path, capsys):
+        # an index below 2^63 parses, but a d x K float64 frame would not fit numpy's size limit
+        data = tmp_path / "huge.txt"
+        data.write_text("-1 9223372036854775807:1\n1 1:2\n")
+        rc = main(["cluster", "--input", str(data), "--K", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def _three_cluster_dataset(path, n_per=30):
     rng = seeded_rng(321)

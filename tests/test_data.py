@@ -289,6 +289,29 @@ class TestTraceIO:
         with pytest.raises(PreconditionError):
             write_trace(self._trace(), tmp_path / "t.x", "xml")
 
+    def test_csv_golden_bytes(self, tmp_path):
+        p = tmp_path / "g.csv"
+        write_trace(self._trace(), p, "csv")
+        assert p.read_bytes() == (
+            b"k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds\n"
+            b"0,-1.2345678901234567,-1.2,0,0,0,0\n"
+            b"1,-2.3456789012345677e-05,-2.3999999999999999,0.10000000000000001,0.25,"
+            b"0.33333333333333331,0.0012340000000000001\n"
+        )
+
+    def test_json_golden_bytes(self, tmp_path):
+        p = tmp_path / "g.json"
+        write_trace(self._trace(), p, "json")
+        assert p.read_bytes() == (
+            b'{\n  "schema_version": 1,\n  "records": [\n'
+            b'    {"k": 0, "h_value": -1.2345678901234567, "psi_value": -1.2, "delta_P_norm": 0, '
+            b'"delta_Q_norm": 0, "delta_C_norm": 0, "wall_time_seconds": 0},\n'
+            b'    {"k": 1, "h_value": -2.3456789012345677e-05, "psi_value": -2.3999999999999999, '
+            b'"delta_P_norm": 0.10000000000000001, "delta_Q_norm": 0.25, "delta_C_norm": 0.33333333333333331, '
+            b'"wall_time_seconds": 0.0012340000000000001}\n'
+            b"  ]\n}\n"
+        )
+
 
 class TestDenseBinary:
     def test_roundtrip(self, tmp_path):

@@ -152,3 +152,42 @@ class TestKmeans:
         _, wcss1, _ = kmeans_cluster(coords, 2, restarts=1, seed=0)
         _, wcss10, _ = kmeans_cluster(coords, 2, restarts=10, seed=0)
         assert wcss10 <= wcss1 + 1e-12
+
+
+def _assignment_reference(pred, truth, k):
+    """The scoring that ran for k <= 8 before Hungarian matching took every k.
+
+    Every injective cluster-to-label map is enumerated, one cluster at a
+    time, as (score so far, bitmask of labels used); with fewer label values
+    than clusters each cluster takes its majority label instead.
+    """
+    values = np.unique(truth)
+    m = len(values)
+    C = np.zeros((k, m))
+    for j in range(k):
+        for i, v in enumerate(values):
+            C[j, i] = np.sum((pred == j) & (truth == v))
+    n = len(truth)
+    if m < k:
+        return float(C.max(axis=1).sum() / n)
+    score = np.zeros(1)
+    used = np.zeros(1, dtype=np.int64)
+    for j in range(k):
+        state, label = np.nonzero((used[:, None] >> np.arange(m)) & 1 == 0)
+        score = score[state] + C[j, label]
+        used = used[state] | (1 << label)
+    return float(score.max() / n)
+
+
+class TestAssignmentAccuracy:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_matches_exhaustive_search(self, k):
+        rng = np.random.default_rng([k, 0xA55])
+        for m in sorted({max(1, k - 1), k, k + 1}):
+            # at k = 9 and m = 10 the search visits 10! maps per pair
+            for _ in range(4 if k < 9 else 1):
+                n = int(rng.integers(m, 60))
+                pred = rng.integers(0, k, n)
+                # every one of m label values occurs; values are not 0..m-1
+                truth = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n - m)])) * 2.5 - 1.0
+                assert metrics._assignment_accuracy(pred, truth, k) == _assignment_reference(pred, truth, k)

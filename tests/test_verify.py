@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -452,3 +454,47 @@ def test_sandwich_probe_report():
     assert 0.5 - 1e-9 <= rep.min_ratio and rep.worst_ratio <= 1.0 + 1e-9
     payload = rep.to_dict()
     assert payload["name"] == "sandwich" and payload["passed"]
+
+
+def _check_serialized(report) -> dict:
+    """to_dict keys in field order, JSON without a default, every bool field a Python bool."""
+    payload = report.to_dict()
+    fields = dataclasses.fields(report)
+    assert list(payload) == [f.name for f in fields]
+    json.dumps(payload)
+    for f in fields:
+        if f.type == "bool":
+            assert type(payload[f.name]) is bool
+    return payload
+
+
+class TestReportSerialization:
+    def test_probe_report(self):
+        payload = _check_serialized(sandwich_probe(samples=20, seed=0))
+        assert payload["passed"] is True
+
+    def test_criticality_report_numpy_alpha(self):
+        rng = seeded_rng(33)
+        X = rng.standard_normal((3, 3))
+        orc = enumerate_oracle(X, 1)
+        rep = criticality_report(X, orc.P, orc.Q, alpha_star=np.float64(1e-4))
+        # a numpy alpha makes the certificate a numpy bool, which json.dumps rejects
+        assert isinstance(rep.certified_critical_for_l1, np.bool_)
+        payload = _check_serialized(rep)
+        assert payload["certified_critical_for_l1"] is True
+
+    def test_kl_reports_with_nested_radii(self):
+        X = np.eye(2)
+        Qstar = enumerate_oracle(X, 1).Q
+        rep = kl_ratio_probe(X, Qstar, radii=[0.1, 0.03], samples=20, seed=4, stability_cap=np.float64(10.0))
+        assert isinstance(rep.passed, np.bool_)
+        payload = _check_serialized(rep)
+        assert payload["per_radius"] == [_check_serialized(r) for r in rep.per_radius]
+        assert all(type(entry["all_flat"]) is bool for entry in payload["per_radius"])
+
+    def test_audit_report(self):
+        inst = ProblemInstance(np.zeros((2, 2)), 1)
+        cfg = SolverConfig(method="pame", alpha=1.0, beta=1.0, gamma=0.0, tol=1e-8, theorem_mode=True)
+        res = solve(inst, cfg, np.ones((2, 1)), np.array([[1.0], [0.0]]))
+        payload = _check_serialized(decrease_and_error_audit(res))
+        assert payload["passed"] is True
