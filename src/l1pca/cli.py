@@ -1,8 +1,10 @@
 """Batch front end: generate data, run/compare solvers, verify, evaluate.
 
-Exit codes: 0 success (or all checks passed), 2 usage/precondition error,
-3 solver stopped at the iteration cap, 4 internal numerical failure,
-1 verification suite failed.
+Solver flags default to SolverConfig's values (cluster: tol 1e-6); a
+--config JSON file overrides those and explicit flags override the file.
+Seeds must be >= 0 and counts >= 1.  Exit codes: 0 success (or all
+checks passed), 2 usage/precondition error, 3 solver stopped at the
+iteration cap, 4 internal numerical failure, 1 verification suite failed.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,13 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
+#: the solver flags of solve, compare and cluster, with SolverConfig's defaults
+_SOLVER_FLAGS = {
+    f.name: f.default
+    for f in fields(SolverConfig)
+    if f.name in ("method", "alpha", "beta", "gamma", "tol", "max_iter", "seed")
+}
+
 
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)
@@ -89,16 +99,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        method=args.method,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        theorem_mode=bool(getattr(args, "theorem_mode", False)),
-    )
+    flags = {key: getattr(args, key) for key in _SOLVER_FLAGS}
+    return SolverConfig(**flags, theorem_mode=bool(getattr(args, "theorem_mode", False)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +141,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    args = _merge_config(
-        args,
-        {
-            "method": "pame",
-            "alpha": 1e-4,
-            "beta": 1.0,
-            "gamma": 0.0,
-            "tol": 1e-8,
-            "max_iter": 1000,
-            "seed": 0,
-            "K": None,
-        },
-    )
+    args = _merge_config(args, {**_SOLVER_FLAGS, "K": None})
     inst = _load_instance(args.input, K=args.K)
     cfg = _solver_config(args)
     P0, Q0 = draw_start(inst, args.seed)
@@ -174,15 +164,7 @@ def cmd_solve(args) -> int:
         "objective_l1": res.final_objective,
         "tev": tev_value,
         "criticality": crit.to_dict(),
-        "config": {
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "gamma": args.gamma,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
-            "theorem_mode": bool(args.theorem_mode),
-        },
+        "config": {key: getattr(cfg, key) for key in (*_SOLVER_FLAGS, "theorem_mode") if key != "method"},
         "files": {"trace_csv": str(out / "trace.csv")},
     }
     (out / "result.json").write_text(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n", encoding="utf-8")
@@ -191,33 +173,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    args = _merge_config(
-        args,
-        {
-            "methods": ",".join(METHODS),
-            "alpha": 1e-4,
-            "beta": 1.0,
-            "gamma": 0.0,
-            "tol": 1e-8,
-            "max_iter": 1000,
-            "seed": 0,
-            "K": None,
-        },
-    )
+    args = _merge_config(args, {**_SOLVER_FLAGS, "methods": ",".join(METHODS), "K": None})
     inst = _load_instance(args.input, K=args.K)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
-    configs = [
-        SolverConfig(
-            method=m,
-            alpha=args.alpha,
-            beta=args.beta,
-            gamma=args.gamma,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-        )
-        for m in methods
-    ]
+    # compare has no --method flag; a "method" key in a --config file is ignored
+    configs = [replace(_solver_config(args), method=m) for m in methods]
     outcomes = run_comparison(inst, configs, seed=args.seed)
     lines = ["method,iterations,objective_l1,tev,converged,error"]
     spectrum = None  # one spectrum of X serves every method's tev
@@ -242,7 +202,7 @@ def cmd_compare(args) -> int:
 
 
 #: suite name -> the JSON payload of that suite run with the parsed flags;
-#: the audit suite falls back to n=200, d=80, K=5 for unset (or zero) sizes
+#: the audit suite falls back to n=200, d=80, K=5 for unset sizes
 _VERIFY_SUITES = {
     "sandwich": lambda a: sandwich_probe(samples=a.samples, seed=a.seed).to_dict(),
     "critical-sets": lambda a: separation_suite(n_specs=a.specs, samples=a.samples, seed=a.seed).to_dict(),
@@ -276,20 +236,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    args = _merge_config(
-        args,
-        {
-            "method": "pame",
-            "alpha": 1e-4,
-            "beta": 1.0,
-            "gamma": 0.0,
-            "tol": 1e-6,
-            "max_iter": 1000,
-            "seed": 0,
-            "restarts": 10,
-            "threshold": 0.8,
-        },
-    )
+    # cluster stops at a looser tol than SolverConfig's default
+    args = _merge_config(args, {**_SOLVER_FLAGS, "tol": 1e-6, "restarts": 10, "threshold": 0.8})
     inst = _load_instance(args.input)
     if inst.labels is None:
         raise PreconditionError("clustering requires a labeled dataset")
@@ -323,6 +271,14 @@ def cmd_cluster(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _count(text: str) -> int:
+    """argparse type of verify's counts and sizes: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, with_method: bool = True) -> None:
@@ -370,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=tuple(_VERIFY_SUITES))
-    v.add_argument("--samples", type=int, default=1000)
+    v.add_argument("--samples", type=_count, default=1000)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--specs", type=int, default=10)
-    v.add_argument("--instances", type=int, default=10)
-    v.add_argument("--restarts", type=int, default=20)
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--d", type=int, default=None)
-    v.add_argument("--K", type=int, default=None)
+    v.add_argument("--specs", type=_count, default=10)
+    v.add_argument("--instances", type=_count, default=10)
+    v.add_argument("--restarts", type=_count, default=20)
+    v.add_argument("--n", type=_count, default=None)
+    v.add_argument("--d", type=_count, default=None)
+    v.add_argument("--K", type=_count, default=None)
     v.add_argument("--sigma", type=float, default=0.5)
     v.add_argument("--method", choices=("pame", "pam"), default="pame")
     v.add_argument("--out", default=None)

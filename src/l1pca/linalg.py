@@ -37,8 +37,11 @@ def seeded_rng(*parts: int) -> np.random.Generator:
     """Counter-based generator keyed by a tuple of integers.
 
     Distinct key tuples give independent, reproducible streams, so callers
-    can split one user seed into per-purpose streams.
+    can split one user seed into per-purpose streams.  Every part must be
+    non-negative (PreconditionError otherwise).
     """
+    if any(p < 0 for p in parts):
+        raise PreconditionError(f"seeds must be non-negative integers, got {min(parts)}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(parts))))
 
 

@@ -140,6 +140,8 @@ def kmeans_cluster(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0
     """
     if k < 1 or points.shape[0] < 1:
         raise PreconditionError("need at least one cluster and one point")
+    if restarts < 1:
+        raise PreconditionError(f"need at least one k-means restart, got {restarts}")
     degenerate = bool(np.allclose(points, points[0]))
     best_labels = None
     best_wcss = np.inf

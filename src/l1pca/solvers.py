@@ -366,6 +366,7 @@ def solve(
     t0 = time.perf_counter()
     h0 = -float(np.sum(P * XtQ))
     trace.append(0, h0, h0, 0.0, 0.0, 0.0, 0.0)
+    dQ = 0.0  # ||Q - Q_prev|| before the first iteration
 
     rule, bounds = plan.rule, plan.bounds
     gp_fn, gs_fn, gq_fn = plan.weight_fns
@@ -395,8 +396,7 @@ def solve(
             Q_new = polar_factor(XP)
 
         dP = frob(P_new - P)
-        dQ = frob(Q_new - Q)
-        dQp = frob(Q - Q_prev)
+        dQp, dQ = dQ, frob(Q_new - Q)  # Q - Q_prev is the last iteration's Q_new - Q
         dC = float(np.sqrt(dP * dP + dQ * dQ + dQp * dQp))
 
         feas = stiefel_residual(Q_new)

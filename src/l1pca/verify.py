@@ -292,12 +292,14 @@ class CriticalSetSpec:
 def _tie_blocks(A: np.ndarray, tie_tol: float, rank_tol: float | None) -> tuple[ThinSvd, int, tuple[int, ...]]:
     """Thin SVD of a nonzero A, its rank r, and the multiplicities of its tie blocks.
 
-    The rank counts the singular values above ``rank_tol`` (default
-    max(d, K) eps) times the largest.  Walking down those r values, the
-    first opens block one; each later value joins the current block when it
-    is within relative ``tie_tol`` of the block's first value, and opens a
-    new block otherwise.
+    The rank counts the singular values above ``rank_tol`` (in [0, 1);
+    default max(d, K) eps) times the largest.  Walking down those r values,
+    the first opens block one; each later value joins the current block when
+    it is within relative ``tie_tol`` of the block's first value, and opens
+    a new block otherwise.
     """
+    if rank_tol is not None and not 0.0 <= rank_tol < 1.0:
+        raise PreconditionError(f"rank_tol must lie in [0, 1), got {rank_tol}")
     s = thin_svd(A)
     smax = float(s.sigma[0]) if s.sigma.size else 0.0
     if smax == 0.0:

@@ -146,6 +146,18 @@ class TestSolve:
 
 
 class TestCompare:
+    def test_config_file_defaults(self, tmp_path, capsys):
+        # no method converges at this tol, so every row shows the iteration cap in force
+        inst = _generate(tmp_path)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"method": "fpm", "max_iter": 2, "tol": 1e-300}))
+        for extra, iterations in (([], "2"), (["--max-iter", "3"], "3")):
+            out = tmp_path / f"cmp{iterations}.csv"
+            assert main(["compare", "--config", str(cfgfile), "--input", str(inst), "--out", str(out), *extra]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert [row[0] for row in rows] == sorted(METHODS)  # compare ignores a "method" key
+            assert all(row[1] == iterations and row[4] == "0" for row in rows)
+
     def test_six_methods_and_determinism(self, tmp_path, capsys):
         inst = _generate(tmp_path)
         out1 = tmp_path / "cmp1.csv"
@@ -206,6 +218,27 @@ class TestVerify:
         rc = main(["verify", "--suite", "kl", "--instances", "2", "--samples", "80", "--seed", "0"])
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--suite", "oracle", "--instances", "1", "--n", "0"],
+            ["--suite", "oracle", "--instances", "1", "--n", "-1"],
+            ["--suite", "oracle", "--instances", "0"],
+            ["--suite", "oracle", "--instances", "1", "--restarts", "0"],
+            ["--suite", "critical-sets", "--samples", "0"],
+            ["--suite", "critical-sets", "--specs", "0"],
+            ["--suite", "kl", "--instances", "0"],
+            ["--suite", "audit", "--instances", "1", "--n", "0"],
+            ["--suite", "audit", "--instances", "1", "--d", "0"],
+            ["--suite", "audit", "--instances", "1", "--K", "0"],
+        ],
+    )
+    def test_counts_below_one_exit_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flags])
+        assert exc.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+
     def test_audit_suite(self, capsys):
         rc = main(["verify", "--suite", "audit", "--instances", "1", "--n", "80", "--d", "30",
                    "--K", "3", "--seed", "0"])
@@ -252,6 +285,26 @@ class TestCluster:
         rc = main(["cluster", "--input", str(xfile), "--K", "1", "--method", "pame"])
         assert rc == 2
 
+    def test_config_file_defaults(self, tmp_path, capsys):
+        data = _separable_dataset(tmp_path / "sep.txt")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"method": "pam"}))
+        assert main(["cluster", "--config", str(cfgfile), "--input", str(data), "--K", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "pam"
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_zero_restarts_exit_2(self, tmp_path, capsys, via_config):
+        data = _separable_dataset(tmp_path / "sep.txt")
+        argv = ["cluster", "--input", str(data), "--K", "2"]
+        if via_config:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"restarts": 0}))
+            argv += ["--config", str(cfgfile)]
+        else:
+            argv += ["--restarts", "0"]
+        assert main(argv) == 2
+        assert "restart" in capsys.readouterr().err
+
     def test_index_beyond_int64_exit_2(self, tmp_path, capsys):
         data = tmp_path / "big.txt"
         data.write_text("1 1:0.5 3:-2\n-1 99999999999999999999:1\n")
@@ -266,6 +319,31 @@ class TestCluster:
         rc = main(["cluster", "--input", str(data), "--K", "1"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+#: one valid run of each command that takes a seed, without the seed
+_SEEDED_COMMANDS = {
+    "generate": lambda tmp: ["generate", "--n", "6", "--d", "4", "--K", "2", "--out", str(tmp / "gen")],
+    "solve": lambda tmp: ["solve", "--input", str(_generate(tmp)), "--out", str(tmp / "run")],
+    "cluster": lambda tmp: ["cluster", "--input", str(_separable_dataset(tmp / "sep.txt")), "--K", "1"],
+    "verify": lambda tmp: ["verify", "--suite", "sandwich", "--samples", "10"],
+}
+
+
+class TestNegativeSeed:
+    """A negative seed, by flag or from a --config file, is a precondition error (exit 2)."""
+
+    @pytest.mark.parametrize("command", sorted(_SEEDED_COMMANDS))
+    def test_flag_exit_2(self, tmp_path, capsys, command):
+        assert main([*_SEEDED_COMMANDS[command](tmp_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seeds must be non-negative")
+
+    @pytest.mark.parametrize("command", ["generate", "solve", "cluster"])
+    def test_config_file_exit_2(self, tmp_path, capsys, command):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"seed": -1}))
+        assert main([*_SEEDED_COMMANDS[command](tmp_path), "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: seeds must be non-negative")
 
 
 def _three_cluster_dataset(path, n_per=30):

@@ -325,6 +325,25 @@ class TestKappaConstant:
             kappa_constant(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("rank_tol", [1.0, 2.0, -0.5, math.nan])
+@pytest.mark.parametrize("function", ["critical_set_spec", "kappa_constant"])
+def test_rank_tol_outside_unit_interval_rejected(function, rank_tol):
+    A = np.diag([2.0, 1.0, 0.0])
+    with pytest.raises(PreconditionError, match="rank_tol"):
+        if function == "kappa_constant":
+            kappa_constant(A, rank_tol=rank_tol)
+        else:
+            # one sign per singular value this rank_tol would count, so only the range check can refuse it
+            critical_set_spec(A, [1.0] * int(np.sum(np.diag(A) > rank_tol * 2.0)), rank_tol=rank_tol)
+
+
+def test_rank_tol_range_ends():
+    A = np.diag([2.0, 1.0, 0.0])
+    assert critical_set_spec(A, [1.0, 1.0], rank_tol=0.0).rank == 2
+    assert kappa_constant(A, rank_tol=0.0).p == 2
+    assert critical_set_spec(A, [1.0], rank_tol=0.9).rank == 1
+
+
 class TestErrorBound:
     def test_closed_form_single_direction(self):
         # A = (2,0), Q at angle pi/4: distance 2 sin(pi/8), residual 2 sin(pi/4)
