@@ -3,7 +3,8 @@
 Solver flags default to SolverConfig's values (cluster: tol 1e-6); a
 --config JSON file overrides those and explicit flags override the file.
 Seeds must be >= 0 and counts >= 1.  Exit codes: 0 success (or all
-checks passed), 2 usage/precondition error, 3 solver stopped at the
+checks passed), 2 usage/precondition error (compare: also when no method
+produced a result, after the table is written), 3 solver stopped at the
 iteration cap, 4 internal numerical failure, 1 verification suite failed.
 """
 
@@ -187,7 +188,7 @@ def cmd_compare(args) -> int:
             Q = require_stiefel(r.Q_final)
             try:
                 if spectrum is None:
-                    spectrum = _spectrum(inst.X, _TEV_ZERO)
+                    spectrum = _spectrum(inst.X, _TEV_ZERO, inst.K)
                 t = f"{_tev_ratio(*spectrum, Q):.17g}"
             except UndefinedMetricError:
                 t = ""
@@ -198,6 +199,9 @@ def cmd_compare(args) -> int:
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
     print(table, end="")
+    if not any(oc.result is not None for oc in outcomes):
+        print("error: no method produced a result", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -2,11 +2,13 @@
 
 Thin SVD from LAPACK, with a deterministic sign convention and rank
 completion on top; polar factors for orthogonal Procrustes steps;
-orthonormality diagnostics.  ``_gram`` is the one place that forms the
-smaller-side Gram matrix X X^T (or X^T X), prescaled by a power of two at
-extreme scales: the dense spectral norm is the square root of its top
-eigenvalue, and the covariance spectrum in ``metrics`` is all of its
-eigenvalues.  Sparse spectral norms come from ARPACK.  All routines are
+orthonormality diagnostics.  Two kernels take eigenvalues of the
+smaller-side Gram matrix X X^T (or X^T X), both after the power-of-two
+prescale of ``_prescaled``: ``_gram`` forms it densely, and the dense
+spectral norm is the root of its top eigenvalue; ``_top_eigenvalues`` finds
+only the leading few by Lanczos (ARPACK) on the operator v -> X (X^T v),
+which never densifies X nor forms the Gram matrix, and serves the sparse
+spectral norm and the covariance spectrum in ``metrics``.  All routines are
 deterministic for fixed inputs; randomized helpers take an explicit
 generator.
 """
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import ddot
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import InvalidInputError, PreconditionError
 
@@ -31,6 +33,12 @@ _SQ_MIN = 2.0**-600
 #: Frobenius norms outside this range are prescaled before a Gram matrix is
 #: formed: beyond it X X^T overflows or loses entries to underflow
 _GRAM_SAFE = (2.0**-300, 2.0**300)
+#: ``_top_eigenvalues`` solves densely once k reaches this fraction of
+#: m = min(d, n), which also keeps k below m - 1, the most ARPACK can take.
+#: On a 6%-dense 1500 x 3000 X, Lanczos for k = 8, 32 and 64 took 0.10, 0.16
+#: and 0.33 s against 0.54 s for the dense solve (one BLAS thread), and a
+#: search that grows k pays for every block before the last.
+_LANCZOS_MAX_FRACTION = 1 / 32
 
 
 def seeded_rng(*parts: int) -> np.random.Generator:
@@ -93,13 +101,51 @@ def _gram(X) -> tuple[np.ndarray, int]:
     """(G, e): the smaller-side Gram matrix G of X / 2^e, with e from ``_prescaled``.
 
     G is X X^T when X has no more rows than columns, else X^T X; both have
-    the nonzero eigenvalues of X X^T, here scaled by 4^-e.  X is made dense
-    first and must be finite.
+    the nonzero eigenvalues of X X^T, here scaled by 4^-e.  G is dense; a
+    sparse X stays sparse, so only the min(d, n)^2 entries of G are stored
+    densely.  X must be finite.
     """
-    Xd = as_dense(X)
-    Xd, e = _prescaled(Xd, frob(Xd))
-    d, n = Xd.shape
-    return (Xd @ Xd.T if d <= n else Xd.T @ Xd), e
+    if not sp.issparse(X):
+        X = as_dense(X)
+    X, e = _prescaled(X, frob(X))
+    d, n = X.shape
+    return as_dense(X @ X.T if d <= n else X.T @ X), e
+
+
+def _top_eigenvalues(X, k: int) -> tuple[np.ndarray, int]:
+    """(w, e): the k largest eigenvalues w of the smaller-side Gram matrix of X / 2^e.
+
+    w is nonincreasing and clipped at 0, and e comes from ``_prescaled``.
+    Dense and sparse X take the same path: ARPACK's implicitly restarted
+    Lanczos (``eigsh``, tol 0, i.e. to roundoff) on v -> X (X^T v), or
+    X^T (X v) when X has more rows than columns, so X stays as stored.  The
+    start is a seeded Gaussian vector, not ones, which can be orthogonal to
+    the top eigenvector of a symmetric X; with the restart generator seeded
+    too, w is deterministic.  When k reaches ``_LANCZOS_MAX_FRACTION`` of
+    m = min(d, n), or ARPACK does not converge, all m eigenvalues come from
+    LAPACK on ``_gram`` instead, so len(w) == m marks a whole spectrum.
+    X must be finite; zero X gives min(k, m) zeros.
+    """
+    d, n = X.shape
+    m = min(d, n)
+    norm = frob(X)
+    if norm == 0.0:
+        return np.zeros(min(k, m)), 0
+    if k < _LANCZOS_MAX_FRACTION * m:
+        Xs, e = _prescaled(X, norm)
+        A, B = (Xs, Xs.T) if d <= n else (Xs.T, Xs)
+        op = LinearOperator((m, m), matvec=lambda v: A @ (B @ v), dtype=np.float64)
+        try:
+            w = eigsh(
+                op, k=k, which="LA", v0=seeded_rng(0).standard_normal(m), tol=0,
+                return_eigenvectors=False, rng=seeded_rng(1),
+            )
+        except ArpackNoConvergence:
+            pass
+        else:
+            return np.maximum(np.sort(w)[::-1], 0.0), e
+    G, e = _gram(X)
+    return np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0), e
 
 
 def complete_orthonormal(U: np.ndarray, n_cols: int) -> np.ndarray:
@@ -207,10 +253,9 @@ def spectral_norm(X) -> float:
     moves by at most the 2-norm of a perturbation), and forming G perturbs
     it by a few ulps of ||X||^2, so the root is exact to roundoff; the
     prescale keeps G finite and its entries normal at any scale.  Sparse
-    input goes to ARPACK (``svds`` with a fixed start) after dividing by a
-    power of two near its largest entry, so the Lanczos recurrence neither
-    overflows nor underflows; a sparse row or column vector returns its
-    Frobenius norm, which equals its 2-norm.
+    input takes the root of the top eigenvalue from ``_top_eigenvalues``
+    (Lanczos to roundoff on the unformed Gram operator, with the same
+    prescale), which falls back to ``_gram`` when min(d, n) is at most 32.
     """
     require_finite(X, "spectral_norm input")
     if not sp.issparse(X):
@@ -220,15 +265,8 @@ def spectral_norm(X) -> float:
             return 0.0
         top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[m - 1, m - 1])[0]
         return math.ldexp(math.sqrt(max(float(top), 0.0)), e)
-    amax = float(np.abs(X.data).max()) if X.nnz else 0.0
-    if amax == 0.0:
-        return 0.0
-    e = int(np.frexp(amax)[1])
-    Xs = X * np.ldexp(1.0, -e)
-    if min(X.shape) == 1:
-        return float(np.ldexp(frob(Xs), e))
-    top = svds(Xs, k=1, return_singular_vectors=False, random_state=0)
-    return float(np.ldexp(top[0], e))
+    w, e = _top_eigenvalues(X, 1)
+    return math.ldexp(math.sqrt(w[0]), e) if w.size else 0.0
 
 
 def stiefel_residual(Q) -> float:

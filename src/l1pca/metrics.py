@@ -1,39 +1,53 @@
 """Solution-quality metrics: explained variation and clustering accuracy.
 
-``tev`` and ``choose_K_by_variance`` both need the eigenvalues of X X^T:
-one O(min(d, n)^3) eigendecomposition of the smaller-side Gram matrix, which
-costs more than everything else these metrics do.  ``_spectrum`` takes it,
-and ``_tev_ratio`` and ``_variance_K`` work from its result, so a caller that
-needs the spectrum more than once (the ``cluster`` and ``compare`` commands)
-takes it once and passes it on.
+``tev`` and ``choose_K_by_variance`` need only the leading eigenvalues of
+X X^T and its trace, frob(X)^2: ``tev`` the top K, and the cumulative rule
+as many as it takes to reach its share of the trace.  ``linalg._top_eigenvalues``
+finds those by Lanczos on products with X, sparse or dense, without forming
+X X^T.  Every spectrum starts from the same first block of ``_BLOCK``
+eigenvalues (``_cov_eigenvalues``) and grows only when a K or the rule needs
+more.  ``_spectrum`` takes it, and ``_tev_ratio`` and ``_choose_K`` work from
+its result, so a caller that needs the spectrum more than once (the
+``cluster`` and ``compare`` commands) takes it once and passes it on.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import PreconditionError, UndefinedMetricError
-from .linalg import _gram, _prescaled, frob, require_finite, seeded_rng
+from .linalg import _prescaled, _top_eigenvalues, frob, require_finite, seeded_rng
 from .model import require_stiefel
+
+#: eigenvalues in the first Lanczos block, which every spectrum starts from
+_BLOCK = 8
+
+
+def _top(X, k: int) -> np.ndarray:
+    """The k leading eigenvalues of X X^T, nonincreasing, or all min(d, n) of them
+    where ``linalg._top_eigenvalues`` solves densely."""
+    w, e = _top_eigenvalues(X, k)
+    return np.ldexp(w, 2 * e)
 
 
 def _cov_eigenvalues(X) -> np.ndarray:
-    """Nonincreasing eigenvalues of X X^T, from the smaller-side Gram matrix ``_gram``."""
-    G, e = _gram(X)
-    w = np.linalg.eigvalsh(G)
-    return np.ldexp(np.maximum(w[::-1], 0.0), 2 * e)
+    """The first block ``_top(X, _BLOCK)``, the spectrum every command takes once."""
+    return _top(X, _BLOCK)
 
 
-def _spectrum(X, zero_message: str):
-    """(X scaled, the nonincreasing eigenvalues w of its X X^T) for finite, nonzero X.
+def _spectrum(X, zero_message: str, k: int = 1):
+    """(X scaled, w) for finite, nonzero X: w holds at least the k leading
+    eigenvalues of its X X^T, nonincreasing, or the whole spectrum.
 
-    X is divided by a power of two near its Frobenius norm when that norm
-    lies outside [2^-300, 2^300] (``linalg._prescaled``), where X X^T would
-    overflow or lose entries to underflow; the division is exact and leaves
-    every ratio of quadratic forms in X unchanged.  Zero data raises
+    w is the first block ``_cov_eigenvalues``, or the top k when k exceeds
+    it.  X is divided by a power of two near its Frobenius norm when that
+    norm lies outside [2^-300, 2^300] (``linalg._prescaled``), where X X^T
+    would overflow or lose entries to underflow; the division is exact and
+    leaves every ratio of quadratic forms in X unchanged.  Zero data raises
     UndefinedMetricError(zero_message).
     """
     require_finite(X, "X")
@@ -41,20 +55,16 @@ def _spectrum(X, zero_message: str):
     if norm == 0.0:
         raise UndefinedMetricError(zero_message)
     X = _prescaled(X, norm)[0]
-    return X, _cov_eigenvalues(X)
+    w = _cov_eigenvalues(X)
+    return X, (w if len(w) >= min(k, *X.shape) else _top(X, k))
 
 
 def _tev_ratio(X, w: np.ndarray, Q: np.ndarray) -> float:
-    """tev from the spectrum (X scaled, w) of ``_spectrum`` and a checked frame Q."""
+    """tev from the spectrum (X scaled, w) of ``_spectrum`` and a checked frame Q.
+
+    w must hold at least Q's K leading eigenvalues, or all of them.
+    """
     return float(frob(X.T @ Q) ** 2) / float(w[: Q.shape[1]].sum())
-
-
-def _variance_K(w: np.ndarray, threshold: float) -> int:
-    """Smallest K whose leading eigenvalues in w hold ``threshold`` of their sum."""
-    w = w[w > w[0] * 1e-12]
-    total = float(w.sum())
-    cum = np.cumsum(w)
-    return int(np.argmax(cum >= threshold * total - 1e-12 * total)) + 1
 
 
 _TEV_ZERO = "explained variation undefined for zero data"
@@ -70,16 +80,31 @@ def tev(X, Q: np.ndarray) -> float:
     """
     require_finite(X, "X")
     Q = require_stiefel(Q)
-    return _tev_ratio(*_spectrum(X, _TEV_ZERO), Q)
+    return _tev_ratio(*_spectrum(X, _TEV_ZERO, Q.shape[1]), Q)
 
 
 def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
-    """``choose_K_by_variance``, and the ``_spectrum`` it took (None at the cap)."""
+    """``choose_K_by_variance``, and the ``_spectrum`` it took (None at the cap).
+
+    The total is the trace frob(X)^2.  The spectrum grows until a prefix
+    reaches ``threshold`` of the total, with 1e-12 of it to spare for
+    roundoff: each time to at least twice its length, and to at least as many
+    eigenvalues as the shortfall needs, since none still missing exceeds the
+    last one found.  Should the whole spectrum fall short, or the eigenvalues
+    fall below 1e-12 of the largest, which is roundoff on a rank-deficient
+    X, K counts the eigenvalues above that cutoff.
+    """
     if not (0.0 < threshold <= 1.0):
         raise PreconditionError("threshold must lie in (0, 1]")
     if min(X.shape) < large_side:
-        spectrum = _spectrum(X, _K_ZERO)
-        return _variance_K(spectrum[1], threshold), spectrum
+        X, w = _spectrum(X, _K_ZERO)
+        total = frob(X) ** 2
+        target = threshold * total - 1e-12 * total
+        while (cum := np.cumsum(w))[-1] < target:
+            if len(w) == min(X.shape) or w[-1] <= w[0] * 1e-12:
+                return int(np.count_nonzero(w > w[0] * 1e-12)), (X, w)
+            w = _top(X, len(w) + max(len(w), math.ceil((target - cum[-1]) / w[-1])))
+        return int(np.argmax(cum >= target)) + 1, (X, w)
     require_finite(X, "X")
     if frob(X) == 0.0:
         raise UndefinedMetricError(_K_ZERO)
@@ -89,8 +114,12 @@ def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
 def choose_K_by_variance(X, threshold: float, large_side: int = 10000, cap: int = 50) -> int:
     """Smallest K whose top singular values explain the requested fraction.
 
-    Falls back to the fixed cap when the smaller matrix side is so large
-    that forming the full spectrum is impractical.
+    The fraction is of the trace frob(X)^2, so only the leading eigenvalues
+    of X X^T are needed, found by Lanczos on products with X and grown until
+    they suffice.  When the smaller matrix side reaches ``large_side``,
+    K is the fixed ``cap`` instead: the rule may need a good share of the
+    spectrum, and at that size that share is a dense solve of a Gram matrix
+    with at least ``large_side``^2 entries.
     """
     return _choose_K(X, threshold, large_side, cap)[0]
 

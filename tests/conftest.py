@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from l1pca.linalg import random_signs, random_stiefel, seeded_rng
 from l1pca.model import ProblemInstance
@@ -32,3 +33,18 @@ def counting_products(X):
             return getattr(ufunc, method)(*inputs, **kwargs)
 
     return X.view(Counting), counter
+
+
+def gram_eigenvalues_reference(X):
+    """All eigenvalues of the dense smaller-side Gram matrix, nonincreasing: the spectrum before Lanczos."""
+    A = X.toarray() if sp.issparse(X) else np.asarray(X)
+    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return np.linalg.eigvalsh(G)[::-1]
+
+
+def variance_K_reference(X, threshold):
+    """choose_K_by_variance as it stood before Lanczos: the cumulative rule over the whole spectrum."""
+    w = np.maximum(gram_eigenvalues_reference(X), 0.0)
+    w = w[w > w[0] * 1e-12]
+    total = float(w.sum())
+    return int(np.argmax(np.cumsum(w) >= threshold * total - 1e-12 * total)) + 1

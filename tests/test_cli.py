@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import variance_K_reference
 from l1pca import metrics
 from l1pca.cli import main
 from l1pca.data import read_dense_matrix, read_sparse_labeled, write_sparse_labeled
@@ -188,6 +189,19 @@ class TestCompare:
         rows = out.read_text().splitlines()[1:]
         assert "DegenerateUpdateError" in rows[0]
         assert rows[1].startswith("pame")
+
+    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "0"], ["--methods", "bogus"]])
+    def test_no_result_exit_2(self, tmp_path, capsys, flags):
+        inst = _generate(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--input", str(inst), "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        rows = out.read_text().splitlines()
+        assert captured.out == out.read_text()
+        assert rows[0] == "method,iterations,objective_l1,tev,converged,error"
+        assert len(rows) > 1 and all("PreconditionError" in row for row in rows[1:])
+        assert captured.err == "error: no method produced a result\n"
 
 
 class TestVerify:
@@ -400,6 +414,45 @@ class TestOneSpectrum:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 6 and all(row.split(",")[3] for row in rows)
         assert eig_calls == [(16, 50)]
+
+
+def _wide_sparse_dataset(path, d=300, n_per=100):
+    """Three labeled clusters on disjoint features of a d-feature sparse file, d above the dense-solve size."""
+    rng = seeded_rng(322)
+    pts = np.where(rng.random((d, 3 * n_per)) < 0.05, rng.random((d, 3 * n_per)) * 0.3, 0.0)
+    for c in range(3):
+        pts[4 * c:4 * c + 4, c * n_per:(c + 1) * n_per] += 2.0 + rng.random((4, n_per))
+    write_sparse_labeled(path, sp.csc_matrix(pts), np.repeat([0.0, 1.0, 2.0], n_per))
+    return path
+
+
+class TestSparsePath:
+    """Above the dense-solve size, cluster --auto-K neither densifies X nor takes a full spectrum."""
+
+    def test_auto_K_stays_sparse(self, tmp_path, capsys, monkeypatch):
+        from l1pca import linalg
+
+        data = _wide_sparse_dataset(tmp_path / "wide.txt")
+        K = variance_K_reference(read_sparse_labeled(data).X, 0.8)
+        argv = ["cluster", "--input", str(data), "--auto-K", "--seed", "3"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigendecomposition taken")
+
+        real_as_dense = linalg.as_dense
+
+        def as_dense_unless_sparse(M):
+            assert not sp.issparse(M), "sparse X densified"
+            return real_as_dense(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(linalg, "as_dense", as_dense_unless_sparse)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        assert json.loads(out)["K"] == K == 3
 
 
 def test_no_command_exit_2(capsys):

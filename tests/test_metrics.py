@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from l1pca import metrics
+from conftest import gram_eigenvalues_reference, variance_K_reference
+from l1pca import linalg, metrics
 from l1pca.errors import PreconditionError, UndefinedMetricError
 from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng
 from l1pca.metrics import choose_K_by_variance, kmeans_accuracy, kmeans_cluster, tev
@@ -107,6 +112,133 @@ class TestSharedSpectrum:
         for large_side in (10000, 3):
             with pytest.raises(UndefinedMetricError, match="cannot choose K for zero data"):
                 choose_K_by_variance(np.zeros((3, 4)), 0.8, large_side=large_side)
+
+
+@st.composite
+def _low_rank(draw, max_side=120):
+    """(X, rank): a seeded d x n Gaussian product of the drawn rank, 0 (zero X) included."""
+    d = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, max_side))
+    rank = draw(st.integers(0, min(d, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n)), rank
+
+
+_SCALES = st.sampled_from([1.0, 1e160, 1e-170])
+
+
+class TestPartialSpectrum:
+    """linalg._top_eigenvalues against a dense eigendecomposition, on both sides of the dense-solve size."""
+
+    @staticmethod
+    def _check(X, k, scale, sparse):
+        Xs = sp.csc_matrix(X * scale) if sparse else X * scale
+        w, e = linalg._top_eigenvalues(Xs, k)
+        m = min(X.shape)
+        w2, e2 = linalg._top_eigenvalues(Xs, k)
+        assert e2 == e and np.array_equal(w2, w)
+        if not X.any():
+            assert e == 0 and np.array_equal(w, np.zeros(min(k, m)))
+            return
+        assert len(w) == (k if k < linalg._LANCZOS_MAX_FRACTION * m else m)
+        assert np.all(np.diff(w) <= 0.0) and w[-1] >= 0.0
+        # X * scale / 2^e == X * ldexp(scale, -e) exactly: the prescale is a power of two
+        ref = gram_eigenvalues_reference(X)[: len(w)] * math.ldexp(scale, -e) ** 2
+        assert np.abs(w - ref).max() <= 1e-12 * ref[0]
+
+    # k = 1, 2, 3 take Lanczos above 32, 64 and 96 rows and columns
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=_low_rank(), k=st.one_of(st.integers(1, 3), st.integers(1, 120)), scale=_SCALES, sparse=st.booleans())
+    def test_matches_dense_eigendecomposition(self, data, k, scale, sparse):
+        X, _ = data
+        self._check(X, min(k, *X.shape), scale, sparse)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    @pytest.mark.parametrize(
+        "shape, k", [((300, 320), 8), ((320, 300), 9), ((300, 320), 10), ((60, 40), 40), ((40, 70), 1), ((1, 5), 1)]
+    )
+    def test_both_sides_of_the_dense_size(self, shape, k, scale, sparse):
+        rng = seeded_rng(60)
+        self._check(rng.standard_normal(shape), k, scale, sparse)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_rank_deficient_beyond_rank(self, sparse):
+        rng = seeded_rng(61)
+        X = rng.standard_normal((300, 3)) @ rng.standard_normal((3, 320))
+        self._check(X, 8, 1.0, sparse)
+        self._check(np.zeros((300, 320)), 8, 1.0, sparse)
+
+    def test_no_convergence_solves_densely(self, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        X = seeded_rng(65).standard_normal((300, 320))
+        monkeypatch.setattr(linalg, "eigsh", fail)
+        w, e = linalg._top_eigenvalues(sp.csc_matrix(X), 8)
+        assert e == 0 and len(w) == 300
+        ref = gram_eigenvalues_reference(X)
+        assert np.abs(w - ref).max() <= 1e-12 * ref[0]
+
+    def test_repeated_eigenvalue(self):
+        X = sp.eye(300, format="csc") * 2.0
+        w, e = linalg._top_eigenvalues(X, 8)
+        assert e == 0 and np.allclose(w, 4.0, rtol=1e-14, atol=0.0)
+        assert choose_K_by_variance(X, 0.8) == 240
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=_low_rank(), threshold=st.floats(0.01, 1.0), scale=_SCALES, sparse=st.booleans())
+    def test_choose_K_matches_full_spectrum_rule(self, data, threshold, scale, sparse):
+        X, rank = data
+        if rank == 0:
+            return
+        Xs = sp.csc_matrix(X * scale) if sparse else X * scale
+        assert choose_K_by_variance(Xs, threshold) == variance_K_reference(X, threshold)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_choose_K_grows_the_block(self, sparse):
+        # K = 12 lies past the first block of 8, within the doubled one of 16 < 520 / 32
+        rng = seeded_rng(62)
+        X = rng.standard_normal((520, 3)) @ rng.standard_normal((3, 540)) * 5.0 + rng.standard_normal((520, 540))
+        w = gram_eigenvalues_reference(X)
+        cum = np.cumsum(w) / w.sum()
+        threshold = float(cum[10] + cum[11]) / 2.0
+        Xs = sp.csc_matrix(X) if sparse else X
+        K, (Xp, wp) = metrics._choose_K(Xs, threshold)
+        assert K == 12 == variance_K_reference(X, threshold)
+        assert len(wp) == 16
+        Q = random_stiefel(520, K, rng)
+        ref = float(np.linalg.norm(X.T @ Q) ** 2 / w[:K].sum())
+        assert metrics._tev_ratio(Xp, wp, Q) == pytest.approx(ref, rel=1e-12)
+        assert tev(Xs, Q) == pytest.approx(ref, rel=1e-12)
+
+    def test_shortfall_skips_to_dense_solve(self, monkeypatch):
+        # after the first block, the shortfall alone needs more than 520 / 32 eigenvalues
+        rng = seeded_rng(64)
+        X = rng.standard_normal((520, 540))
+        requests = []
+        real = metrics._top_eigenvalues
+
+        def recording(X, k):
+            requests.append(k)
+            return real(X, k)
+
+        monkeypatch.setattr(metrics, "_top_eigenvalues", recording)
+        K, (_, w) = metrics._choose_K(X, 0.9)
+        assert K == variance_K_reference(X, 0.9)
+        assert requests[0] == metrics._BLOCK and len(requests) == 2 and len(w) == 520
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_first_block_serves_tev_exactly(self, sparse):
+        rng = seeded_rng(63)
+        X = rng.standard_normal((300, 3)) @ rng.standard_normal((3, 320)) * 3.0 + rng.standard_normal((300, 320))
+        Xs = sp.csc_matrix(X) if sparse else X
+        K, spectrum = metrics._choose_K(Xs, 0.2)
+        assert K <= 3 and len(spectrum[1]) == metrics._BLOCK
+        Q = random_stiefel(300, K, rng)
+        assert metrics._tev_ratio(*spectrum, Q) == tev(Xs, Q)
 
 
 class TestKmeans:
