@@ -27,6 +27,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .errors import InvalidInputError, PreconditionError
 
 _EPS = np.finfo(np.float64).eps
+_F64 = np.dtype(np.float64)
 #: a sum of squares at least this large lost at most n * 2^-422 of itself to
 #: squares that underflowed (each below 2^-1022)
 _SQ_MIN = 2.0**-600
@@ -55,13 +56,19 @@ def seeded_rng(*parts: int) -> np.random.Generator:
 
 def as_dense(M) -> np.ndarray:
     """Return a float64 ndarray view/copy of a dense or sparse matrix."""
+    # the solver loop's arrays are plain float64 ndarrays: skip sp.issparse
+    if type(M) is np.ndarray and M.dtype == _F64:
+        return M
     if sp.issparse(M):
         return np.asarray(M.toarray(), dtype=np.float64)
     return np.asarray(M, dtype=np.float64)
 
 
 def require_finite(M, name: str = "matrix") -> None:
-    data = M.data if sp.issparse(M) else np.asarray(M)
+    if type(M) is np.ndarray:
+        data = M
+    else:
+        data = M.data if sp.issparse(M) else np.asarray(M)
     if data.size and not np.isfinite(data).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
 
@@ -236,10 +243,22 @@ def polar_factor(M) -> np.ndarray:
     This is the maximizer of <M, Q> over matrices Q with orthonormal
     columns.  Rank-deficient inputs still yield a valid orthonormal result
     through deterministic completion of the missing directions.
+
+    When every singular value lies above ``thin_svd``'s completion cutoff
+    (``max(rows, cols) * eps * sigma_max``), U V^T is formed straight from
+    LAPACK's factors.  ``thin_svd``'s sign convention is skipped there: it
+    flips a U column and its V column together, which leaves U V^T
+    unchanged, and a flip by -1 is exact, so the result is bit for bit the
+    one through ``thin_svd``.  Otherwise (rank-deficient or zero input) the
+    result comes from ``thin_svd`` and its completion.
     """
     A = as_dense(M)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
         raise PreconditionError("polar_factor expects rows >= cols >= 1")
+    require_finite(A, "polar_factor input")
+    U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+    if sigma[-1] > max(A.shape) * _EPS * sigma[0]:
+        return U @ Vt
     s = thin_svd(A)
     return s.U @ s.V.T
 
@@ -270,11 +289,20 @@ def spectral_norm(X) -> float:
 
 
 def stiefel_residual(Q) -> float:
-    """Frobenius distance of Q^T Q from the identity; 0 iff columns orthonormal."""
+    """Frobenius distance of Q^T Q from the identity; 0 iff columns orthonormal.
+
+    Q must be a 2-d matrix (PreconditionError otherwise).  The diagonal of
+    G = Q^T Q loses 1 in place, and the root of the dot product of G's
+    entries with themselves is the result: the arithmetic of
+    ``np.linalg.norm(G - I)``, without forming I.
+    """
     A = as_dense(Q)
     require_finite(A, "stiefel_residual input")
-    k = A.shape[1]
-    return float(np.linalg.norm(A.T @ A - np.eye(k)))
+    if A.ndim != 2:
+        raise PreconditionError(f"stiefel_residual expects a 2-d matrix, got {A.ndim}-d input")
+    g = (A.T @ A).ravel()
+    g[:: A.shape[1] + 1] -= 1.0
+    return math.sqrt(g.dot(g))
 
 
 def random_stiefel(d: int, k: int, rng: np.random.Generator) -> np.ndarray:

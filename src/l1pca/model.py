@@ -60,9 +60,9 @@ class ProblemInstance:
 def require_stiefel(Q: np.ndarray, tol: float = OPERATION_TOL, name: str = "Q") -> np.ndarray:
     Q = np.asarray(Q, dtype=np.float64)
     require_finite(Q, name)
+    res = stiefel_residual(Q)  # refuses a Q that is not 2-d
     if Q.shape[0] < Q.shape[1]:
         raise PreconditionError(f"{name} must have at least as many rows as columns")
-    res = stiefel_residual(Q)
     if res > tol:
         raise PreconditionError(f"{name} is not feasible: orthonormality residual {res:.3e} > {tol:.1e}")
     return Q
@@ -147,7 +147,7 @@ def subgrad_dist_h(X, P: np.ndarray, Q: np.ndarray, feas_tol: float = OPERATION_
     remains is the Q-block distance for the linear objective <-XP, .>.
     """
     P = require_signs(P)
-    _check_dims(X, np.asarray(Q, dtype=np.float64), P)
+    _check_dims(X, require_stiefel(Q, tol=feas_tol), P)
     return subgrad_dist_linear(-(X @ P), Q, feas_tol=feas_tol)
 
 
@@ -155,7 +155,10 @@ def sign_select(M: np.ndarray, Pprev: np.ndarray) -> np.ndarray:
     """Entrywise sign of M, keeping the previous sign wherever M is zero.
 
     The tie rule makes solver runs deterministic and matches the fixed-point
-    behaviour of the sign update at its limit points.
+    behaviour of the sign update at its limit points.  ``np.sign`` gives 0
+    for both zeros, so 0.0 and -0.0 alike take the sign from Pprev.  The
+    result has the memory layout ``np.where`` gives M and Pprev, which the
+    products taken with it downstream depend on in their last bits.
     """
     M = np.asarray(M, dtype=np.float64)
     Pprev = np.asarray(Pprev, dtype=np.float64)
@@ -163,4 +166,5 @@ def sign_select(M: np.ndarray, Pprev: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("M and Pprev must have equal shapes")
     if M.size and not np.isfinite(M).all():
         raise InvalidInputError("sign_select input contains non-finite entries")
-    return np.where(M > 0.0, 1.0, np.where(M < 0.0, -1.0, Pprev))
+    S = np.sign(M)
+    return np.where(S == 0.0, Pprev, S)

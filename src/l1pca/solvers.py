@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateUpdateError, DivergedError, PreconditionError
+from .errors import DegenerateUpdateError, DivergedError, InvalidInputError, PreconditionError
 from .linalg import frob, polar_factor, random_signs, random_stiefel, seeded_rng, spectral_norm, stiefel_residual
 from .model import (
     CONSTRUCTION_TOL,
@@ -335,6 +335,9 @@ def svd_start(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     return P0, Q0
 
 
+# a step that overflows surfaces through the loop's own finiteness checks as
+# DivergedError, not as a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     inst: ProblemInstance,
     cfg: SolverConfig,
@@ -348,8 +351,10 @@ def solve(
     entries exactly +-1.  Terminates when the combined displacement
     ||C^{k+1} - C^k||_F drops below ``cfg.tol`` or after ``max_iter``
     iterations.  Raises DivergedError (with the partial trace attached) if
-    any tracked value goes non-finite, and DegenerateUpdateError if a
-    method without a subspace anchor meets X P = 0.
+    any tracked value goes non-finite, including a step that overflows, and
+    DegenerateUpdateError if a method without a subspace anchor meets
+    X P = 0.  The loop, callback included, runs with numpy's overflow and
+    invalid-value warnings off.
     """
     X = inst.X
     plan = resolve_config(cfg, X)
@@ -386,14 +391,18 @@ def solve(
                 raise PreconditionError(f"theorem_mode: gamma_{k}={gs_k:g} exceeds its declared bound")
 
         XtE = _ext(XtQ, XtQ_prev, gs_k)  # X^T ext(Q, Q_prev, gs_k)
-        P_new = sign_select(_ext(P, P_prev, gp_fn(k)) + XtE / a_k if rule.prox_p else XtE, P)
-        XP = X @ P_new
-        if rule.prox_q:
-            Q_new = polar_factor(_ext(Q, Q_prev, gq_fn(k)) + XP / b_k)
-        elif frob(XP) == 0.0:
-            raise DegenerateUpdateError("fixed-point update degenerate: X P = 0")
-        else:
-            Q_new = polar_factor(XP)
+        try:
+            P_new = sign_select(_ext(P, P_prev, gp_fn(k)) + XtE / a_k if rule.prox_p else XtE, P)
+            XP = X @ P_new
+            if rule.prox_q:
+                Q_new = polar_factor(_ext(Q, Q_prev, gq_fn(k)) + XP / b_k)
+            elif frob(XP) == 0.0:
+                raise DegenerateUpdateError("fixed-point update degenerate: X P = 0")
+            else:
+                Q_new = polar_factor(XP)
+        except InvalidInputError as exc:
+            # X, P and Q are finite, so a non-finite step input is an overflow
+            raise DivergedError(f"overflow at iteration {k}: {exc}", trace=trace) from exc
 
         dP = frob(P_new - P)
         dQp, dQ = dQ, frob(Q_new - Q)  # Q - Q_prev is the last iteration's Q_new - Q

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from l1pca.linalg import random_signs, random_stiefel, seeded_rng
+from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError
+from l1pca.linalg import as_dense, random_signs, random_stiefel, require_finite, seeded_rng, thin_svd
 from l1pca.model import ProblemInstance
 
 
@@ -48,3 +49,31 @@ def variance_K_reference(X, threshold):
     w = w[w > w[0] * 1e-12]
     total = float(w.sum())
     return int(np.argmax(np.cumsum(w) >= threshold * total - 1e-12 * total)) + 1
+
+
+def sign_select_reference(M, Pprev):
+    """model.sign_select as it stood before np.sign: two nested np.where."""
+    M = np.asarray(M, dtype=np.float64)
+    Pprev = np.asarray(Pprev, dtype=np.float64)
+    if M.shape != Pprev.shape:
+        raise DimensionMismatchError("M and Pprev must have equal shapes")
+    if M.size and not np.isfinite(M).all():
+        raise InvalidInputError("sign_select input contains non-finite entries")
+    return np.where(M > 0.0, 1.0, np.where(M < 0.0, -1.0, Pprev))
+
+
+def polar_factor_reference(M):
+    """linalg.polar_factor as it stood before its full-rank path: always through thin_svd."""
+    A = as_dense(M)
+    if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
+        raise PreconditionError("polar_factor expects rows >= cols >= 1")
+    s = thin_svd(A)
+    return s.U @ s.V.T
+
+
+def stiefel_residual_reference(Q):
+    """linalg.stiefel_residual as it stood before the in-place diagonal: np.linalg.norm(Q^T Q - I)."""
+    A = as_dense(Q)
+    require_finite(A, "stiefel_residual input")
+    k = A.shape[1]
+    return float(np.linalg.norm(A.T @ A - np.eye(k)))

@@ -134,6 +134,15 @@ class TestSolve:
         assert rc == 4
         assert "degenerate" in capsys.readouterr().err.lower()
 
+    def test_overflow_exit_4(self, tmp_path, capsys):
+        from l1pca.data import write_dense_matrix
+
+        xfile = tmp_path / "huge.bin"
+        write_dense_matrix(xfile, np.random.default_rng(0).standard_normal((20, 40)) * 1e305)
+        rc = main(["solve", "--K", "3", "--seed", "1", "--input", str(xfile), "--out", str(tmp_path / "run")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("numerical failure: overflow at iteration 0")
+
     def test_config_file_defaults(self, tmp_path):
         inst = _generate(tmp_path)
         cfgfile = tmp_path / "cfg.json"

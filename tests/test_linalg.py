@@ -229,6 +229,11 @@ class TestStiefelResidual:
     def test_tall_identity(self):
         assert stiefel_residual(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])) == 0.0
 
+    @pytest.mark.parametrize("Q", [np.ones(3), np.float64(1.0), np.ones((2, 2, 1))])
+    def test_not_a_matrix(self, Q):
+        with pytest.raises(PreconditionError, match="2-d"):
+            stiefel_residual(Q)
+
 
 class TestCompleteOrthonormal:
     def test_completion(self):

@@ -51,6 +51,10 @@ class TestTev:
         with pytest.raises(UndefinedMetricError):
             tev(np.zeros((3, 4)), np.eye(3)[:, :1])
 
+    def test_one_dimensional_Q_rejected(self):
+        with pytest.raises(PreconditionError, match="2-d"):
+            tev(np.eye(3), np.array([1.0, 0.0, 0.0]))
+
 
 class TestChooseK:
     def test_fraction_examples(self):

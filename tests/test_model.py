@@ -8,6 +8,7 @@ from l1pca.model import (
     objective_h,
     objective_l1,
     potential_psi,
+    require_stiefel,
     residual_R,
     sign_select,
     subgrad_dist_h,
@@ -159,6 +160,12 @@ class TestSubgradDistances:
     def test_h_requires_signs(self):
         with pytest.raises(PreconditionError):
             subgrad_dist_h(np.eye(2), np.full((2, 1), 0.5), np.array([[1.0], [0.0]]))
+
+    def test_one_dimensional_Q_rejected(self):
+        with pytest.raises(PreconditionError, match="2-d"):
+            subgrad_dist_h(np.eye(2), np.ones((2, 1)), np.array([1.0, 0.0]))
+        with pytest.raises(PreconditionError, match="2-d"):
+            require_stiefel(np.array([1.0, 0.0]))
 
 
 class TestSignSelect:

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import counting_products, make_instance, make_start
-from l1pca.errors import DegenerateUpdateError, PreconditionError
+from l1pca.errors import DegenerateUpdateError, DivergedError, PreconditionError
 from l1pca.linalg import random_stiefel, seeded_rng, stiefel_residual
 from l1pca.model import ProblemInstance, objective_h, objective_l1, sign_select
 from l1pca.solvers import (
@@ -508,3 +509,22 @@ class TestTheoremModeScale:
         # the recorded subgradient norms and the audit constants stay finite
         assert all(math.isfinite(v) for v in res.audit_info["subgrad_norms"])
         assert decrease_and_error_audit(res).passed
+
+
+class TestOverflow:
+    """A step that overflows is a numerical failure (DivergedError), not a warning or an input error."""
+
+    # at 1e305, X^T Q / alpha overflows in the sign step; at 1e307, so does X P in the methods without a sign anchor
+    @pytest.mark.parametrize(
+        "scale, method, step",
+        [(1e305, "pame", "sign_select")]
+        + [(1e307, m, "polar_factor" if m in ("fpm", "pdcae") else "sign_select") for m in METHODS],
+    )
+    def test_overflow_is_divergence(self, scale, method, step):
+        inst = ProblemInstance(np.random.default_rng(0).standard_normal((20, 40)) * scale, 3)
+        P0, Q0 = draw_start(inst, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError, match=f"overflow at iteration 0: {step} input") as info:
+                solve(inst, SolverConfig(method=method), P0, Q0)
+        assert len(info.value.trace) == 1 and info.value.trace.k == [0]
