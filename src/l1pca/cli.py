@@ -119,13 +119,11 @@ def cmd_generate(args) -> int:
     if args.format == "dense":
         files = {"X": "X.bin", "U": "U.bin", "Z": "Z.bin"}
         write_dense_matrix(out / files["X"], X)
-        write_dense_matrix(out / files["U"], U)
-        write_dense_matrix(out / files["Z"], Z)
     else:
         files = {"X": "X.txt", "U": "U.bin", "Z": "Z.bin"}
         write_sparse_labeled(out / files["X"], sp.csc_matrix(X), np.zeros(spec.n))
-        write_dense_matrix(out / files["U"], U)
-        write_dense_matrix(out / files["Z"], Z)
+    write_dense_matrix(out / files["U"], U)
+    write_dense_matrix(out / files["Z"], Z)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "n": spec.n,
@@ -256,9 +254,8 @@ def cmd_cluster(args) -> int:
     k = len(np.unique(inst.labels))
     accuracy = kmeans_accuracy(inst.X, res.Q_final, inst.labels, k=k, restarts=args.restarts, seed=args.seed)
     if spectrum is None:
-        tev_value = tev(inst.X, res.Q_final)
-    else:
-        tev_value = _tev_ratio(*spectrum, require_stiefel(res.Q_final))
+        spectrum = _spectrum(inst.X, _TEV_ZERO, K)
+    tev_value = _tev_ratio(*spectrum, require_stiefel(res.Q_final))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "method": res.method,

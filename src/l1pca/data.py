@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidInputError, ParseError, PreconditionError
-from .linalg import polar_factor, seeded_rng, thin_svd
+from .linalg import seeded_rng, thin_svd
 from .model import ProblemInstance
 from .solvers import IterateTrace
 
@@ -63,17 +63,13 @@ def gen_fixed_effect(spec: FixedEffectSpec) -> tuple[np.ndarray, np.ndarray, np.
     it, so they sum to zero and lie in the basis span exactly.
     """
     n, d, K = spec.n, spec.d, spec.K
-    Y = None
     for attempt in range(4):
-        rng_y = seeded_rng(spec.seed, _STREAM_BASIS, attempt)
-        cand = rng_y.standard_normal((d, K))
-        sv = thin_svd(cand).sigma
-        if sv[-1] > 1e-10 * max(sv[0], 1.0):
-            Y = cand
+        s = thin_svd(seeded_rng(spec.seed, _STREAM_BASIS, attempt).standard_normal((d, K)))
+        if s.sigma[-1] > 1e-10 * max(s.sigma[0], 1.0):
             break
-    if Y is None:  # pragma: no cover - repeated exact rank deficiency
+    else:  # pragma: no cover - repeated exact rank deficiency
         raise InvalidInputError("basis draw was rank deficient after 3 retries")
-    U = polar_factor(Y)
+    U = s.U @ s.V.T
     rng_a = seeded_rng(spec.seed, _STREAM_COORDS)
     A = rng_a.random((K, n))
     Z = U @ (A - A.mean(axis=1, keepdims=True))

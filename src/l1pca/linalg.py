@@ -195,15 +195,37 @@ class ThinSvd:
         return (self.U * self.sigma) @ self.V.T
 
 
+def _rank_cutoff(shape: tuple[int, int], sigma: np.ndarray) -> float:
+    """Singular values at or below this are numerical zeros: max(rows, cols) * eps * sigma_max."""
+    return max(shape) * _EPS * sigma[0]
+
+
+def _complete(U: np.ndarray, sigma: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (U, V) of a thin SVD with the taller one made whole.
+
+    Its columns whose singular value lies at or below ``_rank_cutoff`` are
+    replaced by a deterministic completion (``complete_orthonormal``) of
+    the kept ones, so both factors keep orthonormal columns at any rank.
+    """
+    rows, cols = len(U), len(V)
+    kept = int(np.count_nonzero(sigma > _rank_cutoff((rows, cols), sigma)))
+    if kept < sigma.size:
+        if rows >= cols:
+            U = complete_orthonormal(U[:, :kept], cols)
+        else:
+            V = complete_orthonormal(V[:, :kept], rows)
+    return U, V
+
+
 def thin_svd(M, rank: int | None = None) -> ThinSvd:
     """Thin SVD of a dense matrix via LAPACK, deterministic across calls.
 
     Works for any shape (the factorization is taken over the smaller
-    dimension).  Columns of the taller factor whose singular value is at
-    most ``max(rows, cols) * eps * sigma_max`` are replaced by a
-    deterministic completion (``complete_orthonormal``) of the others.
-    Each right-factor column is sign-normalized so its largest-magnitude
-    entry is positive, with the left column flipped in tandem.
+    dimension).  The factors come from one LAPACK call; columns of the
+    taller factor for numerically zero singular values are then replaced by
+    a deterministic completion of the others (``_complete``).  Each
+    right-factor column is sign-normalized so its largest-magnitude entry
+    is positive, with the left column flipped in tandem.
 
     Args:
         M: input matrix, rows x cols.
@@ -216,17 +238,8 @@ def thin_svd(M, rank: int | None = None) -> ThinSvd:
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise PreconditionError("thin_svd expects a non-empty 2-d matrix")
     require_finite(A, "thin_svd input")
-    rows, cols = A.shape
     U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
-    V = Vt.T
-    # replace the tall factor's columns for (numerically) zero singular
-    # values by a deterministic completion of the kept ones
-    kept = int(np.count_nonzero(sigma > max(rows, cols) * _EPS * sigma[0]))
-    if kept < sigma.size:
-        if rows >= cols:
-            U = complete_orthonormal(U[:, :kept], cols)
-        else:
-            V = complete_orthonormal(V[:, :kept], rows)
+    U, V = _complete(U, sigma, Vt.T)
     # sign convention: largest-magnitude entry of each V column positive
     lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
     flip = np.where(lead < 0.0, -1.0, 1.0)
@@ -241,26 +254,22 @@ def polar_factor(M) -> np.ndarray:
     """Orthonormal polar factor U V^T of a rows >= cols matrix.
 
     This is the maximizer of <M, Q> over matrices Q with orthonormal
-    columns.  Rank-deficient inputs still yield a valid orthonormal result
-    through deterministic completion of the missing directions.
-
-    When every singular value lies above ``thin_svd``'s completion cutoff
-    (``max(rows, cols) * eps * sigma_max``), U V^T is formed straight from
-    LAPACK's factors.  ``thin_svd``'s sign convention is skipped there: it
-    flips a U column and its V column together, which leaves U V^T
-    unchanged, and a flip by -1 is exact, so the result is bit for bit the
-    one through ``thin_svd``.  Otherwise (rank-deficient or zero input) the
-    result comes from ``thin_svd`` and its completion.
+    columns.  U and V come from one LAPACK call.  Rank-deficient and zero
+    inputs still yield a valid orthonormal result: U's columns for
+    numerically zero singular values are completed deterministically
+    (``_complete``), as in ``thin_svd``.  ``thin_svd``'s sign convention is
+    not needed: it flips a U column and its V column together, which
+    leaves U V^T unchanged.
     """
     A = as_dense(M)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
         raise PreconditionError("polar_factor expects rows >= cols >= 1")
     require_finite(A, "polar_factor input")
     U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
-    if sigma[-1] > max(A.shape) * _EPS * sigma[0]:
+    if sigma[-1] > _rank_cutoff(A.shape, sigma):
         return U @ Vt
-    s = thin_svd(A)
-    return s.U @ s.V.T
+    U, V = _complete(U, sigma, Vt.T)
+    return U @ V.T
 
 
 def spectral_norm(X) -> float:

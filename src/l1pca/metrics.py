@@ -4,11 +4,11 @@
 X X^T and its trace, frob(X)^2: ``tev`` the top K, and the cumulative rule
 as many as it takes to reach its share of the trace.  ``linalg._top_eigenvalues``
 finds those by Lanczos on products with X, sparse or dense, without forming
-X X^T.  Every spectrum starts from the same first block of ``_BLOCK``
-eigenvalues (``_cov_eigenvalues``) and grows only when a K or the rule needs
-more.  ``_spectrum`` takes it, and ``_tev_ratio`` and ``_choose_K`` work from
-its result, so a caller that needs the spectrum more than once (the
-``cluster`` and ``compare`` commands) takes it once and passes it on.
+X X^T.  ``_spectrum`` takes at least a first block of ``_BLOCK`` eigenvalues,
+or the top K when K exceeds it, in one ``_top`` call; only the cumulative
+rule grows it further.  ``_tev_ratio`` and ``_choose_K`` work from its
+result, so a caller that needs the spectrum more than once (the ``cluster``
+and ``compare`` commands) takes it once and passes it on.
 """
 
 from __future__ import annotations
@@ -34,17 +34,12 @@ def _top(X, k: int) -> np.ndarray:
     return np.ldexp(w, 2 * e)
 
 
-def _cov_eigenvalues(X) -> np.ndarray:
-    """The first block ``_top(X, _BLOCK)``, the spectrum every command takes once."""
-    return _top(X, _BLOCK)
-
-
 def _spectrum(X, zero_message: str, k: int = 1):
     """(X scaled, w) for finite, nonzero X: w holds at least the k leading
     eigenvalues of its X X^T, nonincreasing, or the whole spectrum.
 
-    w is the first block ``_cov_eigenvalues``, or the top k when k exceeds
-    it.  X is divided by a power of two near its Frobenius norm when that
+    w is ``_top`` of at least the first block of ``_BLOCK`` eigenvalues.
+    X is divided by a power of two near its Frobenius norm when that
     norm lies outside [2^-300, 2^300] (``linalg._prescaled``), where X X^T
     would overflow or lose entries to underflow; the division is exact and
     leaves every ratio of quadratic forms in X unchanged.  Zero data raises
@@ -55,8 +50,7 @@ def _spectrum(X, zero_message: str, k: int = 1):
     if norm == 0.0:
         raise UndefinedMetricError(zero_message)
     X = _prescaled(X, norm)[0]
-    w = _cov_eigenvalues(X)
-    return X, (w if len(w) >= min(k, *X.shape) else _top(X, k))
+    return X, _top(X, max(k, _BLOCK))
 
 
 def _tev_ratio(X, w: np.ndarray, Q: np.ndarray) -> float:

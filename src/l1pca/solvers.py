@@ -404,7 +404,9 @@ def solve(
             # X, P and Q are finite, so a non-finite step input is an overflow
             raise DivergedError(f"overflow at iteration {k}: {exc}", trace=trace) from exc
 
-        dP = frob(P_new - P)
+        # frob(P_new - P) exactly: its entries are 0 or +-2, and a correctly rounded
+        # sqrt commutes with the factor 4
+        dP = 2.0 * math.sqrt(np.count_nonzero(P_new != P))
         dQp, dQ = dQ, frob(Q_new - Q)  # Q - Q_prev is the last iteration's Q_new - Q
         dC = float(np.sqrt(dP * dP + dQ * dQ + dQp * dQp))
 

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
+from .data import FixedEffectSpec, gen_fixed_effect
 from .errors import (
     InvalidInputError,
     PreconditionError,
@@ -54,7 +55,7 @@ from .model import (
     subgrad_dist_h,
     subgrad_dist_linear,
 )
-from .solvers import SolveResult, SolverConfig, draw_start, solve, svd_start
+from .solvers import SolveResult, SolverConfig, draw_start, solve, svd_start, theorem_config
 
 _EPS = np.finfo(np.float64).eps
 
@@ -478,8 +479,9 @@ def error_bound_probe(
 
     Restricted to the regimes where the family is a single point so the
     distance is exactly computable: K = 1, or square full-rank A with all
-    singular values distinct.  Samples feasible Q within the unit-distance
-    neighbourhood and reports the worst distance/residual ratio.
+    singular values distinct.  Samples feasible Q within ``radius`` < 1 of
+    the family's point (``_sample_near``) and reports the worst
+    distance/residual ratio.
     """
     if not (0.0 < radius < 1.0):
         raise PreconditionError("radius must lie in (0, 1)")
@@ -499,20 +501,11 @@ def error_bound_probe(
     used = 0
     violations = 0
     for _ in range(samples):
-        T = tangent_project(target, rng.standard_normal((d, K)))
-        nt = frob(T)
-        if nt == 0.0:
+        Q = _sample_near(target, radius, rng)
+        if Q is None:
             continue
-        t = radius * rng.uniform(0.05, 1.0)
-        Q = polar_factor(target + T * (t / nt))
         dist = frob(Q - target)
-        tries = 0
-        while dist >= 1.0 and tries < 10:
-            t *= 0.5
-            Q = polar_factor(target + T * (t / nt))
-            dist = frob(Q - target)
-            tries += 1
-        if dist >= 1.0 or dist < 1e-12:
+        if dist < 1e-12:
             continue
         Rn = frob(residual_R(spec.A, Q))
         if Rn < 1e-12:
@@ -589,6 +582,14 @@ class KlProbeReport(_Report):
 
 
 def _sample_near(Q0: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray | None:
+    """A feasible Q within ``radius`` of Q0, or None when the random tangent direction is 0.
+
+    Q is the polar retraction of Q0 + t T with T a random unit tangent
+    direction at Q0 and t uniform in [0.05, 1) times ``radius``.  The
+    retraction moves Q0 by at most t (dist^2 = sum of 2 - 2 / sqrt(1 + s_i)
+    over the eigenvalues s_i of t^2 T^T T, which is at most t^2), so the
+    first try lands within ``radius``; the halvings guard roundoff.
+    """
     d, K = Q0.shape
     T = tangent_project(Q0, rng.standard_normal((d, K)))
     nt = frob(T)
@@ -785,10 +786,8 @@ def decrease_and_error_audit(result: SolveResult, slack_tol: float = 1e-10) -> A
     subgradient element recorded during the run has norm at most
     kappa2 ||Delta C||.  A violation is a breach beyond ``slack_tol``.
     """
-    info = result.audit_info
-    if info is None:
-        raise UnsupportedRegimeError("audit requires a run made in theorem_mode")
     kappa1, kappa2 = audit_constants(result)
+    info = result.audit_info
     tr = result.trace
     sub = info["subgrad_norms"]
     viol_dec = 0
@@ -1033,9 +1032,6 @@ def audit_suite(
     max_iter: int = 500,
 ) -> dict:
     """Theorem-mode runs on synthetic instances plus their audits."""
-    from .data import FixedEffectSpec, gen_fixed_effect
-    from .solvers import theorem_config
-
     runs = []
     passed = True
     for i in range(instances):

@@ -383,13 +383,13 @@ def _three_cluster_dataset(path, n_per=30):
 def eig_calls(monkeypatch):
     """Shapes of the matrices whose X X^T spectrum is taken, in call order."""
     calls = []
-    real = metrics._cov_eigenvalues
+    real = metrics._top
 
-    def counting(X):
+    def counting(X, k):
         calls.append(X.shape)
-        return real(X)
+        return real(X, k)
 
-    monkeypatch.setattr(metrics, "_cov_eigenvalues", counting)
+    monkeypatch.setattr(metrics, "_top", counting)
     return calls
 
 

@@ -142,6 +142,28 @@ class TestPolarFactor:
         with pytest.raises(PreconditionError):
             polar_factor(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_one_factorization_at_any_rank(self, monkeypatch, rank):
+        from l1pca import linalg
+
+        rng = seeded_rng(9)
+        M = rng.standard_normal((6, rank)) @ rng.standard_normal((rank, 3))
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("polar_factor called thin_svd")
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(linalg, "thin_svd", refuse)
+        Q = polar_factor(M)
+        assert calls == [(6, 3)]
+        assert stiefel_residual(Q) < 1e-12
+
 
 class TestSpectralNorm:
     def test_diagonal(self):

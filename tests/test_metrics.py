@@ -107,7 +107,7 @@ class TestSharedSpectrum:
         assert metrics._tev_ratio(*spectrum, Q) == tev(X, Q)
 
     def test_large_side_takes_no_spectrum(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_cov_eigenvalues", None)
+        monkeypatch.setattr(metrics, "_top", None)
         assert metrics._choose_K(sp.eye(6, format="csc"), 0.8, large_side=6, cap=3) == (3, None)
 
     def test_zero_data_messages(self):
@@ -217,6 +217,23 @@ class TestPartialSpectrum:
         ref = float(np.linalg.norm(X.T @ Q) ** 2 / w[:K].sum())
         assert metrics._tev_ratio(Xp, wp, Q) == pytest.approx(ref, rel=1e-12)
         assert tev(Xs, Q) == pytest.approx(ref, rel=1e-12)
+
+    def test_tev_takes_one_spectrum(self, monkeypatch):
+        # K = 12 lies past the first block of 8 and reaches 300 / 32, where the spectrum is solved densely
+        rng = seeded_rng(65)
+        X = rng.standard_normal((300, 600))
+        Q = random_stiefel(300, 12, rng)
+        expected = float(np.linalg.norm(X.T @ Q) ** 2 / gram_eigenvalues_reference(X)[:12].sum())
+        requests = []
+        real = metrics._top_eigenvalues
+
+        def recording(X, k):
+            requests.append(k)
+            return real(X, k)
+
+        monkeypatch.setattr(metrics, "_top_eigenvalues", recording)
+        assert tev(X, Q) == pytest.approx(expected, rel=1e-12)
+        assert requests == [12]
 
     def test_shortfall_skips_to_dense_solve(self, monkeypatch):
         # after the first block, the shortfall alone needs more than 520 / 32 eigenvalues

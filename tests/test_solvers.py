@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 
 from conftest import counting_products, make_instance, make_start
 from l1pca.errors import DegenerateUpdateError, DivergedError, PreconditionError
-from l1pca.linalg import random_stiefel, seeded_rng, stiefel_residual
+from l1pca.linalg import random_stiefel, seeded_rng, spectral_norm, stiefel_residual
 from l1pca.model import ProblemInstance, objective_h, objective_l1, sign_select
 from l1pca.solvers import (
     METHODS,
@@ -483,6 +484,39 @@ class TestStepSizeValidation:
         assert self._solve(method="fpm", alpha=0.0, beta=math.inf).converged
         assert self._solve(method="pdcae", alpha=-1.0).converged
         assert self._solve(method="fpm", alpha=lambda k: 0.0, beta=lambda k: math.inf).converged
+
+
+class TestTheoremModeRefusals:
+    """Theorem mode refuses schedules outside the declared bounds: at set-up, or at the iteration that leaves them."""
+
+    @staticmethod
+    def _solve(make_cfg):
+        inst = ProblemInstance(np.random.default_rng(0).standard_normal((20, 40)), 3)
+        s = spectral_norm(inst.X)
+        cfg = replace(make_cfg(s), theorem_mode=True, tol=1e-12, max_iter=20)
+        return solve(inst, cfg, *draw_start(inst, seed=1))
+
+    @pytest.mark.parametrize(
+        "make_cfg, message",
+        [
+            (lambda s: SolverConfig(alpha=lambda k: s if k < 3 else 3.0 * s, beta=5.0 * s, alpha_star=s,
+                                    alpha_sup=2.0 * s), r"alpha_3=\S+ outside its declared bounds"),
+            (lambda s: SolverConfig(alpha=s, beta=lambda k: 5.0 * s * (k + 1), beta_star=s, beta_sup=6.0 * s),
+             r"beta_1=\S+ outside its declared bounds"),
+            (lambda s: SolverConfig(alpha=s, beta=5.0 * s, gamma=lambda k: 0.2 * k, gamma_sup=0.3),
+             r"gamma_2=0.4 exceeds its declared bound"),
+            (lambda s: SolverConfig(alpha=s, beta=5.0 * s, alpha_star=2.0 * s),
+             r"alpha_0=\S+ outside its declared bounds"),
+            (lambda s: SolverConfig(alpha=s, beta=lambda k: 5.0 * s, beta_sup=6.0 * s),
+             "requires a declared beta_star for non-constant schedules"),
+            (lambda s: SolverConfig(alpha=s, beta=5.0 * s, alpha_star=0.0), r"requires alpha_star > 0"),
+        ],
+        ids=["alpha_leaves_bounds", "beta_above_sup", "gamma_above_sup", "alpha_below_alpha_star",
+             "callable_beta_without_beta_star", "alpha_star_not_positive"],
+    )
+    def test_refused(self, make_cfg, message):
+        with pytest.raises(PreconditionError, match=f"theorem_mode.*{message}"):
+            self._solve(make_cfg)
 
 
 class TestTheoremModeScale:

@@ -458,7 +458,7 @@ class TestAudit:
         cfg = SolverConfig(method="pame", alpha=1e-4, beta=1.0, tol=1e-8, max_iter=200)
         P0, Q0 = make_start(inst, seed=43)
         res = solve(inst, cfg, P0, Q0)
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(UnsupportedRegimeError, match="audit requires a run made in theorem_mode"):
             decrease_and_error_audit(res)
 
     def test_convergence_fit_negative_slope(self):

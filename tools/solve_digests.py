@@ -1,0 +1,284 @@
+"""Print one SHA-256 digest per run of a fixed grid, as JSON, for an l1pca source tree.
+
+Usage::
+
+    python tools/solve_digests.py SRC_DIR > digests.json
+
+SRC_DIR is the directory holding the ``l1pca`` package (``src`` in a
+checkout).  Run it on two checkouts and ``diff`` the outputs: a change that
+claims byte-identical results must print the same file.  Each digest covers
+a run's every output byte and its memory layout, or the class and message
+of the error it raised:
+
+* ``solve``: 4 shapes, dense and CSC X, 3 starts; the six methods at gamma
+  0, 0.5 and 0.8, the pdcae and gipalm variants, callable schedules for all
+  six, and theorem-mode pame and pam with constant, declared and callable
+  bounds.  A digest holds ``P_final`` and ``Q_final``, every trace field but
+  ``wall_time``, the iteration count, ``converged``, the termination reason,
+  ``final_objective`` and ``audit_info``.
+* ``zero``: every method and ``theorem_config`` on zero data.
+* ``refused``: configurations that ``solve`` refuses, and their messages.
+* ``kernel``: ``polar_factor`` and ``thin_svd`` of drawn rank 0 up to full,
+  with repeated columns, in C and F order, at three scales.
+* ``error_bound_suite`` (seeds 0-5), ``gen_fixed_effect`` (240 specs),
+  and ``tev`` and ``choose_K_by_variance`` (60 matrices: scales 1, 1e160
+  and 1e-170, dense and CSC).
+
+The grid takes about 25 s on one core.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
+
+#: (d, n, K) of the solve grid; the last has K = min(d, n)
+SHAPES = ((5, 6, 2), (20, 40, 3), (40, 20, 4), (8, 8, 8))
+STARTS = (1, 2, 3)
+GAMMAS = (0.0, 0.5, 0.8)
+
+
+def _canon(value):
+    """A JSON-ready form of ``value`` that keeps every bit and the array layout."""
+    if isinstance(value, np.ndarray):
+        return {
+            "shape": list(value.shape),
+            "dtype": str(value.dtype),
+            "C": bool(value.flags.c_contiguous),
+            "F": bool(value.flags.f_contiguous),
+            "bytes": hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest(),
+        }
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, dict):
+        return {str(k): _canon(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    if value is None or isinstance(value, str):
+        return value
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def _digest(fn) -> str:
+    """SHA-256 of what ``fn()`` returns, or of the class and message of what it raises."""
+    try:
+        out = {"ok": _canon(fn())}
+    except Exception as exc:  # noqa: BLE001 - an error is a result to compare
+        out = {"error": type(exc).__name__, "message": str(exc)}
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def _result(res) -> dict:
+    tr = res.trace
+    return {
+        "method": res.method,
+        "P_final": res.P_final,
+        "Q_final": res.Q_final,
+        "trace": [tr.k, tr.h_value, tr.psi_value, tr.delta_P_norm, tr.delta_Q_norm, tr.delta_C_norm],
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "termination_reason": res.termination_reason,
+        "final_objective": res.final_objective,
+        "audit_info": res.audit_info,
+    }
+
+
+def _data(d: int, n: int) -> np.ndarray:
+    """A d x n Gaussian with its small entries zeroed, so sign ties occur."""
+    X = np.random.default_rng([d, n]).standard_normal((d, n))
+    X[np.abs(X) < 0.3] = 0.0
+    return X
+
+
+def _configs(X, l1pca) -> dict:
+    """Name -> SolverConfig of every run on the data X."""
+    SolverConfig, METHODS = l1pca.solvers.SolverConfig, l1pca.solvers.METHODS
+    theorem_config = l1pca.solvers.theorem_config
+    s = l1pca.linalg.spectral_norm(X)
+    cfgs = {f"{m}/gamma{g}": SolverConfig(method=m, gamma=g) for m in METHODS for g in GAMMAS}
+    cfgs["pdcae/config_gamma"] = SolverConfig(method="pdcae", gamma=0.5, method_params={"use_config_gamma": True})
+    cfgs["pdcae/restart3"] = SolverConfig(method="pdcae", method_params={"restart_interval": 3})
+    cfgs["gipalm/weights"] = SolverConfig(method="gipalm", method_params={"gamma_p": 0.3, "gamma_q": 0.6})
+    for m in METHODS:
+        cfgs[f"{m}/callables"] = SolverConfig(
+            method=m,
+            alpha=lambda k: 1e-4 * (1.0 + 1.0 / (k + 1)),
+            beta=lambda k: 1.0 + 0.5 / (k + 1),
+            gamma=lambda k: 0.3 + 0.2 / (k + 1),
+            method_params={"use_config_gamma": True},
+        )
+    for m in ("pame", "pam"):
+        cfgs[f"theorem/{m}/constant"] = theorem_config(X, method=m)
+        cfgs[f"theorem/{m}/declared"] = SolverConfig(
+            method=m, alpha=s, beta=5.0 * s, gamma=0.3, tol=1e-7, max_iter=500, theorem_mode=True,
+            alpha_star=0.5 * s, alpha_sup=2.0 * s, beta_sup=10.0 * s, gamma_sup=0.4,
+        )
+        cfgs[f"theorem/{m}/callable"] = SolverConfig(
+            method=m,
+            alpha=lambda k: s * (1.0 + 0.5 / (k + 1)),
+            beta=lambda k: 5.0 * s * (1.0 + 1.0 / (k + 1)),
+            gamma=lambda k: 0.3 / (k + 1),
+            tol=1e-7, max_iter=500, theorem_mode=True,
+            alpha_star=s, alpha_sup=1.5 * s, beta_star=(10.0 / 3.0) * s, beta_sup=10.0 * s, gamma_sup=0.4,
+        )
+    return cfgs
+
+
+def solve_runs(l1pca, out: dict) -> None:
+    solvers, ProblemInstance = l1pca.solvers, l1pca.model.ProblemInstance
+    for d, n, K in SHAPES:
+        X = _data(d, n)
+        for fmt, Xf in (("dense", X), ("csc", sp.csc_matrix(X))):
+            inst = ProblemInstance(Xf, K)
+            cfgs = _configs(Xf, l1pca)
+            for seed in STARTS:
+                P0, Q0 = solvers.draw_start(inst, seed)
+                for name, cfg in cfgs.items():
+                    key = f"solve/{d}x{n}x{K}/{fmt}/start{seed}/{name}"
+                    out[key] = _digest(lambda: _result(solvers.solve(inst, cfg, P0, Q0)))
+
+
+def zero_runs(l1pca, out: dict) -> None:
+    solvers = l1pca.solvers
+    for fmt, X in (("dense", np.zeros((6, 5))), ("csc", sp.csc_matrix((6, 5)))):
+        inst = l1pca.model.ProblemInstance(X, 2)
+        P0, Q0 = solvers.draw_start(inst, 1)
+        cfgs = {m: solvers.SolverConfig(method=m, gamma=0.5) for m in solvers.METHODS}
+        cfgs.update({f"theorem/{m}": solvers.theorem_config(X, method=m) for m in ("pame", "pam")})
+        for name, cfg in cfgs.items():
+            out[f"zero/{fmt}/{name}"] = _digest(lambda: _result(solvers.solve(inst, cfg, P0, Q0)))
+
+
+def refused_runs(l1pca, out: dict) -> None:
+    solvers = l1pca.solvers
+    C = solvers.SolverConfig
+    X = _data(20, 40)
+    s = l1pca.linalg.spectral_norm(X)
+    inst = l1pca.model.ProblemInstance(X, 3)
+    P0, Q0 = solvers.draw_start(inst, 1)
+    thm = dict(theorem_mode=True, alpha=s, beta=5.0 * s, max_iter=20)
+    cfgs = {
+        "unknown_method": C(method="nope"),
+        "tol_zero": C(tol=0.0),
+        "max_iter_zero": C(max_iter=0),
+        "theorem_fpm": C(method="fpm", theorem_mode=True),
+        "alpha_negative": C(alpha=-1.0),
+        "beta_zero": C(method="pam", beta=0.0),
+        "beta_infinite": C(beta=float("inf")),
+        "alpha_callable_negative": C(alpha=lambda k: 1e-4 if k < 2 else -1.0),
+        "restart_interval_zero": C(method="pdcae", method_params={"restart_interval": 0}),
+        "theorem_alpha_callable_undeclared": C(**{**thm, "alpha": lambda k: s}),
+        "theorem_beta_callable_no_beta_star": C(**{**thm, "beta": lambda k: 5.0 * s, "beta_sup": 6.0 * s}),
+        "theorem_alpha_star_zero": C(**thm, alpha_star=0.0),
+        "theorem_beta_condition": C(**thm, beta_star=4.0 * s),
+        "theorem_spectral_rel_tol": C(**thm, spectral_rel_tol=2.0),
+        "theorem_gamma_sup": C(**thm, gamma=0.5, gamma_sup=1.0),
+        "theorem_alpha_leaves_bounds": C(
+            **{**thm, "alpha": lambda k: s if k < 3 else 3.0 * s}, alpha_star=s, alpha_sup=2.0 * s),
+        "theorem_beta_above_sup": C(
+            **{**thm, "beta": lambda k: 5.0 * s * (k + 1)}, beta_star=s, beta_sup=6.0 * s),
+        "theorem_gamma_above_sup": C(**thm, gamma=lambda k: 0.2 * k, gamma_sup=0.3),
+        "theorem_alpha_below_alpha_star": C(**thm, alpha_star=2.0 * s),
+    }
+    for name, cfg in cfgs.items():
+        out[f"refused/{name}"] = _digest(lambda: _result(solvers.solve(inst, cfg, P0, Q0)))
+
+
+def kernel_runs(l1pca, out: dict) -> None:
+    linalg = l1pca.linalg
+    rng = np.random.default_rng(7)
+    for rows, cols in ((3, 1), (5, 2), (6, 3), (7, 7), (200, 10), (2, 5)):
+        k = min(rows, cols)
+        for rank in range(k + 1):
+            M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+            if rank and cols > 1:
+                M[:, -1] = M[:, 0]  # a repeated column
+            for scale in (1.0, 1e160, 1e-160):
+                for order in ("C", "F"):
+                    A = np.asarray(M * scale, order=order)
+                    key = f"kernel/{rows}x{cols}/rank{rank}/{scale:g}/{order}"
+                    out[f"{key}/thin_svd"] = _digest(lambda: vars(linalg.thin_svd(A)))
+                    out[f"{key}/polar_factor"] = _digest(lambda: linalg.polar_factor(A))
+
+
+def suite_runs(l1pca, out: dict) -> None:
+    for seed in range(6):
+        out[f"error_bound_suite/seed{seed}"] = _digest(lambda: l1pca.verify.error_bound_suite(seed=seed))
+
+
+def generator_runs(l1pca, out: dict) -> None:
+    data = l1pca.data
+    sizes = ((1, 1, 1), (5, 3, 2), (3, 5, 3), (40, 20, 4), (20, 40, 20), (50, 50, 1), (7, 30, 7), (100, 10, 9))
+    for seed in range(10):
+        for n, d, K in sizes:
+            for sigma in (0.0, 0.5, 2.0):
+                spec = data.FixedEffectSpec(n=n, d=d, K=K, sigma=sigma, seed=seed)
+                out[f"gen_fixed_effect/{n}x{d}x{K}/{sigma}/seed{seed}"] = _digest(
+                    lambda: data.gen_fixed_effect(spec))
+
+
+def metric_runs(l1pca, out: dict) -> None:
+    metrics, random_stiefel = l1pca.metrics, l1pca.linalg.random_stiefel
+    rng = np.random.default_rng(11)
+    bases = {
+        "12x30": rng.standard_normal((12, 30)),
+        "30x12": rng.standard_normal((30, 12)),
+        "1x9": rng.standard_normal((1, 9)),
+        "rank2_40x60": rng.standard_normal((40, 2)) @ rng.standard_normal((2, 60)),
+        "sparse_80x50": np.where(rng.random((80, 50)) < 0.1, rng.standard_normal((80, 50)), 0.0),
+        "lowrank_300x600": rng.standard_normal((300, 3)) @ rng.standard_normal((3, 600)) * 3.0
+        + rng.standard_normal((300, 600)),
+        "gauss_300x600": rng.standard_normal((300, 600)),
+        "lowrank_600x400": rng.standard_normal((600, 4)) @ rng.standard_normal((4, 400)) * 4.0
+        + rng.standard_normal((600, 400)),
+        "lowrank_520x540": rng.standard_normal((520, 3)) @ rng.standard_normal((3, 540)) * 5.0
+        + rng.standard_normal((520, 540)),
+        "zero_6x4": np.zeros((6, 4)),
+    }
+    for name, X in bases.items():
+        d = X.shape[0]
+        frames = [random_stiefel(d, K, rng) for K in (1, 3, 9, 12) if K <= d]
+        for scale in (1.0, 1e160, 1e-170):
+            for fmt in ("dense", "csc"):
+                Xs = X * scale
+                Xs = sp.csc_matrix(Xs) if fmt == "csc" else Xs
+                key = f"metrics/{name}/{scale:g}/{fmt}"
+                for Q in frames:
+                    out[f"{key}/tev/K{Q.shape[1]}"] = _digest(lambda: metrics.tev(Xs, Q))
+                for threshold in (0.5, 0.8, 0.95):
+                    out[f"{key}/choose_K/{threshold}"] = _digest(
+                        lambda: metrics.choose_K_by_variance(Xs, threshold))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    import l1pca
+    import l1pca.data
+    import l1pca.linalg
+    import l1pca.metrics
+    import l1pca.model
+    import l1pca.solvers
+    import l1pca.verify
+
+    print(f"l1pca from {Path(l1pca.__file__).parent}", file=sys.stderr)
+    out: dict[str, str] = {}
+    for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, suite_runs, generator_runs, metric_runs):
+        runs(l1pca, out)
+    print(json.dumps(out, indent=0))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
