@@ -201,8 +201,12 @@ _TRACE_COLUMNS = (
     ("delta_Q_norm", "delta_Q_norm"),
     ("delta_C_norm", "delta_C_norm"),
     ("wall_time_seconds", "wall_time"),
+    ("sign_flips", "sign_flips"),
 )
 _CSV_COLUMNS = tuple(column for column, _ in _TRACE_COLUMNS)
+#: traces written before ``sign_flips`` end at ``wall_time_seconds``
+_LEGACY_COLUMNS = _CSV_COLUMNS[:-1]
+_INT_COLUMNS = ("k", "sign_flips")
 
 
 def _g(x: float) -> str:
@@ -210,10 +214,18 @@ def _g(x: float) -> str:
 
 
 def _trace_rows(trace: IterateTrace):
-    """Each record's cells as text in column order: k as an integer, the rest via ``_g``."""
-    k, *floats = (getattr(trace, attr) for _, attr in _TRACE_COLUMNS)
+    """Each record's cells as text in column order: the counts as integers, the rest via ``_g``."""
+    cols = [(getattr(trace, attr), str if column in _INT_COLUMNS else _g) for column, attr in _TRACE_COLUMNS]
     for i in range(len(trace)):
-        yield [str(k[i]), *(_g(col[i]) for col in floats)]
+        yield [fmt(col[i]) for col, fmt in cols]
+
+
+def _trace_record(trace: IterateTrace, cells: dict) -> None:
+    """Append one record read from a file; a legacy record's flip count comes from
+    ``delta_P_norm``, which is 2 sqrt(flips) with a correctly rounded sqrt."""
+    if "sign_flips" not in cells:
+        cells = {**cells, "sign_flips": round(float(cells["delta_P_norm"]) ** 2 / 4.0)}
+    trace.append(*(int(cells[c]) if c in _INT_COLUMNS else float(cells[c]) for c in _CSV_COLUMNS))
 
 
 def write_trace(trace: IterateTrace, path, fmt: str = "csv") -> None:
@@ -236,24 +248,28 @@ def write_trace(trace: IterateTrace, path, fmt: str = "csv") -> None:
 
 
 def read_trace(path) -> IterateTrace:
-    """Read a trace written by write_trace (format sniffed from content)."""
+    """Read a trace written by write_trace (format sniffed from content).
+
+    Files written before the ``sign_flips`` column still read; their flip
+    counts are recovered from ``delta_P_norm``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     trace = IterateTrace()
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         for rec in payload["records"]:
-            trace.append(*(rec[column] for column in _CSV_COLUMNS))
+            _trace_record(trace, rec)
         return trace
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if tuple(header) != _CSV_COLUMNS:
-        raise ParseError(f"unexpected trace header {header}", 1)
+    header = tuple(lines[0].split(","))
+    if header not in (_CSV_COLUMNS, _LEGACY_COLUMNS):
+        raise ParseError(f"unexpected trace header {list(header)}", 1)
     for lineno, ln in enumerate(lines[1:], start=2):
         vals = ln.split(",")
-        if len(vals) != len(_CSV_COLUMNS):
+        if len(vals) != len(header):
             raise ParseError("wrong column count", lineno)
-        trace.append(int(vals[0]), *(float(v) for v in vals[1:]))
+        _trace_record(trace, dict(zip(header, vals)))
     return trace
 
 

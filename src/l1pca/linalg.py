@@ -160,26 +160,27 @@ def complete_orthonormal(U: np.ndarray, n_cols: int) -> np.ndarray:
 
     New columns are built from canonical basis vectors: for each slot the
     basis vector with the largest residual against the current span is
-    orthonormalized and appended (ties broken by lowest index).
+    orthonormalized and appended (ties broken by lowest index).  With B the
+    columns so far, e_t's residual is ``e_t - B B[t]^T`` and its squared
+    norm ``1 - ||B[t]||^2``, so each slot takes O(d k) time and memory,
+    never the d x d projector; the residual is then orthogonalized against
+    B once more.
     """
     d, k = U.shape
     if n_cols > d:
         raise PreconditionError("cannot have more orthonormal columns than rows")
     out = np.zeros((d, n_cols))
     out[:, :k] = U
-    filled = k
-    while filled < n_cols:
+    for filled in range(k, n_cols):
         B = out[:, :filled]
-        R = np.eye(d) - B @ B.T
-        res = np.linalg.norm(R, axis=0)
-        t = int(np.argmax(res))
-        v = R[:, t]
+        t = int(np.argmax(1.0 - np.einsum("ij,ij->i", B, B)))
+        v = -(B @ B[t])
+        v[t] += 1.0
         v = v - B @ (B.T @ v)
         nv = np.linalg.norm(v)
         if nv <= 0.0:
             raise InvalidInputError("orthonormal completion failed")
         out[:, filled] = v / nv
-        filled += 1
     return out
 
 
@@ -250,16 +251,18 @@ def thin_svd(M, rank: int | None = None) -> ThinSvd:
     return ThinSvd(U=U, sigma=sigma, V=V)
 
 
-def polar_factor(M) -> np.ndarray:
+def polar_factor(M, complete: bool = True) -> np.ndarray | None:
     """Orthonormal polar factor U V^T of a rows >= cols matrix.
 
     This is the maximizer of <M, Q> over matrices Q with orthonormal
     columns.  U and V come from one LAPACK call.  Rank-deficient and zero
     inputs still yield a valid orthonormal result: U's columns for
     numerically zero singular values are completed deterministically
-    (``_complete``), as in ``thin_svd``.  ``thin_svd``'s sign convention is
-    not needed: it flips a U column and its V column together, which
-    leaves U V^T unchanged.
+    (``_complete``), as in ``thin_svd``.  With ``complete=False`` such an
+    input gives None instead, so a caller that needs the unique factor of a
+    full-rank M learns the rank from the same factorization.
+    ``thin_svd``'s sign convention is not needed: it flips a U column and
+    its V column together, which leaves U V^T unchanged.
     """
     A = as_dense(M)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
@@ -268,6 +271,8 @@ def polar_factor(M) -> np.ndarray:
     U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
     if sigma[-1] > _rank_cutoff(A.shape, sigma):
         return U @ Vt
+    if not complete:
+        return None
     U, V = _complete(U, sigma, Vt.T)
     return U @ V.T
 

@@ -23,8 +23,17 @@ method's anchors and weights:
              (1/4), both in ``method_params``.
 
 The subproblems are exactly solvable for this bilinear objective, so the
-linearized and exact proximal updates coincide.  All methods stop when the
-combined state moves less than ``tol`` (Frobenius) and share one trace.
+linearized and exact proximal updates coincide.  All methods share one
+trace and stop when the combined state moves less than ``tol``
+(Frobenius), or at an exact fixed point: once an iteration flips no sign,
+the rest of the run is a Procrustes iteration whose limit ``polar(X P)``
+is known in closed form (Kwak 2008 stops L1-PCA's fixed-point iteration
+on the same event).  So after a flip-free iteration ``solve`` takes
+``Q* = polar(X P)`` once, if ``X P`` has full numerical rank, and stops
+there when ``P = sign(X^T Q*)`` with no zero entry; (P, Q*) is then a
+fixed point of all six rules and an L1-critical point.  The test depends
+on P alone, so it is due again only after a flip.  Theorem mode takes no
+such test: the jump to Q* is not a step of the audited scheme.
 
 ``solve`` carries ``X^T Q`` (and its previous value) through the loop.
 ``X^T`` is linear, so ``X^T E = ext(X^T Q, X^T Q_prev, gs)``, which is
@@ -97,8 +106,9 @@ class IterateTrace:
 
     Record 0 describes the starting point; record k >= 1 the state after
     iteration k.  ``delta_C_norm`` is the Frobenius displacement of the
-    combined state (P, Q, Qprev).  All fields except ``wall_time`` are
-    deterministic for fixed inputs.
+    combined state (P, Q, Qprev), and ``sign_flips`` the number of entries
+    of P that changed sign (0 in record 0).  All fields except
+    ``wall_time`` are deterministic for fixed inputs.
     """
 
     k: list[int] = field(default_factory=list)
@@ -108,8 +118,9 @@ class IterateTrace:
     delta_Q_norm: list[float] = field(default_factory=list)
     delta_C_norm: list[float] = field(default_factory=list)
     wall_time: list[float] = field(default_factory=list)
+    sign_flips: list[int] = field(default_factory=list)
 
-    def append(self, k, h, psi, dP, dQ, dC, wall):
+    def append(self, k, h, psi, dP, dQ, dC, wall, flips):
         self.k.append(int(k))
         self.h_value.append(float(h))
         self.psi_value.append(float(psi))
@@ -117,6 +128,7 @@ class IterateTrace:
         self.delta_Q_norm.append(float(dQ))
         self.delta_C_norm.append(float(dC))
         self.wall_time.append(float(wall))
+        self.sign_flips.append(int(flips))
 
     def __len__(self) -> int:
         return len(self.k)
@@ -349,12 +361,15 @@ def solve(
 
     Every iterate keeps Q with orthonormal columns (to 1e-8) and P with
     entries exactly +-1.  Terminates when the combined displacement
-    ||C^{k+1} - C^k||_F drops below ``cfg.tol`` or after ``max_iter``
-    iterations.  Raises DivergedError (with the partial trace attached) if
-    any tracked value goes non-finite, including a step that overflows, and
-    DegenerateUpdateError if a method without a subspace anchor meets
-    X P = 0.  The loop, callback included, runs with numpy's overflow and
-    invalid-value warnings off.
+    ||C^{k+1} - C^k||_F drops below ``cfg.tol`` (``termination_reason``
+    "tol"), at an exact fixed point (P, polar(X P)) found after a flip-free
+    iteration ("fixed_point", with ``Q_final`` that polar factor, which the
+    callback never sees), or after ``max_iter`` iterations ("max_iter",
+    ``converged=False``).  Raises DivergedError (with the partial trace
+    attached) if any tracked value goes non-finite, including a step that
+    overflows, and DegenerateUpdateError if a method without a subspace
+    anchor meets X P = 0.  The loop, callback included, runs with numpy's
+    overflow and invalid-value warnings off.
     """
     X = inst.X
     plan = resolve_config(cfg, X)
@@ -370,12 +385,15 @@ def solve(
     trace = IterateTrace()
     t0 = time.perf_counter()
     h0 = -float(np.sum(P * XtQ))
-    trace.append(0, h0, h0, 0.0, 0.0, 0.0, 0.0)
+    trace.append(0, h0, h0, 0.0, 0.0, 0.0, 0.0, 0)
     dQ = 0.0  # ||Q - Q_prev|| before the first iteration
 
     rule, bounds = plan.rule, plan.bounds
     gp_fn, gs_fn, gq_fn = plan.weight_fns
     audit: dict[str, list[float]] = {"subgrad_norms": [], "alphas": [], "betas": [], "gammas": []}
+    reason = "max_iter"
+    # the fixed-point test depends on P alone, so it is due again only after a flip
+    test_due = True
 
     for k in range(cfg.max_iter):
         a_k = plan.alpha_fn(k)
@@ -406,7 +424,8 @@ def solve(
 
         # frob(P_new - P) exactly: its entries are 0 or +-2, and a correctly rounded
         # sqrt commutes with the factor 4
-        dP = 2.0 * math.sqrt(np.count_nonzero(P_new != P))
+        flips = int(np.count_nonzero(P_new != P))
+        dP = 2.0 * math.sqrt(flips)
         dQp, dQ = dQ, frob(Q_new - Q)  # Q - Q_prev is the last iteration's Q_new - Q
         dC = float(np.sqrt(dP * dP + dQ * dQ + dQp * dQp))
 
@@ -428,24 +447,37 @@ def solve(
             audit["betas"].append(b_k)
             audit["gammas"].append(gs_k)
 
-        trace.append(k + 1, h_new, psi_new, dP, dQ, dC, time.perf_counter() - t0)
+        trace.append(k + 1, h_new, psi_new, dP, dQ, dC, time.perf_counter() - t0, flips)
         P_prev, P = P, P_new
         Q_prev, Q = Q, Q_new
         XtQ_prev, XtQ = XtQ, XtQ_new
         if callback is not None:
             callback(k, P, Q)
         if dC < cfg.tol:
+            reason = "tol"
             break
+        if flips:
+            test_due = True
+        elif test_due and bounds is None:
+            # Q* = polar(X P) is unique when X P has full rank, and every rule
+            # maps (P, Q*) to itself when P = sign(X^T Q*) with no zero entry;
+            # theorem mode audits every step, so it takes no such jump
+            test_due = False
+            Q_star = polar_factor(XP, complete=False)
+            if Q_star is not None:
+                XtQ_star = X.T @ Q_star
+                if (XtQ_star * P > 0.0).all():
+                    Q, XtQ, reason = Q_star, XtQ_star, "fixed_point"
+                    break
 
-    converged = dC < cfg.tol
     return SolveResult(
         method=cfg.method,
         P_final=P,
         Q_final=Q,
         trace=trace,
         iterations=k + 1,
-        converged=converged,
-        termination_reason="tol" if converged else "max_iter",
+        converged=reason != "max_iter",
+        termination_reason=reason,
         final_objective=float(np.abs(XtQ).sum()),
         audit_info=None if bounds is None else {**bounds, **audit},
     )

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError
-from l1pca.linalg import as_dense, random_signs, random_stiefel, require_finite, seeded_rng, thin_svd
+from l1pca.linalg import _rank_cutoff, as_dense, random_signs, random_stiefel, require_finite, seeded_rng, thin_svd
 from l1pca.model import ProblemInstance
 
 
@@ -62,13 +62,33 @@ def sign_select_reference(M, Pprev):
     return np.where(M > 0.0, 1.0, np.where(M < 0.0, -1.0, Pprev))
 
 
-def polar_factor_reference(M):
-    """linalg.polar_factor as it stood before its full-rank path: always through thin_svd."""
+def polar_factor_reference(M, complete=True):
+    """linalg.polar_factor as it stood before its full-rank path: always through thin_svd.
+
+    With ``complete=False`` a rank-deficient M (smallest singular value at
+    or below ``_rank_cutoff``) gives None.
+    """
     A = as_dense(M)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
         raise PreconditionError("polar_factor expects rows >= cols >= 1")
     s = thin_svd(A)
+    if not complete and not s.sigma[-1] > _rank_cutoff(A.shape, s.sigma):
+        return None
     return s.U @ s.V.T
+
+
+def complete_orthonormal_reference(U, n_cols):
+    """linalg.complete_orthonormal as it stood before its O(d k) residuals: the d x d projector per column."""
+    d, k = U.shape
+    out = np.zeros((d, n_cols))
+    out[:, :k] = U
+    for filled in range(k, n_cols):
+        B = out[:, :filled]
+        R = np.eye(d) - B @ B.T
+        v = R[:, int(np.argmax(np.linalg.norm(R, axis=0)))]
+        v = v - B @ (B.T @ v)
+        out[:, filled] = v / np.linalg.norm(v)
+    return out
 
 
 def stiefel_residual_reference(Q):

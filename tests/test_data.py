@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,7 +16,7 @@ from l1pca.data import (
 )
 from l1pca.errors import InvalidInputError, ParseError, PreconditionError
 from l1pca.model import ProblemInstance
-from l1pca.solvers import IterateTrace
+from l1pca.solvers import IterateTrace, SolverConfig, draw_start, solve
 
 
 class TestFixedEffect:
@@ -247,22 +249,22 @@ class TestParseAgainstReference:
 class TestTraceIO:
     def _trace(self):
         tr = IterateTrace()
-        tr.append(0, -1.2345678901234567, -1.2, 0.0, 0.0, 0.0, 0.0)
-        tr.append(1, -2.3456789012345678e-05, -2.4, 0.1, 0.25, 0.3333333333333333, 0.001234)
+        tr.append(0, -1.2345678901234567, -1.2, 0.0, 0.0, 0.0, 0.0, 0)
+        tr.append(1, -2.3456789012345678e-05, -2.4, 0.1, 0.25, 0.3333333333333333, 0.001234, 3)
         return tr
 
     def test_csv_schema(self, tmp_path):
         p = tmp_path / "t.csv"
         write_trace(self._trace(), p, "csv")
         lines = p.read_text().splitlines()
-        assert lines[0] == "k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds"
+        assert lines[0] == "k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds,sign_flips"
         assert len(lines) == 3
 
     def test_empty_trace_header_only(self, tmp_path):
         p = tmp_path / "empty.csv"
         write_trace(IterateTrace(), p, "csv")
         assert p.read_text().splitlines() == [
-            "k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds"
+            "k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds,sign_flips"
         ]
 
     def test_json_roundtrip_bit_exact(self, tmp_path):
@@ -277,6 +279,7 @@ class TestTraceIO:
         assert back.delta_Q_norm == tr.delta_Q_norm
         assert back.delta_C_norm == tr.delta_C_norm
         assert back.wall_time == tr.wall_time
+        assert back.sign_flips == tr.sign_flips
 
     def test_csv_roundtrip_bit_exact(self, tmp_path):
         tr = self._trace()
@@ -284,6 +287,32 @@ class TestTraceIO:
         write_trace(tr, p, "csv")
         back = read_trace(p)
         assert back.h_value == tr.h_value and back.wall_time == tr.wall_time
+        assert back.sign_flips == tr.sign_flips
+
+    def test_reads_csv_without_sign_flips(self, tmp_path):
+        # a trace written before the sign_flips column: delta_P_norm = 2 sqrt(flips)
+        p = tmp_path / "old.csv"
+        p.write_text(
+            "k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds\n"
+            "0,-1.5,-1.5,0,0,0,0\n"
+            "1,-2.5,-2.25,3.4641016151377544,0.5,3.5,0.001\n"
+            "2,-2.75,-2.5,0,0.125,0.5,0.002\n"
+        )
+        back = read_trace(p)
+        assert back.k == [0, 1, 2]
+        assert back.delta_P_norm == [0.0, 2.0 * math.sqrt(3), 0.0]
+        assert back.wall_time == [0.0, 0.001, 0.002]
+        assert back.sign_flips == [0, 3, 0]
+
+    def test_reads_solver_trace_flip_counts(self, tmp_path):
+        inst = ProblemInstance(np.random.default_rng(3).standard_normal((8, 20)), 2)
+        P0, Q0 = draw_start(inst, 1)
+        tr = solve(inst, SolverConfig(method="fpm"), P0, Q0).trace
+        assert sum(tr.sign_flips) > 0
+        assert tr.delta_P_norm == [2.0 * math.sqrt(f) for f in tr.sign_flips]
+        for fmt in ("csv", "json"):
+            write_trace(tr, tmp_path / f"t.{fmt}", fmt)
+            assert read_trace(tmp_path / f"t.{fmt}").sign_flips == tr.sign_flips
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(PreconditionError):
@@ -293,10 +322,10 @@ class TestTraceIO:
         p = tmp_path / "g.csv"
         write_trace(self._trace(), p, "csv")
         assert p.read_bytes() == (
-            b"k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds\n"
-            b"0,-1.2345678901234567,-1.2,0,0,0,0\n"
+            b"k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds,sign_flips\n"
+            b"0,-1.2345678901234567,-1.2,0,0,0,0,0\n"
             b"1,-2.3456789012345677e-05,-2.3999999999999999,0.10000000000000001,0.25,"
-            b"0.33333333333333331,0.0012340000000000001\n"
+            b"0.33333333333333331,0.0012340000000000001,3\n"
         )
 
     def test_json_golden_bytes(self, tmp_path):
@@ -305,10 +334,10 @@ class TestTraceIO:
         assert p.read_bytes() == (
             b'{\n  "schema_version": 1,\n  "records": [\n'
             b'    {"k": 0, "h_value": -1.2345678901234567, "psi_value": -1.2, "delta_P_norm": 0, '
-            b'"delta_Q_norm": 0, "delta_C_norm": 0, "wall_time_seconds": 0},\n'
+            b'"delta_Q_norm": 0, "delta_C_norm": 0, "wall_time_seconds": 0, "sign_flips": 0},\n'
             b'    {"k": 1, "h_value": -2.3456789012345677e-05, "psi_value": -2.3999999999999999, '
             b'"delta_P_norm": 0.10000000000000001, "delta_Q_norm": 0.25, "delta_C_norm": 0.33333333333333331, '
-            b'"wall_time_seconds": 0.0012340000000000001}\n'
+            b'"wall_time_seconds": 0.0012340000000000001, "sign_flips": 3}\n'
             b"  ]\n}\n"
         )
 

@@ -99,6 +99,12 @@ class TestPolarFactor:
     def test_matches_reference(self, M):
         _assert_same(polar_factor, polar_factor_reference, M)
 
+    @_IDENTITY
+    @given(M=_matrices())
+    def test_incomplete_matches_reference(self, M):
+        # None for rank-deficient M, decided on the same singular values
+        _assert_same(polar_factor, polar_factor_reference, M, False)
+
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
     @pytest.mark.parametrize(
         "M",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import complete_orthonormal_reference
 from l1pca.errors import InvalidInputError, PreconditionError
 from l1pca.linalg import (
     complete_orthonormal,
@@ -143,6 +144,22 @@ class TestPolarFactor:
             polar_factor(np.ones((2, 3)))
 
     @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_incomplete_is_none_below_full_rank(self, monkeypatch, rank):
+        # the rank comes from the one factorization, and nothing is completed
+        from l1pca import linalg
+
+        rng = seeded_rng(9)
+        M = rng.standard_normal((6, rank)) @ rng.standard_normal((rank, 3))
+        full = polar_factor(M)
+        calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a[0].shape) or real_svd(*a, **kw))
+        monkeypatch.setattr(linalg, "complete_orthonormal", None)
+        Q = polar_factor(M, complete=False)
+        assert calls == [(6, 3)]
+        assert Q is None if rank < 3 else np.array_equal(Q, full)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
     def test_one_factorization_at_any_rank(self, monkeypatch, rank):
         from l1pca import linalg
 
@@ -268,6 +285,32 @@ class TestCompleteOrthonormal:
     def test_too_many_columns(self):
         with pytest.raises(PreconditionError):
             complete_orthonormal(np.eye(2), 3)
+
+    @pytest.mark.parametrize(
+        "d, k, n_cols",
+        [(1, 0, 1), (5, 0, 3), (7, 3, 7), (12, 1, 5), (40, 6, 20), (200, 4, 10)],
+    )
+    def test_matches_projector_reference(self, d, k, n_cols):
+        # same basis vector picked for every slot (lowest index on ties), same
+        # columns to roundoff, for drawn and axis-aligned starting columns
+        rng = seeded_rng(12, d, k)
+        for U in (random_stiefel(d, k, rng) if k else np.zeros((d, 0)), np.eye(d)[:, ::-1][:, :k]):
+            F = complete_orthonormal(U, n_cols)
+            assert np.max(np.abs(F - complete_orthonormal_reference(U, n_cols)), initial=0.0) <= 1e-14
+            assert np.linalg.norm(F.T @ F - np.eye(n_cols)) < 1e-12
+
+    def test_memory_linear_in_d(self):
+        # the d x d projector of d = 4000 alone would take 128 MB
+        import tracemalloc
+
+        U = random_stiefel(4000, 1, seeded_rng(13))
+        tracemalloc.start()
+        try:
+            complete_orthonormal(U, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 3 * 8 * 8
 
 
 def test_dense_sparse_agree():

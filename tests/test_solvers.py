@@ -8,7 +8,8 @@ import scipy.sparse as sp
 
 from conftest import counting_products, make_instance, make_start
 from l1pca.errors import DegenerateUpdateError, DivergedError, PreconditionError
-from l1pca.linalg import random_stiefel, seeded_rng, spectral_norm, stiefel_residual
+from l1pca import linalg, solvers
+from l1pca.linalg import polar_factor, random_stiefel, seeded_rng, spectral_norm, stiefel_residual
 from l1pca.model import ProblemInstance, objective_h, objective_l1, sign_select
 from l1pca.solvers import (
     METHODS,
@@ -29,6 +30,29 @@ from l1pca.solvers import (
 from l1pca.verify import decrease_and_error_audit, enumerate_oracle
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _spy_fixed_point_tests(monkeypatch):
+    """Record what each fixed-point test's polar_factor(X P, complete=False) returns."""
+    seen = []
+    real = solvers.polar_factor
+
+    def spy(M, complete=True):
+        out = real(M, complete)
+        if not complete:
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(solvers, "polar_factor", spy)
+    return seen
+
+
+def _assert_exact_fixed_point(X, res):
+    """P = sign(X^T Q) with no zero entry, and Q the unique polar factor of a full-rank X P."""
+    assert np.all((X.T @ res.Q_final) * res.P_final > 0.0)
+    Q_star = polar_factor(X @ res.P_final, complete=False)
+    assert Q_star is not None and np.array_equal(res.Q_final, Q_star)
+    assert res.final_objective == float(np.abs(X.T @ res.Q_final).sum())
 
 
 def _eye2_instance():
@@ -267,17 +291,25 @@ class TestCarriedProducts:
     """solve carries X^T Q: two products with X per iteration, objectives exact."""
 
     @pytest.mark.parametrize("theorem", [False, True], ids=["paper_flags", "theorem_config"])
-    def test_two_products_per_iteration(self, theorem):
-        # one X^T Q0, then X P_new and X^T Q_new per iteration; theorem mode's
-        # spectral_norm forms its Gram matrix from a plain-array view of X
+    def test_two_products_per_iteration(self, monkeypatch, theorem):
+        # one X^T Q0, then X P_new and X^T Q_new per iteration, plus one X^T Q*
+        # per fixed-point test that finds X P of full rank; theorem mode takes
+        # no test, and its spectral_norm forms its Gram matrix from a
+        # plain-array view of X
         inst = make_instance(60, 12, 3, seed=5)
         cfg = theorem_config(inst.X) if theorem else SolverConfig()
         P0, Q0 = make_start(inst, seed=6)
         ref = solve(inst, cfg, P0, Q0)
+        tests = _spy_fixed_point_tests(monkeypatch)
         inst.X, counter = counting_products(inst.X)
         res = solve(inst, cfg, P0, Q0)
         assert res.iterations == ref.iterations > 2
-        assert counter["matmul"] == 1 + 2 * res.iterations
+        full_rank_tests = sum(Q_star is not None for Q_star in tests)
+        assert counter["matmul"] == 1 + 2 * res.iterations + full_rank_tests
+        if theorem:
+            assert tests == [] and res.termination_reason == "tol"
+        else:
+            assert full_rank_tests >= 1 and res.termination_reason == "fixed_point"
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
     @pytest.mark.parametrize("method", METHODS)
@@ -293,6 +325,73 @@ class TestCarriedProducts:
         for (P, Q), h in zip(iterates, res.trace.h_value):
             assert h == pytest.approx(objective_h(inst.X, P, Q), rel=1e-12, abs=0.0)
         assert res.final_objective == pytest.approx(objective_l1(inst.X, res.Q_final), rel=1e-12, abs=0.0)
+
+
+class TestFixedPointStop:
+    """After a flip-free iteration, solve stops at (P, polar(X P)) when that pair is a fixed point."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stop_is_a_fixed_point(self, method, sparse):
+        inst = make_instance(30, 8, 3, seed=41)
+        if sparse:
+            inst = ProblemInstance(sp.csc_matrix(inst.X), inst.K)
+        cfg = SolverConfig(method=method, gamma=0.5, tol=1e-10, max_iter=3000)
+        stops = 0
+        for seed in range(3):
+            P0, Q0 = make_start(inst, seed=seed)
+            res = solve(inst, cfg, P0, Q0)
+            if res.termination_reason != "fixed_point":
+                continue
+            stops += 1
+            assert res.converged
+            _assert_exact_fixed_point(inst.X, res)
+            again = solve(inst, cfg, res.P_final, res.Q_final)
+            assert again.iterations == 1 and again.trace.sign_flips == [0, 0]
+            assert np.array_equal(again.P_final, res.P_final)
+            assert np.max(np.abs(again.Q_final - res.Q_final)) <= 1e-12
+        assert stops >= 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rank_deficient_XP_never_tested(self, monkeypatch, method):
+        # X of rank 1 and K = 2: X P never has full rank, so every test is
+        # skipped before completion; only fpm's own polar steps complete
+        g = seeded_rng(43)
+        inst = ProblemInstance(np.outer(g.standard_normal(6), g.standard_normal(9)), 2)
+        P0, Q0 = make_start(inst, seed=44)
+        tests = _spy_fixed_point_tests(monkeypatch)
+        completions = []
+        real = linalg.complete_orthonormal
+        monkeypatch.setattr(linalg, "complete_orthonormal", lambda U, n: completions.append(n) or real(U, n))
+        res = solve(inst, SolverConfig(method=method, gamma=0.5, max_iter=50), P0, Q0)
+        assert res.termination_reason != "fixed_point"
+        assert tests and all(Q_star is None for Q_star in tests)
+        assert len(completions) == (res.iterations if method == "fpm" else 0)
+
+    @pytest.mark.parametrize("method", ["pame", "pam"])
+    def test_theorem_mode_takes_no_test(self, monkeypatch, method):
+        tests = _spy_fixed_point_tests(monkeypatch)
+        for seed in range(3):
+            inst = make_instance(20, 6, 2, seed=seed)
+            P0, Q0 = make_start(inst, seed=seed + 10)
+            res = solve(inst, theorem_config(inst.X, method=method, tol=1e-9), P0, Q0)
+            assert res.termination_reason == "tol"
+        assert tests == []
+
+    def test_oracle_tiny_shape_halves_iterations(self, monkeypatch):
+        # the oracle suite's config on its smallest benchmark shape; with every
+        # test answered "rank-deficient" the loop runs as if it had none
+        g = seeded_rng(45)
+        inst = ProblemInstance(g.standard_normal((5, 6)), 2)
+        cfg = SolverConfig(method="pame", alpha=1e-4, beta=1.0, gamma=0.5, tol=1e-10, max_iter=3000)
+        starts = [draw_start(inst, seed) for seed in range(10)]
+        runs = [solve(inst, cfg, P0, Q0) for P0, Q0 in starts]
+        monkeypatch.setattr(solvers, "polar_factor", lambda M, complete=True: polar_factor(M) if complete else None)
+        walks = [solve(inst, cfg, P0, Q0) for P0, Q0 in starts]
+        for run, walk in zip(runs, walks):
+            assert np.array_equal(run.P_final, walk.P_final)
+            assert run.iterations <= walk.iterations
+        assert 2 * sum(r.iterations for r in runs) <= sum(w.iterations for w in walks)
 
 
 class TestProcrustesStepOptimality:
@@ -392,7 +491,11 @@ class TestStorageEquivalence:
         P0, Q0 = make_start(inst, seed=32)
         res = solve(inst, cfg, P0, Q0)
         assert res.converged
-        assert res.trace.delta_C_norm[-1] < cfg.tol
+        if res.termination_reason == "tol":
+            assert res.trace.delta_C_norm[-1] < cfg.tol
+        else:
+            assert res.termination_reason == "fixed_point"
+            _assert_exact_fixed_point(inst.X, res)
         assert stiefel_residual(res.Q_final) <= 1e-8
         assert len(res.trace) <= cfg.max_iter + 1
         assert all(np.isfinite(res.trace.h_value))

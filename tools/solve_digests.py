@@ -3,6 +3,7 @@
 Usage::
 
     python tools/solve_digests.py SRC_DIR > digests.json
+    python tools/solve_digests.py --fields SRC_DIR > fields.json
 
 SRC_DIR is the directory holding the ``l1pca`` package (``src`` in a
 checkout).  Run it on two checkouts and ``diff`` the outputs: a change that
@@ -25,6 +26,13 @@ of the error it raised:
   and 1e-170, dense and CSC).
 
 The grid takes about 25 s on one core.
+
+``--fields`` prints, for each run of the solve grid only, the fields that
+gate a change which may move results (ROADMAP's per-field gates):
+``iterations``, ``termination_reason``, ``converged``, the SHA-256 of
+``P_final``'s bytes and ``final_objective`` as a hex float, or the error's
+class and message.  Two such files compare field by field in a few lines
+of Python.
 """
 
 from __future__ import annotations
@@ -92,6 +100,25 @@ def _result(res) -> dict:
     }
 
 
+def _fields(run) -> dict:
+    """The gated fields of the solve that ``run()`` makes, or the class and message of its error."""
+    try:
+        res = run()
+    except Exception as exc:  # noqa: BLE001 - an error is a result to compare
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {
+        "iterations": res.iterations,
+        "termination_reason": res.termination_reason,
+        "converged": res.converged,
+        "P_final": _canon(res.P_final)["bytes"],
+        "final_objective": float(res.final_objective).hex(),
+    }
+
+
+def _full_digest(run) -> str:
+    return _digest(lambda: _result(run()))
+
+
 def _data(d: int, n: int) -> np.ndarray:
     """A d x n Gaussian with its small entries zeroed, so sign ties occur."""
     X = np.random.default_rng([d, n]).standard_normal((d, n))
@@ -133,7 +160,8 @@ def _configs(X, l1pca) -> dict:
     return cfgs
 
 
-def solve_runs(l1pca, out: dict) -> None:
+def solve_runs(l1pca, out: dict, summary=_full_digest) -> None:
+    """The solve grid; ``summary(run)`` turns a solve thunk into the value stored for its key."""
     solvers, ProblemInstance = l1pca.solvers, l1pca.model.ProblemInstance
     for d, n, K in SHAPES:
         X = _data(d, n)
@@ -144,7 +172,7 @@ def solve_runs(l1pca, out: dict) -> None:
                 P0, Q0 = solvers.draw_start(inst, seed)
                 for name, cfg in cfgs.items():
                     key = f"solve/{d}x{n}x{K}/{fmt}/start{seed}/{name}"
-                    out[key] = _digest(lambda: _result(solvers.solve(inst, cfg, P0, Q0)))
+                    out[key] = summary(lambda: solvers.solve(inst, cfg, P0, Q0))
 
 
 def zero_runs(l1pca, out: dict) -> None:
@@ -260,6 +288,9 @@ def metric_runs(l1pca, out: dict) -> None:
 
 
 def main(argv: list[str]) -> int:
+    fields = argv[:1] == ["--fields"]
+    if fields:
+        argv = argv[1:]
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
@@ -273,9 +304,12 @@ def main(argv: list[str]) -> int:
     import l1pca.verify
 
     print(f"l1pca from {Path(l1pca.__file__).parent}", file=sys.stderr)
-    out: dict[str, str] = {}
-    for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, suite_runs, generator_runs, metric_runs):
-        runs(l1pca, out)
+    out: dict = {}
+    if fields:
+        solve_runs(l1pca, out, _fields)
+    else:
+        for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, suite_runs, generator_runs, metric_runs):
+            runs(l1pca, out)
     print(json.dumps(out, indent=0))
     return 0
 
