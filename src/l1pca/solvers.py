@@ -39,8 +39,12 @@ such test: the jump to Q* is not a step of the audited scheme.
 ``X^T`` is linear, so ``X^T E = ext(X^T Q, X^T Q_prev, gs)``, which is
 ``X^T Q`` itself when gs is 0; the objective h = -<P, X^T Q>, the
 theorem-mode subgradient element and the final objective are read off the
-same carried product.  Each iteration therefore forms exactly two products
+same carried product.  Each iteration therefore forms at most two products
 with X, ``X P_new`` and ``X^T Q_new``, plus one ``X^T Q0`` at the start.
+After the first iteration, one that flips no sign keeps its ``X P``: P_new
+holds P's values in the same layout, so the product would give the same
+bits.  ``fpm`` then also keeps Q and ``X^T Q``, since its Q already is
+``polar(X P)`` of that same ``X P``.
 
 ``theorem_mode`` enforces the step-size and extrapolation bounds under
 which the extrapolated scheme is provably convergent (bounded alpha, beta
@@ -81,6 +85,13 @@ class SolverConfig:
     non-constant schedules or to override the defaults used in
     ``theorem_mode`` (for a constant beta the potential weight ``beta_star``
     defaults to 2/3 of it, making the lower step-size condition tight).
+
+    ``norm_upper`` is a declared upper bound on ``||X||_2`` for theorem
+    mode, in the same family as the starred/sup bounds; when it is None the
+    run takes the exact norm, ``spectral_norm(X) * (1 + spectral_rel_tol)``.
+    ``theorem_config`` declares the one it took, so a config built for one
+    X belongs to that X: a declared value below ``||X||_F / sqrt(min(d, n))``
+    (a free lower bound on ``||X||_2``) is refused.
     """
 
     method: str = "pame"
@@ -97,6 +108,7 @@ class SolverConfig:
     beta_sup: float | None = None
     gamma_sup: float | None = None
     spectral_rel_tol: float = 1e-6
+    norm_upper: float | None = None
     method_params: dict = field(default_factory=dict)
 
 
@@ -267,6 +279,21 @@ def _bound(declared, schedule, what):
     return float(schedule)
 
 
+def _norm_upper(cfg: SolverConfig, X) -> float:
+    """The declared bound on ||X||_2 after a check against ||X||_F / sqrt(min(d, n)), or the exact norm."""
+    if cfg.norm_upper is None:
+        return spectral_norm(X) * (1.0 + cfg.spectral_rel_tol)
+    norm_upper = float(cfg.norm_upper)
+    floor = frob(X) / math.sqrt(min(X.shape))
+    # the relative slack absorbs roundoff where ||X||_2 = ||X||_F / sqrt(min(d, n))
+    if not 0.0 <= norm_upper < math.inf or norm_upper < floor * (1.0 - 1e-8):
+        raise PreconditionError(
+            f"theorem_mode: declared norm_upper={norm_upper:g} is not a finite upper bound on ||X||_2 "
+            f"(||X||_F / sqrt(min(d, n)) = {floor:g})"
+        )
+    return norm_upper
+
+
 def _theorem_bounds(cfg: SolverConfig, X, beta_star: float) -> dict:
     """Check a pame/pam config against the convergence theorem; return its bounds."""
     alpha_star = _bound(cfg.alpha_star, cfg.alpha, "alpha_star")
@@ -280,7 +307,7 @@ def _theorem_bounds(cfg: SolverConfig, X, beta_star: float) -> dict:
         raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
     # pam is pame with gamma fixed at 0, whatever gamma and gamma_sup say
     gamma_sup = _bound(cfg.gamma_sup, cfg.gamma, "gamma_sup") if cfg.method == "pame" else 0.0
-    norm_upper = spectral_norm(X) * (1.0 + cfg.spectral_rel_tol)
+    norm_upper = _norm_upper(cfg, X)
     gamma_star = _gamma_star(alpha_star, beta_star, norm_upper)
     if gamma_sup >= gamma_star:
         raise PreconditionError(
@@ -411,9 +438,15 @@ def solve(
         XtE = _ext(XtQ, XtQ_prev, gs_k)  # X^T ext(Q, Q_prev, gs_k)
         try:
             P_new = sign_select(_ext(P, P_prev, gp_fn(k)) + XtE / a_k if rule.prox_p else XtE, P)
-            XP = X @ P_new
+            flips = int(np.count_nonzero(P_new != P))
+            if flips or k == 0:
+                # otherwise P_new holds P's values in P's layout, and X @ P_new
+                # would give the bits of the X P already held
+                XP = X @ P_new
             if rule.prox_q:
                 Q_new = polar_factor(_ext(Q, Q_prev, gq_fn(k)) + XP / b_k)
+            elif k and not flips:
+                Q_new = Q  # fpm's Q is polar(X P) of this same X P
             elif frob(XP) == 0.0:
                 raise DegenerateUpdateError("fixed-point update degenerate: X P = 0")
             else:
@@ -424,7 +457,6 @@ def solve(
 
         # frob(P_new - P) exactly: its entries are 0 or +-2, and a correctly rounded
         # sqrt commutes with the factor 4
-        flips = int(np.count_nonzero(P_new != P))
         dP = 2.0 * math.sqrt(flips)
         dQp, dQ = dQ, frob(Q_new - Q)  # Q - Q_prev is the last iteration's Q_new - Q
         dC = float(np.sqrt(dP * dP + dQ * dQ + dQp * dQp))
@@ -432,7 +464,7 @@ def solve(
         feas = stiefel_residual(Q_new)
         if not np.isfinite(feas) or feas > CONSTRUCTION_TOL:
             raise DivergedError(f"orthonormality lost at iteration {k} (residual {feas:.3e})", trace=trace)
-        XtQ_new = X.T @ Q_new
+        XtQ_new = XtQ if Q_new is Q else X.T @ Q_new
         h_new = -float(np.sum(P_new * XtQ_new))
         psi_new = h_new + 0.5 * plan.beta_star * dQ * dQ
         if not np.isfinite(h_new):
@@ -540,11 +572,13 @@ def theorem_config(
     extrapolation bound min(1, alpha*beta_star/(2||X||^2)), taken with the
     upper bound ``s * (1 + spectral_rel_tol)``, stays well above zero;
     gamma is set to ``gamma_frac`` of that bound for pame and to zero for
-    pam.
+    pam.  The config declares that upper bound as ``norm_upper`` (0 for
+    zero X), so ``solve`` takes no second norm; use it on this X only.
     """
     if not (0.0 < spectral_rel_tol < 1.0):
         raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
     s = spectral_norm(X)
+    norm_upper = s * (1.0 + spectral_rel_tol)
     if s == 0.0:
         s = 1.0
     alpha = s
@@ -560,4 +594,5 @@ def theorem_config(
         max_iter=max_iter,
         theorem_mode=True,
         spectral_rel_tol=spectral_rel_tol,
+        norm_upper=norm_upper,
     )

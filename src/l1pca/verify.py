@@ -759,8 +759,9 @@ def audit_constants(result: SolveResult) -> tuple[float, float]:
     using the run's own bound instead of the generic admissible one only
     strengthens the audited inequality).  The error constant is
     sqrt(max(3 alpha_sup^2, (beta_sup - beta_star)^2 + beta_star^2
-    + 3 ||X||^2)) with ||X|| replaced by the run's ``norm_upper``, the exact
-    2-norm times (1 + spectral_rel_tol).  It is evaluated as
+    + 3 ||X||^2)) with ||X|| replaced by the run's ``norm_upper``: the
+    declared bound, or the exact 2-norm times (1 + spectral_rel_tol).  It is
+    evaluated as
     max(sqrt(3) alpha_sup, hypot(beta_sup - beta_star, beta_star,
     sqrt(3) norm_upper)), which squares nothing and so cannot overflow.
     """

@@ -23,13 +23,18 @@ def make_start(inst, seed=0):
 
 
 def counting_products(X):
-    """X as an ndarray subclass that counts the matrix products taken with it or its transpose."""
-    counter = {"matmul": 0}
+    """X as an ndarray subclass that counts the matrix products taken with it or its transpose.
+
+    ``counter["X @"]`` counts those with X itself on the left; for non-square X
+    these are the ``X P`` products.
+    """
+    counter = {"matmul": 0, "X @": 0}
 
     class Counting(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
                 counter["matmul"] += 1
+                counter["X @"] += isinstance(inputs[0], Counting) and inputs[0].shape == X.shape
             inputs = tuple(x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs)
             return getattr(ufunc, method)(*inputs, **kwargs)
 

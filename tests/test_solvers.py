@@ -55,6 +55,11 @@ def _assert_exact_fixed_point(X, res):
     assert res.final_objective == float(np.abs(X.T @ res.Q_final).sum())
 
 
+def _xp_steps(res):
+    """The iterations that formed X P_new: the first, and each later one that flipped a sign."""
+    return sum(1 for k, flips in enumerate(res.trace.sign_flips[1:]) if k == 0 or flips)
+
+
 def _eye2_instance():
     return ProblemInstance(np.eye(2), 1)
 
@@ -288,14 +293,14 @@ class TestStepRules:
 
 
 class TestCarriedProducts:
-    """solve carries X^T Q: two products with X per iteration, objectives exact."""
+    """solve carries X^T Q: at most two products with X per iteration, objectives exact."""
 
     @pytest.mark.parametrize("theorem", [False, True], ids=["paper_flags", "theorem_config"])
     def test_two_products_per_iteration(self, monkeypatch, theorem):
-        # one X^T Q0, then X P_new and X^T Q_new per iteration, plus one X^T Q*
+        # one X^T Q0, then X^T Q_new per iteration and X P_new on the first
+        # iteration and on each later one that flips a sign, plus one X^T Q*
         # per fixed-point test that finds X P of full rank; theorem mode takes
-        # no test, and its spectral_norm forms its Gram matrix from a
-        # plain-array view of X
+        # no test, and theorem_config declares the norm it took from plain X
         inst = make_instance(60, 12, 3, seed=5)
         cfg = theorem_config(inst.X) if theorem else SolverConfig()
         P0, Q0 = make_start(inst, seed=6)
@@ -305,9 +310,12 @@ class TestCarriedProducts:
         res = solve(inst, cfg, P0, Q0)
         assert res.iterations == ref.iterations > 2
         full_rank_tests = sum(Q_star is not None for Q_star in tests)
-        assert counter["matmul"] == 1 + 2 * res.iterations + full_rank_tests
+        assert counter["matmul"] == 1 + res.iterations + _xp_steps(res) + full_rank_tests
+        assert counter["X @"] == _xp_steps(res)
         if theorem:
             assert tests == [] and res.termination_reason == "tol"
+            # no sign moves after the first iteration, so X P is formed once
+            assert not any(res.trace.sign_flips[2:]) and counter["X @"] == 1
         else:
             assert full_rank_tests >= 1 and res.termination_reason == "fixed_point"
 
@@ -325,6 +333,26 @@ class TestCarriedProducts:
         for (P, Q), h in zip(iterates, res.trace.h_value):
             assert h == pytest.approx(objective_h(inst.X, P, Q), rel=1e-12, abs=0.0)
         assert res.final_objective == pytest.approx(objective_l1(inst.X, res.Q_final), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_fpm_keeps_Q_on_a_flip_free_step(self, monkeypatch, sparse):
+        # fpm's Q is already polar(X P) of the X P a flip-free step sees, so that
+        # step takes neither its polar factor nor X^T Q_new; the test's SVD stays
+        inst = make_instance(60, 12, 3, seed=5)
+        if sparse:
+            inst = ProblemInstance(sp.csc_matrix(inst.X), inst.K)
+        P0, Q0 = make_start(inst, seed=6)
+        ref = solve(inst, SolverConfig(method="fpm"), P0, Q0)
+        steps, tests = [], []
+        real = solvers.polar_factor
+        monkeypatch.setattr(
+            solvers, "polar_factor", lambda M, complete=True: (steps if complete else tests).append(1) or real(M, complete)
+        )
+        res = solve(inst, SolverConfig(method="fpm"), P0, Q0)
+        assert _trace_tuple(res.trace) == _trace_tuple(ref.trace)
+        assert np.array_equal(res.Q_final, ref.Q_final)
+        assert res.termination_reason == "fixed_point" and tests
+        assert len(steps) == _xp_steps(res) < res.iterations
 
 
 class TestFixedPointStop:
@@ -355,7 +383,8 @@ class TestFixedPointStop:
     @pytest.mark.parametrize("method", METHODS)
     def test_rank_deficient_XP_never_tested(self, monkeypatch, method):
         # X of rank 1 and K = 2: X P never has full rank, so every test is
-        # skipped before completion; only fpm's own polar steps complete
+        # skipped before completion; only fpm's own polar steps complete, and
+        # fpm takes one on the first iteration and on each that flips a sign
         g = seeded_rng(43)
         inst = ProblemInstance(np.outer(g.standard_normal(6), g.standard_normal(9)), 2)
         P0, Q0 = make_start(inst, seed=44)
@@ -366,7 +395,7 @@ class TestFixedPointStop:
         res = solve(inst, SolverConfig(method=method, gamma=0.5, max_iter=50), P0, Q0)
         assert res.termination_reason != "fixed_point"
         assert tests and all(Q_star is None for Q_star in tests)
-        assert len(completions) == (res.iterations if method == "fpm" else 0)
+        assert len(completions) == (_xp_steps(res) if method == "fpm" else 0)
 
     @pytest.mark.parametrize("method", ["pame", "pam"])
     def test_theorem_mode_takes_no_test(self, monkeypatch, method):
@@ -620,6 +649,87 @@ class TestTheoremModeRefusals:
     def test_refused(self, make_cfg, message):
         with pytest.raises(PreconditionError, match=f"theorem_mode.*{message}"):
             self._solve(make_cfg)
+
+
+class TestDeclaredNormUpper:
+    """A theorem-mode run takes ||X||_2 once: theorem_config declares it, and solve checks and keeps it."""
+
+    @staticmethod
+    def _count_norms(monkeypatch):
+        calls = []
+        real = solvers.spectral_norm
+        monkeypatch.setattr(solvers, "spectral_norm", lambda X: calls.append(1) or real(X))
+        return calls
+
+    @staticmethod
+    def _instance(storage="dense"):
+        inst = make_instance(40, 16, 3, seed=51)
+        return ProblemInstance(sp.csc_matrix(inst.X), 3) if storage == "csc" else inst
+
+    def test_theorem_config_takes_one_norm(self, monkeypatch):
+        calls = self._count_norms(monkeypatch)
+        inst = self._instance()
+        res = solve(inst, theorem_config(inst.X), *make_start(inst, seed=52))
+        assert len(calls) == 1 and res.audit_info is not None
+
+    def test_undeclared_bound_takes_the_norm_in_solve(self, monkeypatch):
+        inst = self._instance()
+        s = spectral_norm(inst.X)
+        calls = self._count_norms(monkeypatch)
+        res = solve(inst, SolverConfig(alpha=s, beta=5.0 * s, theorem_mode=True), *make_start(inst, seed=52))
+        assert len(calls) == 1 and res.audit_info["norm_upper"] == s * (1.0 + 1e-6)
+
+    def test_declared_bound_kept_verbatim(self, monkeypatch):
+        inst = self._instance()
+        s = spectral_norm(inst.X)
+        calls = self._count_norms(monkeypatch)
+        cfg = SolverConfig(alpha=s, beta=5.0 * s, gamma=0.1, theorem_mode=True, norm_upper=1.25 * s)
+        res = solve(inst, cfg, *make_start(inst, seed=52))
+        assert calls == [] and res.audit_info["norm_upper"] == 1.25 * s
+        assert decrease_and_error_audit(res).passed
+
+    @pytest.mark.parametrize("storage", ["dense", "csc"])
+    @pytest.mark.parametrize("method", ["pame", "pam"])
+    def test_declared_and_computed_bounds_agree(self, method, storage):
+        inst = self._instance(storage)
+        P0, Q0 = make_start(inst, seed=52)
+        cfg = theorem_config(inst.X, method=method)
+        plain = SolverConfig(method=method, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, tol=cfg.tol,
+                             max_iter=cfg.max_iter, theorem_mode=True)
+        declared, computed = solve(inst, cfg, P0, Q0), solve(inst, plain, P0, Q0)
+        assert declared.audit_info == computed.audit_info
+        assert _trace_tuple(declared.trace) == _trace_tuple(computed.trace)
+        assert np.array_equal(declared.Q_final, computed.Q_final)
+
+    @pytest.mark.parametrize("bound", ["nan", "negative", "inf", "below_frobenius"])
+    def test_bad_declared_bound_refused(self, bound):
+        inst = self._instance()
+        floor = np.linalg.norm(inst.X) / math.sqrt(min(inst.d, inst.n))
+        value = {"nan": math.nan, "negative": -1.0, "inf": math.inf, "below_frobenius": 0.99 * floor}[bound]
+        cfg = replace(theorem_config(inst.X, method="pam"), norm_upper=value)
+        with pytest.raises(PreconditionError, match="theorem_mode: declared norm_upper=.* not a finite upper bound"):
+            solve(inst, cfg, *make_start(inst, seed=52))
+
+    def test_config_for_other_data_refused(self):
+        inst = self._instance()
+        cfg = theorem_config(inst.X)
+        scaled = ProblemInstance(10.0 * inst.X, inst.K)
+        with pytest.raises(PreconditionError, match="declared norm_upper"):
+            solve(scaled, cfg, *make_start(scaled, seed=52))
+
+    def test_bound_at_the_frobenius_floor_accepted(self):
+        # orthonormal rows: every singular value is 1, so ||X||_2 = ||X||_F / sqrt(d)
+        X = random_stiefel(40, 6, seeded_rng(53)).T
+        inst = ProblemInstance(X, 2)
+        cfg = theorem_config(X, method="pam", spectral_rel_tol=1e-15)
+        assert cfg.norm_upper == pytest.approx(np.linalg.norm(X) / math.sqrt(6), rel=1e-12)
+        assert solve(inst, cfg, *make_start(inst, seed=54)).audit_info["norm_upper"] == cfg.norm_upper
+
+    def test_zero_data_declares_zero(self):
+        inst = ProblemInstance(np.zeros((6, 5)), 2)
+        cfg = theorem_config(inst.X)
+        assert cfg.norm_upper == 0.0 and cfg.alpha == 1.0
+        assert solve(inst, cfg, *make_start(inst, seed=55)).audit_info["norm_upper"] == 0.0
 
 
 class TestTheoremModeScale:
