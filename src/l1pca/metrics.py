@@ -20,8 +20,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import PreconditionError, UndefinedMetricError
-from .linalg import _prescaled, _top_eigenvalues, frob, require_finite, seeded_rng
-from .model import require_stiefel
+from .linalg import _prescaled, _top_eigenvalues, _xt, frob, require_finite, seeded_rng
+from .model import _check_dims, require_stiefel
 
 #: eigenvalues in the first Lanczos block, which every spectrum starts from
 _BLOCK = 8
@@ -56,7 +56,11 @@ def _spectrum(X, zero_message: str, k: int = 1):
 def _tev_ratio(X, w: np.ndarray, Q: np.ndarray) -> float:
     """tev from the spectrum (X scaled, w) of ``_spectrum`` and a checked frame Q.
 
-    w must hold at least Q's K leading eigenvalues, or all of them.
+    w must hold at least Q's K leading eigenvalues, or all of them.  The
+    product is ``X.T @ Q``, not ``linalg._xt``: one product per call gains
+    little, and the two orientations differ in a last bit at some shapes
+    (a 520 x 540 X with K = 12 is one), which would move tev's reported
+    value.
     """
     return float(frob(X.T @ Q) ** 2) / float(w[: Q.shape[1]].sum())
 
@@ -74,6 +78,7 @@ def tev(X, Q: np.ndarray) -> float:
     """
     require_finite(X, "X")
     Q = require_stiefel(Q)
+    _check_dims(X, Q)
     return _tev_ratio(*_spectrum(X, _TEV_ZERO, Q.shape[1]), Q)
 
 
@@ -206,7 +211,7 @@ def kmeans_accuracy(X, Q: np.ndarray, labels, k: int, restarts: int = 10, seed: 
     n = X.shape[1]
     if labels.shape != (n,):
         raise PreconditionError("labels must have one entry per sample")
-    points = np.asarray((X.T @ Q), dtype=np.float64)
+    points = np.asarray(_xt(X, Q), dtype=np.float64)
     pred, _, degenerate = kmeans_cluster(points, k, restarts=restarts, seed=seed)
     if degenerate:
         warnings.warn("all projected points identical; scoring majority label", RuntimeWarning, stacklevel=2)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
-from .linalg import as_dense, frob, require_finite, stiefel_residual
+from .linalg import _xt, as_dense, frob, require_finite, stiefel_residual
 
 #: feasibility tolerance at construction time
 CONSTRUCTION_TOL = 1e-8
@@ -87,8 +87,7 @@ def _check_dims(X, Q: np.ndarray, P: np.ndarray | None = None) -> None:
 def objective_l1(X, Q: np.ndarray) -> float:
     """Sum of absolute entries of X^T Q (the quantity being maximized)."""
     Q = np.asarray(Q, dtype=np.float64)
-    _check_dims(X, Q)
-    return float(np.abs(X.T @ Q).sum())
+    return float(np.abs(_xt(X, Q)).sum())
 
 
 def objective_h(X, P: np.ndarray, Q: np.ndarray) -> float:
@@ -100,7 +99,7 @@ def objective_h(X, P: np.ndarray, Q: np.ndarray) -> float:
     P = np.asarray(P, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     _check_dims(X, Q, P)
-    return -float(np.sum(P * (X.T @ Q)))
+    return -float(np.sum(P * _xt(X, Q)))
 
 
 def potential_psi(X, P: np.ndarray, Q: np.ndarray, Qprev: np.ndarray, beta: float) -> float:

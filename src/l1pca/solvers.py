@@ -44,7 +44,13 @@ with X, ``X P_new`` and ``X^T Q_new``, plus one ``X^T Q0`` at the start.
 After the first iteration, one that flips no sign keeps its ``X P``: P_new
 holds P's values in the same layout, so the product would give the same
 bits.  ``fpm`` then also keeps Q and ``X^T Q``, since its Q already is
-``polar(X P)`` of that same ``X P``.
+``polar(X P)`` of that same ``X P``.  Its step takes that factor with
+``complete=False`` and completes only a rank-deficient ``X P``, so it also
+learns the rank; the fixed-point test then reuses Q and ``X^T Q`` and takes
+no SVD or product of its own.  Every ``X^T Q`` goes through
+``linalg._xt``: on a dense C-order X it is formed as ``(Q^T X)^T``, which
+BLAS runs faster than ``X.T @ Q``; an F-order or sparse X keeps
+``X.T @ Q``.
 
 ``theorem_mode`` enforces the step-size and extrapolation bounds under
 which the extrapolated scheme is provably convergent (bounded alpha, beta
@@ -63,7 +69,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateUpdateError, DivergedError, InvalidInputError, PreconditionError
-from .linalg import frob, polar_factor, random_signs, random_stiefel, seeded_rng, spectral_norm, stiefel_residual
+from .linalg import _xt, frob, polar_factor, random_signs, random_stiefel, seeded_rng, spectral_norm, stiefel_residual
 from .model import (
     CONSTRUCTION_TOL,
     ProblemInstance,
@@ -370,7 +376,7 @@ def svd_start(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     from .linalg import thin_svd
 
     Q0 = thin_svd(inst.X, rank=inst.K).U
-    P0 = sign_select(inst.X.T @ Q0, np.ones((inst.n, inst.K)))
+    P0 = sign_select(_xt(inst.X, Q0), np.ones((inst.n, inst.K)))
     return P0, Q0
 
 
@@ -407,7 +413,7 @@ def solve(
 
     Q_prev = Q.copy()  # the pre-first-iteration state reuses Q0
     P_prev = P.copy()
-    XtQ = X.T @ Q
+    XtQ = _xt(X, Q)
     XtQ_prev = XtQ
     trace = IterateTrace()
     t0 = time.perf_counter()
@@ -421,6 +427,8 @@ def solve(
     reason = "max_iter"
     # the fixed-point test depends on P alone, so it is due again only after a flip
     test_due = True
+    # fpm only: its Q is polar(X P) of the X P held, and this says whether X P has full rank
+    full_rank = False
 
     for k in range(cfg.max_iter):
         a_k = plan.alpha_fn(k)
@@ -450,7 +458,10 @@ def solve(
             elif frob(XP) == 0.0:
                 raise DegenerateUpdateError("fixed-point update degenerate: X P = 0")
             else:
-                Q_new = polar_factor(XP)
+                Q_new = polar_factor(XP, complete=False)
+                full_rank = Q_new is not None
+                if not full_rank:
+                    Q_new = polar_factor(XP)
         except InvalidInputError as exc:
             # X, P and Q are finite, so a non-finite step input is an overflow
             raise DivergedError(f"overflow at iteration {k}: {exc}", trace=trace) from exc
@@ -464,7 +475,7 @@ def solve(
         feas = stiefel_residual(Q_new)
         if not np.isfinite(feas) or feas > CONSTRUCTION_TOL:
             raise DivergedError(f"orthonormality lost at iteration {k} (residual {feas:.3e})", trace=trace)
-        XtQ_new = XtQ if Q_new is Q else X.T @ Q_new
+        XtQ_new = XtQ if Q_new is Q else _xt(X, Q_new)
         h_new = -float(np.sum(P_new * XtQ_new))
         psi_new = h_new + 0.5 * plan.beta_star * dQ * dQ
         if not np.isfinite(h_new):
@@ -495,12 +506,15 @@ def solve(
             # maps (P, Q*) to itself when P = sign(X^T Q*) with no zero entry;
             # theorem mode audits every step, so it takes no such jump
             test_due = False
-            Q_star = polar_factor(XP, complete=False)
-            if Q_star is not None:
-                XtQ_star = X.T @ Q_star
-                if (XtQ_star * P > 0.0).all():
-                    Q, XtQ, reason = Q_star, XtQ_star, "fixed_point"
-                    break
+            if rule.prox_q:
+                Q_star = polar_factor(XP, complete=False)
+                XtQ_star = None if Q_star is None else _xt(X, Q_star)
+            else:
+                # fpm's step already took polar(X P) of this X P, and its rank
+                Q_star, XtQ_star = (Q, XtQ) if full_rank else (None, None)
+            if Q_star is not None and (XtQ_star * P > 0.0).all():
+                Q, XtQ, reason = Q_star, XtQ_star, "fixed_point"
+                break
 
     return SolveResult(
         method=cfg.method,

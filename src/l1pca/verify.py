@@ -31,6 +31,7 @@ from .errors import (
 )
 from .linalg import (
     ThinSvd,
+    _xt,
     as_dense,
     complete_orthonormal,
     frob,
@@ -147,7 +148,7 @@ def check_alpha_condition(X, Qstar: np.ndarray, alpha_star: float, zero_tol: flo
     """
     _require_alpha_args(alpha_star, zero_tol)
     Q = require_stiefel(Qstar, name="Qstar")
-    return _alpha_condition(X.T @ Q, alpha_star, zero_tol)
+    return _alpha_condition(_xt(X, Q), alpha_star, zero_tol)
 
 
 def criticality_report(X, Pstar: np.ndarray, Qstar: np.ndarray, alpha_star: float, zero_tol: float = 1e-12) -> CriticalityReport:
@@ -167,7 +168,7 @@ def criticality_report(X, Pstar: np.ndarray, Qstar: np.ndarray, alpha_star: floa
         return XP if S.strides == P.strides and np.array_equal(S, P) else X @ S
 
     h_res = subgrad_dist_linear(-XP, Q)
-    M = X.T @ Q
+    M = _xt(X, Q)
     P_gen = sign_select(P + M / alpha_star, P)
     gen_eq = subgrad_dist_linear(-times_X(P_gen), Q)
     P_l1 = sign_select(M, P)
@@ -544,7 +545,7 @@ def exact_l1_subgrad_dist(
     fallback flag is set.
     """
     Q = require_stiefel(Q)
-    M = X.T @ Q
+    M = _xt(X, Q)
     xi = np.where(M > zero_tol, 1.0, -1.0)
     zeros = np.nonzero(np.abs(M) <= zero_tol)
     z = zeros[0].size

@@ -26,15 +26,17 @@ def counting_products(X):
     """X as an ndarray subclass that counts the matrix products taken with it or its transpose.
 
     ``counter["X @"]`` counts those with X itself on the left; for non-square X
-    these are the ``X P`` products.
+    these are the ``X P`` products.  ``counter["X.T @"]`` counts those with the
+    transposed view ``X.T`` on the left, told apart from X by its strides.
     """
-    counter = {"matmul": 0, "X @": 0}
+    counter = {"matmul": 0, "X @": 0, "X.T @": 0}
 
     class Counting(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
                 counter["matmul"] += 1
                 counter["X @"] += isinstance(inputs[0], Counting) and inputs[0].shape == X.shape
+                counter["X.T @"] += isinstance(inputs[0], Counting) and inputs[0].strides == X.strides[::-1]
             inputs = tuple(x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs)
             return getattr(ufunc, method)(*inputs, **kwargs)
 

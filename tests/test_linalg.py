@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_orthonormal_reference
-from l1pca.errors import InvalidInputError, PreconditionError
+from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from l1pca.linalg import (
+    _xt,
     complete_orthonormal,
     frob,
     polar_factor,
@@ -321,3 +324,52 @@ def test_dense_sparse_agree():
     assert abs(spectral_norm(Xd) - spectral_norm(Xs)) < 1e-12
     Q = random_stiefel(8, 2, rng)
     assert np.allclose(Xd.T @ Q, (Xs.T @ Q), atol=1e-12)
+
+
+@st.composite
+def _xt_operands(draw):
+    """(X, Q) for ``_xt``: d > n, d < n or d = n, K up to min(d, n), X dense in
+    C or F order or CSC/CSR with some zero entries, Q in C or F order."""
+    d, n = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    K = draw(st.sampled_from(sorted({1, min(d, n), draw(st.integers(1, min(d, n)))})))
+    g = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    X = g.standard_normal((d, n)) * (g.random((d, n)) < 0.7)
+    Q = g.standard_normal((d, K))
+    Q = np.asfortranarray(Q) if draw(st.booleans()) else Q
+    storage = draw(st.sampled_from(["C", "F", "csc", "csr"]))
+    if storage in ("csc", "csr"):
+        return sp.csc_matrix(X) if storage == "csc" else sp.csr_matrix(X), Q
+    return np.asarray(X, order=storage), Q
+
+
+class TestXt:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_xt_operands())
+    def test_matches_plain_product(self, operands):
+        X, Q = operands
+        out = _xt(X, Q)
+        ref = X.T @ Q
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.shape == (X.shape[1], Q.shape[1]) and out.flags.c_contiguous
+        if sp.issparse(X):
+            assert np.array_equal(out, ref)
+        else:
+            # each entry is a length-d dot product, which any summation order
+            # gets within gamma_d = d (eps/2) / (1 - d eps/2) times |X|^T |Q|
+            # of exact; two orders differ by at most twice that, here with room
+            bound = 2 * X.shape[0] * np.finfo(np.float64).eps * (np.abs(X).T @ np.abs(Q))
+            assert np.all(np.abs(out - ref) <= bound)
+
+    def test_plain_product_off_C_order(self):
+        # F-order and sparse X keep X.T @ Q bit for bit
+        g = seeded_rng(71)
+        X, Q = g.standard_normal((30, 50)), g.standard_normal((30, 7))
+        for Xs in (np.asfortranarray(X), sp.csc_matrix(X), sp.csr_matrix(X)):
+            assert np.array_equal(_xt(Xs, Q), Xs.T @ Q)
+
+    @pytest.mark.parametrize("storage", ["C", "F", "csc"])
+    def test_row_mismatch(self, storage):
+        X = np.ones((4, 6))
+        X = sp.csc_matrix(X) if storage == "csc" else np.asarray(X, order=storage)
+        with pytest.raises(DimensionMismatchError, match="Q has 3 rows, X has 4"):
+            _xt(X, np.ones((3, 2)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import gram_eigenvalues_reference, variance_K_reference
 from l1pca import linalg, metrics
-from l1pca.errors import PreconditionError, UndefinedMetricError
+from l1pca.errors import DimensionMismatchError, PreconditionError, UndefinedMetricError
 from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng
 from l1pca.metrics import choose_K_by_variance, kmeans_accuracy, kmeans_cluster, tev
 
@@ -54,6 +54,12 @@ class TestTev:
     def test_one_dimensional_Q_rejected(self):
         with pytest.raises(PreconditionError, match="2-d"):
             tev(np.eye(3), np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_frame_row_mismatch(self, sparse):
+        X = seeded_rng(54).standard_normal((4, 9))
+        with pytest.raises(DimensionMismatchError, match="Q has 3 rows, X has 4"):
+            tev(sp.csc_matrix(X) if sparse else X, np.eye(3)[:, :2])
 
 
 class TestChooseK:
@@ -290,6 +296,13 @@ class TestKmeans:
         a1 = kmeans_accuracy(X, Q, labels, k=2, restarts=10, seed=9)
         a2 = kmeans_accuracy(X, Q, labels, k=2, restarts=10, seed=9)
         assert a1 == a2
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_frame_row_mismatch(self, sparse):
+        X = seeded_rng(58).standard_normal((4, 12))
+        labels = np.arange(12) % 2
+        with pytest.raises(DimensionMismatchError, match="Q has 3 rows, X has 4"):
+            kmeans_accuracy(sp.csc_matrix(X) if sparse else X, np.eye(3)[:, :2], labels, k=2, restarts=1)
 
     def test_degenerate_majority(self):
         X = np.ones((3, 10))

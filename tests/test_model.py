@@ -66,6 +66,10 @@ class TestObjectives:
         with pytest.raises(DimensionMismatchError):
             objective_h(np.eye(2), np.ones((3, 1)), np.array([[1.0], [0.0]]))
 
+    def test_l1_dim_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="Q has 3 rows, X has 2"):
+            objective_l1(np.eye(2), np.ones((3, 1)))
+
 
 class TestPotential:
     def test_equal_states(self):

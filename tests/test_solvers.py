@@ -337,22 +337,49 @@ class TestCarriedProducts:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
     def test_fpm_keeps_Q_on_a_flip_free_step(self, monkeypatch, sparse):
         # fpm's Q is already polar(X P) of the X P a flip-free step sees, so that
-        # step takes neither its polar factor nor X^T Q_new; the test's SVD stays
+        # step takes neither its polar factor nor X^T Q_new; each step takes its
+        # factor with complete=False, X P has full rank here, so nothing is
+        # completed, and the fixed-point test reuses the step's factor
         inst = make_instance(60, 12, 3, seed=5)
         if sparse:
             inst = ProblemInstance(sp.csc_matrix(inst.X), inst.K)
         P0, Q0 = make_start(inst, seed=6)
         ref = solve(inst, SolverConfig(method="fpm"), P0, Q0)
-        steps, tests = [], []
+        completing, incomplete = [], []
         real = solvers.polar_factor
         monkeypatch.setattr(
-            solvers, "polar_factor", lambda M, complete=True: (steps if complete else tests).append(1) or real(M, complete)
+            solvers,
+            "polar_factor",
+            lambda M, complete=True: (completing if complete else incomplete).append(1) or real(M, complete),
         )
         res = solve(inst, SolverConfig(method="fpm"), P0, Q0)
         assert _trace_tuple(res.trace) == _trace_tuple(ref.trace)
         assert np.array_equal(res.Q_final, ref.Q_final)
-        assert res.termination_reason == "fixed_point" and tests
-        assert len(steps) == _xp_steps(res) < res.iterations
+        assert res.termination_reason == "fixed_point"
+        assert completing == [] and len(incomplete) == _xp_steps(res) < res.iterations
+
+    def test_fpm_fixed_point_test_takes_no_product(self):
+        # one X^T Q0, then X P_new and X^T Q_new on each step that forms X P;
+        # the test reads Q* = Q, X^T Q* and the rank of X P off that step
+        inst = make_instance(60, 12, 3, seed=5)
+        P0, Q0 = make_start(inst, seed=6)
+        inst.X, counter = counting_products(inst.X)
+        res = solve(inst, SolverConfig(method="fpm"), P0, Q0)
+        assert res.termination_reason == "fixed_point"
+        assert counter["matmul"] == 1 + 2 * _xp_steps(res)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_transposed_X_on_the_left(self, method, order):
+        # every X^T Q goes through linalg._xt, which forms (Q^T X)^T on a
+        # C-order X and keeps X.T @ Q on an F-order one
+        inst = make_instance(60, 12, 3, seed=5)
+        P0, Q0 = make_start(inst, seed=6)
+        inst.X, counter = counting_products(np.asarray(inst.X, order=order))
+        solve(inst, SolverConfig(method=method, gamma=0.5), P0, Q0)
+        xt_products = counter["matmul"] - counter["X @"]
+        assert xt_products >= 2
+        assert counter["X.T @"] == (0 if order == "C" else xt_products)
 
 
 class TestFixedPointStop:
@@ -384,7 +411,10 @@ class TestFixedPointStop:
     def test_rank_deficient_XP_never_tested(self, monkeypatch, method):
         # X of rank 1 and K = 2: X P never has full rank, so every test is
         # skipped before completion; only fpm's own polar steps complete, and
-        # fpm takes one on the first iteration and on each that flips a sign
+        # fpm takes one on the first iteration and on each that flips a sign.
+        # fpm's step asks for the factor with complete=False first and its
+        # test reuses the answer, so each step makes one such call and the
+        # tests none
         g = seeded_rng(43)
         inst = ProblemInstance(np.outer(g.standard_normal(6), g.standard_normal(9)), 2)
         P0, Q0 = make_start(inst, seed=44)
@@ -395,7 +425,10 @@ class TestFixedPointStop:
         res = solve(inst, SolverConfig(method=method, gamma=0.5, max_iter=50), P0, Q0)
         assert res.termination_reason != "fixed_point"
         assert tests and all(Q_star is None for Q_star in tests)
-        assert len(completions) == (_xp_steps(res) if method == "fpm" else 0)
+        if method == "fpm":
+            assert len(tests) == len(completions) == _xp_steps(res)
+        else:
+            assert completions == []
 
     @pytest.mark.parametrize("method", ["pame", "pam"])
     def test_theorem_mode_takes_no_test(self, monkeypatch, method):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import counting_products, make_instance, make_start
-from l1pca.errors import InvalidInputError, PreconditionError, UnsupportedRegimeError
+from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError, UnsupportedRegimeError
 from l1pca import verify
 from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng, stiefel_residual
 from l1pca.model import ProblemInstance, residual_R, sign_select, subgrad_dist_h, subgrad_dist_linear
@@ -55,6 +56,12 @@ class TestAlphaCondition:
         with pytest.raises(PreconditionError):
             check_alpha_condition(np.eye(2), np.eye(2)[:, :1], 0.0)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_frame_row_mismatch(self, sparse):
+        X = np.ones((4, 6))
+        with pytest.raises(DimensionMismatchError, match="Q has 3 rows, X has 4"):
+            check_alpha_condition(sp.csc_matrix(X) if sparse else X, np.eye(3)[:, :2], 0.1)
+
 
 class TestCriticalityReport:
     def test_converged_run_certified(self):
@@ -78,7 +85,7 @@ class TestCriticalityReport:
         res = solve(inst, cfg, *make_start(inst, seed=32))
         X, counter = counting_products(inst.X)
         rep = criticality_report(X, res.P_final, res.Q_final, alpha_star=alpha)
-        assert counter["matmul"] == 2
+        assert counter["matmul"] == 2 and counter["X.T @"] == 0
         assert rep == criticality_report(inst.X, res.P_final, res.Q_final, alpha_star=alpha)
 
     @pytest.mark.parametrize("alpha", [1e-3, 1.0, 100.0])
@@ -421,6 +428,12 @@ class TestKlProbe:
             xi = np.array([[1.0], [s]])
             cands.append(subgrad_dist_linear(-(X @ xi), Q))
         assert dist == pytest.approx(min(cands), abs=1e-14)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_exact_subgrad_frame_row_mismatch(self, sparse):
+        X = np.ones((4, 6))
+        with pytest.raises(DimensionMismatchError, match="Q has 3 rows, X has 4"):
+            exact_l1_subgrad_dist(sp.csc_matrix(X) if sparse else X, np.eye(3)[:, :2])
 
 
 class TestAudit:

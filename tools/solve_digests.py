@@ -14,9 +14,12 @@ of the error it raised:
 * ``solve``: 4 shapes, dense and CSC X, 3 starts; the six methods at gamma
   0, 0.5 and 0.8, the pdcae and gipalm variants, callable schedules for all
   six, and theorem-mode pame and pam with constant, declared and callable
-  bounds.  A digest holds ``P_final`` and ``Q_final``, every trace field but
-  ``wall_time``, the iteration count, ``converged``, the termination reason,
-  ``final_objective`` and ``audit_info``.
+  bounds.  Then the benchmark's two shapes (200x500 K=10 and 500x2000
+  K=20, ``gen_fixed_effect`` data seed 0), where BLAS blocks the products:
+  X in C and in F order, start 1, pame and fpm with the paper flags and
+  ``theorem_config`` pame.  A digest holds ``P_final`` and ``Q_final``,
+  every trace field but ``wall_time``, the iteration count, ``converged``,
+  the termination reason, ``final_objective`` and ``audit_info``.
 * ``zero``: every method and ``theorem_config`` on zero data.
 * ``refused``: configurations that ``solve`` refuses, and their messages.
 * ``kernel``: ``polar_factor`` and ``thin_svd`` of drawn rank 0 up to full,
@@ -25,7 +28,7 @@ of the error it raised:
   and ``tev`` and ``choose_K_by_variance`` (60 matrices: scales 1, 1e160
   and 1e-170, dense and CSC).
 
-The grid takes about 25 s on one core.
+The grid takes about 18 s on one core.
 
 ``--fields`` prints, for each run of the solve grid only, the fields that
 gate a change which may move results (ROADMAP's per-field gates):
@@ -49,6 +52,8 @@ import scipy.sparse as sp
 SHAPES = ((5, 6, 2), (20, 40, 3), (40, 20, 4), (8, 8, 8))
 STARTS = (1, 2, 3)
 GAMMAS = (0.0, 0.5, 0.8)
+#: (d, n, K) of the benchmark's desk-compare and large-theorem data
+BENCH_SHAPES = ((200, 500, 10), (500, 2000, 20))
 
 
 def _canon(value):
@@ -160,6 +165,17 @@ def _configs(X, l1pca) -> dict:
     return cfgs
 
 
+def _bench_configs(X, l1pca) -> dict:
+    """Name -> SolverConfig of every run on a benchmark shape's data X."""
+    SolverConfig = l1pca.solvers.SolverConfig
+    paper = dict(alpha=1e-4, beta=1.0, gamma=0.8, tol=1e-8, max_iter=2000)
+    return {
+        "pame/paper": SolverConfig(method="pame", **paper),
+        "fpm/paper": SolverConfig(method="fpm", **paper),
+        "theorem/pame": l1pca.solvers.theorem_config(X),
+    }
+
+
 def solve_runs(l1pca, out: dict, summary=_full_digest) -> None:
     """The solve grid; ``summary(run)`` turns a solve thunk into the value stored for its key."""
     solvers, ProblemInstance = l1pca.solvers, l1pca.model.ProblemInstance
@@ -173,6 +189,14 @@ def solve_runs(l1pca, out: dict, summary=_full_digest) -> None:
                 for name, cfg in cfgs.items():
                     key = f"solve/{d}x{n}x{K}/{fmt}/start{seed}/{name}"
                     out[key] = summary(lambda: solvers.solve(inst, cfg, P0, Q0))
+    for d, n, K in BENCH_SHAPES:
+        X = l1pca.data.gen_fixed_effect(l1pca.data.FixedEffectSpec(n=n, d=d, K=K, sigma=0.5, seed=0))[0]
+        for order in ("C", "F"):
+            inst = ProblemInstance(np.asarray(X, order=order), K)
+            P0, Q0 = solvers.draw_start(inst, 1)
+            for name, cfg in _bench_configs(inst.X, l1pca).items():
+                key = f"solve/{d}x{n}x{K}/{order}/start1/{name}"
+                out[key] = summary(lambda: solvers.solve(inst, cfg, P0, Q0))
 
 
 def zero_runs(l1pca, out: dict) -> None:
