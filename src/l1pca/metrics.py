@@ -4,9 +4,13 @@
 X X^T and its trace, frob(X)^2: ``tev`` the top K, and the cumulative rule
 as many as it takes to reach its share of the trace.  ``linalg._top_eigenvalues``
 finds those by Lanczos on products with X, sparse or dense, without forming
-X X^T.  ``_spectrum`` takes at least a first block of ``_BLOCK`` eigenvalues,
-or the top K when K exceeds it, in one ``_top`` call; only the cumulative
-rule grows it further.  ``_tev_ratio`` and ``_choose_K`` work from its
+X X^T.  Each request asks for what its caller needs and no more: ``tev``
+the top K, and the cumulative rule the top eigenvalue first, then as many
+as it has grown to.  Lanczos converges at a rate set by the gap between the
+eigenvalues asked for and the rest, so a request that reaches past a few
+strong directions into a tight noise bulk pays for restart after restart.
+A Gram side of at most ``_DENSE_SIDE`` is solved densely, whole, in one
+request.  ``_tev_ratio`` and ``_choose_K`` work from ``_spectrum``'s
 result, so a caller that needs the spectrum more than once (the ``cluster``
 and ``compare`` commands) takes it once and passes it on.
 """
@@ -23,22 +27,27 @@ from .errors import PreconditionError, UndefinedMetricError
 from .linalg import _prescaled, _top_eigenvalues, _xt, frob, require_finite, seeded_rng
 from .model import _check_dims, require_stiefel
 
-#: eigenvalues in the first Lanczos block, which every spectrum starts from
-_BLOCK = 8
+#: a Gram side of at most this many rows is solved densely in one request:
+#: there the whole spectrum costs less than Lanczos for a few eigenvalues
+#: (one BLAS thread: ``choose_K_by_variance`` on 60 x 100 took 0.2 ms against
+#: 1.0-1.5 ms, ``tev`` on a Gaussian 200 x 500 at K = 3-5 2.2-2.8 ms against
+#: 5.4-7.3 ms)
+_DENSE_SIDE = 256
 
 
 def _top(X, k: int) -> np.ndarray:
-    """The k leading eigenvalues of X X^T, nonincreasing, or all min(d, n) of them
-    where ``linalg._top_eigenvalues`` solves densely."""
-    w, e = _top_eigenvalues(X, k)
+    """The k leading eigenvalues of X X^T, nonincreasing, or all m = min(d, n)
+    of them where m is at most ``_DENSE_SIDE`` or ``linalg._top_eigenvalues``
+    solves densely."""
+    m = min(X.shape)
+    w, e = _top_eigenvalues(X, k if m > _DENSE_SIDE else m)
     return np.ldexp(w, 2 * e)
 
 
-def _spectrum(X, zero_message: str, k: int = 1):
-    """(X scaled, w) for finite, nonzero X: w holds at least the k leading
+def _spectrum(X, zero_message: str, k: int):
+    """(X scaled, w) for finite, nonzero X: w is ``_top`` of k, the k leading
     eigenvalues of its X X^T, nonincreasing, or the whole spectrum.
 
-    w is ``_top`` of at least the first block of ``_BLOCK`` eigenvalues.
     X is divided by a power of two near its Frobenius norm when that
     norm lies outside [2^-300, 2^300] (``linalg._prescaled``), where X X^T
     would overflow or lose entries to underflow; the division is exact and
@@ -50,7 +59,7 @@ def _spectrum(X, zero_message: str, k: int = 1):
     if norm == 0.0:
         raise UndefinedMetricError(zero_message)
     X = _prescaled(X, norm)[0]
-    return X, _top(X, max(k, _BLOCK))
+    return X, _top(X, k)
 
 
 def _tev_ratio(X, w: np.ndarray, Q: np.ndarray) -> float:
@@ -75,28 +84,32 @@ def tev(X, Q: np.ndarray) -> float:
     Ratio of ||X^T Q||_F^2 to the sum of the top-K eigenvalues of X X^T,
     i.e. variation captured by Q relative to the best any K orthonormal
     directions can capture.  Equals 1 at the leading eigenvector frame.
+    A frame with no columns is a PreconditionError.
     """
     require_finite(X, "X")
     Q = require_stiefel(Q)
     _check_dims(X, Q)
+    if Q.shape[1] == 0:
+        raise PreconditionError("tev needs a frame with at least one column")
     return _tev_ratio(*_spectrum(X, _TEV_ZERO, Q.shape[1]), Q)
 
 
 def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
     """``choose_K_by_variance``, and the ``_spectrum`` it took (None at the cap).
 
-    The total is the trace frob(X)^2.  The spectrum grows until a prefix
-    reaches ``threshold`` of the total, with 1e-12 of it to spare for
-    roundoff: each time to at least twice its length, and to at least as many
-    eigenvalues as the shortfall needs, since none still missing exceeds the
-    last one found.  Should the whole spectrum fall short, or the eigenvalues
-    fall below 1e-12 of the largest, which is roundoff on a rank-deficient
-    X, K counts the eigenvalues above that cutoff.
+    The total is the trace frob(X)^2.  The spectrum starts from the top
+    eigenvalue and grows until a prefix reaches ``threshold`` of the total,
+    with 1e-12 of it to spare for roundoff: each time to at least twice its
+    length, and to at least as many eigenvalues as the shortfall needs, since
+    none still missing exceeds the last one found.  Should the whole spectrum
+    fall short, or the eigenvalues fall below 1e-12 of the largest, which is
+    roundoff on a rank-deficient X, K counts the eigenvalues above that
+    cutoff.
     """
     if not (0.0 < threshold <= 1.0):
         raise PreconditionError("threshold must lie in (0, 1]")
     if min(X.shape) < large_side:
-        X, w = _spectrum(X, _K_ZERO)
+        X, w = _spectrum(X, _K_ZERO, 1)
         total = frob(X) ** 2
         target = threshold * total - 1e-12 * total
         while (cum := np.cumsum(w))[-1] < target:

@@ -61,6 +61,14 @@ class TestTev:
         with pytest.raises(DimensionMismatchError, match="Q has 3 rows, X has 4"):
             tev(sp.csc_matrix(X) if sparse else X, np.eye(3)[:, :2])
 
+    @pytest.mark.parametrize("d", [6, 300], ids=["dense-side", "lanczos-side"])
+    def test_frame_without_columns_rejected(self, monkeypatch, d):
+        # refused before any spectrum is taken, on both sides of metrics._DENSE_SIDE
+        monkeypatch.setattr(metrics, "_top_eigenvalues", None)
+        X = seeded_rng(66).standard_normal((d, d + 3))
+        with pytest.raises(PreconditionError, match="at least one column"):
+            tev(X, np.zeros((d, 0)))
+
 
 class TestChooseK:
     def test_fraction_examples(self):
@@ -137,6 +145,20 @@ def _low_rank(draw, max_side=120):
 _SCALES = st.sampled_from([1.0, 1e160, 1e-170])
 
 
+@pytest.fixture
+def top_requests(monkeypatch):
+    """The k of every metrics._top_eigenvalues request, in call order."""
+    requests = []
+    real = metrics._top_eigenvalues
+
+    def recording(X, k):
+        requests.append(k)
+        return real(X, k)
+
+    monkeypatch.setattr(metrics, "_top_eigenvalues", recording)
+    return requests
+
+
 class TestPartialSpectrum:
     """linalg._top_eigenvalues against a dense eigendecomposition, on both sides of the dense-solve size."""
 
@@ -209,7 +231,7 @@ class TestPartialSpectrum:
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_choose_K_grows_the_block(self, sparse):
-        # K = 12 lies past the first block of 8, within the doubled one of 16 < 520 / 32
+        # K = 12: the requests grow 1, 3, 6, 12, all below 520 / 32
         rng = seeded_rng(62)
         X = rng.standard_normal((520, 3)) @ rng.standard_normal((3, 540)) * 5.0 + rng.standard_normal((520, 540))
         w = gram_eigenvalues_reference(X)
@@ -218,44 +240,49 @@ class TestPartialSpectrum:
         Xs = sp.csc_matrix(X) if sparse else X
         K, (Xp, wp) = metrics._choose_K(Xs, threshold)
         assert K == 12 == variance_K_reference(X, threshold)
-        assert len(wp) == 16
+        assert len(wp) == 12
         Q = random_stiefel(520, K, rng)
         ref = float(np.linalg.norm(X.T @ Q) ** 2 / w[:K].sum())
         assert metrics._tev_ratio(Xp, wp, Q) == pytest.approx(ref, rel=1e-12)
         assert tev(Xs, Q) == pytest.approx(ref, rel=1e-12)
 
-    def test_tev_takes_one_spectrum(self, monkeypatch):
-        # K = 12 lies past the first block of 8 and reaches 300 / 32, where the spectrum is solved densely
+    def test_tev_takes_one_spectrum(self, top_requests):
+        # K = 12 reaches 300 / 32, where the spectrum is solved densely
         rng = seeded_rng(65)
         X = rng.standard_normal((300, 600))
         Q = random_stiefel(300, 12, rng)
         expected = float(np.linalg.norm(X.T @ Q) ** 2 / gram_eigenvalues_reference(X)[:12].sum())
-        requests = []
-        real = metrics._top_eigenvalues
-
-        def recording(X, k):
-            requests.append(k)
-            return real(X, k)
-
-        monkeypatch.setattr(metrics, "_top_eigenvalues", recording)
         assert tev(X, Q) == pytest.approx(expected, rel=1e-12)
-        assert requests == [12]
+        assert top_requests == [12]
 
-    def test_shortfall_skips_to_dense_solve(self, monkeypatch):
-        # after the first block, the shortfall alone needs more than 520 / 32 eigenvalues
+    def test_shortfall_skips_to_dense_solve(self, top_requests):
+        # after the top eigenvalue, the shortfall alone needs more than 520 / 32 eigenvalues
         rng = seeded_rng(64)
         X = rng.standard_normal((520, 540))
-        requests = []
-        real = metrics._top_eigenvalues
-
-        def recording(X, k):
-            requests.append(k)
-            return real(X, k)
-
-        monkeypatch.setattr(metrics, "_top_eigenvalues", recording)
         K, (_, w) = metrics._choose_K(X, 0.9)
         assert K == variance_K_reference(X, 0.9)
-        assert requests[0] == metrics._BLOCK and len(requests) == 2 and len(w) == 520
+        assert top_requests[0] == 1 and len(top_requests) == 2 and len(w) == 520
+
+    def test_requests_only_the_eigenvalues_needed(self, top_requests):
+        # five topic blocks over a noise bulk: a request for more than five
+        # eigenvalues cuts into the bulk, where Lanczos restarts again and again
+        rng = seeded_rng(67)
+        X = np.where(rng.random((400, 800)) < 0.03, rng.random((400, 800)) * 0.2, 0.0)
+        topic = np.arange(800) % 5
+        for c in range(5):
+            X[20 * c:20 * c + 20, topic == c] += rng.uniform(0.5, 1.5, (20, 160))
+        X = sp.csc_matrix(X)
+        assert metrics._choose_K(X, 0.8)[0] == 5 == variance_K_reference(X, 0.8)
+        assert top_requests == [1, 5]
+        Q = random_stiefel(400, 5, rng)
+        expected = float(np.linalg.norm(X.T @ Q) ** 2 / gram_eigenvalues_reference(X)[:5].sum())
+        top_requests.clear()
+        assert tev(X, Q) == pytest.approx(expected, rel=1e-12)
+        assert top_requests == [5]
+        # a Gram side of at most metrics._DENSE_SIDE is solved whole, in one request
+        top_requests.clear()
+        assert metrics._choose_K(X[:200], 0.8)[0] == variance_K_reference(X[:200], 0.8)
+        assert top_requests == [200]
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_first_block_serves_tev_exactly(self, sparse):
@@ -263,7 +290,7 @@ class TestPartialSpectrum:
         X = rng.standard_normal((300, 3)) @ rng.standard_normal((3, 320)) * 3.0 + rng.standard_normal((300, 320))
         Xs = sp.csc_matrix(X) if sparse else X
         K, spectrum = metrics._choose_K(Xs, 0.2)
-        assert K <= 3 and len(spectrum[1]) == metrics._BLOCK
+        assert K <= 3 and len(spectrum[1]) == 1
         Q = random_stiefel(300, K, rng)
         assert metrics._tev_ratio(*spectrum, Q) == tev(Xs, Q)
 

@@ -30,12 +30,13 @@ of the error it raised:
 
 The grid takes about 18 s on one core.
 
-``--fields`` prints, for each run of the solve grid only, the fields that
-gate a change which may move results (ROADMAP's per-field gates):
-``iterations``, ``termination_reason``, ``converged``, the SHA-256 of
-``P_final``'s bytes and ``final_objective`` as a hex float, or the error's
-class and message.  Two such files compare field by field in a few lines
-of Python.
+``--fields`` prints, for each run of the solve and metric grids only, the
+fields that gate a change which may move results (ROADMAP's per-field
+gates), or the error's class and message: for a solve ``iterations``,
+``termination_reason``, ``converged``, the SHA-256 of ``P_final``'s bytes
+and ``final_objective`` as a hex float; ``choose_K_by_variance`` as an int
+and ``tev`` as a hex float.  Two such files compare field by field in a few
+lines of Python.
 """
 
 from __future__ import annotations
@@ -105,19 +106,28 @@ def _result(res) -> dict:
     }
 
 
-def _fields(run) -> dict:
-    """The gated fields of the solve that ``run()`` makes, or the class and message of its error."""
+def _value(fn):
+    """What ``fn()`` returns in ``_canon`` form (a float as hex), or the class and message of what it raises."""
     try:
-        res = run()
+        return _canon(fn())
     except Exception as exc:  # noqa: BLE001 - an error is a result to compare
         return {"error": type(exc).__name__, "message": str(exc)}
-    return {
-        "iterations": res.iterations,
-        "termination_reason": res.termination_reason,
-        "converged": res.converged,
-        "P_final": _canon(res.P_final)["bytes"],
-        "final_objective": float(res.final_objective).hex(),
-    }
+
+
+def _fields(run) -> dict:
+    """The gated fields of the solve that ``run()`` makes, or the class and message of its error."""
+
+    def gated():
+        res = run()
+        return {
+            "iterations": res.iterations,
+            "termination_reason": res.termination_reason,
+            "converged": res.converged,
+            "P_final": _canon(res.P_final)["bytes"],
+            "final_objective": res.final_objective,
+        }
+
+    return _value(gated)
 
 
 def _full_digest(run) -> str:
@@ -278,7 +288,8 @@ def generator_runs(l1pca, out: dict) -> None:
                     lambda: data.gen_fixed_effect(spec))
 
 
-def metric_runs(l1pca, out: dict) -> None:
+def metric_runs(l1pca, out: dict, summary=_digest) -> None:
+    """The metric grid; ``summary(fn)`` turns a metric thunk into the value stored for its key."""
     metrics, random_stiefel = l1pca.metrics, l1pca.linalg.random_stiefel
     rng = np.random.default_rng(11)
     bases = {
@@ -305,9 +316,9 @@ def metric_runs(l1pca, out: dict) -> None:
                 Xs = sp.csc_matrix(Xs) if fmt == "csc" else Xs
                 key = f"metrics/{name}/{scale:g}/{fmt}"
                 for Q in frames:
-                    out[f"{key}/tev/K{Q.shape[1]}"] = _digest(lambda: metrics.tev(Xs, Q))
+                    out[f"{key}/tev/K{Q.shape[1]}"] = summary(lambda: metrics.tev(Xs, Q))
                 for threshold in (0.5, 0.8, 0.95):
-                    out[f"{key}/choose_K/{threshold}"] = _digest(
+                    out[f"{key}/choose_K/{threshold}"] = summary(
                         lambda: metrics.choose_K_by_variance(Xs, threshold))
 
 
@@ -331,6 +342,7 @@ def main(argv: list[str]) -> int:
     out: dict = {}
     if fields:
         solve_runs(l1pca, out, _fields)
+        metric_runs(l1pca, out, _value)
     else:
         for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, suite_runs, generator_runs, metric_runs):
             runs(l1pca, out)
