@@ -106,8 +106,14 @@ def frob(M) -> float:
     ``_SQ_MIN``; otherwise (overflow, or squares lost to underflow) the
     entries are divided by a power of two near the largest magnitude first,
     which is exact.  Non-finite entries give inf or nan, without a warning.
+    A sparse M not flagged canonical has its duplicates summed on a copy.
     """
-    a = np.asarray(M.data if sp.issparse(M) else M, dtype=np.float64).ravel(order="K")
+    if sp.issparse(M):
+        if not getattr(M, "has_canonical_format", False):
+            M = M.tocoo(copy=True)
+            M.sum_duplicates()
+        M = M.data
+    a = np.asarray(M, dtype=np.float64).ravel(order="K")
     if a.size == 0:
         return 0.0
     s = ddot(a, a)

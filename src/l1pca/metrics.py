@@ -38,10 +38,10 @@ _DENSE_SIDE = 256
 def _top(X, k: int) -> np.ndarray:
     """The k leading eigenvalues of X X^T, nonincreasing, or all m = min(d, n)
     of them where m is at most ``_DENSE_SIDE`` or ``linalg._top_eigenvalues``
-    solves densely."""
+    solves densely.  X must come prescaled from ``_spectrum``, so the
+    exponent ``_top_eigenvalues`` returns is 0."""
     m = min(X.shape)
-    w, e = _top_eigenvalues(X, k if m > _DENSE_SIDE else m)
-    return np.ldexp(w, 2 * e)
+    return _top_eigenvalues(X, k if m > _DENSE_SIDE else m)[0]
 
 
 def _spectrum(X, zero_message: str, k: int):

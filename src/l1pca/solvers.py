@@ -40,17 +40,18 @@ such test: the jump to Q* is not a step of the audited scheme.
 ``X^T Q`` itself when gs is 0; the objective h = -<P, X^T Q>, the
 theorem-mode subgradient element and the final objective are read off the
 same carried product.  Each iteration therefore forms at most two products
-with X, ``X P_new`` and ``X^T Q_new``, plus one ``X^T Q0`` at the start.
+with X, ``X P_new`` and ``X^T Q_new``, plus one ``X^T Q0`` at the start and
+one ``X^T Q*`` per fixed-point test that finds ``X P`` of full rank.
 After the first iteration, one that flips no sign keeps its ``X P``: P_new
 holds P's values in the same layout, so the product would give the same
-bits.  ``fpm`` then also keeps Q and ``X^T Q``, since its Q already is
-``polar(X P)`` of that same ``X P``.  Its step takes that factor with
-``complete=False`` and completes only a rank-deficient ``X P``, so it also
-learns the rank; the fixed-point test then reuses Q and ``X^T Q`` and takes
-no SVD or product of its own.  Every ``X^T Q`` goes through
-``linalg._xt``: on a dense C-order X it is formed as ``(Q^T X)^T``, which
-BLAS runs faster than ``X.T @ Q``; an F-order or sparse X keeps
-``X.T @ Q``.
+bits.  Past that reuse, all six rules take the same Q step and the same
+fixed-point test; they differ only in the Q step's anchor.  So ``fpm``
+takes ``polar(X P)`` again on a flip-free step, and its test takes
+``polar(X P, complete=False)`` and ``X^T Q*`` again, although its Q already
+is that factor: about 0.5 ms per desk-scale solve, the price of one path.
+Every ``X^T Q`` goes through ``linalg._xt``: on a dense C-order X it is
+formed as ``(Q^T X)^T``, which BLAS runs faster than ``X.T @ Q``; an
+F-order or sparse X keeps ``X.T @ Q``.
 
 ``theorem_mode`` enforces the step-size and extrapolation bounds under
 which the extrapolated scheme is provably convergent (bounded alpha, beta
@@ -427,8 +428,6 @@ def solve(
     reason = "max_iter"
     # the fixed-point test depends on P alone, so it is due again only after a flip
     test_due = True
-    # fpm only: its Q is polar(X P) of the X P held, and this says whether X P has full rank
-    full_rank = False
 
     for k in range(cfg.max_iter):
         a_k = plan.alpha_fn(k)
@@ -453,15 +452,10 @@ def solve(
                 XP = X @ P_new
             if rule.prox_q:
                 Q_new = polar_factor(_ext(Q, Q_prev, gq_fn(k)) + XP / b_k)
-            elif k and not flips:
-                Q_new = Q  # fpm's Q is polar(X P) of this same X P
             elif frob(XP) == 0.0:
                 raise DegenerateUpdateError("fixed-point update degenerate: X P = 0")
             else:
-                Q_new = polar_factor(XP, complete=False)
-                full_rank = Q_new is not None
-                if not full_rank:
-                    Q_new = polar_factor(XP)
+                Q_new = polar_factor(XP)
         except InvalidInputError as exc:
             # X, P and Q are finite, so a non-finite step input is an overflow
             raise DivergedError(f"overflow at iteration {k}: {exc}", trace=trace) from exc
@@ -475,7 +469,7 @@ def solve(
         feas = stiefel_residual(Q_new)
         if not np.isfinite(feas) or feas > CONSTRUCTION_TOL:
             raise DivergedError(f"orthonormality lost at iteration {k} (residual {feas:.3e})", trace=trace)
-        XtQ_new = XtQ if Q_new is Q else _xt(X, Q_new)
+        XtQ_new = _xt(X, Q_new)
         h_new = -float(np.sum(P_new * XtQ_new))
         psi_new = h_new + 0.5 * plan.beta_star * dQ * dQ
         if not np.isfinite(h_new):
@@ -506,13 +500,9 @@ def solve(
             # maps (P, Q*) to itself when P = sign(X^T Q*) with no zero entry;
             # theorem mode audits every step, so it takes no such jump
             test_due = False
-            if rule.prox_q:
-                Q_star = polar_factor(XP, complete=False)
-                XtQ_star = None if Q_star is None else _xt(X, Q_star)
-            else:
-                # fpm's step already took polar(X P) of this X P, and its rank
-                Q_star, XtQ_star = (Q, XtQ) if full_rank else (None, None)
-            if Q_star is not None and (XtQ_star * P > 0.0).all():
+            Q_star = polar_factor(XP, complete=False)
+            XtQ_star = None if Q_star is None else _xt(X, Q_star)
+            if XtQ_star is not None and (XtQ_star * P > 0.0).all():
                 Q, XtQ, reason = Q_star, XtQ_star, "fixed_point"
                 break
 

@@ -156,8 +156,10 @@ def criticality_report(X, Pstar: np.ndarray, Qstar: np.ndarray, alpha_star: floa
 
     Takes X P and X^T Q once each; the sign choices P_gen and P_l1 reuse
     X P when they equal P, as they do at a converged pair, so a limit point
-    costs two large products.
+    costs two large products.  ``alpha_star`` and ``zero_tol`` are checked
+    before any product.
     """
+    _require_alpha_args(alpha_star, zero_tol)
     P = require_signs(Pstar, "Pstar")
     Q = require_stiefel(Qstar, name="Qstar")
     _check_dims(X, Q, P)
@@ -173,7 +175,6 @@ def criticality_report(X, Pstar: np.ndarray, Qstar: np.ndarray, alpha_star: floa
     gen_eq = subgrad_dist_linear(-times_X(P_gen), Q)
     P_l1 = sign_select(M, P)
     l1_res = subgrad_dist_linear(-times_X(P_l1), Q)
-    _require_alpha_args(alpha_star, zero_tol)
     fired, threshold = _alpha_condition(M, alpha_star, zero_tol)
     return CriticalityReport(
         h_residual=h_res,

@@ -43,6 +43,20 @@ def counting_products(X):
     return X.view(Counting), counter
 
 
+def with_duplicates(first, second, fmt):
+    """first + second as a sparse ``fmt`` matrix (coo, csr or csc) that stores
+    every position twice, first's entry then second's: not in canonical format."""
+    rows, cols = np.indices(first.shape).reshape(2, -1)
+    r, c = np.tile(rows, 2), np.tile(cols, 2)
+    v = np.concatenate([first.ravel(), second.ravel()])
+    if fmt == "coo":
+        return sp.coo_matrix((v, (r, c)), shape=first.shape)
+    major, minor, cls = (r, c, sp.csr_matrix) if fmt == "csr" else (c, r, sp.csc_matrix)
+    order = np.argsort(major, kind="stable")
+    indptr = np.searchsorted(major[order], np.arange(first.shape[fmt == "csc"] + 1))
+    return cls((v[order], minor[order], indptr), shape=first.shape)
+
+
 def gram_eigenvalues_reference(X):
     """All eigenvalues of the dense smaller-side Gram matrix, nonincreasing: the spectrum before Lanczos."""
     A = X.toarray() if sp.issparse(X) else np.asarray(X)

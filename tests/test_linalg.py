@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_orthonormal_reference
+from conftest import complete_orthonormal_reference, with_duplicates
 from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from l1pca.linalg import (
     _xt,
@@ -259,6 +259,16 @@ class TestFrob:
         assert frob(np.zeros((3, 2))) == 0.0
         assert frob(sp.csc_matrix((3, 2))) == 0.0
         assert frob(np.zeros((0, 2))) == 0.0
+
+    @pytest.mark.parametrize("fmt", ["coo", "csr", "csc"])
+    def test_duplicate_entries_summed(self, fmt):
+        # every entry stored as two duplicates; the caller's matrix keeps them
+        A = seeded_rng(13).standard_normal((5, 7))
+        M = with_duplicates(0.25 * A, 0.75 * A, fmt)
+        stored = M.data.copy()
+        assert frob(M) == pytest.approx(frob(A), rel=1e-14)
+        assert M.nnz == 2 * A.size and np.array_equal(M.data, stored)
+        assert frob(with_duplicates(A, -A, fmt)) == 0.0
 
 
 class TestStiefelResidual:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gram_eigenvalues_reference, variance_K_reference
+from conftest import gram_eigenvalues_reference, variance_K_reference, with_duplicates
 from l1pca import linalg, metrics
 from l1pca.errors import DimensionMismatchError, PreconditionError, UndefinedMetricError
 from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng
@@ -104,6 +104,28 @@ class TestScale:
         Xs = sp.csc_matrix(X * scale) if sparse else X * scale
         assert tev(Xs, Q) == pytest.approx(tev(X, Q), rel=1e-12)
         assert choose_K_by_variance(Xs, 0.7) == choose_K_by_variance(X, 0.7)
+
+
+class TestDuplicateEntries:
+    """A sparse X that stores an entry more than once has the metrics of its dense sum."""
+
+    @pytest.mark.parametrize("fmt", ["coo", "csr", "csc"])
+    def test_split_entries_match_dense(self, fmt):
+        rng = seeded_rng(67)
+        X = rng.standard_normal((30, 40))
+        Q = random_stiefel(30, 4, rng)
+        Xd = with_duplicates(0.5 * X, 0.5 * X, fmt)
+        assert choose_K_by_variance(Xd, 0.8) == choose_K_by_variance(X, 0.8) == 13
+        assert tev(Xd, Q) == pytest.approx(tev(X, Q), rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["coo", "csr", "csc"])
+    def test_cancelling_entries_are_zero_data(self, fmt):
+        X = seeded_rng(68).standard_normal((6, 9))
+        Xd = with_duplicates(X, -X, fmt)
+        with pytest.raises(UndefinedMetricError):
+            tev(Xd, np.eye(6)[:, :2])
+        with pytest.raises(UndefinedMetricError):
+            choose_K_by_variance(Xd, 0.8)
 
 
 class TestSharedSpectrum:

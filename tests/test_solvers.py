@@ -295,14 +295,19 @@ class TestStepRules:
 class TestCarriedProducts:
     """solve carries X^T Q: at most two products with X per iteration, objectives exact."""
 
-    @pytest.mark.parametrize("theorem", [False, True], ids=["paper_flags", "theorem_config"])
-    def test_two_products_per_iteration(self, monkeypatch, theorem):
+    @pytest.mark.parametrize(
+        "method, theorem",
+        [(m, False) for m in METHODS] + [("pame", True)],
+        ids=[f"paper_flags-{m}" for m in METHODS] + ["theorem_config"],
+    )
+    def test_two_products_per_iteration(self, monkeypatch, method, theorem):
         # one X^T Q0, then X^T Q_new per iteration and X P_new on the first
         # iteration and on each later one that flips a sign, plus one X^T Q*
-        # per fixed-point test that finds X P of full rank; theorem mode takes
-        # no test, and theorem_config declares the norm it took from plain X
+        # per fixed-point test that finds X P of full rank: the same count
+        # for every rule; theorem mode takes no test, and theorem_config
+        # declares the norm it took from plain X
         inst = make_instance(60, 12, 3, seed=5)
-        cfg = theorem_config(inst.X) if theorem else SolverConfig()
+        cfg = theorem_config(inst.X) if theorem else SolverConfig(method=method)
         P0, Q0 = make_start(inst, seed=6)
         ref = solve(inst, cfg, P0, Q0)
         tests = _spy_fixed_point_tests(monkeypatch)
@@ -333,40 +338,6 @@ class TestCarriedProducts:
         for (P, Q), h in zip(iterates, res.trace.h_value):
             assert h == pytest.approx(objective_h(inst.X, P, Q), rel=1e-12, abs=0.0)
         assert res.final_objective == pytest.approx(objective_l1(inst.X, res.Q_final), rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
-    def test_fpm_keeps_Q_on_a_flip_free_step(self, monkeypatch, sparse):
-        # fpm's Q is already polar(X P) of the X P a flip-free step sees, so that
-        # step takes neither its polar factor nor X^T Q_new; each step takes its
-        # factor with complete=False, X P has full rank here, so nothing is
-        # completed, and the fixed-point test reuses the step's factor
-        inst = make_instance(60, 12, 3, seed=5)
-        if sparse:
-            inst = ProblemInstance(sp.csc_matrix(inst.X), inst.K)
-        P0, Q0 = make_start(inst, seed=6)
-        ref = solve(inst, SolverConfig(method="fpm"), P0, Q0)
-        completing, incomplete = [], []
-        real = solvers.polar_factor
-        monkeypatch.setattr(
-            solvers,
-            "polar_factor",
-            lambda M, complete=True: (completing if complete else incomplete).append(1) or real(M, complete),
-        )
-        res = solve(inst, SolverConfig(method="fpm"), P0, Q0)
-        assert _trace_tuple(res.trace) == _trace_tuple(ref.trace)
-        assert np.array_equal(res.Q_final, ref.Q_final)
-        assert res.termination_reason == "fixed_point"
-        assert completing == [] and len(incomplete) == _xp_steps(res) < res.iterations
-
-    def test_fpm_fixed_point_test_takes_no_product(self):
-        # one X^T Q0, then X P_new and X^T Q_new on each step that forms X P;
-        # the test reads Q* = Q, X^T Q* and the rank of X P off that step
-        inst = make_instance(60, 12, 3, seed=5)
-        P0, Q0 = make_start(inst, seed=6)
-        inst.X, counter = counting_products(inst.X)
-        res = solve(inst, SolverConfig(method="fpm"), P0, Q0)
-        assert res.termination_reason == "fixed_point"
-        assert counter["matmul"] == 1 + 2 * _xp_steps(res)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("method", METHODS)
@@ -410,11 +381,8 @@ class TestFixedPointStop:
     @pytest.mark.parametrize("method", METHODS)
     def test_rank_deficient_XP_never_tested(self, monkeypatch, method):
         # X of rank 1 and K = 2: X P never has full rank, so every test is
-        # skipped before completion; only fpm's own polar steps complete, and
-        # fpm takes one on the first iteration and on each that flips a sign.
-        # fpm's step asks for the factor with complete=False first and its
-        # test reuses the answer, so each step makes one such call and the
-        # tests none
+        # skipped before completion; only fpm's own polar steps complete,
+        # one per iteration
         g = seeded_rng(43)
         inst = ProblemInstance(np.outer(g.standard_normal(6), g.standard_normal(9)), 2)
         P0, Q0 = make_start(inst, seed=44)
@@ -425,10 +393,7 @@ class TestFixedPointStop:
         res = solve(inst, SolverConfig(method=method, gamma=0.5, max_iter=50), P0, Q0)
         assert res.termination_reason != "fixed_point"
         assert tests and all(Q_star is None for Q_star in tests)
-        if method == "fpm":
-            assert len(tests) == len(completions) == _xp_steps(res)
-        else:
-            assert completions == []
+        assert len(completions) == (res.iterations if method == "fpm" else 0)
 
     @pytest.mark.parametrize("method", ["pame", "pam"])
     def test_theorem_mode_takes_no_test(self, monkeypatch, method):

@@ -102,6 +102,21 @@ class TestCriticalityReport:
         fired, threshold = check_alpha_condition(X, Q, alpha, zero_tol=1e-12)
         assert (rep.certified_critical_for_l1, rep.alpha_condition_threshold) == (fired, threshold)
 
+    @pytest.mark.parametrize(
+        "alpha, zero_tol, message",
+        [(0.0, 1e-12, "alpha_star must be positive"), (-1.0, 1e-12, "alpha_star must be positive"),
+         (1e-3, -1.0, "zero_tol must be nonnegative")],
+        ids=["alpha_zero", "alpha_negative", "zero_tol_negative"],
+    )
+    def test_bad_arguments_refused_before_any_product(self, alpha, zero_tol, message):
+        # alpha_star = 0 would otherwise divide X^T Q by zero first
+        inst = make_instance(30, 8, 3, seed=34)
+        P, Q = make_start(inst, seed=35)
+        X, counter = counting_products(inst.X)
+        with pytest.raises(PreconditionError, match=message):
+            criticality_report(X, P, Q, alpha_star=alpha, zero_tol=zero_tol)
+        assert counter["matmul"] == 0
+
     def test_oracle_optimum_is_critical(self):
         rng = seeded_rng(33)
         X = rng.standard_normal((3, 3))

@@ -19,28 +19,32 @@ of the error it raised:
   X in C and in F order, start 1, pame and fpm with the paper flags and
   ``theorem_config`` pame.  A digest holds ``P_final`` and ``Q_final``,
   every trace field but ``wall_time``, the iteration count, ``converged``,
-  the termination reason, ``final_objective`` and ``audit_info``.
+  the termination reason, ``final_objective`` and ``audit_info``.  Each
+  run also digests ``criticality_report`` at its final pair, with the
+  run's ``alpha`` (at iteration 0 for a callable) as ``alpha_star``.
 * ``zero``: every method and ``theorem_config`` on zero data.
-* ``refused``: configurations that ``solve`` refuses, and their messages.
+* ``refused``: configurations that ``solve`` refuses, and the
+  ``criticality_report`` arguments it refuses, with their messages.
 * ``kernel``: ``polar_factor`` and ``thin_svd`` of drawn rank 0 up to full,
   with repeated columns, in C and F order, at three scales.
 * ``error_bound_suite`` (seeds 0-5), ``gen_fixed_effect`` (240 specs),
   and ``tev`` and ``choose_K_by_variance`` (60 matrices: scales 1, 1e160
   and 1e-170, dense and CSC).
 
-The grid takes about 18 s on one core.
+The grid prints 2654 digests and takes about 15 s on two cores.
 
-``--fields`` prints, for each run of the solve and metric grids only, the
-fields that gate a change which may move results (ROADMAP's per-field
-gates), or the error's class and message: for a solve ``iterations``,
-``termination_reason``, ``converged``, the SHA-256 of ``P_final``'s bytes
-and ``final_objective`` as a hex float; ``choose_K_by_variance`` as an int
-and ``tev`` as a hex float.  Two such files compare field by field in a few
-lines of Python.
+``--fields`` prints, for each run of the solve and metric grids only (no
+``criticality_report``), the fields that gate a change which may move
+results (ROADMAP's per-field gates), or the error's class and message: for
+a solve ``iterations``, ``termination_reason``, ``converged``, the SHA-256
+of ``P_final``'s bytes and ``final_objective`` as a hex float;
+``choose_K_by_variance`` as an int and ``tev`` as a hex float.  Two such
+files compare field by field in a few lines of Python.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -186,9 +190,22 @@ def _bench_configs(X, l1pca) -> dict:
     }
 
 
-def solve_runs(l1pca, out: dict, summary=_full_digest) -> None:
-    """The solve grid; ``summary(run)`` turns a solve thunk into the value stored for its key."""
+def solve_runs(l1pca, out: dict, summary=_full_digest, certify: bool = True) -> None:
+    """The solve grid; ``summary(run)`` turns a solve thunk into the value stored for its key.
+
+    With ``certify``, each run's ``criticality_report`` digest is stored under
+    the run's key plus ``/criticality_report``.
+    """
     solvers, ProblemInstance = l1pca.solvers, l1pca.model.ProblemInstance
+
+    def record(key, inst, cfg, P0, Q0):
+        run = functools.cache(lambda: solvers.solve(inst, cfg, P0, Q0))
+        out[key] = summary(run)
+        if certify:
+            alpha = cfg.alpha(0) if callable(cfg.alpha) else cfg.alpha
+            out[f"{key}/criticality_report"] = _digest(lambda: vars(l1pca.verify.criticality_report(
+                inst.X, run().P_final, run().Q_final, alpha_star=alpha)))
+
     for d, n, K in SHAPES:
         X = _data(d, n)
         for fmt, Xf in (("dense", X), ("csc", sp.csc_matrix(X))):
@@ -197,16 +214,14 @@ def solve_runs(l1pca, out: dict, summary=_full_digest) -> None:
             for seed in STARTS:
                 P0, Q0 = solvers.draw_start(inst, seed)
                 for name, cfg in cfgs.items():
-                    key = f"solve/{d}x{n}x{K}/{fmt}/start{seed}/{name}"
-                    out[key] = summary(lambda: solvers.solve(inst, cfg, P0, Q0))
+                    record(f"solve/{d}x{n}x{K}/{fmt}/start{seed}/{name}", inst, cfg, P0, Q0)
     for d, n, K in BENCH_SHAPES:
         X = l1pca.data.gen_fixed_effect(l1pca.data.FixedEffectSpec(n=n, d=d, K=K, sigma=0.5, seed=0))[0]
         for order in ("C", "F"):
             inst = ProblemInstance(np.asarray(X, order=order), K)
             P0, Q0 = solvers.draw_start(inst, 1)
             for name, cfg in _bench_configs(inst.X, l1pca).items():
-                key = f"solve/{d}x{n}x{K}/{order}/start1/{name}"
-                out[key] = summary(lambda: solvers.solve(inst, cfg, P0, Q0))
+                record(f"solve/{d}x{n}x{K}/{order}/start1/{name}", inst, cfg, P0, Q0)
 
 
 def zero_runs(l1pca, out: dict) -> None:
@@ -253,6 +268,11 @@ def refused_runs(l1pca, out: dict) -> None:
     }
     for name, cfg in cfgs.items():
         out[f"refused/{name}"] = _digest(lambda: _result(solvers.solve(inst, cfg, P0, Q0)))
+    report = l1pca.verify.criticality_report
+    for name, alpha, zero_tol in (("alpha_star_zero", 0.0, 1e-12), ("alpha_star_negative", -1.0, 1e-12),
+                                  ("zero_tol_negative", 1e-4, -1.0)):
+        out[f"refused/criticality_report/{name}"] = _digest(
+            lambda: vars(report(X, P0, Q0, alpha_star=alpha, zero_tol=zero_tol)))
 
 
 def kernel_runs(l1pca, out: dict) -> None:
@@ -341,7 +361,7 @@ def main(argv: list[str]) -> int:
     print(f"l1pca from {Path(l1pca.__file__).parent}", file=sys.stderr)
     out: dict = {}
     if fields:
-        solve_runs(l1pca, out, _fields)
+        solve_runs(l1pca, out, _fields, certify=False)
         metric_runs(l1pca, out, _value)
     else:
         for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, suite_runs, generator_runs, metric_runs):
