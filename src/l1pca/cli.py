@@ -69,15 +69,31 @@ def _emit(payload: dict, out: str | None) -> None:
     print(text)
 
 
+def _read_json(path) -> dict:
+    """The JSON object in the file at ``path``: invalid JSON is a ParseError, any other value an InvalidInputError."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg}", exc.lineno) from None
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
+    return value
+
+
 def _load_instance(path: str, K: int | None = None, n_features: int | None = None) -> ProblemInstance:
     p = Path(path)
     if p.is_dir():
-        meta = json.loads((p / "meta.json").read_text(encoding="utf-8"))
-        K_eff = K if K is not None else meta["K"]
-        if meta.get("format") == "sparse":
-            return read_sparse_labeled(p / meta["files"]["X"], K=K_eff, n_features=meta["d"])
-        X = read_dense_matrix(p / meta["files"]["X"])
-        return ProblemInstance(X, K_eff)
+        meta = _read_json(p / "meta.json")
+        sparse = meta.get("format") == "sparse"
+        try:
+            X_path = p / meta["files"]["X"]
+            K_eff = K if K is not None else meta["K"]
+            d = meta["d"] if sparse else None
+        except KeyError as exc:
+            raise InvalidInputError(f"{p / 'meta.json'} has no {exc} entry") from None
+        if sparse:
+            return read_sparse_labeled(X_path, K=K_eff, n_features=d)
+        return ProblemInstance(read_dense_matrix(X_path), K_eff)
     with open(p, "rb") as fh:
         magic = fh.read(8)
     if magic == _DENSE_MAGIC:
@@ -91,8 +107,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
     """Fill unset flags from a JSON config file, then from defaults."""
     file_values = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        file_values = _read_json(args.config)
     for key, default in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))

@@ -251,17 +251,22 @@ def read_trace(path) -> IterateTrace:
     """Read a trace written by write_trace (format sniffed from content).
 
     Files written before the ``sign_flips`` column still read; their flip
-    counts are recovered from ``delta_P_norm``.
+    counts are recovered from ``delta_P_norm``.  An empty file is a
+    ParseError, and so is a JSON record that lacks a column (at line 1).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     trace = IterateTrace()
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        for rec in payload["records"]:
+        for i, rec in enumerate(json.loads(text)["records"], start=1):
+            missing = [c for c in _LEGACY_COLUMNS if c not in rec]
+            if missing:
+                raise ParseError(f"record {i} has no {missing[0]!r} column", 1)
             _trace_record(trace, rec)
         return trace
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty file", 1)
     header = tuple(lines[0].split(","))
     if header not in (_CSV_COLUMNS, _LEGACY_COLUMNS):
         raise ParseError(f"unexpected trace header {list(header)}", 1)
@@ -291,10 +296,12 @@ def write_dense_matrix(path, M) -> None:
 
 def read_dense_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _DENSE_MAGIC:
-            raise InvalidInputError(f"bad magic {magic!r}; not a dense matrix file")
-        rows, cols = struct.unpack("<II", fh.read(8))
+        head = fh.read(16)
+        if head[:8] != _DENSE_MAGIC:
+            raise InvalidInputError(f"bad magic {head[:8]!r}; not a dense matrix file")
+        if len(head) < 16:
+            raise InvalidInputError("truncated dense matrix file")
+        rows, cols = struct.unpack("<II", head[8:])
         payload = fh.read(rows * cols * 8)
     if len(payload) != rows * cols * 8:
         raise InvalidInputError("truncated dense matrix file")

@@ -5,23 +5,22 @@ completion on top; polar factors for orthogonal Procrustes steps;
 orthonormality diagnostics.  Two kernels take eigenvalues of the
 smaller-side Gram matrix X X^T (or X^T X), both after the power-of-two
 prescale of ``_prescaled``: ``_gram`` forms it densely, and the dense
-spectral norm is the root of its top eigenvalue; ``_top_eigenvalues`` finds
-only the leading few by Lanczos (ARPACK) on the operator v -> X (X^T v),
-which never densifies X nor forms the Gram matrix, and serves the sparse
-spectral norm and the covariance spectrum in ``metrics``.  All routines are
-deterministic for fixed inputs; randomized helpers take an explicit
-generator.
+spectral norm is the root of its top eigenvalue; ``_top_eigenvalues``
+serves the sparse spectral norm and the covariance spectrum in ``metrics``,
+and is the one place that chooses between a dense solve of ``_gram`` and
+Lanczos (ARPACK) on the operator v -> X (X^T v), which never densifies X
+nor forms the Gram matrix.  All routines are deterministic for fixed
+inputs; randomized helpers take an explicit generator.
 
-Every product X^T Q in the library but ``metrics.tev``'s goes through
-``_xt``, which hands BLAS the operands in the layout it multiplies
-fastest.  Its one rule: a dense C-contiguous X gives ``(Q^T X)^T``, copied
-to C order; any other X (F-order or sparse) gives ``X.T @ Q``.  On a
-C-order X, ``X.T`` is an F-order view, and BLAS then packs the tall n-row
-operand; ``Q^T X`` packs the short K-row one instead, which took 0.54-0.87
-of the time at d=500, n=2000 and K from 5 to 250 (one BLAS thread).  The
-two forms agree to roundoff, and bit for bit on the shapes the solve
-digests cover, but not in general (d > n, or K near min(d, n), can move a
-last bit).
+Every product X^T Q in the library goes through ``_xt``, which hands BLAS
+the operands in the layout it multiplies fastest.  Its one rule: a dense
+C-contiguous X gives ``(Q^T X)^T``, copied to C order; any other X (F-order
+or sparse) gives ``X.T @ Q``.  On a C-order X, ``X.T`` is an F-order view,
+and BLAS then packs the tall n-row operand; ``Q^T X`` packs the short K-row
+one instead, which took 0.54-0.87 of the time at d=500, n=2000 and K from 5
+to 250 (one BLAS thread).  The two forms agree to roundoff, and bit for bit
+on the shapes the solve digests cover, but not in general (d > n, or K near
+min(d, n), can move a last bit).
 """
 
 from __future__ import annotations
@@ -45,7 +44,12 @@ _SQ_MIN = 2.0**-600
 #: Frobenius norms outside this range are prescaled before a Gram matrix is
 #: formed: beyond it X X^T overflows or loses entries to underflow
 _GRAM_SAFE = (2.0**-300, 2.0**300)
-#: ``_top_eigenvalues`` solves densely once k reaches this fraction of
+#: ``_top_eigenvalues`` solves a Gram side of at most this many rows densely,
+#: whole, for less than Lanczos takes for a few eigenvalues (one BLAS thread:
+#: ``choose_K_by_variance`` on 60 x 100 took 0.2 ms against 1.0-1.5 ms, ``tev``
+#: on a Gaussian 200 x 500 at K = 3-5 2.2-2.8 ms against 5.4-7.3 ms)
+_DENSE_SIDE = 256
+#: ``_top_eigenvalues`` also solves densely once k reaches this fraction of
 #: m = min(d, n), which also keeps k below m - 1, the most ARPACK can take.
 #: On a 6%-dense 1500 x 3000 X, Lanczos for k = 8, 32 and 64 took 0.10, 0.16
 #: and 0.33 s against 0.54 s for the dense solve (one BLAS thread), and a
@@ -76,10 +80,15 @@ def as_dense(M) -> np.ndarray:
 
 
 def require_finite(M, name: str = "matrix") -> None:
+    """InvalidInputError unless every entry of M is finite.  A sparse M whose
+    ``.data`` is not its stored values (LIL, DOK, DIA) is read through a COO
+    copy, which leaves out DIA padding."""
     if type(M) is np.ndarray:
         data = M
+    elif sp.issparse(M):
+        data = (M if M.format in ("csr", "csc", "coo", "bsr") else M.tocoo()).data
     else:
-        data = M.data if sp.issparse(M) else np.asarray(M)
+        data = np.asarray(M)
     if data.size and not np.isfinite(data).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
 
@@ -160,17 +169,18 @@ def _top_eigenvalues(X, k: int) -> tuple[np.ndarray, int]:
     X^T (X v) when X has more rows than columns, so X stays as stored.  The
     start is a seeded Gaussian vector, not ones, which can be orthogonal to
     the top eigenvector of a symmetric X; with the restart generator seeded
-    too, w is deterministic.  When k reaches ``_LANCZOS_MAX_FRACTION`` of
-    m = min(d, n), or ARPACK does not converge, all m eigenvalues come from
-    LAPACK on ``_gram`` instead, so len(w) == m marks a whole spectrum.
-    X must be finite; zero X gives min(k, m) zeros.
+    too, w is deterministic.  This function alone chooses the solver: all
+    m = min(d, n) eigenvalues come from LAPACK on ``_gram`` instead when m
+    is at most ``_DENSE_SIDE``, when k reaches ``_LANCZOS_MAX_FRACTION`` of
+    m, or when ARPACK does not converge, so len(w) == m marks a whole
+    spectrum.  X must be finite; zero X gives min(k, m) zeros.
     """
     d, n = X.shape
     m = min(d, n)
     norm = frob(X)
     if norm == 0.0:
         return np.zeros(min(k, m)), 0
-    if k < _LANCZOS_MAX_FRACTION * m:
+    if m > _DENSE_SIDE and k < _LANCZOS_MAX_FRACTION * m:
         Xs, e = _prescaled(X, norm)
         A, B = (Xs, Xs.T) if d <= n else (Xs.T, Xs)
         op = LinearOperator((m, m), matvec=lambda v: A @ (B @ v), dtype=np.float64)
@@ -320,7 +330,8 @@ def spectral_norm(X) -> float:
     prescale keeps G finite and its entries normal at any scale.  Sparse
     input takes the root of the top eigenvalue from ``_top_eigenvalues``
     (Lanczos to roundoff on the unformed Gram operator, with the same
-    prescale), which falls back to ``_gram`` when min(d, n) is at most 32.
+    prescale), which solves ``_gram`` densely instead when min(d, n) is at
+    most ``_DENSE_SIDE`` (256).
     """
     require_finite(X, "spectral_norm input")
     if not sp.issparse(X):

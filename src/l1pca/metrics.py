@@ -2,17 +2,15 @@
 
 ``tev`` and ``choose_K_by_variance`` need only the leading eigenvalues of
 X X^T and its trace, frob(X)^2: ``tev`` the top K, and the cumulative rule
-as many as it takes to reach its share of the trace.  ``linalg._top_eigenvalues``
-finds those by Lanczos on products with X, sparse or dense, without forming
-X X^T.  Each request asks for what its caller needs and no more: ``tev``
+as many as it takes to reach its share of the trace.  Each request asks
+``linalg._top_eigenvalues`` for what its caller needs and no more: ``tev``
 the top K, and the cumulative rule the top eigenvalue first, then as many
-as it has grown to.  Lanczos converges at a rate set by the gap between the
-eigenvalues asked for and the rest, so a request that reaches past a few
-strong directions into a tight noise bulk pays for restart after restart.
-A Gram side of at most ``_DENSE_SIDE`` is solved densely, whole, in one
-request.  ``_tev_ratio`` and ``_choose_K`` work from ``_spectrum``'s
-result, so a caller that needs the spectrum more than once (the ``cluster``
-and ``compare`` commands) takes it once and passes it on.
+as it has grown to, since Lanczos pays restart after restart for a request
+that reaches into a tight noise bulk.  That function alone decides between
+Lanczos and a dense solve of the whole spectrum, which a caller then uses
+whole.  ``_tev_ratio`` and ``_choose_K`` work from ``_spectrum``'s result,
+so a caller that needs the spectrum more than once (the ``cluster`` and
+``compare`` commands) takes it once and passes it on.
 """
 
 from __future__ import annotations
@@ -27,31 +25,17 @@ from .errors import PreconditionError, UndefinedMetricError
 from .linalg import _prescaled, _top_eigenvalues, _xt, frob, require_finite, seeded_rng
 from .model import _check_dims, require_stiefel
 
-#: a Gram side of at most this many rows is solved densely in one request:
-#: there the whole spectrum costs less than Lanczos for a few eigenvalues
-#: (one BLAS thread: ``choose_K_by_variance`` on 60 x 100 took 0.2 ms against
-#: 1.0-1.5 ms, ``tev`` on a Gaussian 200 x 500 at K = 3-5 2.2-2.8 ms against
-#: 5.4-7.3 ms)
-_DENSE_SIDE = 256
-
-
-def _top(X, k: int) -> np.ndarray:
-    """The k leading eigenvalues of X X^T, nonincreasing, or all m = min(d, n)
-    of them where m is at most ``_DENSE_SIDE`` or ``linalg._top_eigenvalues``
-    solves densely.  X must come prescaled from ``_spectrum``, so the
-    exponent ``_top_eigenvalues`` returns is 0."""
-    m = min(X.shape)
-    return _top_eigenvalues(X, k if m > _DENSE_SIDE else m)[0]
-
 
 def _spectrum(X, zero_message: str, k: int):
-    """(X scaled, w) for finite, nonzero X: w is ``_top`` of k, the k leading
-    eigenvalues of its X X^T, nonincreasing, or the whole spectrum.
+    """(X scaled, w) for finite, nonzero X: w is the k leading eigenvalues of
+    its X X^T, nonincreasing, or the whole spectrum where
+    ``linalg._top_eigenvalues`` solves densely.
 
     X is divided by a power of two near its Frobenius norm when that
     norm lies outside [2^-300, 2^300] (``linalg._prescaled``), where X X^T
     would overflow or lose entries to underflow; the division is exact and
-    leaves every ratio of quadratic forms in X unchanged.  Zero data raises
+    leaves every ratio of quadratic forms in X unchanged, and the exponent
+    ``_top_eigenvalues`` then returns is 0.  Zero data raises
     UndefinedMetricError(zero_message).
     """
     require_finite(X, "X")
@@ -59,19 +43,13 @@ def _spectrum(X, zero_message: str, k: int):
     if norm == 0.0:
         raise UndefinedMetricError(zero_message)
     X = _prescaled(X, norm)[0]
-    return X, _top(X, k)
+    return X, _top_eigenvalues(X, k)[0]
 
 
 def _tev_ratio(X, w: np.ndarray, Q: np.ndarray) -> float:
-    """tev from the spectrum (X scaled, w) of ``_spectrum`` and a checked frame Q.
-
-    w must hold at least Q's K leading eigenvalues, or all of them.  The
-    product is ``X.T @ Q``, not ``linalg._xt``: one product per call gains
-    little, and the two orientations differ in a last bit at some shapes
-    (a 520 x 540 X with K = 12 is one), which would move tev's reported
-    value.
-    """
-    return float(frob(X.T @ Q) ** 2) / float(w[: Q.shape[1]].sum())
+    """tev from the spectrum (X scaled, w) of ``_spectrum``, holding at least the
+    K leading eigenvalues or all of them, and a checked K-column frame Q."""
+    return float(frob(_xt(X, Q)) ** 2) / float(w[: Q.shape[1]].sum())
 
 
 _TEV_ZERO = "explained variation undefined for zero data"
@@ -115,7 +93,7 @@ def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
         while (cum := np.cumsum(w))[-1] < target:
             if len(w) == min(X.shape) or w[-1] <= w[0] * 1e-12:
                 return int(np.count_nonzero(w > w[0] * 1e-12)), (X, w)
-            w = _top(X, len(w) + max(len(w), math.ceil((target - cum[-1]) / w[-1])))
+            w = _top_eigenvalues(X, len(w) + max(len(w), math.ceil((target - cum[-1]) / w[-1])))[0]
         return int(np.argmax(cum >= target)) + 1, (X, w)
     require_finite(X, "X")
     if frob(X) == 0.0:
@@ -127,8 +105,8 @@ def choose_K_by_variance(X, threshold: float, large_side: int = 10000, cap: int 
     """Smallest K whose top singular values explain the requested fraction.
 
     The fraction is of the trace frob(X)^2, so only the leading eigenvalues
-    of X X^T are needed, found by Lanczos on products with X and grown until
-    they suffice.  When the smaller matrix side reaches ``large_side``,
+    of X X^T are needed, asked of ``linalg._top_eigenvalues`` and grown
+    until they suffice.  When the smaller matrix side reaches ``large_side``,
     K is the fixed ``cap`` instead: the rule may need a good share of the
     spectrum, and at that size that share is a dense solve of a Gram matrix
     with at least ``large_side``^2 entries.
@@ -177,10 +155,12 @@ def kmeans_cluster(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0
 
     Returns (labels, within-cluster sum of squares, degenerate flag); ties
     between restarts go to the earliest one, so results are deterministic
-    for a fixed seed.
+    for a fixed seed.  More clusters than points is a PreconditionError.
     """
     if k < 1 or points.shape[0] < 1:
         raise PreconditionError("need at least one cluster and one point")
+    if k > points.shape[0]:
+        raise PreconditionError(f"cannot form {k} clusters from {points.shape[0]} points")
     if restarts < 1:
         raise PreconditionError(f"need at least one k-means restart, got {restarts}")
     degenerate = bool(np.allclose(points, points[0]))

@@ -92,6 +92,8 @@ class SolverConfig:
     non-constant schedules or to override the defaults used in
     ``theorem_mode`` (for a constant beta the potential weight ``beta_star``
     defaults to 2/3 of it, making the lower step-size condition tight).
+    Every method accepts each ``method_params`` key some method reads, so
+    one config serves all six; any other key is a PreconditionError.
 
     ``norm_upper`` is a declared upper bound on ``||X||_2`` for theorem
     mode, in the same family as the starred/sup bounds; when it is None the
@@ -263,6 +265,8 @@ _RULES = {
 }
 
 METHODS = tuple(_RULES)
+#: every ``method_params`` key a method reads: pdcae the first two, gipalm the rest
+_METHOD_PARAMS = ("restart_interval", "use_config_gamma", "gamma_p", "gamma_q")
 
 
 def _ext(A: np.ndarray, A_prev: np.ndarray, w: float) -> np.ndarray:
@@ -337,6 +341,9 @@ def resolve_config(cfg: SolverConfig, X) -> _Plan:
     rule = _RULES.get(cfg.method)
     if rule is None:
         raise PreconditionError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
+    unknown = [key for key in cfg.method_params if key not in _METHOD_PARAMS]
+    if unknown:
+        raise PreconditionError(f"unknown method_params keys {unknown}; known keys are {_METHOD_PARAMS}")
     if cfg.tol <= 0 or cfg.max_iter < 1:
         raise PreconditionError("tol must be positive and max_iter at least 1")
     if cfg.theorem_mode and cfg.method not in ("pame", "pam"):

@@ -143,6 +143,27 @@ class TestSolve:
         assert rc == 4
         assert capsys.readouterr().err.startswith("numerical failure: overflow at iteration 0")
 
+    def test_dense_file_cut_in_header_exit_2(self, tmp_path, capsys):
+        xfile = tmp_path / "cut.bin"
+        xfile.write_bytes(b"L1PCABIN\x04\x00")
+        assert main(["solve", "--K", "1", "--input", str(xfile), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: truncated dense matrix file\n"
+
+    def test_meta_without_files_exit_2(self, tmp_path, capsys):
+        inst = _generate(tmp_path)
+        meta = json.loads((inst / "meta.json").read_text())
+        del meta["files"]
+        (inst / "meta.json").write_text(json.dumps(meta))
+        assert main(["solve", "--input", str(inst), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {inst / 'meta.json'} has no 'files' entry\n"
+
+    def test_config_file_not_json_exit_2(self, tmp_path, capsys):
+        inst = _generate(tmp_path)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("{bad")
+        assert main(["solve", "--config", str(cfgfile), "--input", str(inst), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line 1: {cfgfile}: Expecting property name")
+
     def test_config_file_defaults(self, tmp_path):
         inst = _generate(tmp_path)
         cfgfile = tmp_path / "cfg.json"
@@ -383,13 +404,13 @@ def _three_cluster_dataset(path, n_per=30):
 def eig_calls(monkeypatch):
     """Shapes of the matrices whose X X^T spectrum is taken, in call order."""
     calls = []
-    real = metrics._top
+    real = metrics._top_eigenvalues
 
     def counting(X, k):
         calls.append(X.shape)
         return real(X, k)
 
-    monkeypatch.setattr(metrics, "_top", counting)
+    monkeypatch.setattr(metrics, "_top_eigenvalues", counting)
     return calls
 
 

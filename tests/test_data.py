@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -341,6 +342,21 @@ class TestTraceIO:
             b"  ]\n}\n"
         )
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="line 1: empty file"):
+            read_trace(p)
+
+    def test_json_record_without_column_rejected(self, tmp_path):
+        columns = ("k", "h_value", "psi_value", "delta_P_norm", "delta_Q_norm", "delta_C_norm", "wall_time_seconds")
+        record = dict.fromkeys(columns, 0)
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"records": [record, {c: 0 for c in columns if c != "h_value"}]}))
+        with pytest.raises(ParseError, match="line 1: record 2 has no 'h_value' column"):
+            read_trace(p)
+
 
 class TestDenseBinary:
     def test_roundtrip(self, tmp_path):
@@ -353,6 +369,13 @@ class TestDenseBinary:
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTAMTRX" + b"\x00" * 16)
         with pytest.raises(InvalidInputError):
+            read_dense_matrix(p)
+
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "m.bin"
+        write_dense_matrix(p, np.ones((4, 4)))
+        p.write_bytes(p.read_bytes()[:10])
+        with pytest.raises(InvalidInputError, match="truncated dense matrix file"):
             read_dense_matrix(p)
 
     def test_truncated(self, tmp_path):

@@ -6,17 +6,21 @@ from hypothesis import strategies as st
 
 from conftest import complete_orthonormal_reference, with_duplicates
 from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError
+from l1pca import linalg
 from l1pca.linalg import (
     _xt,
     complete_orthonormal,
     frob,
     polar_factor,
     random_stiefel,
+    require_finite,
     seeded_rng,
     spectral_norm,
     stiefel_residual,
     thin_svd,
 )
+from l1pca.metrics import choose_K_by_variance, tev
+from l1pca.model import ProblemInstance
 from l1pca.solvers import theorem_config
 
 
@@ -238,6 +242,18 @@ class TestSpectralNorm:
         assert spectral_norm(sp.csr_matrix(x)) == pytest.approx(5.0, rel=1e-15)
         assert spectral_norm(sp.csc_matrix(x.T * 1e300)) == pytest.approx(5e300, rel=1e-15)
 
+    @pytest.mark.parametrize("shape", [(100, 3000), (3000, 100)])
+    def test_sparse_dense_side_takes_no_lanczos(self, monkeypatch, shape):
+        # a Gram side of 100 is at most linalg._DENSE_SIDE: the whole spectrum, densely
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        rng = seeded_rng(17)
+        X = sp.random(*shape, density=0.02, format="csc", rng=rng)
+        true = np.linalg.svd(X.toarray(), compute_uv=False)[0]
+        monkeypatch.setattr(linalg, "eigsh", refuse)
+        assert spectral_norm(X) == pytest.approx(true, rel=1e-13, abs=0.0)
+
     def test_rel_tol_range(self):
         with pytest.raises(PreconditionError):
             theorem_config(np.eye(2), spectral_rel_tol=2.0)
@@ -269,6 +285,35 @@ class TestFrob:
         assert frob(M) == pytest.approx(frob(A), rel=1e-14)
         assert M.nnz == 2 * A.size and np.array_equal(M.data, stored)
         assert frob(with_duplicates(A, -A, fmt)) == 0.0
+
+
+class TestRequireFinite:
+    """Sparse formats whose ``.data`` is not the stored values are read through a COO copy."""
+
+    @pytest.mark.parametrize("fmt", ["lil", "dok", "dia"])
+    def test_other_sparse_formats(self, fmt):
+        rng = seeded_rng(18)
+        X = np.where(rng.random((30, 50)) < 0.2, rng.standard_normal((30, 50)), 0.0)
+        M = sp.csr_matrix(X).asformat(fmt)
+        before = M.toarray()
+        Q = random_stiefel(30, 3, rng)
+        require_finite(M)
+        assert spectral_norm(M) == pytest.approx(spectral_norm(X), rel=1e-13)
+        assert tev(M, Q) == pytest.approx(tev(X, Q), rel=1e-13)
+        assert choose_K_by_variance(M, 0.8) == choose_K_by_variance(X, 0.8)
+        assert ProblemInstance(M, 3).X is M
+        assert M.format == fmt and np.array_equal(M.toarray(), before)
+        X[2, 3] = np.inf
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            require_finite(sp.csr_matrix(X).asformat(fmt))
+
+    def test_dia_padding_is_not_an_entry(self):
+        # offset -1 stores data[0, j] at (j + 1, j): the last slot lies below the matrix
+        padded = sp.dia_matrix(([[1.0, 2.0, np.inf]], [-1]), shape=(3, 3))
+        require_finite(padded)
+        assert np.isinf(padded.data[0, 2])
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            require_finite(sp.dia_matrix(([[np.inf, 2.0, 1.0]], [-1]), shape=(3, 3)))
 
 
 class TestStiefelResidual:

@@ -63,7 +63,7 @@ class TestTev:
 
     @pytest.mark.parametrize("d", [6, 300], ids=["dense-side", "lanczos-side"])
     def test_frame_without_columns_rejected(self, monkeypatch, d):
-        # refused before any spectrum is taken, on both sides of metrics._DENSE_SIDE
+        # refused before any spectrum is taken, on both sides of linalg._DENSE_SIDE
         monkeypatch.setattr(metrics, "_top_eigenvalues", None)
         X = seeded_rng(66).standard_normal((d, d + 3))
         with pytest.raises(PreconditionError, match="at least one column"):
@@ -143,7 +143,7 @@ class TestSharedSpectrum:
         assert metrics._tev_ratio(*spectrum, Q) == tev(X, Q)
 
     def test_large_side_takes_no_spectrum(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_top", None)
+        monkeypatch.setattr(metrics, "_top_eigenvalues", None)
         assert metrics._choose_K(sp.eye(6, format="csc"), 0.8, large_side=6, cap=3) == (3, None)
 
     def test_zero_data_messages(self):
@@ -155,10 +155,10 @@ class TestSharedSpectrum:
 
 
 @st.composite
-def _low_rank(draw, max_side=120):
+def _low_rank(draw, max_side=120, min_side=1):
     """(X, rank): a seeded d x n Gaussian product of the drawn rank, 0 (zero X) included."""
-    d = draw(st.integers(1, max_side))
-    n = draw(st.integers(1, max_side))
+    d = draw(st.integers(min_side, max_side))
+    n = draw(st.integers(min_side, max_side))
     rank = draw(st.integers(0, min(d, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n)), rank
@@ -194,18 +194,25 @@ class TestPartialSpectrum:
         if not X.any():
             assert e == 0 and np.array_equal(w, np.zeros(min(k, m)))
             return
-        assert len(w) == (k if k < linalg._LANCZOS_MAX_FRACTION * m else m)
+        assert len(w) == (k if m > linalg._DENSE_SIDE and k < linalg._LANCZOS_MAX_FRACTION * m else m)
         assert np.all(np.diff(w) <= 0.0) and w[-1] >= 0.0
         # X * scale / 2^e == X * ldexp(scale, -e) exactly: the prescale is a power of two
         ref = gram_eigenvalues_reference(X)[: len(w)] * math.ldexp(scale, -e) ** 2
         assert np.abs(w - ref).max() <= 1e-12 * ref[0]
 
-    # k = 1, 2, 3 take Lanczos above 32, 64 and 96 rows and columns
+    # every draw here has a Gram side of at most linalg._DENSE_SIDE, so is solved densely
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=_low_rank(), k=st.one_of(st.integers(1, 3), st.integers(1, 120)), scale=_SCALES, sparse=st.booleans())
     def test_matches_dense_eigendecomposition(self, data, k, scale, sparse):
         X, _ = data
         self._check(X, min(k, *X.shape), scale, sparse)
+
+    # a Gram side of 257-300 with k at most 8 takes Lanczos
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=_low_rank(max_side=300, min_side=257), k=st.integers(1, 8), scale=_SCALES, sparse=st.booleans())
+    def test_lanczos_side_matches_dense_eigendecomposition(self, data, k, scale, sparse):
+        X, _ = data
+        self._check(X, k, scale, sparse)
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
@@ -301,10 +308,11 @@ class TestPartialSpectrum:
         top_requests.clear()
         assert tev(X, Q) == pytest.approx(expected, rel=1e-12)
         assert top_requests == [5]
-        # a Gram side of at most metrics._DENSE_SIDE is solved whole, in one request
+        # a Gram side of at most linalg._DENSE_SIDE comes back whole from the first request
         top_requests.clear()
-        assert metrics._choose_K(X[:200], 0.8)[0] == variance_K_reference(X[:200], 0.8)
-        assert top_requests == [200]
+        K, (_, w) = metrics._choose_K(X[:200], 0.8)
+        assert K == variance_K_reference(X[:200], 0.8)
+        assert top_requests == [1] and len(w) == 200
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_first_block_serves_tev_exactly(self, sparse):
@@ -360,6 +368,16 @@ class TestKmeans:
         with pytest.warns(RuntimeWarning):
             acc = kmeans_accuracy(X, Q, labels, k=2, restarts=2, seed=4)
         assert acc == pytest.approx(0.7)
+
+    def test_more_clusters_than_points_rejected(self):
+        rng = seeded_rng(59)
+        X = rng.standard_normal((3, 8))
+        Q = random_stiefel(3, 2, rng)
+        with pytest.raises(PreconditionError, match="cannot form 9 clusters from 8 points"):
+            kmeans_accuracy(X, Q, np.arange(8) % 2, k=9, restarts=2)
+        with pytest.raises(PreconditionError, match="cannot form 3 clusters from 2 points"):
+            kmeans_cluster(np.zeros((2, 1)), 3)
+        assert kmeans_cluster(np.arange(8.0)[:, None], 8, restarts=1)[1] == 0.0
 
     def test_cluster_objective_improves_with_restarts(self):
         pts, _ = _separable(seed=5)

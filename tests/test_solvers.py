@@ -563,6 +563,18 @@ class TestConfigValidation:
         P0, Q0 = make_start(inst, seed=28)
         assert solve(inst, cfg, P0, Q0).converged
 
+    def test_unknown_method_params_key(self):
+        cfg = SolverConfig(method="pdcae", method_params={"restart_intervall": 3})
+        message = r"unknown method_params keys \['restart_intervall'\]; known keys are \('restart_interval'"
+        with pytest.raises(PreconditionError, match=message):
+            resolve_config(cfg, np.eye(2))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_method_params_shared_across_methods(self, method):
+        # a key only another method reads is accepted, so one config serves all six
+        params = {"restart_interval": 3, "use_config_gamma": False, "gamma_p": 0.3, "gamma_q": 0.6}
+        resolve_config(SolverConfig(method=method, method_params=params), np.eye(2))
+
     def test_spectral_rel_tol_range(self):
         cfg = SolverConfig(method="pam", alpha=1.0, beta=2.0, theorem_mode=True, spectral_rel_tol=0.0)
         with pytest.raises(PreconditionError, match="spectral_rel_tol"):

@@ -30,16 +30,20 @@ of the error it raised:
 * ``error_bound_suite`` (seeds 0-5), ``gen_fixed_effect`` (240 specs),
   and ``tev`` and ``choose_K_by_variance`` (60 matrices: scales 1, 1e160
   and 1e-170, dense and CSC).
+* ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300.
 
-The grid prints 2654 digests and takes about 15 s on two cores.
+The grid prints 2657 digests and takes about 15 s on two cores.  BLAS may
+block a product differently with a different thread count, so compare two
+trees at the same ``OPENBLAS_NUM_THREADS``.
 
-``--fields`` prints, for each run of the solve and metric grids only (no
-``criticality_report``), the fields that gate a change which may move
-results (ROADMAP's per-field gates), or the error's class and message: for
-a solve ``iterations``, ``termination_reason``, ``converged``, the SHA-256
-of ``P_final``'s bytes and ``final_objective`` as a hex float;
-``choose_K_by_variance`` as an int and ``tev`` as a hex float.  Two such
-files compare field by field in a few lines of Python.
+``--fields`` prints, for each run of the solve, metric and spectral-norm
+grids only (no ``criticality_report``), the fields that gate a change which
+may move results (ROADMAP's per-field gates), or the error's class and
+message: for a solve ``iterations``, ``termination_reason``, ``converged``,
+the SHA-256 of ``P_final``'s bytes and ``final_objective`` as a hex float;
+``choose_K_by_variance`` as an int, and ``tev`` and ``spectral_norm`` as
+hex floats.  Two such files compare field by field in a few lines of
+Python.
 """
 
 from __future__ import annotations
@@ -342,6 +346,17 @@ def metric_runs(l1pca, out: dict, summary=_digest) -> None:
                         lambda: metrics.choose_K_by_variance(Xs, threshold))
 
 
+#: (d, n) of the sparse spectral-norm runs: Gram sides 20, 100 and 300
+NORM_SHAPES = ((20, 600), (100, 3000), (300, 2000))
+
+
+def norm_runs(l1pca, out: dict, summary=_digest) -> None:
+    """``spectral_norm`` of a seeded 2%-dense CSC X at each of ``NORM_SHAPES``."""
+    for d, n in NORM_SHAPES:
+        X = sp.random(d, n, density=0.02, format="csc", rng=np.random.default_rng([d, n]))
+        out[f"spectral_norm/{d}x{n}/csc"] = summary(lambda: l1pca.linalg.spectral_norm(X))
+
+
 def main(argv: list[str]) -> int:
     fields = argv[:1] == ["--fields"]
     if fields:
@@ -363,8 +378,10 @@ def main(argv: list[str]) -> int:
     if fields:
         solve_runs(l1pca, out, _fields, certify=False)
         metric_runs(l1pca, out, _value)
+        norm_runs(l1pca, out, _value)
     else:
-        for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, suite_runs, generator_runs, metric_runs):
+        for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, suite_runs, generator_runs, metric_runs,
+                     norm_runs):
             runs(l1pca, out)
     print(json.dumps(out, indent=0))
     return 0
