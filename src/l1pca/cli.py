@@ -91,6 +91,8 @@ def _load_instance(path: str, K: int | None = None, n_features: int | None = Non
             d = meta["d"] if sparse else None
         except KeyError as exc:
             raise InvalidInputError(f"{p / 'meta.json'} has no {exc} entry") from None
+        except TypeError:
+            raise InvalidInputError(f"{p / 'meta.json'}: 'files' must be an object naming the file 'X'") from None
         if sparse:
             return read_sparse_labeled(X_path, K=K_eff, n_features=d)
         return ProblemInstance(read_dense_matrix(X_path), K_eff)

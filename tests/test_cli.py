@@ -157,6 +157,18 @@ class TestSolve:
         assert main(["solve", "--input", str(inst), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"error: {inst / 'meta.json'} has no 'files' entry\n"
 
+    @pytest.mark.parametrize("files", ["X.txt", ["X.txt"], None, {"X": 5}])
+    def test_meta_files_not_an_object_exit_2(self, tmp_path, capsys, files):
+        inst = tmp_path / "inst"
+        assert main(["generate", "--n", "15", "--d", "6", "--K", "2", "--seed", "9",
+                     "--out", str(inst), "--format", "sparse"]) == 0
+        meta = json.loads((inst / "meta.json").read_text())
+        meta["files"] = files
+        (inst / "meta.json").write_text(json.dumps(meta))
+        assert main(["cluster", "--input", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {inst / 'meta.json'}: 'files' must be an object naming the file 'X'\n"
+
     def test_config_file_not_json_exit_2(self, tmp_path, capsys):
         inst = _generate(tmp_path)
         cfgfile = tmp_path / "cfg.json"
@@ -355,6 +367,12 @@ class TestCluster:
         rc = main(["cluster", "--input", str(data), "--K", "1"])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_undecodable_byte_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"1 1:0.5 3:-2\n1 1:2\xff\n")
+        assert main(["cluster", "--input", str(data), "--K", "1"]) == 2
+        assert capsys.readouterr().err == "error: line 2: byte 0xff is not UTF-8\n"
 
     def test_index_beyond_array_size_exit_2(self, tmp_path, capsys):
         # an index below 2^63 parses, but a d x K float64 frame would not fit numpy's size limit

@@ -1,10 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from l1pca import data
 from l1pca.data import (
     FixedEffectSpec,
     gen_fixed_effect,
@@ -215,7 +219,37 @@ _PARSE_CASES = {
     "only_labels": "1\n-1\n",
     "empty": "",
     "blank_only": "\n \n",
+    # within the one-pass alphabet, but only the token-by-token parse can judge them
+    "two_points": _FIRST + "-1 1:1.5.5\n",
+    "bare_exponent": _FIRST + "-1 1:e\n",
+    "bare_point": _FIRST + "-1 1:.\n",
+    "cut_exponent": _FIRST + "-1 1:1e+\n",
+    "sign_label": _FIRST + "- 1:1\n",
+    "exponent_index": _FIRST + "-1 1e0:5\n",
+    "minus_zero_index": _FIRST + "-1 -0:1\n",
+    "plus_zero_index": _FIRST + "-1 +0:1\n",
+    "label_with_colon": _FIRST + "1:2 3:4\n",
+    "blank_line_mid_file": _FIRST + "\n-1 2:3\n",
+    "leading_spaces": _FIRST + "  -1 2:3\n",
+    "lone_cr": _FIRST + "-1 2:3\r1 1:1\r\r-1 a:1\n",
+    "tab_separated": _FIRST + "-1\t2:3\n",
+    "unicode_spaces": _FIRST + "-1\x0c2:3\u00852:4\n",
+    "byte_order_mark": "\ufeff" + _FIRST,
+    # within the alphabet and valid
+    "leading_zero_index": _FIRST + "-1 01:2\n",
+    "space_runs": _FIRST + "-1   1:2    3:4\n",
+    "trailing_space": _FIRST + "-1 1:2 \n",
+    "number_forms": _FIRST + "1e0 1:1E-5 2:+.5 3:-5.\n",
+    "overflow_underflow": _FIRST + "1e999 1:-1e999 2:1e-400 3:4.9e-324 4:2.4703282292062328e-324\n",
+    "largest_index": _FIRST + "-1 9223372036854775807:1\n",
 }
+
+
+def _mutants(valid: str):
+    """One byte of ``valid`` replaced by a byte of the one-pass alphabet, a tab or a CR."""
+    return st.tuples(
+        st.integers(0, len(valid) - 1), st.sampled_from(sorted(set("0123456789.eE+-: \n\t\r")))
+    ).map(lambda m: valid[: m[0]] + m[1] + valid[m[0] + 1 :])
 
 
 class TestParseAgainstReference:
@@ -245,6 +279,40 @@ class TestParseAgainstReference:
         got = _outcome(read_sparse_labeled, p)
         assert got == _outcome(_parse_reference, p)
         assert got[0] == (40, 3000)
+
+
+class TestOnePassParse:
+    """The one-pass parse and its token-by-token fallback give the reference parser's outcome."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_mutants("3 1:0.5 3:-2.25e-3\n-1 2:7\n\n+2 1:1 4:1E5 5:.5\n1\n-1 10:2\n"), st.sampled_from([1, 12, 1 << 18]))
+    def test_one_byte_mutants(self, tmp_path, text, block):
+        # small blocks make fast and token-by-token blocks alternate within one file
+        p = tmp_path / "x.txt"
+        p.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            assert _outcome(read_sparse_labeled, p) == _outcome(_parse_reference, p)
+
+    @pytest.mark.parametrize("block", [64, 1 << 18])
+    def test_written_files_take_one_pass(self, tmp_path, block):
+        rng = np.random.default_rng(12)
+        dense = rng.standard_normal((30, 200)) * 10.0 ** rng.integers(-300, 300, (30, 200))
+        dense[rng.random(dense.shape) < 0.7] = 0.0
+        dense[:, ::17] = 0.0  # label-only lines
+        labels = rng.integers(-2, 3, 200) * 0.5
+        p = tmp_path / "w.txt"
+        write_sparse_labeled(p, sp.csc_matrix(dense), labels)
+        expected = _outcome(_parse_reference, p)
+        with mock.patch.object(data, "_BLOCK_BYTES", block), \
+                mock.patch.object(data, "_parse_block_slow", side_effect=AssertionError("fell back")):
+            assert _outcome(read_sparse_labeled, p) == expected
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        p = tmp_path / "x.txt"
+        p.write_bytes(b"1 1:2\r\n-1\xc2\xa02:3\n1 1:2\xff\n")
+        with pytest.raises(ParseError, match=r"^line 3: byte 0xff is not UTF-8$"):
+            read_sparse_labeled(p)
 
 
 class TestTraceIO:
@@ -348,6 +416,24 @@ class TestTraceIO:
         p.write_text(text)
         with pytest.raises(ParseError, match="line 1: empty file"):
             read_trace(p)
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ('{"records": [}', "line 1: invalid JSON: Expecting value"),
+            ('{\n  "records": [\n    {"k": 0,}\n  ]\n}', "line 3: invalid JSON: Expecting property name"),
+            ('{"schema_version": 1}', "line 1: expected a 'records' list of objects"),
+            ('{"records": {"k": 0}}', "line 1: expected a 'records' list of objects"),
+            ('{"records": [[0, 1]]}', "line 1: expected a 'records' list of objects"),
+        ],
+        ids=["cut", "trailing_comma", "no_records", "records_object", "record_list"],
+    )
+    def test_malformed_json_rejected(self, tmp_path, text, message):
+        p = tmp_path / "t.json"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_trace(p)
+        assert str(err.value).startswith(message)
 
     def test_json_record_without_column_rejected(self, tmp_path):
         columns = ("k", "h_value", "psi_value", "delta_P_norm", "delta_Q_norm", "delta_C_norm", "wall_time_seconds")
