@@ -1,7 +1,8 @@
 """Batch front end: generate data, run/compare solvers, verify, evaluate.
 
-Solver flags default to SolverConfig's values (cluster: tol 1e-6); a
---config JSON file overrides those and explicit flags override the file.
+Solver flags default to SolverConfig's values (cluster: tol 1e-6).  A --config
+JSON entry is read, and checked, as the flag of its name (max_iter is --max-iter)
+given before the explicit flags; other keys, and config, input and out, are ignored.
 Seeds must be >= 0 and counts >= 1.  Exit codes: 0 success (or all
 checks passed), 2 usage/precondition error (compare: also when no method
 produced a result, after the table is written), 3 solver stopped at the
@@ -54,11 +55,11 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
-#: the solver flags of solve, compare and cluster, with SolverConfig's defaults
+#: the solver flags of solve, compare and cluster (theorem_mode: solve's switch), with SolverConfig's defaults
 _SOLVER_FLAGS = {
     f.name: f.default
     for f in fields(SolverConfig)
-    if f.name in ("method", "alpha", "beta", "gamma", "tol", "max_iter", "seed")
+    if f.name in ("method", "alpha", "beta", "gamma", "tol", "max_iter", "seed", "theorem_mode")
 }
 
 
@@ -80,6 +81,14 @@ def _read_json(path) -> dict:
     return value
 
 
+def _meta_count(meta: dict, key: str, path: Path) -> int:
+    """``meta[key]`` if it is an int >= 1 (a bool is not), else an InvalidInputError naming ``path``."""
+    value = meta[key]
+    if type(value) is not int or value < 1:
+        raise InvalidInputError(f"{path}: {key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _load_instance(path: str, K: int | None = None, n_features: int | None = None) -> ProblemInstance:
     p = Path(path)
     if p.is_dir():
@@ -87,8 +96,8 @@ def _load_instance(path: str, K: int | None = None, n_features: int | None = Non
         sparse = meta.get("format") == "sparse"
         try:
             X_path = p / meta["files"]["X"]
-            K_eff = K if K is not None else meta["K"]
-            d = meta["d"] if sparse else None
+            K_eff = K if K is not None else _meta_count(meta, "K", p / "meta.json")
+            d = _meta_count(meta, "d", p / "meta.json") if sparse else None
         except KeyError as exc:
             raise InvalidInputError(f"{p / 'meta.json'} has no {exc} entry") from None
         except TypeError:
@@ -105,20 +114,19 @@ def _load_instance(path: str, K: int | None = None, n_features: int | None = Non
     return read_sparse_labeled(p, K=K if K is not None else 1, n_features=n_features)
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset flags from a JSON config file, then from defaults."""
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _read_json(args.config)
-    for key, default in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, default))
-    return args
+def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """``args.config``'s entries as ``--flag=value`` tokens of the command: strings as is, other values as JSON."""
+    actions = parser._subparsers._group_actions[0].choices[args.command]._actions
+    flags = {a.dest: a.option_strings[0] for a in actions if a.option_strings and a.nargs != 0}
+    return [
+        f"{flags[key]}={value if isinstance(value, str) else json.dumps(value)}"
+        for key, value in _read_json(args.config).items()
+        if key in flags and key not in ("config", "input", "out")
+    ]
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    flags = {key: getattr(args, key) for key in _SOLVER_FLAGS}
-    return SolverConfig(**flags, theorem_mode=bool(getattr(args, "theorem_mode", False)))
+    return SolverConfig(**{key: getattr(args, key) for key in _SOLVER_FLAGS})
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +134,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def cmd_generate(args) -> int:
-    args = _merge_config(args, {"n": None, "d": None, "K": None, "sigma": 0.5, "seed": 0, "format": "dense"})
     if args.n is None or args.d is None or args.K is None:
         raise PreconditionError("--n, --d and --K are required")
     spec = FixedEffectSpec(n=args.n, d=args.d, K=args.K, sigma=args.sigma, seed=args.seed)
@@ -157,7 +164,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    args = _merge_config(args, {**_SOLVER_FLAGS, "K": None})
     inst = _load_instance(args.input, K=args.K)
     cfg = _solver_config(args)
     P0, Q0 = draw_start(inst, args.seed)
@@ -180,7 +186,7 @@ def cmd_solve(args) -> int:
         "objective_l1": res.final_objective,
         "tev": tev_value,
         "criticality": crit.to_dict(),
-        "config": {key: getattr(cfg, key) for key in (*_SOLVER_FLAGS, "theorem_mode") if key != "method"},
+        "config": {key: getattr(cfg, key) for key in _SOLVER_FLAGS if key != "method"},
         "files": {"trace_csv": str(out / "trace.csv")},
     }
     (out / "result.json").write_text(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n", encoding="utf-8")
@@ -189,7 +195,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    args = _merge_config(args, {**_SOLVER_FLAGS, "methods": ",".join(METHODS), "K": None})
     inst = _load_instance(args.input, K=args.K)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
     # compare has no --method flag; a "method" key in a --config file is ignored
@@ -255,8 +260,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    # cluster stops at a looser tol than SolverConfig's default
-    args = _merge_config(args, {**_SOLVER_FLAGS, "tol": 1e-6, "restarts": 10, "threshold": 0.8})
     inst = _load_instance(args.input)
     if inst.labels is None:
         raise PreconditionError("clustering requires a labeled dataset")
@@ -301,14 +304,12 @@ def _count(text: str) -> int:
 
 def _add_solver_flags(p: argparse.ArgumentParser, with_method: bool = True) -> None:
     if with_method:
-        p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON file of flag defaults; flags override")
+        p.add_argument("--method", choices=METHODS)
+    for name in ("alpha", "beta", "gamma", "tol"):
+        p.add_argument(f"--{name}", type=float)
+    p.add_argument("--max-iter", dest="max_iter", type=int)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(**_SOLVER_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,30 +317,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     g = sub.add_parser("generate", help="generate a synthetic fixed-effect instance")
-    g.add_argument("--n", type=int, default=None)
-    g.add_argument("--d", type=int, default=None)
-    g.add_argument("--K", type=int, default=None)
-    g.add_argument("--sigma", type=float, default=None)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--n", type=int)
+    g.add_argument("--d", type=int)
+    g.add_argument("--K", type=int)
+    g.add_argument("--sigma", type=float, default=0.5)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--format", choices=("dense", "sparse"), default=None)
-    g.add_argument("--config", default=None)
+    g.add_argument("--format", choices=("dense", "sparse"), default="dense")
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="run one solver and export trace + report")
     _add_solver_flags(s)
     s.add_argument("--theorem-mode", dest="theorem_mode", action="store_true")
     s.add_argument("--input", required=True)
-    s.add_argument("--K", type=int, default=None)
+    s.add_argument("--K", type=int)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_solve)
 
     c = sub.add_parser("compare", help="run several methods from one start")
-    c.add_argument("--methods", default=None, help="comma-separated method list")
+    c.add_argument("--methods", default=",".join(METHODS), help="comma-separated method list")
     _add_solver_flags(c, with_method=False)
     c.add_argument("--input", required=True)
-    c.add_argument("--K", type=int, default=None)
-    c.add_argument("--out", default=None)
+    c.add_argument("--K", type=int)
+    c.add_argument("--out")
     c.set_defaults(func=cmd_compare)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -349,34 +349,41 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--specs", type=_count, default=10)
     v.add_argument("--instances", type=_count, default=10)
     v.add_argument("--restarts", type=_count, default=20)
-    v.add_argument("--n", type=_count, default=None)
-    v.add_argument("--d", type=_count, default=None)
-    v.add_argument("--K", type=_count, default=None)
+    v.add_argument("--n", type=_count)
+    v.add_argument("--d", type=_count)
+    v.add_argument("--K", type=_count)
     v.add_argument("--sigma", type=float, default=0.5)
     v.add_argument("--method", choices=("pame", "pam"), default="pame")
-    v.add_argument("--out", default=None)
+    v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 
     cl = sub.add_parser("cluster", help="solve, project, cluster, and score")
     _add_solver_flags(cl)
     cl.add_argument("--input", required=True)
-    cl.add_argument("--K", type=int, default=None)
+    cl.add_argument("--K", type=int)
     cl.add_argument("--auto-K", dest="auto_K", action="store_true")
-    cl.add_argument("--threshold", type=float, default=None)
-    cl.add_argument("--restarts", type=int, default=None)
-    cl.add_argument("--out", default=None)
-    cl.set_defaults(func=cmd_cluster)
+    cl.add_argument("--threshold", type=float, default=0.8)
+    cl.add_argument("--restarts", type=int, default=10)
+    cl.add_argument("--out")
+    # cluster stops at a looser tol than SolverConfig's default
+    cl.set_defaults(func=cmd_cluster, tol=1e-6)
 
+    for p in (g, s, c, cl):
+        p.add_argument("--config", help="JSON file of flags read before the explicit flags (max_iter is --max-iter)")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
     try:
+        if getattr(args, "config", None):
+            # the file's entries go ahead of the user's flags: argparse keeps the last value
+            args = parser.parse_args([argv[0], *_config_flags(parser, args), *argv[1:]])
         return args.func(args)
     except (
         PreconditionError,

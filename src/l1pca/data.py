@@ -247,12 +247,24 @@ def _trace_rows(trace: IterateTrace):
         yield [fmt(col[i]) for col, fmt in cols]
 
 
-def _trace_record(trace: IterateTrace, cells: dict) -> None:
-    """Append one record read from a file; a legacy record's flip count comes from
-    ``delta_P_norm``, which is 2 sqrt(flips) with a correctly rounded sqrt."""
-    if "sign_flips" not in cells:
-        cells = {**cells, "sign_flips": round(float(cells["delta_P_norm"]) ** 2 / 4.0)}
-    trace.append(*(int(cells[c]) if c in _INT_COLUMNS else float(cells[c]) for c in _CSV_COLUMNS))
+def _trace_record(trace: IterateTrace, cells: dict, lineno: int, where: str = "") -> None:
+    """Append one record read from line ``lineno`` of a file, or raise a ParseError there, after
+    ``where``, naming a cell that is not a count or a number; a legacy record's flip count comes
+    from ``delta_P_norm``, which is 2 sqrt(flips) with a correctly rounded sqrt."""
+    record = {}
+    for c in _CSV_COLUMNS if "sign_flips" in cells else _LEGACY_COLUMNS:
+        try:
+            record[c] = int(cells[c]) if c in _INT_COLUMNS else float(cells[c])
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if c in _INT_COLUMNS else "a number"
+            raise ParseError(f"{where}column {c!r} holds {cells[c]!r}, not {kind}", lineno) from None
+    if "sign_flips" not in record:
+        try:
+            record["sign_flips"] = round(record["delta_P_norm"] ** 2 / 4.0)
+        except (ValueError, OverflowError):
+            bad = cells["delta_P_norm"]
+            raise ParseError(f"{where}column 'delta_P_norm' holds {bad!r}, not 2 sqrt(flips)", lineno) from None
+    trace.append(*(record[c] for c in _CSV_COLUMNS))
 
 
 def write_trace(trace: IterateTrace, path, fmt: str = "csv") -> None:
@@ -279,12 +291,17 @@ def read_trace(path) -> IterateTrace:
 
     Files written before the ``sign_flips`` column still read; their flip
     counts are recovered from ``delta_P_norm``.  An empty file is a
-    ParseError, and so is invalid JSON (at its line), and a JSON trace
+    ParseError, and so is a byte that is not UTF-8 or a cell that is not a
+    number (at its line), invalid JSON (at its line), and a JSON trace
     without a list of record objects or with a record that lacks a column
-    (at line 1).
+    or holds a bad cell (at line 1).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8", raw.count(b"\n", 0, exc.start) + 1) from None
     trace = IterateTrace()
     if text.lstrip().startswith("{"):
         try:
@@ -297,19 +314,19 @@ def read_trace(path) -> IterateTrace:
             missing = [c for c in _LEGACY_COLUMNS if c not in rec]
             if missing:
                 raise ParseError(f"record {i} has no {missing[0]!r} column", 1)
-            _trace_record(trace, rec)
+            _trace_record(trace, rec, 1, f"record {i}: ")
         return trace
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty file", 1)
-    header = tuple(lines[0].split(","))
+    header = tuple(lines[0][1].split(","))
     if header not in (_CSV_COLUMNS, _LEGACY_COLUMNS):
-        raise ParseError(f"unexpected trace header {list(header)}", 1)
-    for lineno, ln in enumerate(lines[1:], start=2):
+        raise ParseError(f"unexpected trace header {list(header)}", lines[0][0])
+    for lineno, ln in lines[1:]:
         vals = ln.split(",")
         if len(vals) != len(header):
             raise ParseError("wrong column count", lineno)
-        _trace_record(trace, dict(zip(header, vals)))
+        _trace_record(trace, dict(zip(header, vals)), lineno)
     return trace
 
 

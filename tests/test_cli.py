@@ -408,6 +408,95 @@ class TestNegativeSeed:
         assert capsys.readouterr().err.startswith("error: seeds must be non-negative")
 
 
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one CLI run, argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestConfigEntriesAreFlags:
+    """A --config entry is the flag of its name given before the explicit flags, checked as that flag."""
+
+    @pytest.mark.parametrize(
+        ("command", "key", "value", "flag", "code"),
+        [
+            ("solve", "alpha", "x", ["--alpha", "x"], 2),
+            ("solve", "tol", None, ["--tol", "null"], 2),
+            ("solve", "seed", 1.5, ["--seed", "1.5"], 2),
+            ("solve", "max_iter", 2.5, ["--max-iter", "2.5"], 2),
+            ("solve", "max_iter", "5", ["--max-iter", "5"], 0),
+            ("cluster", "threshold", "x", ["--threshold", "x"], 2),
+            ("cluster", "restarts", "3", ["--restarts", "3"], 0),
+        ],
+        ids=["alpha_string", "tol_null", "seed_float", "max_iter_float", "max_iter_string", "threshold_string",
+             "restarts_string"],
+    )
+    def test_entry_runs_as_its_flag(self, tmp_path, capsys, command, key, value, flag, code):
+        argv = _SEEDED_COMMANDS[command](tmp_path)
+        capsys.readouterr()
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        by_flag = _outcome([*argv, *flag], capsys)
+        by_config = _outcome([*argv, "--config", str(cfgfile)], capsys)
+        assert by_config == by_flag
+        assert by_config[0] == code
+        if code == 2:
+            assert f"error: argument {flag[0]}: invalid " in by_config[2]
+
+    def test_generate_bad_format_writes_nothing(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"format": "xml"}))
+        code, _, err = _outcome([*_SEEDED_COMMANDS["generate"](tmp_path), "--config", str(cfgfile)], capsys)
+        assert code == 2
+        assert "argument --format: invalid choice: 'xml'" in err
+        assert not (tmp_path / "gen" / "meta.json").exists()
+
+    def test_switch_key_ignored(self, tmp_path, capsys):
+        # theorem mode would refuse these steps; the key is ignored and the alpha beside it is read
+        inst = _generate(tmp_path)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"theorem_mode": True, "alpha": "1e-5", "beta": 1e3, "gamma": 0.9}))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfgfile), "--max-iter", "5", "--input", str(inst), "--out", str(out)]) == 3
+        config = json.loads((out / "result.json").read_text())["config"]
+        assert config["theorem_mode"] is False and config["alpha"] == 1e-5
+
+    def test_auto_K_key_ignored(self, tmp_path, capsys):
+        data = _three_cluster_dataset(tmp_path / "three.txt")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"auto_K": True, "K": "2", "out": str(tmp_path / "elsewhere.json")}))
+        assert main(["cluster", "--config", str(cfgfile), "--input", str(data)]) == 0
+        assert json.loads(capsys.readouterr().out)["K"] == 2
+        assert not (tmp_path / "elsewhere.json").exists()
+
+
+class TestMetaCounts:
+    @pytest.mark.parametrize(("key", "value"), [("d", "10"), ("K", "2"), ("K", None), ("K", True), ("d", 0), ("K", 1.0)])
+    def test_bad_count_exit_2(self, tmp_path, capsys, key, value):
+        inst = tmp_path / "inst"
+        assert main(["generate", "--n", "15", "--d", "6", "--K", "2", "--seed", "9",
+                     "--out", str(inst), "--format", "sparse"]) == 0
+        capsys.readouterr()
+        meta = json.loads((inst / "meta.json").read_text())
+        meta[key] = value
+        (inst / "meta.json").write_text(json.dumps(meta))
+        assert main(["cluster", "--input", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {inst / 'meta.json'}: {key!r} must be an integer >= 1, got {value!r}\n"
+
+    def test_K_flag_overrides_meta(self, tmp_path, capsys):
+        # meta.json's K is not read when --K is given
+        inst = _generate(tmp_path)
+        meta = json.loads((inst / "meta.json").read_text())
+        meta["K"] = "3"
+        (inst / "meta.json").write_text(json.dumps(meta))
+        assert main(["solve", "--K", "2", "--max-iter", "3", "--input", str(inst), "--out", str(tmp_path / "run")]) == 3
+
+
 def _three_cluster_dataset(path, n_per=30):
     rng = seeded_rng(321)
     pts = rng.standard_normal((6, 3 * n_per)) * 0.3

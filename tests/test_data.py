@@ -443,6 +443,46 @@ class TestTraceIO:
         with pytest.raises(ParseError, match="line 1: record 2 has no 'h_value' column"):
             read_trace(p)
 
+    _LEGACY_HEADER = b"k,h_value,psi_value,delta_P_norm,delta_Q_norm,delta_C_norm,wall_time_seconds\n"
+    _HEADER = _LEGACY_HEADER[:-1] + b",sign_flips\n"
+    _ROW = b"0,-1.5,-1.5,0,0,0,0,0\n"
+
+    @pytest.mark.parametrize(
+        ("raw", "message"),
+        [
+            (_HEADER + _ROW + b"x,-2,-2,0,0,0,0,0\n", "line 3: column 'k' holds 'x', not an integer"),
+            (
+                _HEADER + b"\n" + _ROW + b"1,-2,-2,0,0,0,0,1.5\n",
+                "line 4: column 'sign_flips' holds '1.5', not an integer",
+            ),
+            (_HEADER + _ROW + b"1,-2,nope,0,0,0,0,0\n", "line 3: column 'psi_value' holds 'nope', not a number"),
+            (_HEADER + b"1,-2,-2,0,0,0,0\xff,0\n", "line 2: byte 0xff is not UTF-8"),
+            (b"k,h_value\n" + _ROW, "line 1: unexpected trace header ['k', 'h_value']"),
+            (b"\n" + _HEADER[:-1] + b",extra\n", "line 2: unexpected trace header"),
+            (_HEADER + _ROW + b"1,-2,-2,0\n", "line 3: wrong column count"),
+            (_LEGACY_HEADER + b"0,-1,-1,inf,0,0,0\n", "line 2: column 'delta_P_norm' holds 'inf', not 2 sqrt(flips)"),
+            (_LEGACY_HEADER + b"0,-1,-1,1e200,0,0,0\n", "line 2: column 'delta_P_norm' holds '1e200', not 2 sqrt(flips)"),
+            (
+                b'{"records": [{"k": null, "h_value": 0, "psi_value": 0, "delta_P_norm": 0, "delta_Q_norm": 0, '
+                b'"delta_C_norm": 0, "wall_time_seconds": 0}]}',
+                "line 1: record 1: column 'k' holds None, not an integer",
+            ),
+            (
+                b'{"records": [{"k": 0, "h_value": "x", "psi_value": 0, "delta_P_norm": 0, "delta_Q_norm": 0,\n'
+                b'"delta_C_norm": 0, "wall_time_seconds": 0}]}',
+                "line 1: record 1: column 'h_value' holds 'x', not a number",
+            ),
+        ],
+        ids=["csv_k", "csv_flips_after_blank", "csv_float", "csv_byte", "header", "header_after_blank",
+             "column_count", "legacy_inf", "legacy_huge", "json_null", "json_string"],
+    )
+    def test_bad_cell_or_line_rejected(self, tmp_path, raw, message):
+        p = tmp_path / "t.trace"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError) as err:
+            read_trace(p)
+        assert str(err.value).startswith(message)
+
 
 class TestDenseBinary:
     def test_roundtrip(self, tmp_path):

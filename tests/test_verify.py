@@ -545,3 +545,45 @@ class TestReportSerialization:
         res = solve(inst, cfg, np.ones((2, 1)), np.array([[1.0], [0.0]]))
         payload = _check_serialized(decrease_and_error_audit(res))
         assert payload["passed"] is True
+
+
+def _build(A, q, blocks, V):
+    return build_critical_point(critical_set_spec(np.array(A), q), blocks, V)
+
+
+_DIAG = [[2.0, 0.0], [0.0, 1.0]]  # rank 2, two blocks of multiplicity 1
+_TALL = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]  # d=3, K=2, rank 1: a (2, 1) tail V
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: enumerate_oracle(np.ones((3, 2)), 3), "K must satisfy 1 <= K <= min(n, d)"),
+        (lambda: enumerate_oracle(np.ones((3, 2)), 0), "K must satisfy 1 <= K <= min(n, d)"),
+        (lambda: critical_set_spec(np.ones((2, 3)), [1.0, 1.0]), "A must be d x K with d >= K >= 1"),
+        (lambda: critical_set_spec(np.array(_DIAG), [1.0]), "q must have one sign per positive singular value (rank 2)"),
+        (lambda: critical_set_spec(np.array(_DIAG), [1.0, 0.5]), "q entries must be exactly +-1"),
+        (lambda: _build(_DIAG, [1.0, 1.0], [np.eye(1)], None), "one orthogonal block per multiplicity group required"),
+        (lambda: _build(_DIAG, [1.0, 1.0], [np.eye(2), np.eye(1)], None), "block shape (2, 2) does not match multiplicity 1"),
+        (lambda: _build(_DIAG, [1.0, 1.0], [np.eye(1), [[0.5]]], None), "U_blocks must be orthogonal"),
+        (lambda: _build(_TALL, [1.0], [np.eye(1)], None), "V required when K exceeds the rank"),
+        (lambda: _build(_TALL, [1.0], [np.eye(1)], np.ones((1, 1))), "V must have shape (2, 1)"),
+        (lambda: _build(_TALL, [1.0], [np.eye(1)], [[2.0], [0.0]]), "V must have orthonormal columns"),
+        (lambda: error_bound_probe(np.array([[2.0]]), [1.0], radius=1.0), "radius must lie in (0, 1)"),
+        (lambda: error_bound_probe(np.array([[2.0]]), [1.0], radius=0.0), "radius must lie in (0, 1)"),
+        (
+            lambda: kl_ratio_probe_h(
+                np.array([[1.0, 2.0], [3.0, -1.0]]), np.ones((2, 1)), np.array([[1.0], [0.0]]), radii=[0.1]
+            ),
+            "(Pstar, Qstar) is not critical (residual 2.000e+00 > 1.0e-08)",
+        ),
+    ],
+    ids=["oracle_K_above", "oracle_K_zero", "spec_d_below_K", "spec_q_length", "spec_q_not_sign", "block_count",
+         "block_shape", "block_not_orthogonal", "V_missing", "V_shape", "V_not_orthonormal", "radius_one", "radius_zero",
+         "kl_h_not_critical"],
+)
+def test_precondition_refusals(call, message):
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert type(err.value) is PreconditionError
+    assert str(err.value) == message
