@@ -250,10 +250,13 @@ def _trace_rows(trace: IterateTrace):
 def _trace_record(trace: IterateTrace, cells: dict, lineno: int, where: str = "") -> None:
     """Append one record read from line ``lineno`` of a file, or raise a ParseError there, after
     ``where``, naming a cell that is not a count or a number; a legacy record's flip count comes
-    from ``delta_P_norm``, which is 2 sqrt(flips) with a correctly rounded sqrt."""
+    from ``delta_P_norm``, which is 2 sqrt(flips) with a correctly rounded sqrt.  A JSON count
+    that is a float (1.5, or 2.0) or a bool, and a JSON bool anywhere, is refused, not rounded."""
     record = {}
     for c in _CSV_COLUMNS if "sign_flips" in cells else _LEGACY_COLUMNS:
         try:
+            if isinstance(cells[c], bool) or (c in _INT_COLUMNS and isinstance(cells[c], float)):
+                raise TypeError
             record[c] = int(cells[c]) if c in _INT_COLUMNS else float(cells[c])
         except (TypeError, ValueError, OverflowError):
             kind = "an integer" if c in _INT_COLUMNS else "a number"

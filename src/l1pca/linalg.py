@@ -1,10 +1,14 @@
 """Minimal dense/sparse linear algebra used by everything else.
 
 Thin SVD from LAPACK, with a deterministic sign convention and rank
-completion on top; polar factors for orthogonal Procrustes steps;
-orthonormality diagnostics.  Two kernels take eigenvalues of the
-smaller-side Gram matrix X X^T (or X^T X), both after the power-of-two
-prescale of ``_prescaled``: ``_gram`` forms it densely, and the dense
+completion on top; polar factors for orthogonal Procrustes steps, and
+(``_polar_and_inverse``) the K x K matrix T with ``polar(A) = A T`` from
+the same SVD, which lets the solver carry X^T Q through a flip-free
+stretch without a product with X; orthonormality diagnostics.  Two
+kernels take eigenvalues of the smaller-side Gram matrix X X^T (or
+X^T X), both after the power-of-two prescale of ``_prescaled``
+(which the solver also applies to X P before it forms X^T X P):
+``_gram`` forms it densely, and the dense
 spectral norm is the root of its top eigenvalue; ``_top_eigenvalues``
 serves the sparse spectral norm and the covariance spectrum in ``metrics``,
 and is the one place that chooses between a dense solve of ``_gram`` and
@@ -293,6 +297,17 @@ def thin_svd(M, rank: int | None = None) -> ThinSvd:
     return ThinSvd(U=U, sigma=sigma, V=V)
 
 
+def _polar_svd(M):
+    """(U, sigma, Vt, full): the thin SVD of a rows >= cols matrix from one LAPACK
+    call, and whether its smallest singular value lies above ``_rank_cutoff``."""
+    A = as_dense(M)
+    if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
+        raise PreconditionError("polar_factor expects rows >= cols >= 1")
+    require_finite(A, "polar_factor input")
+    U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+    return U, sigma, Vt, bool(sigma[-1] > _rank_cutoff(A.shape, sigma))
+
+
 def polar_factor(M, complete: bool = True) -> np.ndarray | None:
     """Orthonormal polar factor U V^T of a rows >= cols matrix.
 
@@ -306,17 +321,32 @@ def polar_factor(M, complete: bool = True) -> np.ndarray | None:
     ``thin_svd``'s sign convention is not needed: it flips a U column and
     its V column together, which leaves U V^T unchanged.
     """
-    A = as_dense(M)
-    if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
-        raise PreconditionError("polar_factor expects rows >= cols >= 1")
-    require_finite(A, "polar_factor input")
-    U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
-    if sigma[-1] > _rank_cutoff(A.shape, sigma):
+    U, sigma, Vt, full = _polar_svd(M)
+    if full:
         return U @ Vt
     if not complete:
         return None
     U, V = _complete(U, sigma, Vt.T)
     return U @ V.T
+
+
+def _polar_and_inverse(M) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """(Q, T, e): Q = ``polar_factor(M)``, byte for byte, and T with Q = (M / 2^e) T.
+
+    For a full-rank M = U S V^T, Q = U V^T = M V S^-1 V^T, so a product
+    of Q with anything linear, such as X^T Q, follows from the same product
+    with M and the K x K matrix ``T = V (2^e S^-1) V^T``; e is the binary
+    exponent of the largest singular value, which keeps T and M / 2^e near
+    unit scale at any floating-point scale of M.  Both come from the one
+    LAPACK call that gives Q.  A rank-deficient M, whose Q needed
+    completion, gives T = None (and e = 0).
+    """
+    U, sigma, Vt, full = _polar_svd(M)
+    if not full:
+        U, V = _complete(U, sigma, Vt.T)
+        return U @ V.T, None, 0
+    e = math.frexp(sigma[0])[1]
+    return U @ Vt, (Vt.T / np.ldexp(sigma, -e)) @ Vt, e
 
 
 def spectral_norm(X) -> float:

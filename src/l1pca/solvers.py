@@ -39,13 +39,30 @@ such test: the jump to Q* is not a step of the audited scheme.
 ``X^T`` is linear, so ``X^T E = ext(X^T Q, X^T Q_prev, gs)``, which is
 ``X^T Q`` itself when gs is 0; the objective h = -<P, X^T Q>, the
 theorem-mode subgradient element and the final objective are read off the
-same carried product.  Each iteration therefore forms at most two products
-with X, ``X P_new`` and ``X^T Q_new``, plus one ``X^T Q0`` at the start and
-one ``X^T Q*`` per fixed-point test that finds ``X P`` of full rank.
-After the first iteration, one that flips no sign keeps its ``X P``: P_new
-holds P's values in the same layout, so the product would give the same
-bits.  Past that reuse, all six rules take the same Q step and the same
-fixed-point test; they differ only in the Q step's anchor.  So ``fpm``
+same carried product.  An iteration that flips a sign forms ``X P_new``
+and ``X^T Q_new``.  One that flips none keeps its ``X P``: P_new holds P's
+values in the same layout, so the product would give the same bits.  A
+flip-free iteration that follows another takes ``X^T Q_new`` from its own
+polar step instead.  The step's input ``A = ext(Q, Q_prev, gq) + X P / beta``
+(fpm: ``A = X P``) has the SVD ``U S V^T``, and for a full-rank A
+``polar(A) = U V^T = A T`` with the K x K matrix ``T = V S^-1 V^T``, so::
+
+    X^T Q_new = (ext(X^T Q, X^T Q_prev, gq) + X^T (X P) / beta) T
+
+``X^T (X P)`` is formed once while P holds, and ``linalg._polar_and_inverse``
+gives T from the SVD that gives Q_new; powers of two keep both factors
+near unit scale.  So a flip-free stretch forms two products with X in its
+first 65 iterations, ``X^T Q_new`` on the first and ``X^T (X P)`` on the
+second, and then one ``X^T Q_new`` on each of two iterations in a row per
+66: rounding in the carried product adds up along a stretch, and
+``_CARRY_SPAN`` (64) bounds it.  Its h and final objective agree with a
+direct product to roundoff.  A rank-deficient A, and a carried product
+that leaves the floating-point range, take ``X^T Q_new`` from X.  The
+start takes one ``X^T Q0``, and each fixed-point test that finds ``X P``
+of full rank one ``X^T Q*``, which the stop decision and the final
+objective of a ``fixed_point`` run read.  Past these products, all six
+rules take the same Q step and the same fixed-point test; they differ
+only in the Q step's anchor.  So ``fpm``
 takes ``polar(X P)`` again on a flip-free step, and its test takes
 ``polar(X P, complete=False)`` and ``X^T Q*`` again, although its Q already
 is that factor: about 0.5 ms per desk-scale solve, the price of one path.
@@ -70,7 +87,18 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateUpdateError, DivergedError, InvalidInputError, PreconditionError
-from .linalg import _xt, frob, polar_factor, random_signs, random_stiefel, seeded_rng, spectral_norm, stiefel_residual
+from .linalg import (
+    _polar_and_inverse,
+    _prescaled,
+    _xt,
+    frob,
+    polar_factor,
+    random_signs,
+    random_stiefel,
+    seeded_rng,
+    spectral_norm,
+    stiefel_residual,
+)
 from .model import (
     CONSTRUCTION_TOL,
     ProblemInstance,
@@ -274,6 +302,32 @@ def _ext(A: np.ndarray, A_prev: np.ndarray, w: float) -> np.ndarray:
     return A if w == 0.0 else A + w * (A - A_prev)
 
 
+#: flip-free iterations in a row that take X^T Q_new from the polar step
+#: before two take it from X again.  Rounding in the carried product adds up
+#: along a stretch: on a 30 x 60 X with singular values 1 to 1e-10 and K = 30,
+#: with no such bound, ipalm's carried X^T Q moved from a direct product by
+#: 2e-12, 6e-12 and 8e-9 of its largest entry after 32, 64 and about 3000
+#: steps (h by up to 1e-11 relative), theorem-mode pame by 7e-13 after 3000.
+#: With it, over 354 runs of all six rules and theorem mode on that X, one
+#: with singular values 1 to 1e-3 and a Gaussian, at scales 1, 1e160 and
+#: 1e-160, the worst was 2e-11, and h moved by 4e-14 relative.
+_CARRY_SPAN = 64
+
+
+def _xt_polar(XtXP: np.ndarray, f: int, XtQ_anchor: np.ndarray | None, b: float, T: np.ndarray, e: int):
+    """X^T polar(A) = (X^T A) T for A = Q_anchor + X P / b (fpm: X P, with no anchor and b = 1).
+
+    ``XtXP`` is X^T (X P) / 2^f and ``(T, e)`` come from ``_polar_and_inverse(A)``,
+    so X^T A / 2^e = XtQ_anchor / 2^e + XtXP 2^(f - e) / b; the powers of two
+    keep every term near the scale of X^T Q.  A factor out of range is inf
+    (``np.ldexp`` does not raise), and so is the result.
+    """
+    XtA = XtXP * np.ldexp(1.0 / b, f - e)
+    if XtQ_anchor is not None:
+        XtA += XtQ_anchor * np.ldexp(1.0, -e)
+    return XtA @ T
+
+
 def _gamma_star(alpha_star: float, beta_star: float, norm_upper: float) -> float:
     """The extrapolation bound min(1, alpha_star beta_star / (2 ||X||^2)), ||X|| <= norm_upper."""
     if norm_upper == 0.0:
@@ -435,6 +489,10 @@ def solve(
     reason = "max_iter"
     # the fixed-point test depends on P alone, so it is due again only after a flip
     test_due = True
+    # carried: how many iterations in a row have taken X^T Q_new from the polar
+    # step, 0 when the last two took it from X with no flip between, else -1;
+    # XtXP = X^T (X P) / 2^f while P holds
+    carried, XtXP = -1, None
 
     for k in range(cfg.max_iter):
         a_k = plan.alpha_fn(k)
@@ -450,6 +508,7 @@ def solve(
                 raise PreconditionError(f"theorem_mode: gamma_{k}={gs_k:g} exceeds its declared bound")
 
         XtE = _ext(XtQ, XtQ_prev, gs_k)  # X^T ext(Q, Q_prev, gs_k)
+        gq_k = gq_fn(k)
         try:
             P_new = sign_select(_ext(P, P_prev, gp_fn(k)) + XtE / a_k if rule.prox_p else XtE, P)
             flips = int(np.count_nonzero(P_new != P))
@@ -457,12 +516,20 @@ def solve(
                 # otherwise P_new holds P's values in P's layout, and X @ P_new
                 # would give the bits of the X P already held
                 XP = X @ P_new
+                XtXP = None
             if rule.prox_q:
-                Q_new = polar_factor(_ext(Q, Q_prev, gq_fn(k)) + XP / b_k)
+                A = _ext(Q, Q_prev, gq_k) + XP / b_k
             elif frob(XP) == 0.0:
                 raise DegenerateUpdateError("fixed-point update degenerate: X P = 0")
             else:
-                Q_new = polar_factor(XP)
+                A = XP
+            # a flip-free iteration after another takes X^T Q_new from the
+            # polar step's own SVD, up to _CARRY_SPAN in a row
+            T = None
+            if not flips and 0 <= carried < _CARRY_SPAN:
+                Q_new, T, e = _polar_and_inverse(A)
+            else:
+                Q_new = polar_factor(A)
         except InvalidInputError as exc:
             # X, P and Q are finite, so a non-finite step input is an overflow
             raise DivergedError(f"overflow at iteration {k}: {exc}", trace=trace) from exc
@@ -476,8 +543,24 @@ def solve(
         feas = stiefel_residual(Q_new)
         if not np.isfinite(feas) or feas > CONSTRUCTION_TOL:
             raise DivergedError(f"orthonormality lost at iteration {k} (residual {feas:.3e})", trace=trace)
-        XtQ_new = _xt(X, Q_new)
-        h_new = -float(np.sum(P_new * XtQ_new))
+        if T is not None:
+            if XtXP is None:
+                XPs, f = _prescaled(XP, frob(XP))
+                XtXP = _xt(X, XPs)
+            if rule.prox_q:
+                XtQ_new = _xt_polar(XtXP, f, _ext(XtQ, XtQ_prev, gq_k), b_k, T, e)
+            else:
+                XtQ_new = _xt_polar(XtXP, f, None, 1.0, T, e)
+            h_new = -float(np.sum(P_new * XtQ_new))
+        if T is None or not math.isfinite(h_new):
+            # from X: no T, or a carried product that left the floating-point range
+            XtQ_new = _xt(X, Q_new)
+            h_new = -float(np.sum(P_new * XtQ_new))
+            # the next step extrapolates from X^T Q and X^T Q_prev, which must
+            # not mix a carried value with one from X
+            carried = 0 if not flips and carried <= 0 else -1
+        else:
+            carried += 1
         psi_new = h_new + 0.5 * plan.beta_star * dQ * dQ
         if not np.isfinite(h_new):
             raise DivergedError(f"non-finite objective at iteration {k}", trace=trace)

@@ -472,9 +472,31 @@ class TestTraceIO:
                 b'"delta_C_norm": 0, "wall_time_seconds": 0}]}',
                 "line 1: record 1: column 'h_value' holds 'x', not a number",
             ),
+            (
+                b'{"records": [{"k": 0, "h_value": 0, "psi_value": 0, "delta_P_norm": 0, "delta_Q_norm": 0, '
+                b'"delta_C_norm": 0, "wall_time_seconds": 0, "sign_flips": 0},\n{"k": 1.5, "h_value": 0, '
+                b'"psi_value": 0, "delta_P_norm": 0, "delta_Q_norm": 0, "delta_C_norm": 0, "wall_time_seconds": 0}]}',
+                "line 1: record 2: column 'k' holds 1.5, not an integer",
+            ),
+            (
+                b'{"records": [{"k": 0, "h_value": 0, "psi_value": 0, "delta_P_norm": 0, "delta_Q_norm": 0, '
+                b'"delta_C_norm": 0, "wall_time_seconds": 0, "sign_flips": 2.0}]}',
+                "line 1: record 1: column 'sign_flips' holds 2.0, not an integer",
+            ),
+            (
+                b'{"records": [{"k": 0, "h_value": 0, "psi_value": 0, "delta_P_norm": 0, "delta_Q_norm": 0, '
+                b'"delta_C_norm": 0, "wall_time_seconds": 0, "sign_flips": true}]}',
+                "line 1: record 1: column 'sign_flips' holds True, not an integer",
+            ),
+            (
+                b'{"records": [{"k": 0, "h_value": false, "psi_value": 0, "delta_P_norm": 0, "delta_Q_norm": 0, '
+                b'"delta_C_norm": 0, "wall_time_seconds": 0, "sign_flips": 0}]}',
+                "line 1: record 1: column 'h_value' holds False, not a number",
+            ),
         ],
         ids=["csv_k", "csv_flips_after_blank", "csv_float", "csv_byte", "header", "header_after_blank",
-             "column_count", "legacy_inf", "legacy_huge", "json_null", "json_string"],
+             "column_count", "legacy_inf", "legacy_huge", "json_null", "json_string", "json_float_k",
+             "json_float_flips", "json_bool_flips", "json_bool_value"],
     )
     def test_bad_cell_or_line_rejected(self, tmp_path, raw, message):
         p = tmp_path / "t.trace"

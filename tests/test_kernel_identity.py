@@ -105,6 +105,20 @@ class TestPolarFactor:
         # None for rank-deficient M, decided on the same singular values
         _assert_same(polar_factor, polar_factor_reference, M, False)
 
+    @_IDENTITY
+    @given(M=_matrices())
+    def test_inverse_helper_matches(self, M):
+        # the solver's carried steps take Q from _polar_and_inverse: the same
+        # bytes, with a T exactly when polar_factor needs no completion, and
+        # Q = (M / 2^e) T to roundoff times the condition number
+        _assert_same(lambda A: linalg._polar_and_inverse(A)[0], polar_factor, M)
+        Q, T, e = linalg._polar_and_inverse(M)
+        assert (T is None) == (polar_factor(M, False) is None)
+        if T is not None:
+            sigma = np.linalg.svd(M, compute_uv=False)
+            bound = 8 * np.finfo(float).eps * sigma[0] / sigma[-1] * max(M.shape)
+            assert np.linalg.norm(np.ldexp(M, -e) @ T - Q) <= bound
+
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
     @pytest.mark.parametrize(
         "M",

@@ -292,8 +292,40 @@ class TestStepRules:
         assert np.allclose(res.Q_final, Q, atol=1e-14)
 
 
+def _spy_carried_steps(monkeypatch):
+    """Count the polar steps that give X^T Q_new (``_polar_and_inverse``) and the X^T (X P) products formed."""
+    seen = {"carried": 0, "xtxp": 0}
+    real_polar, real_prescaled = solvers._polar_and_inverse, solvers._prescaled
+
+    def polar(A):
+        seen["carried"] += 1
+        return real_polar(A)
+
+    def prescaled(M, norm):
+        seen["xtxp"] += 1
+        return real_prescaled(M, norm)
+
+    monkeypatch.setattr(solvers, "_polar_and_inverse", polar)
+    monkeypatch.setattr(solvers, "_prescaled", prescaled)
+    return seen
+
+
+def _stretch_instance():
+    """The 20 x 40 Gaussian, K = 3, start 1: under theorem_config, 64 iterations and no sign flip."""
+    inst = ProblemInstance(np.random.default_rng(0).standard_normal((20, 40)), 3)
+    return inst, draw_start(inst, seed=1)
+
+
+def _ill_conditioned(d=30, n=60):
+    """A d x n X with singular values spaced evenly in log from 1 to 1e-10."""
+    g = seeded_rng(61)
+    U = np.linalg.qr(g.standard_normal((d, d)))[0]
+    V = np.linalg.qr(g.standard_normal((n, d)))[0]
+    return (U * np.logspace(0, -10, d)) @ V.T
+
+
 class TestCarriedProducts:
-    """solve carries X^T Q: at most two products with X per iteration, objectives exact."""
+    """solve carries X^T Q: a flip-free stretch forms a bounded number of products with X, objectives exact."""
 
     @pytest.mark.parametrize(
         "method, theorem",
@@ -301,28 +333,47 @@ class TestCarriedProducts:
         ids=[f"paper_flags-{m}" for m in METHODS] + ["theorem_config"],
     )
     def test_two_products_per_iteration(self, monkeypatch, method, theorem):
-        # one X^T Q0, then X^T Q_new per iteration and X P_new on the first
-        # iteration and on each later one that flips a sign, plus one X^T Q*
-        # per fixed-point test that finds X P of full rank: the same count
-        # for every rule; theorem mode takes no test, and theorem_config
+        # one X^T Q0; X P_new on the first iteration and on each later one
+        # that flips a sign; X^T Q_new on every iteration that does not take
+        # it from its polar step, and one X^T (X P) for each P that such a
+        # step first sees; plus one X^T Q* per fixed-point test that finds
+        # X P of full rank.  Theorem mode takes no test, and theorem_config
         # declares the norm it took from plain X
         inst = make_instance(60, 12, 3, seed=5)
         cfg = theorem_config(inst.X) if theorem else SolverConfig(method=method)
         P0, Q0 = make_start(inst, seed=6)
         ref = solve(inst, cfg, P0, Q0)
         tests = _spy_fixed_point_tests(monkeypatch)
+        carried = _spy_carried_steps(monkeypatch)
         inst.X, counter = counting_products(inst.X)
         res = solve(inst, cfg, P0, Q0)
         assert res.iterations == ref.iterations > 2
         full_rank_tests = sum(Q_star is not None for Q_star in tests)
-        assert counter["matmul"] == 1 + res.iterations + _xp_steps(res) + full_rank_tests
+        direct = res.iterations - carried["carried"]
+        assert counter["matmul"] == 1 + direct + _xp_steps(res) + carried["xtxp"] + full_rank_tests
         assert counter["X @"] == _xp_steps(res)
         if theorem:
             assert tests == [] and res.termination_reason == "tol"
-            # no sign moves after the first iteration, so X P is formed once
-            assert not any(res.trace.sign_flips[2:]) and counter["X @"] == 1
+            # no sign moves, so X P and X^T (X P) are formed once, and only
+            # the first iteration takes X^T Q_new from X
+            assert not any(res.trace.sign_flips) and res.iterations == 46
+            assert carried == {"carried": 45, "xtxp": 1} and counter["matmul"] == 4
         else:
             assert full_rank_tests >= 1 and res.termination_reason == "fixed_point"
+
+    def test_flip_free_stretch_count_is_constant(self, monkeypatch):
+        # a 64-iteration flip-free stretch: X^T Q0, X P, X^T Q_1 and X^T (X P),
+        # however far the run goes (63 steps take X^T Q_new from the polar
+        # step, fewer than _CARRY_SPAN)
+        inst, (P0, Q0) = _stretch_instance()
+        cfg = theorem_config(inst.X)
+        X = inst.X
+        counts = []
+        for max_iter in (16, cfg.max_iter):
+            inst.X, counter = counting_products(X)
+            res = solve(inst, replace(cfg, max_iter=max_iter), P0, Q0)
+            counts.append((res.iterations, counter["matmul"]))
+        assert counts == [(16, 4), (64, 4)]
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
     @pytest.mark.parametrize("method", METHODS)
@@ -338,6 +389,79 @@ class TestCarriedProducts:
         for (P, Q), h in zip(iterates, res.trace.h_value):
             assert h == pytest.approx(objective_h(inst.X, P, Q), rel=1e-12, abs=0.0)
         assert res.final_objective == pytest.approx(objective_l1(inst.X, res.Q_final), rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def _assert_objectives_exact(inst, cfg, rel=1e-12):
+        """Every h_value and final_objective within ``rel`` of objective_h / objective_l1 recomputed."""
+        P0, Q0 = draw_start(inst, seed=1)
+        iterates = [(P0, Q0)]
+        res = solve(inst, cfg, P0, Q0, callback=lambda k, P, Q: iterates.append((P, Q)))
+        for (P, Q), h in zip(iterates, res.trace.h_value):
+            assert h == pytest.approx(objective_h(inst.X, P, Q), rel=rel, abs=0.0)
+        assert res.final_objective == pytest.approx(objective_l1(inst.X, res.Q_final), rel=rel, abs=0.0)
+        return res
+
+    @pytest.mark.parametrize("method", ["pame", "pam"])
+    @pytest.mark.parametrize("case", ["stretch", "ill_K5", "ill_Kmin"])
+    def test_theorem_mode_objectives_exact(self, monkeypatch, case, method):
+        # the 64-iteration stretch, and 500-iteration runs on an X with
+        # singular values 1 to 1e-10, where X^T Q is carried for most steps
+        if case == "stretch":
+            inst = _stretch_instance()[0]
+        else:
+            X = _ill_conditioned()
+            inst = ProblemInstance(X, 5 if case == "ill_K5" else min(X.shape))
+        carried = _spy_carried_steps(monkeypatch)
+        res = self._assert_objectives_exact(inst, theorem_config(inst.X, method=method))
+        assert res.iterations == (64 if case == "stretch" else 500)
+        assert carried["carried"] >= 0.9 * res.iterations
+
+    def test_carried_span_bounds_the_drift(self, monkeypatch):
+        # ipalm's extrapolation lets rounding in a carried X^T Q grow with the
+        # stretch (8e-9 relative after 3000 steps on this X, h off by 1e-11);
+        # taking X^T Q from X every _CARRY_SPAN steps holds h to roundoff
+        X = _ill_conditioned()
+        carried = _spy_carried_steps(monkeypatch)
+        cfg = SolverConfig(method="ipalm", tol=1e-12, max_iter=3000)
+        res = self._assert_objectives_exact(ProblemInstance(X, min(X.shape)), cfg)
+        assert res.iterations == 3000 and not any(res.trace.sign_flips[200:])
+        assert 0.9 * res.iterations <= carried["carried"] < res.iterations * solvers._CARRY_SPAN / (
+            solvers._CARRY_SPAN + 2)
+
+    @pytest.mark.parametrize("method", ["pame", "ipalm", "fpm"])
+    def test_non_finite_carried_product_taken_from_X(self, monkeypatch, method):
+        # a carried X^T Q_new that is not finite is formed from X instead, so
+        # the run is the one that never carries
+        inst = ProblemInstance(_ill_conditioned(8, 16), 8)
+        cfg = SolverConfig(method=method, gamma=0.5, tol=1e-12, max_iter=200)
+        P0, Q0 = draw_start(inst, seed=1)
+
+        def outcome():
+            res = solve(inst, cfg, P0, Q0)
+            return _trace_tuple(res.trace), res.P_final.tobytes(), res.Q_final.tobytes(), res.final_objective
+
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_CARRY_SPAN", 0)
+            direct = outcome()
+        carried = _spy_carried_steps(monkeypatch)
+        monkeypatch.setattr(solvers, "_xt_polar", lambda *args: np.full((inst.n, inst.K), np.nan))
+        assert outcome() == direct
+        assert carried["carried"] > 0
+
+    def test_subnormal_beta_takes_X_products(self, monkeypatch):
+        # 1 / beta overflows for a subnormal beta, so each carried product is
+        # inf and the run takes X^T Q_new from X, as if it never carried
+        inst = make_instance(40, 20, 3, seed=9, scale=1e-30)
+        cfg = SolverConfig(method="pam", beta=1e-310, tol=1e-12, max_iter=50)
+        P0, Q0 = make_start(inst, seed=10)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_CARRY_SPAN", 0)
+            direct = solve(inst, cfg, P0, Q0)
+        carried = _spy_carried_steps(monkeypatch)
+        res = solve(inst, cfg, P0, Q0)
+        assert carried["carried"] > 0 and res.converged
+        assert _trace_tuple(res.trace) == _trace_tuple(direct.trace)
+        assert res.final_objective == direct.final_objective
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("method", METHODS)

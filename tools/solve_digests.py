@@ -4,6 +4,7 @@ Usage::
 
     python tools/solve_digests.py SRC_DIR > digests.json
     python tools/solve_digests.py --fields SRC_DIR > fields.json
+    python tools/solve_digests.py --compare PARENT_FIELDS.json CHANGE_FIELDS.json
 
 SRC_DIR is the directory holding the ``l1pca`` package (``src`` in a
 checkout).  Run it on two checkouts and ``diff`` the outputs: a change that
@@ -17,7 +18,10 @@ of the error it raised:
   bounds.  Then the benchmark's two shapes (200x500 K=10 and 500x2000
   K=20, ``gen_fixed_effect`` data seed 0), where BLAS blocks the products:
   X in C and in F order, start 1, pame and fpm with the paper flags and
-  ``theorem_config`` pame.  A digest holds ``P_final`` and ``Q_final``,
+  ``theorem_config`` pame.  Then ``theorem_config`` pame and pam on a
+  20x40 Gaussian (numpy seed 0), K=3, start 1, at scales 1, 1e160 and
+  1e-160; at scale 1, pame's run is one 64-iteration stretch with no sign
+  flip.  A digest holds ``P_final`` and ``Q_final``,
   every trace field but ``wall_time``, the iteration count, ``converged``,
   the termination reason, ``final_objective`` and ``audit_info``.  Each
   run also digests ``criticality_report`` at its final pair, with the
@@ -32,7 +36,7 @@ of the error it raised:
   and 1e-170, dense and CSC).
 * ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300.
 
-The grid prints 2657 digests and takes about 15 s on two cores.  BLAS may
+The grid prints 2669 digests and takes about 15 s on two cores.  BLAS may
 block a product differently with a different thread count, so compare two
 trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -40,10 +44,15 @@ trees at the same ``OPENBLAS_NUM_THREADS``.
 grids only (no ``criticality_report``), the fields that gate a change which
 may move results (ROADMAP's per-field gates), or the error's class and
 message: for a solve ``iterations``, ``termination_reason``, ``converged``,
-the SHA-256 of ``P_final``'s bytes and ``final_objective`` as a hex float;
-``choose_K_by_variance`` as an int, and ``tev`` and ``spectral_norm`` as
-hex floats.  Two such files compare field by field in a few lines of
-Python.
+the SHA-256 of ``P_final``'s and of ``Q_final``'s bytes and
+``final_objective`` as a hex float; ``choose_K_by_variance`` as an int,
+and ``tev`` and ``spectral_norm`` as hex floats.
+
+``--compare`` reads two ``--fields`` files and exits 1 unless they hold the
+same runs and every run agrees: a solve's ``final_objective`` within
+``OBJECTIVE_REL_TOL`` relative, and every other field (of a solve, a metric
+or an error) identical.  It prints each run that disagrees, then one summary
+line.
 """
 
 from __future__ import annotations
@@ -63,6 +72,10 @@ STARTS = (1, 2, 3)
 GAMMAS = (0.0, 0.5, 0.8)
 #: (d, n, K) of the benchmark's desk-compare and large-theorem data
 BENCH_SHAPES = ((200, 500, 10), (500, 2000, 20))
+#: scales of the theorem-mode runs on the 20x40 Gaussian
+STRETCH_SCALES = (1.0, 1e160, 1e-160)
+#: how far ``--compare`` lets a solve's final_objective move, relative
+OBJECTIVE_REL_TOL = 1e-12
 
 
 def _canon(value):
@@ -132,6 +145,7 @@ def _fields(run) -> dict:
             "termination_reason": res.termination_reason,
             "converged": res.converged,
             "P_final": _canon(res.P_final)["bytes"],
+            "Q_final": _canon(res.Q_final)["bytes"],
             "final_objective": res.final_objective,
         }
 
@@ -226,6 +240,13 @@ def solve_runs(l1pca, out: dict, summary=_full_digest, certify: bool = True) -> 
             P0, Q0 = solvers.draw_start(inst, 1)
             for name, cfg in _bench_configs(inst.X, l1pca).items():
                 record(f"solve/{d}x{n}x{K}/{order}/start1/{name}", inst, cfg, P0, Q0)
+    X = np.random.default_rng(0).standard_normal((20, 40))
+    for scale in STRETCH_SCALES:
+        inst = ProblemInstance(X * scale, 3)
+        P0, Q0 = solvers.draw_start(inst, 1)
+        for m in ("pame", "pam"):
+            cfg = solvers.theorem_config(inst.X, method=m)
+            record(f"solve/gauss20x40x3/{scale:g}/start1/theorem/{m}", inst, cfg, P0, Q0)
 
 
 def zero_runs(l1pca, out: dict) -> None:
@@ -357,7 +378,42 @@ def norm_runs(l1pca, out: dict, summary=_digest) -> None:
         out[f"spectral_norm/{d}x{n}/csc"] = summary(lambda: l1pca.linalg.spectral_norm(X))
 
 
+def _agree(parent, change) -> bool:
+    """Two ``--fields`` values agree: identical, or solve fields identical but a
+    final_objective that moved by at most ``OBJECTIVE_REL_TOL`` relative."""
+    if parent == change:
+        return True
+    if not (isinstance(parent, dict) and isinstance(change, dict) and "final_objective" in parent):
+        return False
+    rest = [{k: v for k, v in f.items() if k != "final_objective"} for f in (parent, change)]
+    if rest[0] != rest[1] or "final_objective" not in change:
+        return False
+    a, b = float.fromhex(parent["final_objective"]), float.fromhex(change["final_objective"])
+    return abs(a - b) <= OBJECTIVE_REL_TOL * abs(a)
+
+
+def compare(parent_path: str, change_path: str) -> int:
+    """Print the runs of two ``--fields`` files that disagree; 0 when none does, else 1."""
+    parent, change = (json.loads(Path(p).read_text()) for p in (parent_path, change_path))
+    bad = sorted(parent.keys() ^ change.keys())
+    for key in bad:
+        print(f"{key}: only in {'parent' if key in parent else 'change'}")
+    moved = 0
+    for key in sorted(parent.keys() & change.keys()):
+        if not _agree(parent[key], change[key]):
+            bad.append(key)
+            print(f"{key}: {parent[key]} != {change[key]}")
+        moved += parent[key] != change[key]
+    print(f"{len(parent.keys() & change.keys())} runs compared, {moved} differ, {len(bad)} disagree")
+    return 1 if bad else 0
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--compare"]:
+        if len(argv) != 3:
+            print(__doc__, file=sys.stderr)
+            return 2
+        return compare(argv[1], argv[2])
     fields = argv[:1] == ["--fields"]
     if fields:
         argv = argv[1:]
