@@ -50,11 +50,12 @@ polar step instead.  The step's input ``A = ext(Q, Q_prev, gq) + X P / beta``
     X^T Q_new = (ext(X^T Q, X^T Q_prev, gq) + X^T (X P) / beta) T
 
 ``X^T (X P)`` is formed once while P holds, and ``linalg._polar_and_inverse``
-gives T from the SVD that gives Q_new; powers of two keep both factors
-near unit scale.  So a flip-free stretch forms two products with X in its
-first 65 iterations, ``X^T Q_new`` on the first and ``X^T (X P)`` on the
-second, and then one ``X^T Q_new`` on each of two iterations in a row per
-66: rounding in the carried product adds up along a stretch, and
+gives T from the factorization that gives Q_new (eigenvectors of A^T A
+when A is well conditioned, else A's SVD); powers of two keep both near
+unit scale.  So a flip-free stretch forms two products with X in its first
+65 iterations, ``X^T Q_new`` on the first and ``X^T (X P)`` on the second,
+and then one ``X^T Q_new`` on each of two iterations in a row per 66:
+rounding in the carried product adds up along a stretch, and
 ``_CARRY_SPAN`` (64) bounds it.  Its h and final objective agree with a
 direct product to roundoff.  A rank-deficient A, and a carried product
 that leaves the floating-point range, take ``X^T Q_new`` from X.  The
@@ -524,7 +525,7 @@ def solve(
             else:
                 A = XP
             # a flip-free iteration after another takes X^T Q_new from the
-            # polar step's own SVD, up to _CARRY_SPAN in a row
+            # polar step's own T, up to _CARRY_SPAN in a row
             T = None
             if not flips and 0 <= carried < _CARRY_SPAN:
                 Q_new, T, e = _polar_and_inverse(A)

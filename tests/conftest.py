@@ -1,9 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dsyevd
 
 from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError
-from l1pca.linalg import _rank_cutoff, as_dense, random_signs, random_stiefel, require_finite, seeded_rng, thin_svd
+from l1pca.linalg import (
+    _rank_cutoff,
+    as_dense,
+    frob,
+    random_signs,
+    random_stiefel,
+    require_finite,
+    seeded_rng,
+    thin_svd,
+)
 from l1pca.model import ProblemInstance
 
 
@@ -96,6 +108,19 @@ def polar_factor_reference(M, complete=True):
     if not complete and not s.sigma[-1] > _rank_cutoff(A.shape, s.sigma):
         return None
     return s.U @ s.V.T
+
+
+def polar_factor_gram_reference(M, complete=True):
+    """linalg.polar_factor with its Gram route: for a finite M with cond(M) <= 4,
+    M (M^T M)^(-1/2), with M first divided by 2^e for e the exponent of ||M||_F
+    and the inverse root taken from dsyevd; any other M, polar_factor_reference."""
+    A = as_dense(M)
+    if A.ndim == 2 and A.shape[0] >= A.shape[1] >= 1 and np.isfinite(A).all():
+        As = np.ldexp(A, -math.frexp(frob(A))[1])
+        w, V, info = dsyevd(As.T @ As)
+        if info == 0 and w[-1] > 0.0 and 16.0 * w[0] >= w[-1]:
+            return As @ ((V / np.sqrt(w)) @ V.T)
+    return polar_factor_reference(M, complete)
 
 
 def complete_orthonormal_reference(U, n_cols):

@@ -3,8 +3,12 @@
 ``sign_select``, ``polar_factor`` and ``stiefel_residual`` take lean paths
 that must give the same bytes, memory layout and error class as the
 references, and a whole ``solve`` must not move when the references are
-swapped in.
+swapped in.  ``polar_factor``'s reference is its Gram route written plainly
+(``polar_factor_gram_reference``); the SVD reference it falls back to stays
+the yardstick of accuracy, and of the exact bytes of every declined input.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +16,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polar_factor_reference, sign_select_reference, stiefel_residual_reference
+from conftest import (
+    polar_factor_gram_reference,
+    polar_factor_reference,
+    sign_select_reference,
+    stiefel_residual_reference,
+)
 from l1pca import linalg, model, solvers
 from l1pca.errors import DegenerateUpdateError, InvalidInputError
 from l1pca.linalg import polar_factor, random_stiefel, seeded_rng, stiefel_residual
@@ -97,13 +106,21 @@ class TestPolarFactor:
     @_IDENTITY
     @given(M=_matrices())
     def test_matches_reference(self, M):
-        _assert_same(polar_factor, polar_factor_reference, M)
+        _assert_same(polar_factor, polar_factor_gram_reference, M)
 
     @_IDENTITY
     @given(M=_matrices())
     def test_incomplete_matches_reference(self, M):
         # None for rank-deficient M, decided on the same singular values
-        _assert_same(polar_factor, polar_factor_reference, M, False)
+        _assert_same(polar_factor, polar_factor_gram_reference, M, False)
+
+    @_IDENTITY
+    @given(M=_matrices())
+    def test_close_to_svd_reference(self, M):
+        # the Gram route serves only cond(M) <= 4, where it agrees with the SVD to roundoff
+        assert np.abs(polar_factor(M) - polar_factor_reference(M)).max() <= 1e-13
+        assert stiefel_residual(polar_factor(M)) <= 1e-13
+        assert (polar_factor(M, False) is None) == (polar_factor_reference(M, False) is None)
 
     @_IDENTITY
     @given(M=_matrices())
@@ -147,6 +164,94 @@ class TestPolarFactor:
         _assert_same(polar_factor, polar_factor_reference, M)
 
 
+def _two_columns(first, second):
+    """A 4 x 2 matrix whose columns hold ``first`` from row 0 and ``second`` from row 2:
+    disjoint supports, so its Gram matrix is diagonal and formed exactly."""
+    M = np.zeros((4, 2))
+    M[: len(first), 0] = first
+    M[2 : 2 + len(second), 1] = second
+    return M
+
+
+class TestGramRoute:
+    """Which inputs ``polar_factor`` serves from the Gram matrix, and what the others give."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """A count of the SVDs taken while the test runs."""
+        counts = {"svd": 0}
+        real_svd = np.linalg.svd
+
+        def svd(*args, **kwargs):
+            counts["svd"] += 1
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return counts
+
+    @staticmethod
+    def _served(M, calls):
+        """Whether polar_factor(M) took no SVD; its bytes are then the Gram reference's."""
+        before = calls["svd"]
+        Q = polar_factor(M)
+        served = calls["svd"] == before
+        if served:
+            _assert_same(polar_factor, polar_factor_gram_reference, M)
+            assert np.abs(Q - polar_factor_reference(M)).max() <= 1e-13
+            assert stiefel_residual(Q) <= 1e-13
+        else:
+            _assert_same(polar_factor, polar_factor_reference, M)
+        return served
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160, 1e-300, 1e-310])
+    def test_scales(self, calls, scale):
+        # at 1e-310 every entry is subnormal, and frob(M) below 2^-1023
+        M = seeded_rng(3).standard_normal((40, 3))
+        assert self._served(M * scale, calls)
+        # a column 1/10 of the others puts cond(M) near 14
+        assert not self._served(M * [1.0, 1.0, 0.1] * scale, calls)
+
+    @pytest.mark.parametrize(
+        "M, toward",
+        [
+            (_two_columns([1.0], [0.25, 2.0**-28]), math.inf),
+            (_two_columns([1.0], [0.25]), None),
+            (_two_columns([1.0, 2.0**-26], [0.25]), -math.inf),
+        ],
+        ids=["ulp-above", "at", "ulp-below"],
+    )
+    def test_ratio_boundary(self, calls, M, toward):
+        # the smallest eigenvalue of the prescaled Gram matrix is 1/16 of the
+        # largest, or one ulp off it; the route serves down to 1/16 inclusive
+        As = np.ldexp(M, -math.frexp(linalg.frob(M))[1])
+        w = np.linalg.eigvalsh(As.T @ As)
+        edge = w[-1] / 16
+        assert w[0] == (edge if toward is None else np.nextafter(edge, toward))
+        assert self._served(M, calls) == (toward != -math.inf)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (1, 1), (4, 4)])
+    def test_zero_matrix_declined(self, calls, shape):
+        assert not self._served(np.zeros(shape), calls)
+        assert not self._served(np.asfortranarray(-np.zeros(shape)), calls)
+
+    def test_fortran_order(self, calls):
+        M = seeded_rng(4).standard_normal((500, 20))
+        F = np.asfortranarray(M)
+        assert self._served(F, calls)
+        assert np.abs(polar_factor(F) - polar_factor(M)).max() <= 1e-15
+        assert not self._served(np.asfortranarray(M * np.geomspace(1.0, 1e-3, 20)), calls)
+
+    def test_failed_eigensolve_takes_svd(self, monkeypatch):
+        real = linalg.dsyevd
+        monkeypatch.setattr(linalg, "dsyevd", lambda G: real(G)[:2] + (1,))
+        M = seeded_rng(5).standard_normal((30, 4))
+        _assert_same(polar_factor, polar_factor_reference, M)
+        Q, T, e = linalg._polar_and_inverse(M)
+        U, sigma, Vt = np.linalg.svd(M, full_matrices=False)
+        assert e == math.frexp(sigma[0])[1]
+        assert np.array_equal(T, (Vt.T / np.ldexp(sigma, -e)) @ Vt)
+
+
 class TestStiefelResidual:
     @_IDENTITY
     @given(data=st.data())
@@ -167,7 +272,7 @@ class TestStiefelResidual:
 
 _KERNELS = {
     "sign_select": sign_select_reference,
-    "polar_factor": polar_factor_reference,
+    "polar_factor": polar_factor_gram_reference,
     "stiefel_residual": stiefel_residual_reference,
 }
 

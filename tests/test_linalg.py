@@ -150,42 +150,46 @@ class TestPolarFactor:
         with pytest.raises(PreconditionError):
             polar_factor(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
-    def test_incomplete_is_none_below_full_rank(self, monkeypatch, rank):
-        # the rank comes from the one factorization, and nothing is completed
-        from l1pca import linalg
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record the shapes that np.linalg.svd and linalg.dsyevd are called on."""
+        calls = {"svd": [], "dsyevd": []}
+        real_svd, real_dsyevd = np.linalg.svd, linalg.dsyevd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls["svd"].append(a.shape) or real_svd(a, **kw))
+        monkeypatch.setattr(linalg, "dsyevd", lambda a, **kw: calls["dsyevd"].append(a.shape) or real_dsyevd(a, **kw))
+        return calls
 
+    @staticmethod
+    def _six_by_three(rank):
+        """A 6 x 3 matrix of the given rank; "cond3" is full rank with cond(M) = 3, which the Gram route serves."""
         rng = seeded_rng(9)
-        M = rng.standard_normal((6, rank)) @ rng.standard_normal((rank, 3))
+        if rank == "cond3":
+            return random_stiefel(6, 3, rng) * [1.0, 2.0, 3.0], True
+        return rng.standard_normal((6, rank)) @ rng.standard_normal((rank, 3)), False
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3, "cond3"])
+    def test_incomplete_is_none_below_full_rank(self, monkeypatch, rank):
+        # the rank comes from one eigensolve and, where the Gram route declines,
+        # one SVD, and nothing is completed
+        M, served = self._six_by_three(rank)
         full = polar_factor(M)
-        calls = []
-        real_svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a[0].shape) or real_svd(*a, **kw))
+        calls = self._counting(monkeypatch)
         monkeypatch.setattr(linalg, "complete_orthonormal", None)
         Q = polar_factor(M, complete=False)
-        assert calls == [(6, 3)]
-        assert Q is None if rank < 3 else np.array_equal(Q, full)
+        assert calls == {"dsyevd": [(3, 3)], "svd": [] if served else [(6, 3)]}
+        assert Q is None if rank in (0, 1, 2) else np.array_equal(Q, full)
 
-    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3, "cond3"])
     def test_one_factorization_at_any_rank(self, monkeypatch, rank):
-        from l1pca import linalg
-
-        rng = seeded_rng(9)
-        M = rng.standard_normal((6, rank)) @ rng.standard_normal((rank, 3))
-        calls = []
-        real_svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real_svd(*args, **kwargs)
+        M, served = self._six_by_three(rank)
+        calls = self._counting(monkeypatch)
 
         def refuse(*args, **kwargs):
             raise AssertionError("polar_factor called thin_svd")
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(linalg, "thin_svd", refuse)
         Q = polar_factor(M)
-        assert calls == [(6, 3)]
+        assert calls == {"dsyevd": [(3, 3)], "svd": [] if served else [(6, 3)]}
         assert stiefel_residual(Q) < 1e-12
 
 
@@ -270,6 +274,12 @@ class TestFrob:
             assert ref == pytest.approx(float(np.sqrt((A**2).sum())), rel=1e-14)
             for M in (A * scale, sp.csc_matrix(A) * scale):
                 assert frob(M) / scale == pytest.approx(ref, rel=1e-14)
+
+    def test_subnormal(self):
+        # the largest entry lies below 2^-1023, so its power-of-two prescale (2^1039) is not a float
+        A = np.full((3, 4), 2.0**-1040)
+        for M in (A, sp.csc_matrix(A)):
+            assert frob(M) == pytest.approx(12**0.5 * 2.0**-1040, rel=1e-9)
 
     def test_zero(self):
         assert frob(np.zeros((3, 2))) == 0.0

@@ -52,7 +52,9 @@ and ``tev`` and ``spectral_norm`` as hex floats.
 same runs and every run agrees: a solve's ``final_objective`` within
 ``OBJECTIVE_REL_TOL`` relative, and every other field (of a solve, a metric
 or an error) identical.  It prints each run that disagrees, then one summary
-line.
+line that counts the runs that differ, and by name those in which each of
+``P_final``, ``Q_final``, ``iterations``, ``termination_reason``,
+``converged`` and ``final_objective``, a solve error, or a metric value moved.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ BENCH_SHAPES = ((200, 500, 10), (500, 2000, 20))
 STRETCH_SCALES = (1.0, 1e160, 1e-160)
 #: how far ``--compare`` lets a solve's final_objective move, relative
 OBJECTIVE_REL_TOL = 1e-12
+#: a solve's ``--fields``, which ``--compare`` counts by name when they move
+SOLVE_FIELDS = ("P_final", "Q_final", "iterations", "termination_reason", "converged", "final_objective")
 
 
 def _canon(value):
@@ -392,19 +396,39 @@ def _agree(parent, change) -> bool:
     return abs(a - b) <= OBJECTIVE_REL_TOL * abs(a)
 
 
+def _moved(key: str, parent, change) -> list[str]:
+    """What moved between two ``--fields`` values of the run ``key``: "metric values"
+    off the solve grid, else the names of the ``SOLVE_FIELDS`` that differ, or
+    "solve errors" where either solve raised."""
+    if parent == change:
+        return []
+    if not key.startswith("solve/"):
+        return ["metric values"]
+    if all(isinstance(v, dict) and "P_final" in v for v in (parent, change)):
+        return [name for name in SOLVE_FIELDS if parent.get(name) != change.get(name)]
+    return ["solve errors"]
+
+
 def compare(parent_path: str, change_path: str) -> int:
-    """Print the runs of two ``--fields`` files that disagree; 0 when none does, else 1."""
+    """Print the runs of two ``--fields`` files that disagree, then what moved, by name.
+
+    Returns 0 when none disagrees, else 1.
+    """
     parent, change = (json.loads(Path(p).read_text()) for p in (parent_path, change_path))
     bad = sorted(parent.keys() ^ change.keys())
     for key in bad:
         print(f"{key}: only in {'parent' if key in parent else 'change'}")
-    moved = 0
+    moved = dict.fromkeys((*SOLVE_FIELDS, "solve errors", "metric values"), 0)
+    differ = 0
     for key in sorted(parent.keys() & change.keys()):
         if not _agree(parent[key], change[key]):
             bad.append(key)
             print(f"{key}: {parent[key]} != {change[key]}")
-        moved += parent[key] != change[key]
-    print(f"{len(parent.keys() & change.keys())} runs compared, {moved} differ, {len(bad)} disagree")
+        differ += parent[key] != change[key]
+        for name in _moved(key, parent[key], change[key]):
+            moved[name] += 1
+    by_name = ", ".join(f"{name} {count}" for name, count in moved.items())
+    print(f"{len(parent.keys() & change.keys())} runs compared, {differ} differ ({by_name}), {len(bad)} disagree")
     return 1 if bad else 0
 
 
