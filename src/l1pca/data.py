@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -357,6 +359,11 @@ def read_dense_matrix(path) -> np.ndarray:
         if len(head) < 16:
             raise InvalidInputError("truncated dense matrix file")
         rows, cols = struct.unpack("<II", head[8:])
+        # a header can claim more than read could allocate: a regular file's
+        # size refuses the claim first
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and rows * cols * 8 > st.st_size - 16:
+            raise InvalidInputError("truncated dense matrix file")
         payload = fh.read(rows * cols * 8)
     if len(payload) != rows * cols * 8:
         raise InvalidInputError("truncated dense matrix file")

@@ -4,9 +4,10 @@ Thin SVD from LAPACK, with a deterministic sign convention and rank
 completion on top; polar factors for orthogonal Procrustes steps, taken
 from LAPACK's eigenvectors of the K x K Gram matrix of a well-conditioned
 input (cond <= 4) and from one SVD of any other, and (``_polar_and_inverse``)
-the K x K matrix T with ``polar(A) = (A / 2^e) T`` from the same
-factorization, which lets the solver carry X^T Q through a flip-free
-stretch without a product with X; orthonormality diagnostics.  Two
+for a well-conditioned input the K x K matrix T with
+``polar(A) = (A / 2^e) T`` from the same eigenvectors, which lets the
+solver carry X^T Q through a flip-free stretch without a product with X;
+orthonormality diagnostics.  Two
 kernels take eigenvalues of the smaller-side Gram matrix X X^T (or
 X^T X), both after the power-of-two prescale of ``_prescaled``
 (which the solver also applies to X P before it forms X^T X P):
@@ -153,11 +154,17 @@ def frob(M) -> float:
 
 def _prescaled(X, norm: float):
     """(X / 2^e, e): e = 0 when ``norm`` = frob(X) lies in ``_GRAM_SAFE`` or is 0,
-    else e puts the scaled norm in [1/2, 1).  The division is exact."""
+    else e puts the scaled norm in [1/2, 1).  The division is exact.
+
+    Below norm 2^-1023, 2^-e is not a float; a scale up by a power of two is
+    exact in any number of steps, so a small norm takes two."""
     if norm == 0.0 or _GRAM_SAFE[0] <= norm <= _GRAM_SAFE[1]:
         return X, 0
     e = math.frexp(norm)[1]
-    return X * math.ldexp(1.0, -e), e
+    if e > 0:
+        return X * math.ldexp(1.0, -e), e
+    h = -e // 2
+    return X * math.ldexp(1.0, h) * math.ldexp(1.0, -e - h), e
 
 
 def _gram(X) -> tuple[np.ndarray, int]:
@@ -309,7 +316,8 @@ def thin_svd(M, rank: int | None = None) -> ThinSvd:
 
 
 def _polar_and_inverse(M, complete: bool = True) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """(Q, T, e): Q = ``polar_factor(M, complete)`` and T with Q = (M / 2^e) T.
+    """(Q, T, e): Q = ``polar_factor(M, complete)``, and T with Q = (M / 2^e) T
+    when the Gram route served the step, else T = None and e = 0.
 
     A product of Q with anything linear, such as X^T Q, follows from the
     same product with M and the K x K matrix T.  M / 2^e, with e the
@@ -317,9 +325,7 @@ def _polar_and_inverse(M, complete: bool = True) -> tuple[np.ndarray | None, np.
     finds the smallest eigenvalue of its Gram matrix V S^2 V^T at least
     ``_GRAM_POLAR_RATIO`` of the largest, T = V S^-1 V^T gives Q.  Otherwise
     Q comes from one SVD of M, with U completed past ``_rank_cutoff``
-    (``_complete``; Q = None with ``complete=False``), and T is
-    V (2^e S^-1) V^T with e the exponent of the largest singular value, or
-    None with e = 0 where Q needed completion.
+    (``_complete``; Q = None with ``complete=False``).
     """
     A = as_dense(M)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
@@ -332,13 +338,11 @@ def _polar_and_inverse(M, complete: bool = True) -> tuple[np.ndarray | None, np.
         T = (V / np.sqrt(w)) @ V.T
         return As @ T, T, e
     U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
-    if sigma[-1] > _rank_cutoff(A.shape, sigma):
-        e = math.frexp(sigma[0])[1]
-        return U @ Vt, (Vt.T / np.ldexp(sigma, -e)) @ Vt, e
-    if not complete:
-        return None, None, 0
-    U, V = _complete(U, sigma, Vt.T)
-    return U @ V.T, None, 0
+    if sigma[-1] <= _rank_cutoff(A.shape, sigma):
+        if not complete:
+            return None, None, 0
+        U = _complete(U, sigma, Vt.T)[0]
+    return U @ Vt, None, 0
 
 
 def polar_factor(M, complete: bool = True) -> np.ndarray | None:

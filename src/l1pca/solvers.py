@@ -43,22 +43,24 @@ same carried product.  An iteration that flips a sign forms ``X P_new``
 and ``X^T Q_new``.  One that flips none keeps its ``X P``: P_new holds P's
 values in the same layout, so the product would give the same bits.  A
 flip-free iteration that follows another takes ``X^T Q_new`` from its own
-polar step instead.  The step's input ``A = ext(Q, Q_prev, gq) + X P / beta``
-(fpm: ``A = X P``) has the SVD ``U S V^T``, and for a full-rank A
-``polar(A) = U V^T = A T`` with the K x K matrix ``T = V S^-1 V^T``, so::
+polar step instead, when that step came from the K x K Gram matrix.  The
+step's input ``A = ext(Q, Q_prev, gq) + X P / beta`` (fpm: ``A = X P``)
+has ``A^T A = V S^2 V^T``, and for a full-rank A ``polar(A) = A T`` with
+the K x K matrix ``T = V S^-1 V^T``, so::
 
     X^T Q_new = (ext(X^T Q, X^T Q_prev, gq) + X^T (X P) / beta) T
 
 ``X^T (X P)`` is formed once while P holds, and ``linalg._polar_and_inverse``
-gives T from the factorization that gives Q_new (eigenvectors of A^T A
-when A is well conditioned, else A's SVD); powers of two keep both near
-unit scale.  So a flip-free stretch forms two products with X in its first
-65 iterations, ``X^T Q_new`` on the first and ``X^T (X P)`` on the second,
+gives T from the eigenvectors of A^T A that give Q_new when A is well
+conditioned (cond(A) <= 4); powers of two keep both near unit scale.  So a
+flip-free stretch of such steps forms two products with X in its first 65
+iterations, ``X^T Q_new`` on the first and ``X^T (X P)`` on the second,
 and then one ``X^T Q_new`` on each of two iterations in a row per 66:
 rounding in the carried product adds up along a stretch, and
 ``_CARRY_SPAN`` (64) bounds it.  Its h and final objective agree with a
-direct product to roundoff.  A rank-deficient A, and a carried product
-that leaves the floating-point range, take ``X^T Q_new`` from X.  The
+direct product to roundoff.  A step that the SVD serves (cond(A) > 4,
+rank-deficient A), and a carried product that leaves the floating-point
+range, take ``X^T Q_new`` from X.  The
 start takes one ``X^T Q0``, and each fixed-point test that finds ``X P``
 of full rank one ``X^T Q*``, which the stop decision and the final
 objective of a ``fixed_point`` run read.  Past these products, all six
@@ -305,28 +307,30 @@ def _ext(A: np.ndarray, A_prev: np.ndarray, w: float) -> np.ndarray:
 
 #: flip-free iterations in a row that take X^T Q_new from the polar step
 #: before two take it from X again.  Rounding in the carried product adds up
-#: along a stretch: on a 30 x 60 X with singular values 1 to 1e-10 and K = 30,
-#: with no such bound, ipalm's carried X^T Q moved from a direct product by
-#: 2e-12, 6e-12 and 8e-9 of its largest entry after 32, 64 and about 3000
-#: steps (h by up to 1e-11 relative), theorem-mode pame by 7e-13 after 3000.
-#: With it, over 354 runs of all six rules and theorem mode on that X, one
-#: with singular values 1 to 1e-3 and a Gaussian, at scales 1, 1e160 and
-#: 1e-160, the worst was 2e-11, and h moved by 4e-14 relative.
+#: along a stretch, and extrapolation can amplify it.  Over 252 runs (the six
+#: rules at beta 1 and 100 times the scale and theorem-mode pame and pam, up
+#: to 3000 iterations, on 30 x 60 X with singular values 1 to 1e-10 and 1 to
+#: 1e-3 and a Gaussian, K = 5 and 30, at scales 1, 1e160 and 1e-160), 134
+#: carry; the worst h moved from a direct product by 1.7e-13 relative.  With
+#: no such bound, ipalm's h on the Gaussian at K = 30 and scale 1e-160 moved
+#: by 3.6e74 relative; with one product from X per span instead of two,
+#: which leaves a carried X^T Q_prev beside a direct X^T Q for the
+#: extrapolation, by 1.6e112.
 _CARRY_SPAN = 64
 
 
 def _xt_polar(XtXP: np.ndarray, f: int, XtQ_anchor: np.ndarray | None, b: float, T: np.ndarray, e: int):
-    """X^T polar(A) = (X^T A) T for A = Q_anchor + X P / b (fpm: X P, with no anchor and b = 1).
+    """X^T polar(A) = (X^T A) T for A = Q_anchor + X P / b, or A = X P when
+    ``XtQ_anchor`` is None (fpm, which has no anchor; b is then ignored).
 
     ``XtXP`` is X^T (X P) / 2^f and ``(T, e)`` come from ``_polar_and_inverse(A)``,
     so X^T A / 2^e = XtQ_anchor / 2^e + XtXP 2^(f - e) / b; the powers of two
     keep every term near the scale of X^T Q.  A factor out of range is inf
     (``np.ldexp`` does not raise), and so is the result.
     """
-    XtA = XtXP * np.ldexp(1.0 / b, f - e)
-    if XtQ_anchor is not None:
-        XtA += XtQ_anchor * np.ldexp(1.0, -e)
-    return XtA @ T
+    if XtQ_anchor is None:
+        return (XtXP * np.ldexp(1.0, f - e)) @ T
+    return (XtXP * np.ldexp(1.0 / b, f - e) + XtQ_anchor * np.ldexp(1.0, -e)) @ T
 
 
 def _gamma_star(alpha_star: float, beta_star: float, norm_upper: float) -> float:
@@ -548,10 +552,7 @@ def solve(
             if XtXP is None:
                 XPs, f = _prescaled(XP, frob(XP))
                 XtXP = _xt(X, XPs)
-            if rule.prox_q:
-                XtQ_new = _xt_polar(XtXP, f, _ext(XtQ, XtQ_prev, gq_k), b_k, T, e)
-            else:
-                XtQ_new = _xt_polar(XtXP, f, None, 1.0, T, e)
+            XtQ_new = _xt_polar(XtXP, f, _ext(XtQ, XtQ_prev, gq_k) if rule.prox_q else None, b_k, T, e)
             h_new = -float(np.sum(P_new * XtQ_new))
         if T is None or not math.isfinite(h_new):
             # from X: no T, or a carried product that left the floating-point range

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -149,6 +150,12 @@ class TestSolve:
         assert main(["solve", "--K", "1", "--input", str(xfile), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == "error: truncated dense matrix file\n"
 
+    def test_dense_header_beyond_the_file_exit_2(self, tmp_path, capsys):
+        xfile = tmp_path / "claim.bin"
+        xfile.write_bytes(b"L1PCABIN" + struct.pack("<II", 2**31, 2**31) + bytes(8))
+        assert main(["solve", "--K", "1", "--input", str(xfile), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: truncated dense matrix file\n"
+
     def test_meta_without_files_exit_2(self, tmp_path, capsys):
         inst = _generate(tmp_path)
         meta = json.loads((inst / "meta.json").read_text())
@@ -217,6 +224,16 @@ class TestCompare:
         assert lines[0] == "method,iterations,objective_l1,tev,converged,error"
         assert len(lines) == 7
         assert [ln.split(",")[0] for ln in lines[1:]] == sorted(["pame", "pam", "fpm", "pdcae", "ipalm", "gipalm"])
+
+    def test_norm_below_least_normal_exit_0(self, tmp_path, capsys):
+        # frob(X) below 2^-1023: the spectral norm and tev prescale X by more than 2^1023
+        from l1pca.data import write_dense_matrix
+
+        xfile = tmp_path / "X.bin"
+        write_dense_matrix(xfile, seeded_rng(3).integers(-9, 10, (6, 10)) * 2.0**-1040)
+        flags = ["--K", "2", "--input", str(xfile)]
+        assert main(["compare", *flags, "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert main(["solve", "--theorem-mode", *flags, "--out", str(tmp_path / "run")]) == 0
 
     def test_errors_recorded_not_fatal(self, tmp_path, capsys):
         # zero data: fpm degenerates, pame converges trivially

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -523,6 +524,13 @@ class TestDenseBinary:
         p = tmp_path / "m.bin"
         write_dense_matrix(p, np.ones((4, 4)))
         p.write_bytes(p.read_bytes()[:10])
+        with pytest.raises(InvalidInputError, match="truncated dense matrix file"):
+            read_dense_matrix(p)
+
+    def test_header_claims_more_than_the_file(self, tmp_path):
+        # 2^31 x 2^31 entries: a read of the claimed payload raises OverflowError
+        p = tmp_path / "m.bin"
+        p.write_bytes(b"L1PCABIN" + struct.pack("<II", 2**31, 2**31) + bytes(8))
         with pytest.raises(InvalidInputError, match="truncated dense matrix file"):
             read_dense_matrix(p)
 

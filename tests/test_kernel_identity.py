@@ -126,12 +126,17 @@ class TestPolarFactor:
     @given(M=_matrices())
     def test_inverse_helper_matches(self, M):
         # the solver's carried steps take Q from _polar_and_inverse: the same
-        # bytes, with a T exactly when polar_factor needs no completion, and
-        # Q = (M / 2^e) T to roundoff times the condition number
+        # bytes, with a T exactly when the Gram route serves M (None and e = 0
+        # on the SVD route), and Q = (M / 2^e) T to roundoff times the
+        # condition number
         _assert_same(lambda A: linalg._polar_and_inverse(A)[0], polar_factor, M)
         Q, T, e = linalg._polar_and_inverse(M)
-        assert (T is None) == (polar_factor(M, False) is None)
-        if T is not None:
+        As = np.ldexp(M, -math.frexp(linalg.frob(M))[1])
+        w, _, info = linalg.dsyevd(As.T @ As)
+        assert (T is not None) == (info == 0 and 16.0 * w[0] >= w[-1] > 0.0)
+        if T is None:
+            assert e == 0
+        else:
             sigma = np.linalg.svd(M, compute_uv=False)
             bound = 8 * np.finfo(float).eps * sigma[0] / sigma[-1] * max(M.shape)
             assert np.linalg.norm(np.ldexp(M, -e) @ T - Q) <= bound
@@ -246,10 +251,7 @@ class TestGramRoute:
         monkeypatch.setattr(linalg, "dsyevd", lambda G: real(G)[:2] + (1,))
         M = seeded_rng(5).standard_normal((30, 4))
         _assert_same(polar_factor, polar_factor_reference, M)
-        Q, T, e = linalg._polar_and_inverse(M)
-        U, sigma, Vt = np.linalg.svd(M, full_matrices=False)
-        assert e == math.frexp(sigma[0])[1]
-        assert np.array_equal(T, (Vt.T / np.ldexp(sigma, -e)) @ Vt)
+        assert linalg._polar_and_inverse(M)[1:] == (None, 0)
 
 
 class TestStiefelResidual:

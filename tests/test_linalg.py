@@ -227,6 +227,14 @@ class TestSpectralNorm:
         X = seeded_rng(13).standard_normal((7, 11))
         self._agrees_with_svd(X * scale)
 
+    def test_norm_below_least_normal(self):
+        # frob(X) below 2^-1023 puts 2^1023 < 2^-e; integer entries times
+        # 2^-1040 are exact, and the subnormal result keeps about 37 bits
+        X = seeded_rng(15).integers(-9, 10, (6, 10)).astype(float)
+        for M in (X, sp.csc_matrix(X)):
+            tiny = spectral_norm(M * 2.0**-1040)
+            assert np.ldexp(tiny, 1040) == pytest.approx(spectral_norm(M), rel=1e-11, abs=0.0)
+
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
     def test_single_row_or_column(self, shape):
         self._agrees_with_svd(seeded_rng(14).standard_normal(shape))

@@ -106,6 +106,18 @@ class TestScale:
         assert choose_K_by_variance(Xs, 0.7) == choose_K_by_variance(X, 0.7)
 
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_norm_below_least_normal(self, sparse):
+        # frob(X) below 2^-1023, where 2^-e is not a float; integer entries
+        # times 2^-1040 are exact
+        rng = seeded_rng(59)
+        X = rng.integers(-9, 10, (6, 10)).astype(float)
+        Q = random_stiefel(6, 2, rng)
+        Xs = sp.csc_matrix(X) * 2.0**-1040 if sparse else X * 2.0**-1040
+        assert tev(Xs, Q) == pytest.approx(tev(X, Q), rel=1e-12)
+        assert choose_K_by_variance(Xs, 0.7) == choose_K_by_variance(X, 0.7)
+
+
 class TestDuplicateEntries:
     """A sparse X that stores an entry more than once has the metrics of its dense sum."""
 

@@ -293,13 +293,15 @@ class TestStepRules:
 
 
 def _spy_carried_steps(monkeypatch):
-    """Count the polar steps that give X^T Q_new (``_polar_and_inverse``) and the X^T (X P) products formed."""
+    """Count the polar steps that give X^T Q_new (``_polar_and_inverse`` returning a T)
+    and the X^T (X P) products formed."""
     seen = {"carried": 0, "xtxp": 0}
     real_polar, real_prescaled = solvers._polar_and_inverse, solvers._prescaled
 
     def polar(A):
-        seen["carried"] += 1
-        return real_polar(A)
+        out = real_polar(A)
+        seen["carried"] += out[1] is not None
+        return out
 
     def prescaled(M, norm):
         seen["xtxp"] += 1
@@ -322,6 +324,14 @@ def _ill_conditioned(d=30, n=60):
     U = np.linalg.qr(g.standard_normal((d, d)))[0]
     V = np.linalg.qr(g.standard_normal((n, d)))[0]
     return (U * np.logspace(0, -10, d)) @ V.T
+
+
+def _zero_column(d=8, n=16):
+    """A Gaussian d x n X whose first column is zero: X^T Q has a zero row for
+    every Q, so no fixed-point test stops a run on it."""
+    X = seeded_rng(0).standard_normal((d, n))
+    X[:, 0] = 0.0
+    return X
 
 
 class TestCarriedProducts:
@@ -418,13 +428,16 @@ class TestCarriedProducts:
 
     def test_carried_span_bounds_the_drift(self, monkeypatch):
         # ipalm's extrapolation lets rounding in a carried X^T Q grow with the
-        # stretch (8e-9 relative after 3000 steps on this X, h off by 1e-11);
-        # taking X^T Q from X every _CARRY_SPAN steps holds h to roundoff
+        # stretch (h off by 3e-13 after 3000 steps on this X at beta 100, where
+        # A stays well conditioned); taking X^T Q from X on two iterations in a
+        # row every _CARRY_SPAN steps holds h to roundoff, where one would leave
+        # a carried X^T Q_prev beside a direct X^T Q for the extrapolation to
+        # amplify (h off by 3e-4)
         X = _ill_conditioned()
         carried = _spy_carried_steps(monkeypatch)
-        cfg = SolverConfig(method="ipalm", tol=1e-12, max_iter=3000)
+        cfg = SolverConfig(method="ipalm", beta=100.0, tol=1e-12, max_iter=3000)
         res = self._assert_objectives_exact(ProblemInstance(X, min(X.shape)), cfg)
-        assert res.iterations == 3000 and not any(res.trace.sign_flips[200:])
+        assert res.iterations == 3000 and not any(res.trace.sign_flips[500:])
         assert 0.9 * res.iterations <= carried["carried"] < res.iterations * solvers._CARRY_SPAN / (
             solvers._CARRY_SPAN + 2)
 
@@ -432,7 +445,7 @@ class TestCarriedProducts:
     def test_non_finite_carried_product_taken_from_X(self, monkeypatch, method):
         # a carried X^T Q_new that is not finite is formed from X instead, so
         # the run is the one that never carries
-        inst = ProblemInstance(_ill_conditioned(8, 16), 8)
+        inst = ProblemInstance(_zero_column(), 2)
         cfg = SolverConfig(method=method, gamma=0.5, tol=1e-12, max_iter=200)
         P0, Q0 = draw_start(inst, seed=1)
 
@@ -447,6 +460,16 @@ class TestCarriedProducts:
         monkeypatch.setattr(solvers, "_xt_polar", lambda *args: np.full((inst.n, inst.K), np.nan))
         assert outcome() == direct
         assert carried["carried"] > 0
+
+    def test_fpm_carries_where_its_test_fails(self, monkeypatch):
+        # fpm's fixed-point test fails on every P here, so its flip-free
+        # stretch reaches a second iteration, whose step X P is well
+        # conditioned and takes X^T Q_new from the polar step; fpm's step
+        # ignores beta, and so must its carried product
+        carried = _spy_carried_steps(monkeypatch)
+        cfg = SolverConfig(method="fpm", beta=3.0, tol=1e-12)
+        self._assert_objectives_exact(ProblemInstance(_zero_column(), 2), cfg)
+        assert carried["carried"] >= 1
 
     def test_subnormal_beta_takes_X_products(self, monkeypatch):
         # 1 / beta overflows for a subnormal beta, so each carried product is
