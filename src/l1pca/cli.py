@@ -3,16 +3,18 @@
 Solver flags default to SolverConfig's values (cluster: tol 1e-6).  A --config
 JSON entry is read, and checked, as the flag of its name (max_iter is --max-iter)
 given before the explicit flags; other keys, and config, input and out, are ignored.
-Seeds must be >= 0 and counts >= 1.  Exit codes: 0 success (or all
-checks passed), 2 usage/precondition error (compare: also when no method
-produced a result, after the table is written), 3 solver stopped at the
-iteration cap, 4 internal numerical failure, 1 verification suite failed.
+Seeds must be >= 0, counts >= 1 and float flags finite.  Exit codes: 0
+success (or all checks passed), 2 usage/precondition error (compare: also
+when no method produced a result, after the table is written), 3 solver
+stopped at the iteration cap, 4 internal numerical failure, 1 verification
+suite failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -42,7 +44,7 @@ from .errors import (
 )
 from .metrics import _TEV_ZERO, _choose_K, _spectrum, _tev_ratio, kmeans_accuracy, tev
 from .model import ProblemInstance, require_stiefel
-from .solvers import METHODS, SolverConfig, draw_start, run_comparison, solve
+from .solvers import METHODS, SolverConfig, draw_start, resolve_config, run_comparison, solve
 from .verify import (
     audit_suite,
     criticality_report,
@@ -125,8 +127,17 @@ def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     ]
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(**{key: getattr(args, key) for key in _SOLVER_FLAGS})
+def _solver_config(args: argparse.Namespace, X, method: str | None = None) -> SolverConfig:
+    """The flags' SolverConfig (for ``method``, if given).  A non-finite float flag is
+    refused: by the library, in its own words, when the method reads the value."""
+    cfg = SolverConfig(**{key: getattr(args, key) for key in _SOLVER_FLAGS})
+    if method is not None:
+        cfg = replace(cfg, method=method)
+    for key in ("alpha", "beta", "gamma", "tol"):
+        if not math.isfinite(getattr(cfg, key)):
+            resolve_config(cfg, X)
+            raise PreconditionError(f"argument --{key}: expected a finite number, got {getattr(cfg, key)}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +176,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input, K=args.K)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, inst.X)
     P0, Q0 = draw_start(inst, args.seed)
     res = solve(inst, cfg, P0, Q0)
     out = Path(args.out)
@@ -198,7 +209,7 @@ def cmd_compare(args) -> int:
     inst = _load_instance(args.input, K=args.K)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
     # compare has no --method flag; a "method" key in a --config file is ignored
-    configs = [replace(_solver_config(args), method=m) for m in methods]
+    configs = [_solver_config(args, inst.X, m) for m in methods]
     outcomes = run_comparison(inst, configs, seed=args.seed)
     lines = ["method,iterations,objective_l1,tev,converged,error"]
     spectrum = None  # one spectrum of X serves every method's tev
@@ -225,8 +236,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-#: suite name -> the JSON payload of that suite run with the parsed flags;
-#: the audit suite falls back to n=200, d=80, K=5 for unset sizes
+#: suite name -> the JSON payload of that suite run with the parsed flags
 _VERIFY_SUITES = {
     "sandwich": lambda a: sandwich_probe(samples=a.samples, seed=a.seed).to_dict(),
     "critical-sets": lambda a: separation_suite(n_specs=a.specs, samples=a.samples, seed=a.seed).to_dict(),
@@ -234,12 +244,11 @@ _VERIFY_SUITES = {
     "kl": lambda a: kl_suite(instances=a.instances, samples=a.samples, seed=a.seed),
     "audit": lambda a: audit_suite(
         instances=a.instances,
-        n=a.n or 200,
-        d=a.d or 80,
-        K=a.K or 5,
         sigma=a.sigma,
         seed=a.seed,
         method=a.method,
+        # an unset size takes audit_suite's own default
+        **{key: getattr(a, key) for key in ("n", "d", "K") if getattr(a, key) is not None},
     ),
     "oracle": lambda a: oracle_suite(
         instances=a.instances,
@@ -268,7 +277,7 @@ def cmd_cluster(args) -> int:
     if K is None:
         raise PreconditionError("pass --K or --auto-K")
     inst = ProblemInstance(inst.X, K, labels=inst.labels)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, inst.X)
     P0, Q0 = draw_start(inst, args.seed)
     res = solve(inst, cfg, P0, Q0)
     k = len(np.unique(inst.labels))
@@ -302,6 +311,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type of the float flags outside the solver config: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
 def _add_solver_flags(p: argparse.ArgumentParser, with_method: bool = True) -> None:
     if with_method:
         p.add_argument("--method", choices=METHODS)
@@ -320,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int)
     g.add_argument("--d", type=int)
     g.add_argument("--K", type=int)
-    g.add_argument("--sigma", type=float, default=0.5)
+    g.add_argument("--sigma", type=_finite, default=0.5)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--format", choices=("dense", "sparse"), default="dense")
@@ -352,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=_count)
     v.add_argument("--d", type=_count)
     v.add_argument("--K", type=_count)
-    v.add_argument("--sigma", type=float, default=0.5)
+    v.add_argument("--sigma", type=_finite, default=0.5)
     v.add_argument("--method", choices=("pame", "pam"), default="pame")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
@@ -362,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--input", required=True)
     cl.add_argument("--K", type=int)
     cl.add_argument("--auto-K", dest="auto_K", action="store_true")
-    cl.add_argument("--threshold", type=float, default=0.8)
+    cl.add_argument("--threshold", type=_finite, default=0.8)
     cl.add_argument("--restarts", type=int, default=10)
     cl.add_argument("--out")
     # cluster stops at a looser tol than SolverConfig's default

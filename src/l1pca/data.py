@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import stat
 import struct
@@ -45,8 +46,8 @@ class FixedEffectSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or not (1 <= self.K <= min(self.n, self.d)):
             raise PreconditionError("need n, d >= 1 and 1 <= K <= min(n, d)")
-        if self.sigma < 0:
-            raise PreconditionError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise PreconditionError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
 
 def _laplace(rng: np.random.Generator, shape: tuple[int, ...], sigma: float) -> np.ndarray:

@@ -43,30 +43,31 @@ same carried product.  An iteration that flips a sign forms ``X P_new``
 and ``X^T Q_new``.  One that flips none keeps its ``X P``: P_new holds P's
 values in the same layout, so the product would give the same bits.  A
 flip-free iteration that follows another takes ``X^T Q_new`` from its own
-polar step instead, when that step came from the K x K Gram matrix.  The
-step's input ``A = ext(Q, Q_prev, gq) + X P / beta`` (fpm: ``A = X P``)
-has ``A^T A = V S^2 V^T``, and for a full-rank A ``polar(A) = A T`` with
-the K x K matrix ``T = V S^-1 V^T``, so::
+polar step instead, when that step is the plain Procrustes step of the
+paper's linear-rate tail, ``A = Q + X P / beta``, and came from the K x K
+Gram matrix.  That takes a rule with a Q anchor at an iteration whose Q
+weight gq is 0: pame and pam always, pdcae and ipalm where their weight is
+0, gipalm and fpm never.  For a full-rank A, ``A^T A = V S^2 V^T`` and
+``polar(A) = A T`` with the K x K matrix ``T = V S^-1 V^T``, so::
 
-    X^T Q_new = (ext(X^T Q, X^T Q_prev, gq) + X^T (X P) / beta) T
+    X^T Q_new = (X^T Q + X^T (X P) / beta) T
 
 ``X^T (X P)`` is formed once while P holds, and ``linalg._polar_and_inverse``
 gives T from the eigenvectors of A^T A that give Q_new when A is well
-conditioned (cond(A) <= 4); powers of two keep both near unit scale.  So a
-flip-free stretch of such steps forms two products with X in its first 65
-iterations, ``X^T Q_new`` on the first and ``X^T (X P)`` on the second,
-and then one ``X^T Q_new`` on each of two iterations in a row per 66:
-rounding in the carried product adds up along a stretch, and
-``_CARRY_SPAN`` (64) bounds it.  Its h and final objective agree with a
-direct product to roundoff.  A step that the SVD serves (cond(A) > 4,
-rank-deficient A), and a carried product that leaves the floating-point
-range, take ``X^T Q_new`` from X.  The
-start takes one ``X^T Q0``, and each fixed-point test that finds ``X P``
-of full rank one ``X^T Q*``, which the stop decision and the final
-objective of a ``fixed_point`` run read.  Past these products, all six
-rules take the same Q step and the same fixed-point test; they differ
-only in the Q step's anchor.  So ``fpm``
-takes ``polar(X P)`` again on a flip-free step, and its test takes
+conditioned (cond(A) <= 4); powers of two keep both near unit scale.  The
+recurrence reads no ``X^T Q_prev``, which an extrapolated step would mix
+into it and amplify.  So a flip-free stretch of such steps forms two
+products with X in its first 65 iterations, ``X^T Q_new`` on the first and
+``X^T (X P)`` on the second, and then one ``X^T Q_new`` per 65: rounding in
+the carried product adds up along a stretch, and ``_CARRY_SPAN`` (64)
+bounds it.  Its h and final objective agree with a direct product to
+roundoff.  Any other step (extrapolated, anchorless, or served by the SVD:
+cond(A) > 4 or a rank-deficient A), and a carried product that leaves the
+floating-point range, take ``X^T Q_new`` from X.  The start takes one
+``X^T Q0``, and each fixed-point test that finds ``X P`` of full rank one
+``X^T Q*``, which the stop decision and the final objective of a
+``fixed_point`` run read.  All six rules take the same fixed-point test.
+So ``fpm`` takes ``polar(X P)`` again on a flip-free step, and its test takes
 ``polar(X P, complete=False)`` and ``X^T Q*`` again, although its Q already
 is that factor: about 0.5 ms per desk-scale solve, the price of one path.
 Every ``X^T Q`` goes through ``linalg._xt``: on a dense C-order X it is
@@ -234,26 +235,29 @@ def _as_fn(s: Schedule) -> Callable[[int], float]:
     return lambda k: v
 
 
-def _step_fn(method: str, name: str, s: Schedule, used: bool) -> Callable[[int], float]:
-    """A block's step-size schedule, which must be finite and positive if the block's anchor reads it.
+def _finite(method: str, name: str, value, positive: bool = False, k: int | None = None) -> float:
+    """``float(value)`` for a setting the method reads, which must be a finite
+    number, and > 0 if ``positive``; ``k`` is the iteration a callable gave it for."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not math.isfinite(v) or positive and v <= 0.0:
+        at = "" if k is None else f" at iteration {k}"
+        raise PreconditionError(f"{method} needs a finite{' positive' if positive else ''} {name}, got {value!r}{at}")
+    return v
+
+
+def _schedule(method: str, name: str, s: Schedule, positive: bool = False) -> Callable[[int], float]:
+    """A schedule the method reads, whose every value must be finite, and > 0 if ``positive``.
 
     A constant is checked here, once; a callable is checked at each step,
     so a bad value stops the run at the iteration that produced it.
     """
-    if not used:
-        return _as_fn(s)
-    if not callable(s):
-        if not 0.0 < float(s) < math.inf:
-            raise PreconditionError(f"{method} needs a finite positive {name}, got {s!r}")
-        return _as_fn(s)
-
-    def checked(k: int) -> float:
-        v = s(k)
-        if not 0.0 < v < math.inf:
-            raise PreconditionError(f"{method} needs a finite positive {name}, got {v!r} at iteration {k}")
-        return v
-
-    return checked
+    if callable(s):
+        return lambda k: _finite(method, name, s(k), positive, k)
+    v = _finite(method, name, s, positive)
+    return lambda k: v
 
 
 def _nesterov_restart_gamma(interval: int) -> Callable[[int], float]:
@@ -274,20 +278,20 @@ def _ipalm_gamma(k: int) -> float:
 
 def _pdcae_weights(cfg: SolverConfig):
     if cfg.method_params.get("use_config_gamma", False):
-        return 0.0, 0.0, cfg.gamma
-    interval = int(cfg.method_params.get("restart_interval", 10))
+        return 0.0, 0.0, _schedule("pdcae", "gamma", cfg.gamma)
+    interval = int(_finite("pdcae", "restart_interval", cfg.method_params.get("restart_interval", 10)))
     if interval < 1:
         raise PreconditionError("restart_interval must be >= 1")
     return 0.0, 0.0, _nesterov_restart_gamma(interval)
 
 
 def _gipalm_weights(cfg: SolverConfig):
-    gq = float(cfg.method_params.get("gamma_q", 0.25))
-    return float(cfg.method_params.get("gamma_p", 0.5)), gq, gq
+    gq = _finite("gipalm", "gamma_q", cfg.method_params.get("gamma_q", 0.25))
+    return _finite("gipalm", "gamma_p", cfg.method_params.get("gamma_p", 0.5)), gq, gq
 
 
 _RULES = {
-    "pame": _Rule(True, True, lambda cfg: (0.0, cfg.gamma, 0.0)),
+    "pame": _Rule(True, True, lambda cfg: (0.0, _schedule("pame", "gamma", cfg.gamma), 0.0)),
     "pam": _Rule(True, True, lambda cfg: (0.0, 0.0, 0.0)),
     "fpm": _Rule(False, False, lambda cfg: (0.0, 0.0, 0.0)),
     "pdcae": _Rule(False, True, _pdcae_weights),
@@ -306,31 +310,25 @@ def _ext(A: np.ndarray, A_prev: np.ndarray, w: float) -> np.ndarray:
 
 
 #: flip-free iterations in a row that take X^T Q_new from the polar step
-#: before two take it from X again.  Rounding in the carried product adds up
-#: along a stretch, and extrapolation can amplify it.  Over 252 runs (the six
-#: rules at beta 1 and 100 times the scale and theorem-mode pame and pam, up
-#: to 3000 iterations, on 30 x 60 X with singular values 1 to 1e-10 and 1 to
-#: 1e-3 and a Gaussian, K = 5 and 30, at scales 1, 1e160 and 1e-160), 134
-#: carry; the worst h moved from a direct product by 1.7e-13 relative.  With
-#: no such bound, ipalm's h on the Gaussian at K = 30 and scale 1e-160 moved
-#: by 3.6e74 relative; with one product from X per span instead of two,
-#: which leaves a carried X^T Q_prev beside a direct X^T Q for the
-#: extrapolation, by 1.6e112.
+#: before one takes it from X again: rounding in the carried product adds up
+#: along a stretch.  Over 252 runs (the six rules at beta 1 and 100 times the
+#: scale and theorem-mode pame and pam, up to 3000 iterations, on 30 x 60 X
+#: with singular values 1 to 1e-10 and 1 to 1e-3 and a Gaussian, K = 5 and
+#: 30, at scales 1, 1e160 and 1e-160), the worst h moved from a direct
+#: product by 1.2e-15 relative.  With no span, theorem-mode pame and pam on
+#: the Gaussian at K = 30 moved by 1.2e-7 within 3000 iterations.
 _CARRY_SPAN = 64
 
 
-def _xt_polar(XtXP: np.ndarray, f: int, XtQ_anchor: np.ndarray | None, b: float, T: np.ndarray, e: int):
-    """X^T polar(A) = (X^T A) T for A = Q_anchor + X P / b, or A = X P when
-    ``XtQ_anchor`` is None (fpm, which has no anchor; b is then ignored).
+def _xt_polar(XtXP: np.ndarray, f: int, XtQ: np.ndarray, b: float, T: np.ndarray, e: int):
+    """X^T polar(A) = (X^T A) T for the un-extrapolated Procrustes input A = Q + X P / b.
 
     ``XtXP`` is X^T (X P) / 2^f and ``(T, e)`` come from ``_polar_and_inverse(A)``,
-    so X^T A / 2^e = XtQ_anchor / 2^e + XtXP 2^(f - e) / b; the powers of two
+    so X^T A / 2^e = XtQ / 2^e + XtXP 2^(f - e) / b; the powers of two
     keep every term near the scale of X^T Q.  A factor out of range is inf
     (``np.ldexp`` does not raise), and so is the result.
     """
-    if XtQ_anchor is None:
-        return (XtXP * np.ldexp(1.0, f - e)) @ T
-    return (XtXP * np.ldexp(1.0 / b, f - e) + XtQ_anchor * np.ldexp(1.0, -e)) @ T
+    return (XtXP * np.ldexp(1.0 / b, f - e) + XtQ * np.ldexp(1.0, -e)) @ T
 
 
 def _gamma_star(alpha_star: float, beta_star: float, norm_upper: float) -> float:
@@ -403,12 +401,13 @@ def resolve_config(cfg: SolverConfig, X) -> _Plan:
     unknown = [key for key in cfg.method_params if key not in _METHOD_PARAMS]
     if unknown:
         raise PreconditionError(f"unknown method_params keys {unknown}; known keys are {_METHOD_PARAMS}")
-    if cfg.tol <= 0 or cfg.max_iter < 1:
-        raise PreconditionError("tol must be positive and max_iter at least 1")
+    if not 0.0 < cfg.tol < math.inf or cfg.max_iter < 1:
+        raise PreconditionError("tol must be finite and positive and max_iter at least 1")
     if cfg.theorem_mode and cfg.method not in ("pame", "pam"):
         raise PreconditionError("theorem_mode applies to the pame/pam scheme only")
-    alpha_fn = _step_fn(cfg.method, "alpha", cfg.alpha, rule.prox_p)
-    beta_fn = _step_fn(cfg.method, "beta", cfg.beta, rule.prox_q)
+    # a step size the block's anchor does not read is never checked
+    alpha_fn = _schedule(cfg.method, "alpha", cfg.alpha, positive=True) if rule.prox_p else _as_fn(cfg.alpha)
+    beta_fn = _schedule(cfg.method, "beta", cfg.beta, positive=True) if rule.prox_q else _as_fn(cfg.beta)
     weight_fns = tuple(_as_fn(w) for w in rule.weights(cfg))
 
     beta_star = 0.0  # the potential's Q weight; 2/3 of beta makes the theorem's beta condition tight
@@ -495,7 +494,7 @@ def solve(
     # the fixed-point test depends on P alone, so it is due again only after a flip
     test_due = True
     # carried: how many iterations in a row have taken X^T Q_new from the polar
-    # step, 0 when the last two took it from X with no flip between, else -1;
+    # step, 0 when the last took it from X without a flip, else -1;
     # XtXP = X^T (X P) / 2^f while P holds
     carried, XtXP = -1, None
 
@@ -529,9 +528,10 @@ def solve(
             else:
                 A = XP
             # a flip-free iteration after another takes X^T Q_new from the
-            # polar step's own T, up to _CARRY_SPAN in a row
+            # polar step's own T, up to _CARRY_SPAN in a row, when the step
+            # is the plain Procrustes one: a Q anchor with no extrapolation
             T = None
-            if not flips and 0 <= carried < _CARRY_SPAN:
+            if not flips and 0 <= carried < _CARRY_SPAN and rule.prox_q and gq_k == 0.0:
                 Q_new, T, e = _polar_and_inverse(A)
             else:
                 Q_new = polar_factor(A)
@@ -552,15 +552,13 @@ def solve(
             if XtXP is None:
                 XPs, f = _prescaled(XP, frob(XP))
                 XtXP = _xt(X, XPs)
-            XtQ_new = _xt_polar(XtXP, f, _ext(XtQ, XtQ_prev, gq_k) if rule.prox_q else None, b_k, T, e)
+            XtQ_new = _xt_polar(XtXP, f, XtQ, b_k, T, e)
             h_new = -float(np.sum(P_new * XtQ_new))
         if T is None or not math.isfinite(h_new):
             # from X: no T, or a carried product that left the floating-point range
             XtQ_new = _xt(X, Q_new)
             h_new = -float(np.sum(P_new * XtQ_new))
-            # the next step extrapolates from X^T Q and X^T Q_prev, which must
-            # not mix a carried value with one from X
-            carried = 0 if not flips and carried <= 0 else -1
+            carried = 0 if not flips else -1
         else:
             carried += 1
         psi_new = h_new + 0.5 * plan.beta_star * dQ * dQ

@@ -927,10 +927,14 @@ def separation_suite(n_specs: int = 10, samples: int = 100, seed: int = 0) -> Pr
     )
 
 
-def error_bound_suite(samples: int = 1000, seed: int = 0, d: int = 6) -> dict:
+#: the length of error_bound_suite's K = 1 vector
+_ERROR_BOUND_D = 6
+
+
+def error_bound_suite(samples: int = 1000, seed: int = 0) -> dict:
     """Both exactly-computable regimes of the error-bound probe."""
     rng = seeded_rng(seed, 0xEB0)
-    a_vec = rng.standard_normal((d, 1)) * 2.0
+    a_vec = rng.standard_normal((_ERROR_BOUND_D, 1)) * 2.0
     rep_k1 = error_bound_probe(a_vec, np.array([1.0]), samples=samples, seed=seed)
     k = 4
     vals = np.array([3.0, 2.2, 1.5, 0.8])
@@ -944,12 +948,11 @@ def error_bound_suite(samples: int = 1000, seed: int = 0, d: int = 6) -> dict:
     }
 
 
-def kl_suite(
-    instances: int = 10,
-    radii: Sequence[float] = (0.3, 0.1, 0.03, 0.01),
-    samples: int = 200,
-    seed: int = 0,
-) -> dict:
+#: the neighbourhood radii kl_suite probes at each optimum
+_KL_RADII = (0.3, 0.1, 0.03, 0.01)
+
+
+def kl_suite(instances: int = 10, samples: int = 200, seed: int = 0) -> dict:
     """KL ratio probes at oracle-certified optima of tiny random instances."""
     rng = seeded_rng(seed, 0x61)
     reports = []
@@ -960,20 +963,27 @@ def kl_suite(
         K = int(rng.integers(1, min(2, n, d) + 1))
         X = rng.standard_normal((d, n))
         orc = enumerate_oracle(X, K)
-        rep = kl_ratio_probe(X, orc.Q, radii, samples=samples, seed=int(rng.integers(2**31)))
+        rep = kl_ratio_probe(X, orc.Q, _KL_RADII, samples=samples, seed=int(rng.integers(2**31)))
         reports.append({"n": n, "d": d, "K": K, "report": rep.to_dict()})
         passed = passed and rep.passed
     return {"name": "kl_suite", "instances": instances, "reports": reports, "passed": passed}
+
+
+#: oracle_suite's solver tol and gates: an instance matches when its best
+#: value over the restarts lies within _ORACLE_MATCH_TOL of the oracle's, and
+#: the suite passes when at least _ORACLE_MIN_MATCH_RATE of the instances
+#: match, no limit beats the oracle and every limit's subgradient distance
+#: is at most _ORACLE_SUBGRAD_TOL
+_ORACLE_TOL = 1e-10
+_ORACLE_MATCH_TOL = 1e-8
+_ORACLE_SUBGRAD_TOL = 1e-6
+_ORACLE_MIN_MATCH_RATE = 0.8
 
 
 def oracle_suite(
     instances: int = 50,
     restarts: int = 20,
     seed: int = 0,
-    tol: float = 1e-10,
-    match_tol: float = 1e-8,
-    subgrad_tol: float = 1e-6,
-    min_match_rate: float = 0.8,
     n: int | None = None,
     d: int | None = None,
     K: int | None = None,
@@ -995,7 +1005,7 @@ def oracle_suite(
         X = rng.standard_normal((d_i, n_i))
         inst = ProblemInstance(X, K_i)
         orc = enumerate_oracle(X, K_i)
-        cfg = SolverConfig(method="pame", alpha=1e-4, beta=1.0, gamma=0.5, tol=tol, max_iter=3000)
+        cfg = SolverConfig(method="pame", alpha=1e-4, beta=1.0, gamma=0.5, tol=_ORACLE_TOL, max_iter=3000)
         best = -math.inf
         for r in range(restarts):
             if r == 0:
@@ -1008,10 +1018,10 @@ def oracle_suite(
             best = max(best, res.final_objective)
             if res.final_objective > orc.value + 1e-9:
                 dominance_violations += 1
-        if best >= orc.value - match_tol:
+        if best >= orc.value - _ORACLE_MATCH_TOL:
             matches += 1
     rate = matches / instances
-    passed = rate >= min_match_rate and worst_sub <= subgrad_tol and dominance_violations == 0
+    passed = rate >= _ORACLE_MIN_MATCH_RATE and worst_sub <= _ORACLE_SUBGRAD_TOL and dominance_violations == 0
     return ProbeReport(
         name="oracle_equivalence",
         parameters={"instances": instances, "restarts": restarts, "seed": seed},
@@ -1023,6 +1033,11 @@ def oracle_suite(
     )
 
 
+#: the theorem-mode tol and iteration cap of audit_suite's runs
+_AUDIT_TOL = 1e-7
+_AUDIT_MAX_ITER = 500
+
+
 def audit_suite(
     instances: int = 3,
     n: int = 200,
@@ -1031,8 +1046,6 @@ def audit_suite(
     sigma: float = 0.5,
     seed: int = 0,
     method: str = "pame",
-    tol: float = 1e-7,
-    max_iter: int = 500,
 ) -> dict:
     """Theorem-mode runs on synthetic instances plus their audits."""
     runs = []
@@ -1040,7 +1053,7 @@ def audit_suite(
     for i in range(instances):
         X, _, _ = gen_fixed_effect(FixedEffectSpec(n=n, d=d, K=K, sigma=sigma, seed=seed + i))
         inst = ProblemInstance(X, K)
-        cfg = theorem_config(X, method=method, tol=tol, max_iter=max_iter)
+        cfg = theorem_config(X, method=method, tol=_AUDIT_TOL, max_iter=_AUDIT_MAX_ITER)
         P0, Q0 = draw_start(inst, seed=seed + 1000 + i)
         res = solve(inst, cfg, P0, Q0)
         audit = decrease_and_error_audit(res)

@@ -425,6 +425,49 @@ class TestNegativeSeed:
         assert capsys.readouterr().err.startswith("error: seeds must be non-negative")
 
 
+class TestNonFiniteFloatFlags:
+    """Every float flag takes a finite number: NaN or inf exits 2 and writes nothing.
+
+    fpm reads none of alpha, beta and gamma, so only the CLI refuses them;
+    every method reads tol, and the library refuses it in its own words."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("solve", "--alpha"), ("solve", "--beta"), ("solve", "--gamma"), ("solve", "--tol"),
+         ("compare", "--alpha"), ("compare", "--tol"), ("cluster", "--gamma"), ("cluster", "--tol"),
+         ("cluster", "--threshold"), ("generate", "--sigma"), ("verify", "--sigma")],
+    )
+    def test_flag_exit_2(self, tmp_path, capsys, command, flag, value):
+        if command == "compare":
+            argv = ["compare", "--methods", "fpm", "--input", str(_generate(tmp_path)),
+                    "--out", str(tmp_path / "table.csv")]
+        else:
+            argv = _SEEDED_COMMANDS[command](tmp_path)
+            if command in ("cluster", "verify"):
+                argv += ["--out", str(tmp_path / "out.json")]
+            if command in ("solve", "cluster"):
+                argv += ["--method", "fpm"]
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = _outcome([*argv, f"{flag}={value}"], capsys)
+        assert code == 2 and out == ""
+        if flag == "--tol":
+            assert "error: tol must be finite and positive" in err
+        else:
+            assert f"argument {flag}: expected a finite number, got {value}" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_config_entry_exit_2(self, tmp_path, capsys):
+        argv = _SEEDED_COMMANDS["solve"](tmp_path)
+        capsys.readouterr()
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"method": "fpm", "alpha": float("inf")}))
+        code, _, err = _outcome([*argv, "--config", str(cfgfile)], capsys)
+        assert code == 2 and "error: argument --alpha: expected a finite number, got inf" in err
+        assert not (tmp_path / "run").exists()
+
+
 def _outcome(argv, capsys):
     """Exit code, stdout and stderr of one CLI run, argparse's own exits included."""
     try:

@@ -60,6 +60,11 @@ class TestFixedEffect:
         with pytest.raises(PreconditionError):
             FixedEffectSpec(n=5, d=5, K=2, sigma=-0.5)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(PreconditionError, match="sigma must be finite"):
+            FixedEffectSpec(n=5, d=5, K=2, sigma=sigma)
+
 
 class TestSparseLabeled:
     def test_walkthrough_line(self, tmp_path):

@@ -401,11 +401,17 @@ class TestCarriedProducts:
         assert res.final_objective == pytest.approx(objective_l1(inst.X, res.Q_final), rel=1e-12, abs=0.0)
 
     @staticmethod
-    def _assert_objectives_exact(inst, cfg, rel=1e-12):
+    def _assert_objectives_exact(inst, cfg, rel=1e-12, callback=None):
         """Every h_value and final_objective within ``rel`` of objective_h / objective_l1 recomputed."""
         P0, Q0 = draw_start(inst, seed=1)
         iterates = [(P0, Q0)]
-        res = solve(inst, cfg, P0, Q0, callback=lambda k, P, Q: iterates.append((P, Q)))
+
+        def record(k, P, Q):
+            iterates.append((P, Q))
+            if callback is not None:
+                callback(k, P, Q)
+
+        res = solve(inst, cfg, P0, Q0, callback=record)
         for (P, Q), h in zip(iterates, res.trace.h_value):
             assert h == pytest.approx(objective_h(inst.X, P, Q), rel=rel, abs=0.0)
         assert res.final_objective == pytest.approx(objective_l1(inst.X, res.Q_final), rel=rel, abs=0.0)
@@ -427,21 +433,36 @@ class TestCarriedProducts:
         assert carried["carried"] >= 0.9 * res.iterations
 
     def test_carried_span_bounds_the_drift(self, monkeypatch):
-        # ipalm's extrapolation lets rounding in a carried X^T Q grow with the
-        # stretch (h off by 3e-13 after 3000 steps on this X at beta 100, where
-        # A stays well conditioned); taking X^T Q from X on two iterations in a
-        # row every _CARRY_SPAN steps holds h to roundoff, where one would leave
-        # a carried X^T Q_prev beside a direct X^T Q for the extrapolation to
-        # amplify (h off by 3e-4)
-        X = _ill_conditioned()
+        # rounding in a carried X^T Q adds up along a flip-free stretch (h off
+        # by 1.5e-10 after 2000 steps here with no span); taking X^T Q_new
+        # from X once every _CARRY_SPAN steps holds h to roundoff
+        inst = ProblemInstance(np.random.default_rng(0).standard_normal((30, 60)), 30)
         carried = _spy_carried_steps(monkeypatch)
-        cfg = SolverConfig(method="ipalm", beta=100.0, tol=1e-12, max_iter=3000)
-        res = self._assert_objectives_exact(ProblemInstance(X, min(X.shape)), cfg)
-        assert res.iterations == 3000 and not any(res.trace.sign_flips[500:])
+        cfg = replace(theorem_config(inst.X, method="pam"), tol=1e-300, max_iter=2000)
+        res = self._assert_objectives_exact(inst, cfg)
+        assert res.iterations == 2000 and not any(res.trace.sign_flips)
         assert 0.9 * res.iterations <= carried["carried"] < res.iterations * solvers._CARRY_SPAN / (
-            solvers._CARRY_SPAN + 2)
+            solvers._CARRY_SPAN + 1)
 
-    @pytest.mark.parametrize("method", ["pame", "ipalm", "fpm"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_only_plain_procrustes_steps_carry(self, monkeypatch, method):
+        # a step takes X^T Q_new from its polar step only when its input is
+        # Q + X P / beta: a rule with a Q anchor, at an iteration whose Q
+        # weight is 0.  So fpm and gipalm never carry, and pdcae and ipalm
+        # (which extrapolated, and carried, on most steps here before) only
+        # where their weight is 0
+        X = _ill_conditioned()
+        inst = ProblemInstance(X, min(X.shape))
+        cfg = SolverConfig(method=method, beta=100.0, gamma=0.5, tol=1e-12, max_iter=500)
+        carried = _spy_carried_steps(monkeypatch)
+        counts = [0]
+        self._assert_objectives_exact(inst, cfg, callback=lambda k, P, Q: counts.append(carried["carried"]))
+        took = [k for k in range(len(counts) - 1) if counts[k + 1] > counts[k]]
+        gq = resolve_config(cfg, X).weight_fns[2]
+        assert all(solvers._RULES[method].prox_q and gq(k) == 0.0 for k in took)
+        assert len(took) >= {"pame": 400, "pam": 400, "pdcae": 30}.get(method, 0)
+
+    @pytest.mark.parametrize("method", ["pame", "pam", "pdcae"])
     def test_non_finite_carried_product_taken_from_X(self, monkeypatch, method):
         # a carried X^T Q_new that is not finite is formed from X instead, so
         # the run is the one that never carries
@@ -461,15 +482,14 @@ class TestCarriedProducts:
         assert outcome() == direct
         assert carried["carried"] > 0
 
-    def test_fpm_carries_where_its_test_fails(self, monkeypatch):
+    def test_fpm_takes_no_carried_step(self, monkeypatch):
         # fpm's fixed-point test fails on every P here, so its flip-free
-        # stretch reaches a second iteration, whose step X P is well
-        # conditioned and takes X^T Q_new from the polar step; fpm's step
-        # ignores beta, and so must its carried product
+        # stretch reaches a second iteration with a well-conditioned X P; its
+        # step has no Q anchor, so it takes X^T Q_new from X, and h is exact
         carried = _spy_carried_steps(monkeypatch)
         cfg = SolverConfig(method="fpm", beta=3.0, tol=1e-12)
-        self._assert_objectives_exact(ProblemInstance(_zero_column(), 2), cfg)
-        assert carried["carried"] >= 1
+        res = self._assert_objectives_exact(ProblemInstance(_zero_column(), 2), cfg)
+        assert res.iterations >= 3 and carried["carried"] == 0
 
     def test_subnormal_beta_takes_X_products(self, monkeypatch):
         # 1 / beta overflows for a subnormal beta, so each carried product is
@@ -767,6 +787,47 @@ class TestStepSizeValidation:
         sched = self._solve(alpha=lambda k: 1e-4, beta=lambda k: 1.0)
         assert _trace_tuple(sched.trace) == _trace_tuple(const.trace)
         assert np.array_equal(sched.Q_final, const.Q_final)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_tol_rejected(self, value):
+        # tol=inf stopped after one iteration as converged, and tol=nan never stopped on tol
+        inst = ProblemInstance(np.random.default_rng(0).standard_normal((20, 40)), 3)
+        with pytest.raises(PreconditionError, match="tol must be finite and positive"):
+            solve(inst, SolverConfig(tol=value), *draw_start(inst, seed=1))
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"method": "pame", "gamma": math.inf}, "pame needs a finite gamma, got inf"),
+            ({"method": "pame", "gamma": math.nan}, "pame needs a finite gamma, got nan"),
+            ({"method": "pame", "gamma": "x"}, "pame needs a finite gamma, got 'x'"),
+            ({"method": "pame", "gamma": lambda k: 0.5 if k < 2 else math.nan},
+             "pame needs a finite gamma, got nan at iteration 2"),
+            ({"method": "pdcae", "gamma": math.inf, "method_params": {"use_config_gamma": True}},
+             "pdcae needs a finite gamma, got inf"),
+            ({"method": "gipalm", "method_params": {"gamma_q": math.nan}}, "gipalm needs a finite gamma_q, got nan"),
+            ({"method": "gipalm", "method_params": {"gamma_p": math.inf}}, "gipalm needs a finite gamma_p, got inf"),
+            ({"method": "gipalm", "method_params": {"gamma_p": "x"}}, "gipalm needs a finite gamma_p, got 'x'"),
+            ({"method": "pdcae", "method_params": {"restart_interval": "x"}},
+             "pdcae needs a finite restart_interval, got 'x'"),
+            ({"method": "pdcae", "method_params": {"restart_interval": math.inf}},
+             "pdcae needs a finite restart_interval, got inf"),
+            ({"method": "pdcae", "method_params": {"restart_interval": None}},
+             "pdcae needs a finite restart_interval, got None"),
+        ],
+    )
+    def test_bad_weight_rejected(self, kw, message):
+        # an extrapolation setting the rule reads must be a finite number
+        with pytest.raises(PreconditionError, match=message):
+            self._solve(**kw)
+
+    def test_unused_weights_unchecked(self):
+        # pam and fpm read no gamma, pdcae reads it only with use_config_gamma,
+        # and only gipalm reads gamma_p and gamma_q
+        bad = {"gamma_p": "x", "gamma_q": math.nan}
+        for method in ("pam", "fpm", "pdcae", "ipalm"):
+            assert self._solve(method=method, gamma=math.inf, method_params=bad).converged
+        assert self._solve(method="pame", method_params={"restart_interval": "x", **bad}).converged
 
     def test_unused_step_sizes_unchecked(self):
         # fpm has no anchors and pdcae no sign anchor, so their alpha (and fpm's beta) are never read
