@@ -33,6 +33,7 @@ min(d, n), can move a last bit).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,12 @@ def seeded_rng(*parts: int) -> np.random.Generator:
     """Counter-based generator keyed by a tuple of integers.
 
     Distinct key tuples give independent, reproducible streams, so callers
-    can split one user seed into per-purpose streams.  Every part must be
-    non-negative (PreconditionError otherwise).
+    can split one user seed into per-purpose streams.  Every part must be a
+    non-negative integer (PreconditionError otherwise); numpy integers count.
     """
+    malformed = [p for p in parts if not isinstance(p, numbers.Integral)]
+    if malformed:
+        raise PreconditionError(f"seeds must be non-negative integers, got {malformed[0]!r}")
     if any(p < 0 for p in parts):
         raise PreconditionError(f"seeds must be non-negative integers, got {min(parts)}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(parts))))

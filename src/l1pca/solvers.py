@@ -84,6 +84,7 @@ subgradient norms needed by the decrease/relative-error audits.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -209,46 +210,58 @@ class SolveOutcome:
     error: str | None = None
 
 
+Fn = Callable[[int], float]
+
+
 class _Rule(NamedTuple):
     """A method's proximal anchors and ``weights(cfg)``: the (gp, gs, gq) schedules."""
 
     prox_p: bool
     prox_q: bool
-    weights: Callable[[SolverConfig], tuple[Schedule, Schedule, Schedule]]
+    weights: Callable[[SolverConfig], tuple[Fn, Fn, Fn]]
 
 
 @dataclass
 class _Plan:
+    """A config's numbers, each converted and checked once by ``resolve_config``."""
+
     rule: _Rule
-    alpha_fn: Callable[[int], float]
-    beta_fn: Callable[[int], float]
-    weight_fns: tuple[Callable[[int], float], Callable[[int], float], Callable[[int], float]]
+    alpha_fn: Fn
+    beta_fn: Fn
+    weight_fns: tuple[Fn, Fn, Fn]
     beta_star: float
     #: theorem mode only: the declared bounds and ``norm_upper`` >= ||X||
     bounds: dict | None
+    tol: float
 
 
-def _as_fn(s: Schedule) -> Callable[[int], float]:
-    if callable(s):
-        return s
-    v = float(s)
-    return lambda k: v
+def _number(value) -> float:
+    """``float(value)``, or NaN for a value ``float`` cannot convert."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 def _finite(method: str, name: str, value, positive: bool = False, k: int | None = None) -> float:
     """``float(value)`` for a setting the method reads, which must be a finite
     number, and > 0 if ``positive``; ``k`` is the iteration a callable gave it for."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        v = math.nan
+    v = _number(value)
     if not math.isfinite(v) or positive and v <= 0.0:
         at = "" if k is None else f" at iteration {k}"
         raise PreconditionError(f"{method} needs a finite{' positive' if positive else ''} {name}, got {value!r}{at}")
     return v
 
 
-def _schedule(method: str, name: str, s: Schedule, positive: bool = False) -> Callable[[int], float]:
+def _constant(v: float) -> Fn:
+    return lambda k: v
+
+
+#: the schedule of a weight a rule leaves out, and of a step size no anchor reads
+_zero = _constant(0.0)
+
+
+def _schedule(method: str, name: str, s: Schedule, positive: bool = False) -> Fn:
     """A schedule the method reads, whose every value must be finite, and > 0 if ``positive``.
 
     A constant is checked here, once; a callable is checked at each step,
@@ -256,8 +269,22 @@ def _schedule(method: str, name: str, s: Schedule, positive: bool = False) -> Ca
     """
     if callable(s):
         return lambda k: _finite(method, name, s(k), positive, k)
-    v = _finite(method, name, s, positive)
-    return lambda k: v
+    return _constant(_finite(method, name, s, positive))
+
+
+def _bounded(fn: Fn, s: Schedule, name: str, bad: Callable[[float], bool], verdict="outside its declared bounds"):
+    """The schedule ``fn`` of the theorem-mode setting ``s``, which refuses a value where ``bad``.
+
+    A constant is checked here, once, as iteration 0's value; a callable at
+    the step that produced the value.
+    """
+
+    def checked(k: int) -> float:
+        if bad(v := fn(k)):
+            raise PreconditionError(f"theorem_mode: {name}_{k}={v:g} {verdict}")
+        return v
+
+    return checked if callable(s) else _constant(checked(0))
 
 
 def _nesterov_restart_gamma(interval: int) -> Callable[[int], float]:
@@ -278,22 +305,22 @@ def _ipalm_gamma(k: int) -> float:
 
 def _pdcae_weights(cfg: SolverConfig):
     if cfg.method_params.get("use_config_gamma", False):
-        return 0.0, 0.0, _schedule("pdcae", "gamma", cfg.gamma)
+        return _zero, _zero, _schedule("pdcae", "gamma", cfg.gamma)
     interval = int(_finite("pdcae", "restart_interval", cfg.method_params.get("restart_interval", 10)))
     if interval < 1:
         raise PreconditionError("restart_interval must be >= 1")
-    return 0.0, 0.0, _nesterov_restart_gamma(interval)
+    return _zero, _zero, _nesterov_restart_gamma(interval)
 
 
 def _gipalm_weights(cfg: SolverConfig):
-    gq = _finite("gipalm", "gamma_q", cfg.method_params.get("gamma_q", 0.25))
-    return _finite("gipalm", "gamma_p", cfg.method_params.get("gamma_p", 0.5)), gq, gq
+    gq = _constant(_finite("gipalm", "gamma_q", cfg.method_params.get("gamma_q", 0.25)))
+    return _constant(_finite("gipalm", "gamma_p", cfg.method_params.get("gamma_p", 0.5))), gq, gq
 
 
 _RULES = {
-    "pame": _Rule(True, True, lambda cfg: (0.0, _schedule("pame", "gamma", cfg.gamma), 0.0)),
-    "pam": _Rule(True, True, lambda cfg: (0.0, 0.0, 0.0)),
-    "fpm": _Rule(False, False, lambda cfg: (0.0, 0.0, 0.0)),
+    "pame": _Rule(True, True, lambda cfg: (_zero, _schedule("pame", "gamma", cfg.gamma), _zero)),
+    "pam": _Rule(True, True, lambda cfg: (_zero,) * 3),
+    "fpm": _Rule(False, False, lambda cfg: (_zero,) * 3),
     "pdcae": _Rule(False, True, _pdcae_weights),
     "ipalm": _Rule(True, True, lambda cfg: (_ipalm_gamma,) * 3),
     "gipalm": _Rule(True, True, _gipalm_weights),
@@ -338,20 +365,25 @@ def _gamma_star(alpha_star: float, beta_star: float, norm_upper: float) -> float
     return min(1.0, (alpha_star / norm_upper) * (beta_star / norm_upper) / 2.0)
 
 
-def _bound(declared, schedule, what):
-    """A theorem-mode bound: the declared value, or the constant schedule itself."""
+def _bound(cfg: SolverConfig, declared, schedule: Schedule, fn: Fn, what: str) -> float:
+    """A bound's declared value, which must be finite, or else ``fn(0)``: its default, from the
+    schedule of the setting ``schedule``, which theorem mode takes only from a constant."""
     if declared is not None:
-        return float(declared)
-    if callable(schedule):
+        return _finite(cfg.method, what, declared)
+    if cfg.theorem_mode and callable(schedule):
         raise PreconditionError(f"theorem_mode requires a declared {what} for non-constant schedules")
-    return float(schedule)
+    return fn(0)
 
 
 def _norm_upper(cfg: SolverConfig, X) -> float:
-    """The declared bound on ||X||_2 after a check against ||X||_F / sqrt(min(d, n)), or the exact norm."""
+    """The declared bound on ||X||_2 after a check against ||X||_F / sqrt(min(d, n)), or the exact
+    norm times 1 + ``spectral_rel_tol``, which only then is read."""
     if cfg.norm_upper is None:
-        return spectral_norm(X) * (1.0 + cfg.spectral_rel_tol)
-    norm_upper = float(cfg.norm_upper)
+        spectral_rel_tol = _number(cfg.spectral_rel_tol)
+        if not (0.0 < spectral_rel_tol < 1.0):
+            raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
+        return spectral_norm(X) * (1.0 + spectral_rel_tol)
+    norm_upper = _number(cfg.norm_upper)
     floor = frob(X) / math.sqrt(min(X.shape))
     # the relative slack absorbs roundoff where ||X||_2 = ||X||_F / sqrt(min(d, n))
     if not 0.0 <= norm_upper < math.inf or norm_upper < floor * (1.0 - 1e-8):
@@ -362,19 +394,17 @@ def _norm_upper(cfg: SolverConfig, X) -> float:
     return norm_upper
 
 
-def _theorem_bounds(cfg: SolverConfig, X, beta_star: float) -> dict:
+def _theorem_bounds(cfg: SolverConfig, X, alpha_fn: Fn, beta_fn: Fn, gs_fn: Fn, beta_star: float) -> dict:
     """Check a pame/pam config against the convergence theorem; return its bounds."""
-    alpha_star = _bound(cfg.alpha_star, cfg.alpha, "alpha_star")
+    alpha_star = _bound(cfg, cfg.alpha_star, cfg.alpha, alpha_fn, "alpha_star")
     if alpha_star <= 0:
         raise PreconditionError("theorem_mode requires alpha_star > 0")
-    if not callable(cfg.beta) and float(cfg.beta) * (1.0 + 1e-12) < 1.5 * beta_star:
+    if not callable(cfg.beta) and beta_fn(0) * (1.0 + 1e-12) < 1.5 * beta_star:
         raise PreconditionError(
-            f"theorem_mode: beta condition violated: beta={float(cfg.beta):g} < 1.5 * beta_star={1.5 * beta_star:g}"
+            f"theorem_mode: beta condition violated: beta={beta_fn(0):g} < 1.5 * beta_star={1.5 * beta_star:g}"
         )
-    if not (0.0 < cfg.spectral_rel_tol < 1.0):
-        raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
     # pam is pame with gamma fixed at 0, whatever gamma and gamma_sup say
-    gamma_sup = _bound(cfg.gamma_sup, cfg.gamma, "gamma_sup") if cfg.method == "pame" else 0.0
+    gamma_sup = _bound(cfg, cfg.gamma_sup, cfg.gamma, gs_fn, "gamma_sup") if cfg.method == "pame" else 0.0
     norm_upper = _norm_upper(cfg, X)
     gamma_star = _gamma_star(alpha_star, beta_star, norm_upper)
     if gamma_sup >= gamma_star:
@@ -385,48 +415,49 @@ def _theorem_bounds(cfg: SolverConfig, X, beta_star: float) -> dict:
         )
     return {
         "alpha_star": alpha_star,
-        "alpha_sup": _bound(cfg.alpha_sup, cfg.alpha, "alpha_sup"),
+        "alpha_sup": _bound(cfg, cfg.alpha_sup, cfg.alpha, alpha_fn, "alpha_sup"),
         "beta_star": beta_star,
-        "beta_sup": _bound(cfg.beta_sup, cfg.beta, "beta_sup"),
+        "beta_sup": _bound(cfg, cfg.beta_sup, cfg.beta, beta_fn, "beta_sup"),
         "gamma_sup": gamma_sup,
         "norm_upper": norm_upper,
     }
 
 
 def resolve_config(cfg: SolverConfig, X) -> _Plan:
-    """Validate a config against the data matrix and bind its schedules."""
+    """Validate a config against the data matrix and bind its schedules.
+
+    Every number of ``cfg`` the run reads is converted and checked here,
+    once; a setting the method does not read is never converted or called.
+    """
     rule = _RULES.get(cfg.method)
     if rule is None:
         raise PreconditionError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
     unknown = [key for key in cfg.method_params if key not in _METHOD_PARAMS]
     if unknown:
         raise PreconditionError(f"unknown method_params keys {unknown}; known keys are {_METHOD_PARAMS}")
-    if not 0.0 < cfg.tol < math.inf or cfg.max_iter < 1:
+    tol = _number(cfg.tol)
+    if not 0.0 < tol < math.inf or not isinstance(cfg.max_iter, numbers.Integral) or cfg.max_iter < 1:
         raise PreconditionError("tol must be finite and positive and max_iter at least 1")
     if cfg.theorem_mode and cfg.method not in ("pame", "pam"):
         raise PreconditionError("theorem_mode applies to the pame/pam scheme only")
-    # a step size the block's anchor does not read is never checked
-    alpha_fn = _schedule(cfg.method, "alpha", cfg.alpha, positive=True) if rule.prox_p else _as_fn(cfg.alpha)
-    beta_fn = _schedule(cfg.method, "beta", cfg.beta, positive=True) if rule.prox_q else _as_fn(cfg.beta)
-    weight_fns = tuple(_as_fn(w) for w in rule.weights(cfg))
+    alpha_fn = _schedule(cfg.method, "alpha", cfg.alpha, positive=True) if rule.prox_p else _zero
+    beta_fn = _schedule(cfg.method, "beta", cfg.beta, positive=True) if rule.prox_q else _zero
+    gp_fn, gs_fn, gq_fn = rule.weights(cfg)
 
     beta_star = 0.0  # the potential's Q weight; 2/3 of beta makes the theorem's beta condition tight
     if rule.prox_q:
-        if cfg.beta_star is not None:
-            beta_star = float(cfg.beta_star)
-        elif cfg.theorem_mode and callable(cfg.beta):
-            raise PreconditionError("theorem_mode requires a declared beta_star for non-constant schedules")
-        else:
-            beta_star = (2.0 / 3.0) * beta_fn(0)
+        beta_star = _bound(cfg, cfg.beta_star, cfg.beta, lambda k: (2.0 / 3.0) * beta_fn(k), "beta_star")
 
-    return _Plan(
-        rule=rule,
-        alpha_fn=alpha_fn,
-        beta_fn=beta_fn,
-        weight_fns=weight_fns,
-        beta_star=beta_star,
-        bounds=_theorem_bounds(cfg, X, beta_star) if cfg.theorem_mode else None,
-    )
+    bounds = None
+    if cfg.theorem_mode:
+        bounds = _theorem_bounds(cfg, X, alpha_fn, beta_fn, gs_fn, beta_star)
+        # each step's alpha, beta and gamma must keep within the bounds, up to 1e-12 relative for alpha and beta
+        a_lo, b_hi = bounds["alpha_star"] * (1.0 - 1e-12), bounds["beta_sup"] * (1.0 + 1e-12)
+        alpha_fn = _bounded(alpha_fn, cfg.alpha, "alpha", lambda a: a < a_lo or a > bounds["alpha_sup"] * (1.0 + 1e-12))
+        beta_fn = _bounded(beta_fn, cfg.beta, "beta", lambda b: b * (1.0 + 1e-12) < 1.5 * beta_star or b > b_hi)
+        gamma = cfg.gamma if cfg.method == "pame" else 0.0  # pam's gamma is 0, whatever cfg.gamma says
+        gs_fn = _bounded(gs_fn, gamma, "gamma", lambda g: g > bounds["gamma_sup"], "exceeds its declared bound")
+    return _Plan(rule, alpha_fn, beta_fn, (gp_fn, gs_fn, gq_fn), beta_star, bounds, tol)
 
 
 def draw_start(inst: ProblemInstance, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -502,15 +533,6 @@ def solve(
         a_k = plan.alpha_fn(k)
         b_k = plan.beta_fn(k)
         gs_k = gs_fn(k)
-        if bounds is not None:
-            # schedules may be callables; enforce the declared bounds per step
-            if a_k < bounds["alpha_star"] * (1.0 - 1e-12) or a_k > bounds["alpha_sup"] * (1.0 + 1e-12):
-                raise PreconditionError(f"theorem_mode: alpha_{k}={a_k:g} outside its declared bounds")
-            if b_k * (1.0 + 1e-12) < 1.5 * plan.beta_star or b_k > bounds["beta_sup"] * (1.0 + 1e-12):
-                raise PreconditionError(f"theorem_mode: beta_{k}={b_k:g} outside its declared bounds")
-            if gs_k > bounds["gamma_sup"]:
-                raise PreconditionError(f"theorem_mode: gamma_{k}={gs_k:g} exceeds its declared bound")
-
         XtE = _ext(XtQ, XtQ_prev, gs_k)  # X^T ext(Q, Q_prev, gs_k)
         gq_k = gq_fn(k)
         try:
@@ -580,7 +602,7 @@ def solve(
         XtQ_prev, XtQ = XtQ, XtQ_new
         if callback is not None:
             callback(k, P, Q)
-        if dC < cfg.tol:
+        if dC < plan.tol:
             reason = "tol"
             break
         if flips:

@@ -948,12 +948,31 @@ def error_bound_suite(samples: int = 1000, seed: int = 0) -> dict:
     }
 
 
-#: the neighbourhood radii kl_suite probes at each optimum
+#: the neighbourhood radii kl_suite may probe at each optimum
 _KL_RADII = (0.3, 0.1, 0.03, 0.01)
 
 
+def _sign_stable_radius(X: np.ndarray, Q: np.ndarray) -> float:
+    """min over i, j of |(X^T Q)_ij| / ||x_i|| over the nonzero columns x_i of X.
+
+    A Q' within this Frobenius distance of Q moves each (X^T Q)_ij by less
+    than |(X^T Q)_ij|, so no entry changes sign: ||X^T Q'||_1 there is the
+    one smooth piece <X sign(X^T Q), Q'>.
+    """
+    norms = np.linalg.norm(X, axis=0)
+    keep = norms > 0.0
+    return float(np.min(np.abs(X[:, keep].T @ Q) / norms[keep, None], initial=math.inf))
+
+
 def kl_suite(instances: int = 10, samples: int = 200, seed: int = 0) -> dict:
-    """KL ratio probes at oracle-certified optima of tiny random instances."""
+    """KL ratio probes at oracle-certified optima of tiny random instances.
+
+    Each optimum is probed only at the radii of ``_KL_RADII`` below its
+    sign-stable radius (``_sign_stable_radius``, recorded as
+    ``sign_stable_radius``), inside which the objective is the single
+    smooth piece the KL bound at the optimum concerns.  An instance left
+    with no radius fails.
+    """
     rng = seeded_rng(seed, 0x61)
     reports = []
     passed = True
@@ -963,9 +982,11 @@ def kl_suite(instances: int = 10, samples: int = 200, seed: int = 0) -> dict:
         K = int(rng.integers(1, min(2, n, d) + 1))
         X = rng.standard_normal((d, n))
         orc = enumerate_oracle(X, K)
-        rep = kl_ratio_probe(X, orc.Q, _KL_RADII, samples=samples, seed=int(rng.integers(2**31)))
-        reports.append({"n": n, "d": d, "K": K, "report": rep.to_dict()})
-        passed = passed and rep.passed
+        r_star = _sign_stable_radius(X, orc.Q)
+        radii = [r for r in _KL_RADII if r < r_star]
+        rep = kl_ratio_probe(X, orc.Q, radii, samples=samples, seed=int(rng.integers(2**31)))
+        reports.append({"n": n, "d": d, "K": K, "sign_stable_radius": r_star, "report": rep.to_dict()})
+        passed = passed and bool(radii) and rep.passed
     return {"name": "kl_suite", "instances": instances, "reports": reports, "passed": passed}
 
 

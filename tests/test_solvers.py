@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import counting_products, make_instance, make_start
 from l1pca.errors import DegenerateUpdateError, DivergedError, PreconditionError
@@ -648,6 +650,18 @@ class TestRunComparison:
         start_h = {round(o.result.trace.h_value[0], 12) for o in out}
         assert len(start_h) == 1  # identical (P0, Q0)
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, math.nan, None])
+    def test_malformed_seed_refused(self, seed):
+        inst, _ = _gauss_20x40()
+        with pytest.raises(PreconditionError, match="seeds must be non-negative integers, got"):
+            run_comparison(inst, [SolverConfig(seed=seed)])
+
+    def test_numpy_integer_seed(self):
+        inst, _ = _gauss_20x40()
+        out = run_comparison(inst, [SolverConfig(seed=np.int64(1))])
+        assert out[0].error is None
+        assert np.array_equal(out[0].result.P_final, run_comparison(inst, [SolverConfig(seed=1)])[0].result.P_final)
+
     def test_theorem_mode_members_have_monotone_potential(self):
         inst = make_instance(40, 16, 3, seed=28)
         cfgs = [theorem_config(inst.X, method=m, tol=1e-8, max_iter=400) for m in ("pame", "pam")]
@@ -867,6 +881,104 @@ class TestTheoremModeRefusals:
     def test_refused(self, make_cfg, message):
         with pytest.raises(PreconditionError, match=f"theorem_mode.*{message}"):
             self._solve(make_cfg)
+
+
+def _gauss_20x40():
+    inst = ProblemInstance(np.random.default_rng(0).standard_normal((20, 40)), 3)
+    return inst, draw_start(inst, seed=1)
+
+
+class TestConfigNumbers:
+    """resolve_config converts and checks every number a run reads, once; a setting the run does not read is never
+    converted or called."""
+
+    @staticmethod
+    def _solve(**kw):
+        inst, start = _gauss_20x40()
+        return solve(inst, SolverConfig(**kw), *start)
+
+    _THEOREM = dict(method="pame", alpha=1.0, beta=10.0, gamma=0.0, theorem_mode=True)
+
+    @pytest.mark.parametrize(
+        "bound, value",
+        [("alpha_sup", math.nan), ("alpha_star", math.nan), ("beta_star", math.nan), ("gamma_sup", math.nan),
+         ("alpha_sup", math.inf), ("beta_sup", math.inf)],
+    )
+    def test_non_finite_declared_bound_refused(self, bound, value):
+        # these runs used to finish, and their audit passed with constants built from the non-finite bound
+        with pytest.raises(PreconditionError, match=f"pame needs a finite {bound}, got {value}"):
+            self._solve(**self._THEOREM, **{bound: value})
+
+    def test_unread_alpha_never_called(self):
+        # pdcae has no sign anchor, and fpm no anchor at all
+        assert self._solve(method="pdcae", alpha=lambda k: 1 / 0).converged
+        calls = []
+        res = self._solve(method="fpm", alpha=lambda k: calls.append(k) or 1e-4, beta=lambda k: calls.append(k) or 1.0)
+        assert res.converged and calls == []
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"tol": "x"}, {"max_iter": "5"}, {"max_iter": 2.5}, {"max_iter": None},
+         {**_THEOREM, "spectral_rel_tol": "x"}, {**_THEOREM, "alpha_star": "x"}, {**_THEOREM, "norm_upper": "x"}],
+        ids=["tol", "max_iter_str", "max_iter_fractional", "max_iter_none", "spectral_rel_tol", "alpha_star",
+             "norm_upper"],
+    )
+    def test_malformed_number_refused(self, kw):
+        with pytest.raises(PreconditionError):
+            self._solve(**kw)
+
+    def test_numpy_numbers_accepted(self):
+        res = self._solve(tol=np.float64(1e-8), max_iter=np.int64(1000))
+        assert res.converged
+
+    def test_spectral_rel_tol_unread_with_a_declared_norm_upper(self):
+        inst, start = _gauss_20x40()
+        res = solve(inst, replace(theorem_config(inst.X), spectral_rel_tol="x"), *start)
+        assert res.audit_info["norm_upper"] == theorem_config(inst.X).norm_upper
+
+    def test_theorem_settings_unread_outside_theorem_mode(self):
+        res = self._solve(alpha_star="x", alpha_sup=math.nan, beta_sup=math.inf, gamma_sup="x", spectral_rel_tol="x",
+                          norm_upper="x")
+        assert res.converged and res.audit_info is None
+
+
+#: a config that theorem mode certifies for pame and pam on TestConfigProperty's data
+_TYPICAL = dict(alpha=1.0, beta=10.0, gamma=0.0, tol=1e-8, max_iter=20, alpha_star=None, alpha_sup=None,
+                beta_star=None, beta_sup=None, gamma_sup=None, norm_upper=None, spectral_rel_tol=1e-6)
+_ODD = (0.0, -1.0, math.inf, -math.inf, math.nan, "x", None)
+
+
+@st.composite
+def _configs(draw):
+    """A SolverConfig of any method, in or out of theorem mode, with up to three of its numbers drawn from finite
+    floats (integers for max_iter) and malformed values; the rest keep ``_TYPICAL``'s values."""
+    kw = dict(_TYPICAL)
+    for name in draw(st.lists(st.sampled_from(sorted(kw)), max_size=3, unique=True)):
+        finite = st.integers(-1, 20) if name == "max_iter" else st.floats(allow_nan=False, allow_infinity=False)
+        kw[name] = draw(st.one_of(finite, st.sampled_from(_ODD + (2.5,))))
+    return SolverConfig(method=draw(st.sampled_from(METHODS)), theorem_mode=draw(st.booleans()), **kw)
+
+
+class TestConfigProperty:
+    _INST = ProblemInstance(np.random.default_rng(3).standard_normal((6, 8)), 2)
+    _START = draw_start(_INST, seed=1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_configs())
+    @example(SolverConfig(**{**_TYPICAL, "theorem_mode": True}))
+    @example(SolverConfig(**{**_TYPICAL, "method": "pam", "theorem_mode": True, "alpha_sup": 1e300, "beta_sup": 1e300,
+                             "norm_upper": 1e3}))
+    @example(SolverConfig(**{**_TYPICAL, "theorem_mode": True, "alpha_sup": math.nan}))
+    @example(SolverConfig(**{**_TYPICAL, "method": "fpm", "alpha": "x"}))
+    def test_solve_returns_or_refuses(self, cfg):
+        # any SolverConfig runs, is refused or diverges, and a certified run's bounds are all finite
+        try:
+            res = solve(self._INST, cfg, *self._START)
+        except (PreconditionError, DivergedError):
+            return
+        if cfg.theorem_mode:
+            keys = ("alpha_star", "alpha_sup", "beta_star", "beta_sup", "gamma_sup", "norm_upper")
+            assert all(math.isfinite(res.audit_info[key]) for key in keys)
 
 
 class TestDeclaredNormUpper:

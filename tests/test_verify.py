@@ -27,6 +27,7 @@ from l1pca.verify import (
     kappa_constant,
     kl_ratio_probe,
     kl_ratio_probe_h,
+    kl_suite,
     sample_critical_point,
     sandwich_probe,
 )
@@ -449,6 +450,31 @@ class TestKlProbe:
         X = np.ones((4, 6))
         with pytest.raises(DimensionMismatchError, match="Q has 3 rows, X has 4"):
             exact_l1_subgrad_dist(sp.csc_matrix(X) if sparse else X, np.eye(3)[:, :2])
+
+
+class TestKlSuite:
+    def test_passes_at_default_samples(self):
+        # instance 4 (3x3, K=1) has sign-stable radius 0.219; at radius 0.3 its ratio fell from 2.9 to 0.13
+        out = kl_suite(instances=5, samples=1000, seed=0)
+        assert out["passed"]
+        for entry in out["reports"]:
+            radii = entry["report"]["parameters"]["radii"]
+            assert radii and all(r < entry["sign_stable_radius"] for r in radii)
+        assert out["reports"][4]["sign_stable_radius"] == pytest.approx(0.219, abs=1e-3)
+        assert out["reports"][4]["report"]["parameters"]["radii"] == [0.1, 0.03, 0.01]
+
+    def test_instance_without_a_radius_fails(self, monkeypatch):
+        # a sign-stable radius is at most 1, so no radius of 2 is probed
+        monkeypatch.setattr(verify, "_KL_RADII", (2.0,))
+        out = kl_suite(instances=1, samples=10, seed=0)
+        assert out["reports"][0]["report"]["parameters"]["radii"] == [] and not out["passed"]
+
+    def test_sign_stable_radius_skips_zero_columns(self):
+        X = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 0.0]])
+        # |x_i^T q| / ||x_i|| over the nonzero columns: 4/5 and 0/1
+        assert verify._sign_stable_radius(X, np.array([[0.0], [1.0]])) == 0.0
+        assert verify._sign_stable_radius(X, np.array([[1.0], [0.0]])) == pytest.approx(0.6)
+        assert verify._sign_stable_radius(np.zeros((2, 3)), np.array([[1.0], [0.0]])) == math.inf
 
 
 class TestAudit:

@@ -14,7 +14,8 @@ of the error it raised:
 
 * ``solve``: 4 shapes, dense and CSC X, 3 starts; the six methods at gamma
   0, 0.5 and 0.8, the pdcae and gipalm variants, callable schedules for all
-  six, and theorem-mode pame and pam with constant, declared and callable
+  six, pdcae with an ``alpha`` callable that raises (pdcae reads no alpha),
+  and theorem-mode pame and pam with constant, declared and callable
   bounds.  Then the benchmark's two shapes (200x500 K=10 and 500x2000
   K=20, ``gen_fixed_effect`` data seed 0), where BLAS blocks the products:
   X in C and in F order, start 1, pame and fpm with the paper flags and
@@ -36,7 +37,7 @@ of the error it raised:
   and 1e-170, dense and CSC).
 * ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300.
 
-The grid prints 2669 digests and takes about 15 s on two cores.  BLAS may
+The grid prints 2724 digests and takes about 15 s on two cores.  BLAS may
 block a product differently with a different thread count, so compare two
 trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -176,6 +177,7 @@ def _configs(X, l1pca) -> dict:
     cfgs["pdcae/config_gamma"] = SolverConfig(method="pdcae", gamma=0.5, method_params={"use_config_gamma": True})
     cfgs["pdcae/restart3"] = SolverConfig(method="pdcae", method_params={"restart_interval": 3})
     cfgs["gipalm/weights"] = SolverConfig(method="gipalm", method_params={"gamma_p": 0.3, "gamma_q": 0.6})
+    cfgs["pdcae/unread_alpha"] = SolverConfig(method="pdcae", alpha=lambda k: 1 / 0)
     for m in METHODS:
         cfgs[f"{m}/callables"] = SolverConfig(
             method=m,
@@ -224,9 +226,12 @@ def solve_runs(l1pca, out: dict, summary=_full_digest, certify: bool = True) -> 
         run = functools.cache(lambda: solvers.solve(inst, cfg, P0, Q0))
         out[key] = summary(run)
         if certify:
-            alpha = cfg.alpha(0) if callable(cfg.alpha) else cfg.alpha
-            out[f"{key}/criticality_report"] = _digest(lambda: vars(l1pca.verify.criticality_report(
-                inst.X, run().P_final, run().Q_final, alpha_star=alpha)))
+            def report():
+                # taken inside the digest, so an alpha callable that raises digests its error
+                alpha = cfg.alpha(0) if callable(cfg.alpha) else cfg.alpha
+                return vars(l1pca.verify.criticality_report(inst.X, run().P_final, run().Q_final, alpha_star=alpha))
+
+            out[f"{key}/criticality_report"] = _digest(report)
 
     for d, n, K in SHAPES:
         X = _data(d, n)
@@ -294,6 +299,13 @@ def refused_runs(l1pca, out: dict) -> None:
             **{**thm, "beta": lambda k: 5.0 * s * (k + 1)}, beta_star=s, beta_sup=6.0 * s),
         "theorem_gamma_above_sup": C(**thm, gamma=lambda k: 0.2 * k, gamma_sup=0.3),
         "theorem_alpha_below_alpha_star": C(**thm, alpha_star=2.0 * s),
+        "theorem_alpha_sup_nan": C(**thm, alpha_sup=float("nan")),
+        "theorem_beta_star_nan": C(**thm, beta_star=float("nan")),
+        "theorem_gamma_sup_nan": C(**thm, gamma_sup=float("nan")),
+        "theorem_beta_sup_infinite": C(**thm, beta_sup=float("inf")),
+        "tol_not_a_number": C(tol="x"),
+        "max_iter_fractional": C(max_iter=2.5),
+        "theorem_norm_upper_not_a_number": C(**thm, norm_upper="x"),
     }
     for name, cfg in cfgs.items():
         out[f"refused/{name}"] = _digest(lambda: _result(solvers.solve(inst, cfg, P0, Q0)))
