@@ -11,6 +11,10 @@ Lanczos and a dense solve of the whole spectrum, which a caller then uses
 whole.  ``_tev_ratio`` and ``_choose_K`` work from ``_spectrum``'s result,
 so a caller that needs the spectrum more than once (the ``cluster`` and
 ``compare`` commands) takes it once and passes it on.
+
+Importing this module loads no ``scipy.optimize``: ``kmeans_accuracy`` (the
+``cluster`` command) imports its ``linear_sum_assignment`` on its first
+call in a process.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import PreconditionError, UndefinedMetricError
 from .linalg import _prescaled, _top_eigenvalues, _xt, frob, require_finite, seeded_rng
@@ -186,6 +189,10 @@ def _assignment_accuracy(pred: np.ndarray, truth: np.ndarray, k: int) -> float:
     if m < k:
         # fewer label values than clusters: per-cluster majority mapping
         return float(C.max(axis=1).sum() / n)
+    # imported here, not at the top: importing scipy.optimize costs about 0.15 s and 17 MB per
+    # process, and only cluster scoring needs it
+    from scipy.optimize import linear_sum_assignment
+
     # the counts are integers, so the matching's optimum is exact
     rows, cols = linear_sum_assignment(-C)
     return float(C[rows, cols].sum() / n)

@@ -428,10 +428,16 @@ def resolve_config(cfg: SolverConfig, X) -> _Plan:
 
     Every number of ``cfg`` the run reads is converted and checked here,
     once; a setting the method does not read is never converted or called.
+    ``method`` must be a string, ``method_params`` a dict and
+    ``theorem_mode`` a bool (numpy's included).
     """
-    rule = _RULES.get(cfg.method)
+    rule = _RULES.get(cfg.method) if isinstance(cfg.method, str) else None
     if rule is None:
         raise PreconditionError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
+    if not isinstance(cfg.method_params, dict):
+        raise PreconditionError(f"method_params must be a dict, got {cfg.method_params!r}")
+    if not isinstance(cfg.theorem_mode, (bool, np.bool_)):
+        raise PreconditionError(f"theorem_mode must be a bool, got {cfg.theorem_mode!r}")
     unknown = [key for key in cfg.method_params if key not in _METHOD_PARAMS]
     if unknown:
         raise PreconditionError(f"unknown method_params keys {unknown}; known keys are {_METHOD_PARAMS}")
@@ -690,9 +696,13 @@ def theorem_config(
     gamma is set to ``gamma_frac`` of that bound for pame and to zero for
     pam.  The config declares that upper bound as ``norm_upper`` (0 for
     zero X), so ``solve`` takes no second norm; use it on this X only.
+    A ``spectral_rel_tol`` outside (0, 1), and a ``beta_scale`` or (for
+    pame) ``gamma_frac`` that is not a finite number, is a PreconditionError.
     """
+    spectral_rel_tol = _number(spectral_rel_tol)
     if not (0.0 < spectral_rel_tol < 1.0):
         raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
+    beta_scale = _finite("theorem_config", "beta_scale", beta_scale)
     s = spectral_norm(X)
     norm_upper = s * (1.0 + spectral_rel_tol)
     if s == 0.0:
@@ -700,7 +710,7 @@ def theorem_config(
     alpha = s
     beta = beta_scale * s
     gamma_star = _gamma_star(alpha, (2.0 / 3.0) * beta, s * (1.0 + spectral_rel_tol))
-    gamma = gamma_frac * gamma_star if method == "pame" else 0.0
+    gamma = _finite("theorem_config", "gamma_frac", gamma_frac) * gamma_star if method == "pame" else 0.0
     return SolverConfig(
         method=method,
         alpha=alpha,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +401,24 @@ class TestKmeans:
         _, wcss1, _ = kmeans_cluster(coords, 2, restarts=1, seed=0)
         _, wcss10, _ = kmeans_cluster(coords, 2, restarts=10, seed=0)
         assert wcss10 <= wcss1 + 1e-12
+
+    def test_scipy_optimize_loaded_on_first_call(self):
+        # importing the package and its CLI loads no scipy.optimize (about 0.15 s and 17 MB per process);
+        # the first kmeans_accuracy call does, in a fresh interpreter
+        X = np.arange(24.0).reshape(3, 8) % 5
+        Q, labels = np.eye(3)[:, :2], np.arange(8) % 3
+        script = (
+            "import sys, numpy as np, l1pca, l1pca.cli\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "X = np.arange(24.0).reshape(3, 8) % 5\n"
+            "acc = l1pca.metrics.kmeans_accuracy(X, np.eye(3)[:, :2], np.arange(8) % 3, k=3, restarts=2, seed=1)\n"
+            "print(before, 'scipy.optimize' in sys.modules, repr(acc))\n"
+        )
+        src = Path(metrics.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        acc = kmeans_accuracy(X, Q, labels, k=3, restarts=2, seed=1)
+        assert out.stdout.split() == ["False", "True", repr(acc)]
 
 
 def _assignment_reference(pred, truth, k):

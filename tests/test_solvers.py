@@ -927,9 +927,43 @@ class TestConfigNumbers:
         with pytest.raises(PreconditionError):
             self._solve(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [({"method": ["pame"]}, r"unknown method \['pame'\]"), ({"method": None}, "unknown method None"),
+         ({"method_params": None}, "method_params must be a dict, got None"),
+         ({"method_params": [("gamma_q", 0.1)]}, "method_params must be a dict"),
+         ({"theorem_mode": "no"}, "theorem_mode must be a bool, got 'no'"),
+         ({"theorem_mode": 1}, "theorem_mode must be a bool, got 1")],
+        ids=["method_list", "method_none", "method_params_none", "method_params_pairs", "theorem_mode_str",
+             "theorem_mode_int"],
+    )
+    def test_malformed_field_refused(self, kw, message):
+        # these raised bare TypeErrors, and theorem_mode='no' ran a certified run
+        with pytest.raises(PreconditionError, match=message):
+            self._solve(**kw)
+
     def test_numpy_numbers_accepted(self):
         res = self._solve(tol=np.float64(1e-8), max_iter=np.int64(1000))
         assert res.converged
+        assert self._solve(**{**self._THEOREM, "theorem_mode": np.bool_(True)}).audit_info is not None
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [({"spectral_rel_tol": "x"}, r"spectral_rel_tol must lie in \(0, 1\)"),
+         ({"gamma_frac": "x"}, "theorem_config needs a finite gamma_frac, got 'x'"),
+         ({"gamma_frac": math.nan}, "theorem_config needs a finite gamma_frac, got nan"),
+         ({"beta_scale": "x"}, "theorem_config needs a finite beta_scale, got 'x'"),
+         ({"beta_scale": math.inf}, "theorem_config needs a finite beta_scale, got inf")],
+        ids=["spectral_rel_tol", "gamma_frac", "gamma_frac_nan", "beta_scale", "beta_scale_inf"],
+    )
+    def test_theorem_config_malformed_number_refused(self, kw, message):
+        with pytest.raises(PreconditionError, match=message):
+            theorem_config(_gauss_20x40()[0].X, **kw)
+
+    def test_theorem_config_gamma_frac_unread_for_pam(self):
+        inst, start = _gauss_20x40()
+        cfg = theorem_config(inst.X, method="pam", gamma_frac="x")
+        assert cfg == theorem_config(inst.X, method="pam") and solve(inst, cfg, *start).audit_info is not None
 
     def test_spectral_rel_tol_unread_with_a_declared_norm_upper(self):
         inst, start = _gauss_20x40()

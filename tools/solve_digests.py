@@ -28,8 +28,9 @@ of the error it raised:
   run also digests ``criticality_report`` at its final pair, with the
   run's ``alpha`` (at iteration 0 for a callable) as ``alpha_star``.
 * ``zero``: every method and ``theorem_config`` on zero data.
-* ``refused``: configurations that ``solve`` refuses, and the
-  ``criticality_report`` arguments it refuses, with their messages.
+* ``refused``: configurations that ``solve`` refuses, and the arguments
+  that ``theorem_config`` and ``criticality_report`` refuse, with their
+  messages.
 * ``kernel``: ``polar_factor`` and ``thin_svd`` of drawn rank 0 up to full,
   with repeated columns, in C and F order, at three scales.
 * ``error_bound_suite`` (seeds 0-5), ``gen_fixed_effect`` (240 specs),
@@ -37,7 +38,7 @@ of the error it raised:
   and 1e-170, dense and CSC).
 * ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300.
 
-The grid prints 2724 digests and takes about 15 s on two cores.  BLAS may
+The grid prints 2730 digests and takes about 15 s on two cores.  BLAS may
 block a product differently with a different thread count, so compare two
 trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -306,9 +307,15 @@ def refused_runs(l1pca, out: dict) -> None:
         "tol_not_a_number": C(tol="x"),
         "max_iter_fractional": C(max_iter=2.5),
         "theorem_norm_upper_not_a_number": C(**thm, norm_upper="x"),
+        "method_not_a_string": C(method=["pame"]),
+        "method_params_not_a_dict": C(method_params=None),
+        "theorem_mode_not_a_bool": C(theorem_mode="no"),
     }
     for name, cfg in cfgs.items():
         out[f"refused/{name}"] = _digest(lambda: _result(solvers.solve(inst, cfg, P0, Q0)))
+    for arg in ("spectral_rel_tol", "gamma_frac", "beta_scale"):
+        out[f"refused/theorem_config/{arg}_not_a_number"] = _digest(
+            lambda: _result(solvers.solve(inst, solvers.theorem_config(X, **{arg: "x"}), P0, Q0)))
     report = l1pca.verify.criticality_report
     for name, alpha, zero_tol in (("alpha_star_zero", 0.0, 1e-12), ("alpha_star_negative", -1.0, 1e-12),
                                   ("zero_tol_negative", 1e-4, -1.0)):
