@@ -158,17 +158,22 @@ def frob(M) -> float:
 
 def _prescaled(X, norm: float):
     """(X / 2^e, e): e = 0 when ``norm`` = frob(X) lies in ``_GRAM_SAFE`` or is 0,
-    else e puts the scaled norm in [1/2, 1).  The division is exact.
-
-    Below norm 2^-1023, 2^-e is not a float; a scale up by a power of two is
-    exact in any number of steps, so a small norm takes two."""
+    else e puts the scaled norm in [1/2, 1).  The division is exact (``_pow2_scaled``)."""
     if norm == 0.0 or _GRAM_SAFE[0] <= norm <= _GRAM_SAFE[1]:
         return X, 0
     e = math.frexp(norm)[1]
+    return _pow2_scaled(X, e), e
+
+
+def _pow2_scaled(X, e: int):
+    """X / 2^e, exact for entries that stay in the normal range.
+
+    Below 2^-1023, 2^-e is not a float; a scale up by a power of two is
+    exact in any number of steps, so an e <= 0 takes two."""
     if e > 0:
-        return X * math.ldexp(1.0, -e), e
+        return X * math.ldexp(1.0, -e)
     h = -e // 2
-    return X * math.ldexp(1.0, h) * math.ldexp(1.0, -e - h), e
+    return X * math.ldexp(1.0, h) * math.ldexp(1.0, -e - h)
 
 
 def _gram(X) -> tuple[np.ndarray, int]:

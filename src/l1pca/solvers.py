@@ -304,12 +304,20 @@ def _ipalm_gamma(k: int) -> float:
 
 
 def _pdcae_weights(cfg: SolverConfig):
-    if cfg.method_params.get("use_config_gamma", False):
+    """pdcae's weights: ``use_config_gamma`` must be a bool (numpy's too), and
+    ``restart_interval``, read only without it, an integer of at least 1."""
+    use_gamma = cfg.method_params.get("use_config_gamma", False)
+    if not isinstance(use_gamma, (bool, np.bool_)):
+        raise PreconditionError(f"pdcae needs a bool use_config_gamma, got {use_gamma!r}")
+    if use_gamma:
         return _zero, _zero, _schedule("pdcae", "gamma", cfg.gamma)
-    interval = int(_finite("pdcae", "restart_interval", cfg.method_params.get("restart_interval", 10)))
+    interval = cfg.method_params.get("restart_interval", 10)
+    _finite("pdcae", "restart_interval", interval)
+    if isinstance(interval, (bool, np.bool_)) or not isinstance(interval, numbers.Integral):
+        raise PreconditionError(f"pdcae needs an integer restart_interval, got {interval!r}")
     if interval < 1:
         raise PreconditionError("restart_interval must be >= 1")
-    return _zero, _zero, _nesterov_restart_gamma(interval)
+    return _zero, _zero, _nesterov_restart_gamma(int(interval))
 
 
 def _gipalm_weights(cfg: SolverConfig):

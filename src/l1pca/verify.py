@@ -31,6 +31,7 @@ from .errors import (
 )
 from .linalg import (
     ThinSvd,
+    _pow2_scaled,
     _xt,
     as_dense,
     complete_orthonormal,
@@ -202,6 +203,91 @@ class OracleResult(NamedTuple):
 _ORACLE_CHUNK_BYTES = 8 << 20
 
 
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int: an integer (numpy's too, bools not), at least ``low`` when given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or low is not None and value < low:
+        at_least = "" if low is None else f" of at least {low}"
+        raise PreconditionError(f"{name} must be an integer{at_least}, got {value!r}")
+    return int(value)
+
+
+def _sign_matrices(m: np.ndarray, n: int, K: int) -> np.ndarray:
+    """The (m.size, n, K) sign matrices of the int64 counters ``m`` (see ``enumerate_oracle``)."""
+    P = np.ones((m.size, n, K))
+    P[:, : n - 1, :] = (1 - 2 * ((m[:, None] >> np.arange((n - 1) * K, dtype=np.int64)) & 1)).reshape(m.size, n - 1, K)
+    return P
+
+
+def _screen(sq: np.ndarray, V: np.ndarray, cols: list[slice]) -> np.ndarray:
+    """tr((M^T M)^(1/2)) of M = [v_c0, ..., v_c(K-1)], K >= 2, on the grid of every c_k in ``cols[k]``;
+    ``sq`` holds the squared column norms of V."""
+    K = len(cols)
+    if K == 2:
+        a, c = sq[cols[0], None], sq[None, cols[1]]
+        b = V[:, cols[0]].T @ V[:, cols[1]]
+        # (s1 + s2)^2 = a + c + 2 s1 s2 for the singular values s1, s2 of M
+        return np.sqrt(a + c + 2.0 * np.sqrt(np.maximum(a * c - b * b, 0.0)))
+    shape = [s.stop - s.start for s in cols]
+    G = np.empty((*shape, K, K))
+    for k in range(K):
+        G[..., k, k] = sq[cols[k]].reshape([-1 if i == k else 1 for i in range(K)])
+        for l in range(k):
+            # eigvalsh reads the lower triangle only
+            B = V[:, cols[l]].T @ V[:, cols[k]]
+            G[..., k, l] = B.reshape([shape[i] if i in (l, k) else 1 for i in range(K)])
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(G), 0.0)).sum(axis=-1)
+
+
+def _near_maximal(A: np.ndarray, K: int, chunk: int) -> np.ndarray:
+    """The counters, ascending, whose screen lies within the margin of the best (see ``enumerate_oracle``)."""
+    d, n = A.shape
+    norm = frob(A)
+    if norm == 0.0:
+        # every X P is zero, and so is every value: the first counter is the first maximizer
+        return np.zeros(1, dtype=np.int64)
+    As = _pow2_scaled(A, math.frexp(norm)[1])
+    J = 1 << (n - 1)
+
+    def products(start: int, stop: int) -> np.ndarray:
+        # at K = 1 the counters are the sign vectors' indices
+        return As @ _sign_matrices(np.arange(start, stop), n, 1)[:, :, 0].T
+
+    if K > 1:
+        step = max(1, _ORACLE_CHUNK_BYTES // (8 * max(n, d)))
+        V = np.empty((d, J))
+        for start in range(0, J, step):
+            V[:, start : start + step] = products(start, min(start + step, J))
+        sq = np.einsum("ij,ij->j", V, V)
+    h = max(1, round(chunk ** (1.0 / K)))
+    while h**K > chunk:
+        h -= 1
+    # blocks of h^K <= chunk candidates; each keeps those within the margin of the best screen so far
+    keep = 1.0 - 8.0 * K * math.sqrt((d + n + K + 10) * _EPS)
+    best = 0.0
+    kept_m, kept_s = [], []
+    for index in np.ndindex(*[-(-J // h)] * K):
+        block = [h * i for i in index]
+        cols = [slice(s, min(s + h, J)) for s in block]
+        if K == 1:
+            Vs = products(block[0], cols[0].stop)
+            scr = np.sqrt(np.einsum("ij,ij->j", Vs, Vs))
+        else:
+            scr = _screen(sq, V, cols)
+        best = max(best, float(scr.max()))
+        idx = np.nonzero(scr >= keep * best)
+        # column k's index c holds bit i of the counter at bit i K + k
+        m = np.zeros(idx[0].size, dtype=np.int64)
+        for k in range(K):
+            c = idx[k] + block[k]
+            for i in range(n - 1):
+                m |= ((c >> i) & 1) << (i * K + k)
+        kept_m.append(m)
+        kept_s.append(scr[idx])
+    kept = np.concatenate(kept_m)[np.concatenate(kept_s) >= keep * best]
+    kept.sort()
+    return kept
+
+
 def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
     """Exact global maximum of the L1 objective by sign enumeration.
 
@@ -210,19 +296,67 @@ def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
     of X P (Markopoulos-Karystinos-Pados).  Flipping a column of P leaves
     that value unchanged, so only the 2^((n-1)K) sign matrices whose last
     row is all +1 are scored.  ``hard_cap`` bounds the full count:
-    more than 2^hard_cap sign matrices (nK bits) are refused.
+    more than 2^hard_cap sign matrices (nK bits) are refused.  K and
+    ``hard_cap`` must be integers (numpy's too, bools not).
 
     Bit t of a counter toggles entry t of P in row-major order (bit 0 means
     +1), so the last row holds the most significant bits and the scored
-    set is the counters below 2^((n-1)K).  Ties go to the first maximizer
-    in ascending counter order; since every column flip toggles a last-row
+    set is the counters below 2^((n-1)K).  The value is the sum of the
+    singular values LAPACK gives for X P; ties go to the first maximizer
+    in ascending counter order.  Since every column flip toggles a last-row
     bit, that is also the first maximizer over all 2^(nK) counters, up to
     roundoff between tied values.
 
-    Candidates are scored in chunks, with one stacked SVD of X P per chunk;
-    a chunk's stacked sign matrices and products each take at most
-    ``_ORACLE_CHUNK_BYTES`` (8 MB), whatever d.
+    Screen.  Column k of the sign matrix of counter m is one of the
+    J = 2^(n-1) sign vectors with last entry +1, so the column products
+    V = (X / 2^e) S, with e the binary exponent of ||X||_F and S those J
+    vectors, serve every candidate: M = X P / 2^e is a choice of K columns
+    of V, and its nuclear norm tr((M^T M)^(1/2)) depends only on their Gram
+    entries.  The screen is ||v|| at K = 1,
+    sqrt(a + c + 2 sqrt(max(ac - b^2, 0))) at K = 2 (a, c the squared
+    column norms, b their product), and the summed roots of a stacked
+    ``eigvalsh`` at K >= 3.  The power-of-two scale is exact and keeps
+    ac - b^2 from underflowing or overflowing at any scale of X.  No J x J
+    Gram matrix is formed (see Chunks).
+
+    Margin.  With T = K max_j ||v_j||^2, the largest tr(M^T M) over the
+    candidates, the maximum is at least sqrt(T): repeating the longest
+    column scores that.  Each computed column of V is off by at most about
+    n^1.5 u sqrt(T) (u = eps / 2; ||X / 2^e||_F^2 <= T / K, the mean of
+    ||v_j||^2), each Gram entry by about (d + 2n) u T.  At K = 2 the
+    determinant (at most T^2 / 4) then errs by about (d + 2n + 4) u T^2,
+    its root by sqrt((d + 2n + 4) u) T, and the screen of a candidate near
+    the maximum, the root of a sum near T or above, by about
+    2 sqrt((d + 2n + 4) u T).  At K >= 3, ``eigvalsh`` is backward stable:
+    each eigenvalue errs by about (d + 2n + K) u T and its root by the
+    square root of that, K of them per screen.  So a near-maximal screen
+    errs from the exact nuclear norm by E <= 2K sqrt((d + 2n + K + 4) u T),
+    while the SVD value errs by O((d + K) u sqrt(T)) only.  Let b be the
+    best-screened counter and c any counter whose SVD value is maximal;
+    then screen(c) >= screen(b) - 2E - O(u sqrt(T)), and screen(b) >=
+    sqrt(T) - E.  So every counter whose screen is at least (1 - r) times
+    the best, with
+
+        r = 8K sqrt((d + n + K + 10) eps),
+
+    a margin r screen(b) of at least twice the bound on the gap, is
+    rescored with the SVD above on the unscaled X, in ascending counter
+    order, and the first maximizer is kept.  That is the full scan's
+    maximizer with its own value, P and Q, bit for bit: each candidate's
+    SVD is the same LAPACK call on the same product, whichever others share
+    its stack.  Random data rescores K! candidates or a few more (the
+    column orders of one maximizer); data with many exact ties rescores
+    all of them, and zero X, whose every value is 0, counter 0 only.
+
+    Chunks: the candidates are screened in blocks of K index ranges, each
+    block keeping the counters at or above (1 - r) times the best screen so
+    far (a superset of the final set), and rescored in chunks; the stacked
+    arrays of either take at most ``_ORACLE_CHUNK_BYTES`` (8 MB), whatever
+    d.  At K = 1 each block forms its own columns of V; at K >= 2, V is
+    formed once, d x J with J <= 2^(hard_cap / 2 - 1).
     """
+    K = _integer("K", K)
+    hard_cap = _integer("hard_cap", hard_cap)
     d, n = X.shape
     if not (1 <= K <= min(n, d)):
         raise PreconditionError("K must satisfy 1 <= K <= min(n, d)")
@@ -233,16 +367,13 @@ def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
         )
     A = as_dense(X)
     require_finite(A, "X")
-    free_bits = bits_total - K
-    count = 1 << free_bits
     chunk = max(1, _ORACLE_CHUNK_BYTES // (8 * K * max(n, d)))
-    shifts = np.arange(free_bits, dtype=np.int64)
+    kept = _near_maximal(A, K, chunk)
+    # rescore: the full scan's SVD value on the near-maximal few
     best_val = -math.inf
     best_P = None
-    for start in range(0, count, chunk):
-        m = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        P = np.ones((m.size, n, K))
-        P[:, : n - 1, :] = (1 - 2 * ((m[:, None] >> shifts) & 1)).reshape(m.size, n - 1, K)
+    for start in range(0, kept.size, chunk):
+        P = _sign_matrices(kept[start : start + chunk], n, K)
         vals = np.linalg.svd(A @ P, compute_uv=False).sum(axis=-1)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
@@ -449,7 +580,10 @@ def kappa_constant(A, tie_tol: float = 1e-9, rank_tol: float | None = None) -> K
 
     where a_r is the smallest positive singular value.  With a single level
     the gap term is an empty minimum and is dropped.  Also returns the
-    induced gradient-inequality factor eta_g = (2 kappa^2 ||A||)^(-1/2).
+    induced gradient-inequality factor eta_g = (2 kappa^2 ||A||)^(-1/2),
+    evaluated as 1 / (kappa sqrt(2 ||A||)): kappa^2 overflows for a tiny A
+    (kappa near 1e160 at ||A|| near 1e-160) and loses digits to underflow
+    for a huge one.
     """
     s, r, mult = _tie_blocks(as_dense(A), tie_tol, rank_tol)
     pos = s.sigma[:r]
@@ -465,7 +599,7 @@ def kappa_constant(A, tie_tol: float = 1e-9, rank_tol: float | None = None) -> K
         delta_min = float(deltas[~np.eye(p, dtype=bool)].min())
         kappa = math.sqrt(13.0 + 6.0 * (6.0 * p - 5.0) / (delta_min**2)) / a_r
     smax = float(s.sigma[0])
-    eta_g = 1.0 / math.sqrt(2.0 * kappa**2 * smax)
+    eta_g = 1.0 / (kappa * math.sqrt(2.0 * smax))
     return KappaConstants(kappa=kappa, eta_g=eta_g, p=p, delta_min=delta_min)
 
 
@@ -1013,8 +1147,11 @@ def oracle_suite(
 
     Instance sizes are drawn tiny at random unless fixed explicitly.  Also
     asserts oracle dominance (no solver limit beats the global value) and
-    criticality of every limit.
+    criticality of every limit.  ``instances``, ``restarts`` and each fixed
+    size must be integers of at least 1 (numpy's too, bools not).
     """
+    instances, restarts = _integer("instances", instances, 1), _integer("restarts", restarts, 1)
+    n, d, K = (None if v is None else _integer(name, v, 1) for name, v in (("n", n), ("d", d), ("K", K)))
     rng = seeded_rng(seed, 0x0AC1)
     matches = 0
     worst_sub = 0.0

@@ -828,12 +828,34 @@ class TestStepSizeValidation:
              "pdcae needs a finite restart_interval, got inf"),
             ({"method": "pdcae", "method_params": {"restart_interval": None}},
              "pdcae needs a finite restart_interval, got None"),
+            ({"method": "pdcae", "method_params": {"restart_interval": 2.9}},
+             "pdcae needs an integer restart_interval, got 2.9"),
+            ({"method": "pdcae", "method_params": {"restart_interval": 10.0}},
+             "pdcae needs an integer restart_interval, got 10.0"),
+            ({"method": "pdcae", "method_params": {"restart_interval": True}},
+             "pdcae needs an integer restart_interval, got True"),
+            ({"method": "pdcae", "gamma": 0.9, "method_params": {"use_config_gamma": "no"}},
+             "pdcae needs a bool use_config_gamma, got 'no'"),
+            ({"method": "pdcae", "method_params": {"use_config_gamma": 1}},
+             "pdcae needs a bool use_config_gamma, got 1"),
         ],
     )
     def test_bad_weight_rejected(self, kw, message):
         # an extrapolation setting the rule reads must be a finite number
         with pytest.raises(PreconditionError, match=message):
             self._solve(**kw)
+
+    @pytest.mark.parametrize(
+        "params, numpy_params",
+        [({"use_config_gamma": True}, {"use_config_gamma": np.bool_(True)}),
+         ({"use_config_gamma": False, "restart_interval": 3}, {"use_config_gamma": np.bool_(False),
+                                                               "restart_interval": np.int64(3)})],
+        ids=["config_gamma", "restart_interval"],
+    )
+    def test_pdcae_numpy_params_accepted(self, params, numpy_params):
+        plain = self._solve(method="pdcae", gamma=0.5, method_params=params)
+        assert _trace_tuple(self._solve(method="pdcae", gamma=0.5, method_params=numpy_params).trace) == _trace_tuple(
+            plain.trace)
 
     def test_unused_weights_unchecked(self):
         # pam and fpm read no gamma, pdcae reads it only with use_config_gamma,

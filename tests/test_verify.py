@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from conftest import counting_products, make_instance, make_start
 from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError, UnsupportedRegimeError
 from l1pca import verify
-from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng, stiefel_residual
+from l1pca.linalg import polar_factor, random_orthogonal, random_stiefel, seeded_rng, stiefel_residual
 from l1pca.model import ProblemInstance, residual_R, sign_select, subgrad_dist_h, subgrad_dist_linear
 from l1pca.solvers import SolverConfig, solve
 from l1pca.verify import (
@@ -239,6 +239,18 @@ class TestEnumerateOracle:
             enumerate_oracle(X, 2, hard_cap=5)
         assert enumerate_oracle(X, 2, hard_cap=6).value > 0.0
 
+    def test_rescores_few_candidates(self, monkeypatch):
+        # random data rescores the K! column orders of the maximizer, or a few more, each in a
+        # stacked SVD (the polar factor takes one of a matrix)
+        rescored = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: rescored.append(len(a) if a.ndim == 3 else 0) or svd(a, **kw))
+        rng = seeded_rng(39)
+        for n, d, K in ((11, 5, 2), (5, 4, 3), (16, 3, 1)):
+            rescored.clear()
+            enumerate_oracle(rng.standard_normal((d, n)), K)
+            assert math.factorial(K) <= sum(rescored) <= 8 * math.factorial(K)
+
     def test_dominates_solver(self):
         rng = seeded_rng(34)
         for _ in range(5):
@@ -346,6 +358,14 @@ class TestKappaConstant:
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             kappa_constant(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scales(self, scale):
+        # kappa scales as 1/||A|| and eta_g as ||A||^(1/2); kappa^2 overflowed at 1e-160
+        A = np.random.default_rng(0).standard_normal((20, 40))[:, :3]
+        kc, ref = kappa_constant(A * scale), kappa_constant(A)
+        assert kc.kappa * scale == pytest.approx(ref.kappa, rel=1e-12)
+        assert kc.eta_g / math.sqrt(scale) == pytest.approx(ref.eta_g, rel=1e-12)
 
 
 @pytest.mark.parametrize("rank_tol", [1.0, 2.0, -0.5, math.nan])
@@ -573,6 +593,73 @@ class TestReportSerialization:
         assert payload["passed"] is True
 
 
+def _full_scan(X, K):
+    """The full scan the screen replaced: every candidate's SVD value, the first maximizer kept."""
+    d, n = X.shape
+    bits = (n - 1) * K
+    chunk = max(1, verify._ORACLE_CHUNK_BYTES // (8 * K * max(n, d)))
+    best_val, best_P = -math.inf, None
+    for start in range(0, 1 << bits, chunk):
+        m = np.arange(start, min(start + chunk, 1 << bits))
+        P = np.ones((m.size, n, K))
+        P[:, : n - 1] = (1 - 2 * ((m[:, None] >> np.arange(bits)) & 1)).reshape(m.size, n - 1, K)
+        vals = np.linalg.svd(X @ P, compute_uv=False).sum(axis=-1)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_P = float(vals[i]), P[i].copy()
+    return best_val, best_P, polar_factor(X @ best_P)
+
+
+def _identity_grid():
+    """Seeded (X, K) for n 1-8 and K 1-3 with at most 2^15 candidates: Gaussian X, a duplicate
+    column, equal rows and small integers (exact ties), each at three scales, and zero X."""
+    rng = seeded_rng(38)
+    for n in range(1, 9):
+        for K in range(1, min(3, n) + 1):
+            if (n - 1) * K > 15:
+                continue
+            d = int(rng.integers(K, 7))
+            G = rng.standard_normal((d, n))
+            dup, rows = G.copy(), G.copy()
+            dup[:, -1] = dup[:, 0]
+            rows[-1] = rows[0]
+            ints = rng.integers(-2, 3, (d, n)).astype(np.float64)
+            for scale in (1e-150, 1.0, 1e150):
+                for X in (G, dup, rows, ints):
+                    yield X * scale, K
+            yield np.zeros((d, n)), K
+
+
+def _same_bytes(orc, ref):
+    value, P, Q = ref
+    return orc.value.hex() == value.hex() and all(
+        a.shape == b.shape and a.flags.c_contiguous == b.flags.c_contiguous and a.tobytes() == b.tobytes()
+        for a, b in ((orc.P, P), (orc.Q, Q))
+    )
+
+
+class TestOracleScreenIdentity:
+    """The screened oracle returns the full scan's value, P and Q byte for byte."""
+
+    def test_grid(self):
+        cases = list(_identity_grid())
+        assert len(cases) == 247
+        assert [(X.shape, K) for X, K in cases if not _same_bytes(enumerate_oracle(X, K), _full_scan(X, K))] == []
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_ties_across_chunks(self, monkeypatch, per_chunk):
+        # one or three candidates per chunk: exact ties (column orders, integer data) land in different chunks
+        rng = seeded_rng(40)
+        for n, d, K in ((5, 4, 2), (4, 3, 3), (6, 5, 1), (5, 5, 2)):
+            for X in (rng.standard_normal((d, n)), rng.integers(-1, 2, (d, n)).astype(np.float64)):
+                monkeypatch.setattr(verify, "_ORACLE_CHUNK_BYTES", per_chunk * 8 * K * max(n, d))
+                assert _same_bytes(enumerate_oracle(X, K), _full_scan(X, K))
+
+    def test_raised_hard_cap(self):
+        X = seeded_rng(41).standard_normal((4, 8))
+        assert _same_bytes(enumerate_oracle(X, 2, hard_cap=40), _full_scan(X, 2))
+
+
 def _build(A, q, blocks, V):
     return build_critical_point(critical_set_spec(np.array(A), q), blocks, V)
 
@@ -586,6 +673,14 @@ _TALL = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]  # d=3, K=2, rank 1: a (2, 1) tail 
     [
         (lambda: enumerate_oracle(np.ones((3, 2)), 3), "K must satisfy 1 <= K <= min(n, d)"),
         (lambda: enumerate_oracle(np.ones((3, 2)), 0), "K must satisfy 1 <= K <= min(n, d)"),
+        (lambda: enumerate_oracle(np.ones((3, 2)), "2"), "K must be an integer, got '2'"),
+        (lambda: enumerate_oracle(np.ones((3, 2)), 2.0), "K must be an integer, got 2.0"),
+        (lambda: enumerate_oracle(np.ones((3, 2)), True), "K must be an integer, got True"),
+        (lambda: enumerate_oracle(np.ones((3, 2)), 1, hard_cap="22"), "hard_cap must be an integer, got '22'"),
+        (lambda: verify.oracle_suite(n="x"), "n must be an integer of at least 1, got 'x'"),
+        (lambda: verify.oracle_suite(restarts=2.5), "restarts must be an integer of at least 1, got 2.5"),
+        (lambda: verify.oracle_suite(restarts=0), "restarts must be an integer of at least 1, got 0"),
+        (lambda: verify.oracle_suite(instances=0), "instances must be an integer of at least 1, got 0"),
         (lambda: critical_set_spec(np.ones((2, 3)), [1.0, 1.0]), "A must be d x K with d >= K >= 1"),
         (lambda: critical_set_spec(np.array(_DIAG), [1.0]), "q must have one sign per positive singular value (rank 2)"),
         (lambda: critical_set_spec(np.array(_DIAG), [1.0, 0.5]), "q entries must be exactly +-1"),
@@ -604,8 +699,9 @@ _TALL = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]  # d=3, K=2, rank 1: a (2, 1) tail 
             "(Pstar, Qstar) is not critical (residual 2.000e+00 > 1.0e-08)",
         ),
     ],
-    ids=["oracle_K_above", "oracle_K_zero", "spec_d_below_K", "spec_q_length", "spec_q_not_sign", "block_count",
-         "block_shape", "block_not_orthogonal", "V_missing", "V_shape", "V_not_orthonormal", "radius_one", "radius_zero",
+    ids=["oracle_K_above", "oracle_K_zero", "oracle_K_string", "oracle_K_float", "oracle_K_bool", "oracle_cap_string",
+         "suite_n_string", "suite_restarts_float", "suite_restarts_zero", "suite_instances_zero", "spec_d_below_K",
+         "spec_q_length", "spec_q_not_sign", "block_count", "block_shape", "block_not_orthogonal", "V_missing", "V_shape", "V_not_orthonormal", "radius_one", "radius_zero",
          "kl_h_not_critical"],
 )
 def test_precondition_refusals(call, message):

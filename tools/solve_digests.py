@@ -33,12 +33,17 @@ of the error it raised:
   messages.
 * ``kernel``: ``polar_factor`` and ``thin_svd`` of drawn rank 0 up to full,
   with repeated columns, in C and F order, at three scales.
+* ``oracle``: ``enumerate_oracle``'s value (a hex float), P and Q on 7
+  small shapes (n 1-12, K 1-3) with Gaussian data, a duplicate column,
+  equal rows and small integers (exact ties) at scales 1e-150, 1 and
+  1e150, and zero data; then 2^20 candidates at 5x11, K=2, and at 5x6,
+  K=4, with ``hard_cap=24``, and that run's refusal at the default cap.
 * ``error_bound_suite`` (seeds 0-5), ``gen_fixed_effect`` (240 specs),
   and ``tev`` and ``choose_K_by_variance`` (60 matrices: scales 1, 1e160
   and 1e-170, dense and CSC).
 * ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300.
 
-The grid prints 2730 digests and takes about 15 s on two cores.  BLAS may
+The grid prints 2824 digests and takes about 11 s on two cores.  BLAS may
 block a product differently with a different thread count, so compare two
 trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -340,6 +345,32 @@ def kernel_runs(l1pca, out: dict) -> None:
                     out[f"{key}/polar_factor"] = _digest(lambda: linalg.polar_factor(A))
 
 
+#: (d, n, K) of the oracle grid's small shapes, each run on tied data and at three scales
+ORACLE_SHAPES = ((3, 1, 1), (4, 2, 2), (2, 9, 1), (5, 6, 2), (4, 5, 3), (3, 12, 1), (6, 6, 3))
+
+
+def oracle_runs(l1pca, out: dict) -> None:
+    """``enumerate_oracle``'s value, P and Q on seeded Gaussian, tied and zero data, then two
+    larger runs: 2^20 candidates at K = 2, and 2^20 above the default cap (24 sign bits)."""
+    oracle = l1pca.verify.enumerate_oracle
+    rng = np.random.default_rng(13)
+    for d, n, K in ORACLE_SHAPES:
+        gauss = rng.standard_normal((d, n))
+        dup, rows = gauss.copy(), gauss.copy()
+        dup[:, -1] = dup[:, 0]  # a duplicate column
+        rows[-1] = rows[0]  # equal rows
+        ints = rng.integers(-2, 3, (d, n)).astype(np.float64)
+        for name, X in (("gauss", gauss), ("dup", dup), ("rows", rows), ("ints", ints)):
+            for scale in (1e-150, 1.0, 1e150):
+                out[f"oracle/{d}x{n}x{K}/{name}/{scale:g}"] = _digest(lambda: oracle(X * scale, K)._asdict())
+        out[f"oracle/{d}x{n}x{K}/zero"] = _digest(lambda: oracle(np.zeros((d, n)), K)._asdict())
+    X = rng.standard_normal((5, 11))
+    out["oracle/5x11x2/gauss/1"] = _digest(lambda: oracle(X, 2)._asdict())
+    X = rng.standard_normal((5, 6))
+    out["oracle/5x6x4/gauss/1/hard_cap24"] = _digest(lambda: oracle(X, 4, hard_cap=24)._asdict())
+    out["oracle/5x6x4/gauss/1/refused"] = _digest(lambda: oracle(X, 4)._asdict())
+
+
 def suite_runs(l1pca, out: dict) -> None:
     for seed in range(6):
         out[f"error_bound_suite/seed{seed}"] = _digest(lambda: l1pca.verify.error_bound_suite(seed=seed))
@@ -479,8 +510,8 @@ def main(argv: list[str]) -> int:
         metric_runs(l1pca, out, _value)
         norm_runs(l1pca, out, _value)
     else:
-        for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, suite_runs, generator_runs, metric_runs,
-                     norm_runs):
+        for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, oracle_runs, suite_runs, generator_runs,
+                     metric_runs, norm_runs):
             runs(l1pca, out)
     print(json.dumps(out, indent=0))
     return 0
