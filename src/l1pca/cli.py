@@ -3,7 +3,8 @@
 Solver flags default to SolverConfig's values (cluster: tol 1e-6).  A --config
 JSON entry is read, and checked, as the flag of its name (max_iter is --max-iter)
 given before the explicit flags; other keys, and config, input and out, are ignored.
-Seeds must be >= 0, counts >= 1 and float flags finite.  Exit codes: 0
+Float flags must be finite numbers and verify's counts and sizes integers >= 1,
+by the library's own converters; seeds must be >= 0.  Exit codes: 0
 success (or all checks passed), 2 usage/precondition error (compare: also
 when no method produced a result, after the table is written), 3 solver
 stopped at the iteration cap, 4 internal numerical failure, 1 verification
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from ._args import count, finite
 from .data import (
     _DENSE_MAGIC,
     FixedEffectSpec,
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .metrics import _TEV_ZERO, _choose_K, _spectrum, _tev_ratio, kmeans_accuracy, tev
 from .model import ProblemInstance, require_stiefel
-from .solvers import METHODS, SolverConfig, draw_start, resolve_config, run_comparison, solve
+from .solvers import METHODS, SolverConfig, draw_start, run_comparison, solve
 from .verify import (
     audit_suite,
     criticality_report,
@@ -127,17 +128,10 @@ def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     ]
 
 
-def _solver_config(args: argparse.Namespace, X, method: str | None = None) -> SolverConfig:
-    """The flags' SolverConfig (for ``method``, if given).  A non-finite float flag is
-    refused: by the library, in its own words, when the method reads the value."""
+def _solver_config(args: argparse.Namespace, method: str | None = None) -> SolverConfig:
+    """The flags' SolverConfig (for ``method``, if given)."""
     cfg = SolverConfig(**{key: getattr(args, key) for key in _SOLVER_FLAGS})
-    if method is not None:
-        cfg = replace(cfg, method=method)
-    for key in ("alpha", "beta", "gamma", "tol"):
-        if not math.isfinite(getattr(cfg, key)):
-            resolve_config(cfg, X)
-            raise PreconditionError(f"argument --{key}: expected a finite number, got {getattr(cfg, key)}")
-    return cfg
+    return cfg if method is None else replace(cfg, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +170,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input, K=args.K)
-    cfg = _solver_config(args, inst.X)
+    cfg = _solver_config(args)
     P0, Q0 = draw_start(inst, args.seed)
     res = solve(inst, cfg, P0, Q0)
     out = Path(args.out)
@@ -209,7 +203,7 @@ def cmd_compare(args) -> int:
     inst = _load_instance(args.input, K=args.K)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
     # compare has no --method flag; a "method" key in a --config file is ignored
-    configs = [_solver_config(args, inst.X, m) for m in methods]
+    configs = [_solver_config(args, m) for m in methods]
     outcomes = run_comparison(inst, configs, seed=args.seed)
     lines = ["method,iterations,objective_l1,tev,converged,error"]
     spectrum = None  # one spectrum of X serves every method's tev
@@ -277,7 +271,7 @@ def cmd_cluster(args) -> int:
     if K is None:
         raise PreconditionError("pass --K or --auto-K")
     inst = ProblemInstance(inst.X, K, labels=inst.labels)
-    cfg = _solver_config(args, inst.X)
+    cfg = _solver_config(args)
     P0, Q0 = draw_start(inst, args.seed)
     res = solve(inst, cfg, P0, Q0)
     k = len(np.unique(inst.labels))
@@ -303,27 +297,36 @@ def cmd_cluster(args) -> int:
 # parser
 
 
-def _count(text: str) -> int:
-    """argparse type of verify's counts and sizes: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+def _flag_type(convert):
+    """The argparse type that hands a flag's text to ``convert`` and re-raises its refusal as a usage error."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except PreconditionError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _finite(text: str) -> float:
-    """argparse type of the float flags outside the solver config: a finite number."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
+def _int_text(text: str):
+    """``int(text)``, or the text itself for ``count`` to refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+#: the argparse types of the float flags, and of verify's counts and sizes
+_number_flag = _flag_type(lambda text: finite("this flag", "number", text))
+_count_flag = _flag_type(lambda text: count("this flag", _int_text(text), 1))
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, with_method: bool = True) -> None:
     if with_method:
         p.add_argument("--method", choices=METHODS)
     for name in ("alpha", "beta", "gamma", "tol"):
-        p.add_argument(f"--{name}", type=float)
+        p.add_argument(f"--{name}", type=_number_flag)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(**_SOLVER_FLAGS)
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int)
     g.add_argument("--d", type=int)
     g.add_argument("--K", type=int)
-    g.add_argument("--sigma", type=_finite, default=0.5)
+    g.add_argument("--sigma", type=_number_flag, default=0.5)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--format", choices=("dense", "sparse"), default="dense")
@@ -361,15 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=tuple(_VERIFY_SUITES))
-    v.add_argument("--samples", type=_count, default=1000)
+    v.add_argument("--samples", type=_count_flag, default=1000)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--specs", type=_count, default=10)
-    v.add_argument("--instances", type=_count, default=10)
-    v.add_argument("--restarts", type=_count, default=20)
-    v.add_argument("--n", type=_count)
-    v.add_argument("--d", type=_count)
-    v.add_argument("--K", type=_count)
-    v.add_argument("--sigma", type=_finite, default=0.5)
+    v.add_argument("--specs", type=_count_flag, default=10)
+    v.add_argument("--instances", type=_count_flag, default=10)
+    v.add_argument("--restarts", type=_count_flag, default=20)
+    v.add_argument("--n", type=_count_flag)
+    v.add_argument("--d", type=_count_flag)
+    v.add_argument("--K", type=_count_flag)
+    v.add_argument("--sigma", type=_number_flag, default=0.5)
     v.add_argument("--method", choices=("pame", "pam"), default="pame")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--input", required=True)
     cl.add_argument("--K", type=int)
     cl.add_argument("--auto-K", dest="auto_K", action="store_true")
-    cl.add_argument("--threshold", type=_finite, default=0.8)
+    cl.add_argument("--threshold", type=_number_flag, default=0.8)
     cl.add_argument("--restarts", type=int, default=10)
     cl.add_argument("--out")
     # cluster stops at a looser tol than SolverConfig's default

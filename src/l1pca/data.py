@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import stat
 import struct
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._args import count, finite
 from .errors import InvalidInputError, ParseError, PreconditionError
 from .linalg import seeded_rng, thin_svd
 from .model import ProblemInstance
@@ -44,10 +44,12 @@ class FixedEffectSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self.n, self.d, self.K = (count(name, getattr(self, name)) for name in ("n", "d", "K"))
+        self.sigma = finite("FixedEffectSpec", "sigma", self.sigma)
         if self.n < 1 or self.d < 1 or not (1 <= self.K <= min(self.n, self.d)):
             raise PreconditionError("need n, d >= 1 and 1 <= K <= min(n, d)")
-        if not 0.0 <= self.sigma < math.inf:
-            raise PreconditionError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if self.sigma < 0.0:
+            raise PreconditionError(f"sigma must be nonnegative, got {self.sigma!r}")
 
 
 def _laplace(rng: np.random.Generator, shape: tuple[int, ...], sigma: float) -> np.ndarray:
@@ -170,13 +172,14 @@ def _parse_block_slow(blk: bytes, lineno: int):
 def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> ProblemInstance:
     """Parse a sparse labeled text file into a problem instance.
 
-    The feature dimension is the largest index seen unless ``n_features``
-    overrides it (datasets may have trailing absent features).  Malformed
+    The feature dimension is the largest index seen unless ``n_features``, an
+    integer, overrides it (datasets may have trailing absent features).  Malformed
     lines, undecodable bytes included, raise ParseError with their 1-based
     line number.  Blocks of ASCII text with LF line ends, space separators
     and decimal numbers (digits, sign, point, exponent) take one C-level
     pass; every other block is parsed token by token, with the same result.
     """
+    n_features = None if n_features is None else count("n_features", n_features)
     parts = []
     lineno = 0
     with open(path, "rb") as fh:

@@ -33,7 +33,6 @@ min(d, n), can move a last bit).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dsyevd
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from ._args import count
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 
 _EPS = np.finfo(np.float64).eps
@@ -79,14 +79,9 @@ def seeded_rng(*parts: int) -> np.random.Generator:
 
     Distinct key tuples give independent, reproducible streams, so callers
     can split one user seed into per-purpose streams.  Every part must be a
-    non-negative integer (PreconditionError otherwise); numpy integers count.
+    non-negative integer (PreconditionError otherwise); numpy integers count, bools do not.
     """
-    malformed = [p for p in parts if not isinstance(p, numbers.Integral)]
-    if malformed:
-        raise PreconditionError(f"seeds must be non-negative integers, got {malformed[0]!r}")
-    if any(p < 0 for p in parts):
-        raise PreconditionError(f"seeds must be non-negative integers, got {min(parts)}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(parts))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([count("seed", p, 0) for p in parts])))
 
 
 def as_dense(M) -> np.ndarray:
@@ -319,7 +314,7 @@ def thin_svd(M, rank: int | None = None) -> ThinSvd:
     flip = np.where(lead < 0.0, -1.0, 1.0)
     U, V = U * flip, V * flip
     if rank is not None:
-        r = min(rank, sigma.size)
+        r = min(count("rank", rank, 0), sigma.size)
         U, sigma, V = U[:, :r], sigma[:r], V[:, :r]
     return ThinSvd(U=U, sigma=sigma, V=V)
 

@@ -24,6 +24,7 @@ import warnings
 
 import numpy as np
 
+from ._args import count, fraction
 from .errors import PreconditionError, UndefinedMetricError
 from .linalg import _prescaled, _top_eigenvalues, _xt, frob, require_finite, seeded_rng
 from .model import _check_dims, require_stiefel
@@ -85,11 +86,11 @@ def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
     none still missing exceeds the last one found.  Should the whole spectrum
     fall short, or the eigenvalues fall below 1e-12 of the largest, which is
     roundoff on a rank-deficient X, K counts the eigenvalues above that
-    cutoff.
+    cutoff.  ``large_side`` and ``cap`` must be integers of at least 1.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise PreconditionError("threshold must lie in (0, 1]")
-    if min(X.shape) < large_side:
+    threshold = fraction("threshold", threshold, "(0, 1]")
+    cap = count("cap", cap, 1)
+    if min(X.shape) < count("large_side", large_side, 1):
         X, w = _spectrum(X, _K_ZERO, 1)
         total = frob(X) ** 2
         target = threshold * total - 1e-12 * total
@@ -158,14 +159,12 @@ def kmeans_cluster(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0
 
     Returns (labels, within-cluster sum of squares, degenerate flag); ties
     between restarts go to the earliest one, so results are deterministic
-    for a fixed seed.  More clusters than points is a PreconditionError.
+    for a fixed seed.  ``k`` and ``restarts`` must be integers of at least 1,
+    and more clusters than points is a PreconditionError.
     """
-    if k < 1 or points.shape[0] < 1:
-        raise PreconditionError("need at least one cluster and one point")
+    k, restarts = count("k", k, 1), count("restarts", restarts, 1)
     if k > points.shape[0]:
         raise PreconditionError(f"cannot form {k} clusters from {points.shape[0]} points")
-    if restarts < 1:
-        raise PreconditionError(f"need at least one k-means restart, got {restarts}")
     degenerate = bool(np.allclose(points, points[0]))
     best_labels = None
     best_wcss = np.inf

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._args import count, finite
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from .linalg import _xt, as_dense, frob, require_finite, stiefel_residual
 
@@ -38,10 +39,11 @@ class ProblemInstance:
             self.X = np.asarray(self.X, dtype=np.float64)
         require_finite(self.X, "X")
         d, n = self.X.shape
+        self.K = count("K", self.K)
         if not (1 <= self.K <= min(n, d)):
             raise PreconditionError(f"K={self.K} must satisfy 1 <= K <= min(n, d)={min(n, d)}")
         # the solvers allocate d x K and n x K float64 arrays
-        if max(d, n) * int(self.K) * 8 > np.iinfo(np.intp).max:
+        if max(d, n) * self.K * 8 > np.iinfo(np.intp).max:
             raise PreconditionError(f"a {max(d, n)} x {self.K} float64 array exceeds numpy's maximum array size")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
@@ -104,7 +106,7 @@ def objective_h(X, P: np.ndarray, Q: np.ndarray) -> float:
 
 def potential_psi(X, P: np.ndarray, Q: np.ndarray, Qprev: np.ndarray, beta: float) -> float:
     """h(P, Q) plus the quadratic coupling (beta/2) ||Q - Qprev||_F^2."""
-    if beta < 0:
+    if (beta := finite("potential_psi", "beta", beta)) < 0:
         raise PreconditionError("beta must be nonnegative")
     Q = np.asarray(Q, dtype=np.float64)
     Qprev = np.asarray(Qprev, dtype=np.float64)
@@ -130,8 +132,11 @@ def subgrad_dist_linear(A: np.ndarray, Q: np.ndarray, feas_tol: float = OPERATIO
     """Exact distance from 0 to the subdifferential of <A, .> + frame indicator.
 
     Evaluates ||(I - Q Q^T / 2) R(Q)||_F, which always lies between
-    ||R(Q)||_F / 2 and ||R(Q)||_F.
+    ||R(Q)||_F / 2 and ||R(Q)||_F.  Only a ``feas_tol`` other than the
+    default is converted, so the solver's per-iteration call converts nothing.
     """
+    if feas_tol is not OPERATION_TOL:
+        feas_tol = finite("subgrad_dist_linear", "feas_tol", feas_tol)
     Q = require_stiefel(Q, tol=feas_tol)
     R = residual_R(A, Q)
     G = R - 0.5 * Q @ (Q.T @ R)
@@ -143,10 +148,11 @@ def subgrad_dist_h(X, P: np.ndarray, Q: np.ndarray, feas_tol: float = OPERATION_
 
     The sign block contributes zero: every point of the finite sign set is
     isolated, so its limiting normal cone is the whole ambient space.  What
-    remains is the Q-block distance for the linear objective <-XP, .>.
+    remains is the Q-block distance for the linear objective <-XP, .>,
+    which checks Q's feasibility against ``feas_tol``.
     """
     P = require_signs(P)
-    _check_dims(X, require_stiefel(Q, tol=feas_tol), P)
+    _check_dims(X, require_stiefel(Q, tol=np.inf), P)
     return subgrad_dist_linear(-(X @ P), Q, feas_tol=feas_tol)
 
 

@@ -84,13 +84,13 @@ subgradient norms needed by the decrease/relative-error audits.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._args import count, finite, flag, fraction
 from .errors import DegenerateUpdateError, DivergedError, InvalidInputError, PreconditionError
 from .linalg import (
     _polar_and_inverse,
@@ -235,24 +235,6 @@ class _Plan:
     tol: float
 
 
-def _number(value) -> float:
-    """``float(value)``, or NaN for a value ``float`` cannot convert."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-
-
-def _finite(method: str, name: str, value, positive: bool = False, k: int | None = None) -> float:
-    """``float(value)`` for a setting the method reads, which must be a finite
-    number, and > 0 if ``positive``; ``k`` is the iteration a callable gave it for."""
-    v = _number(value)
-    if not math.isfinite(v) or positive and v <= 0.0:
-        at = "" if k is None else f" at iteration {k}"
-        raise PreconditionError(f"{method} needs a finite{' positive' if positive else ''} {name}, got {value!r}{at}")
-    return v
-
-
 def _constant(v: float) -> Fn:
     return lambda k: v
 
@@ -268,8 +250,8 @@ def _schedule(method: str, name: str, s: Schedule, positive: bool = False) -> Fn
     so a bad value stops the run at the iteration that produced it.
     """
     if callable(s):
-        return lambda k: _finite(method, name, s(k), positive, k)
-    return _constant(_finite(method, name, s, positive))
+        return lambda k: finite(method, name, s(k), positive, k)
+    return _constant(finite(method, name, s, positive))
 
 
 def _bounded(fn: Fn, s: Schedule, name: str, bad: Callable[[float], bool], verdict="outside its declared bounds"):
@@ -305,24 +287,18 @@ def _ipalm_gamma(k: int) -> float:
 
 def _pdcae_weights(cfg: SolverConfig):
     """pdcae's weights: ``use_config_gamma`` must be a bool (numpy's too), and
-    ``restart_interval``, read only without it, an integer of at least 1."""
-    use_gamma = cfg.method_params.get("use_config_gamma", False)
-    if not isinstance(use_gamma, (bool, np.bool_)):
-        raise PreconditionError(f"pdcae needs a bool use_config_gamma, got {use_gamma!r}")
-    if use_gamma:
+    ``restart_interval``, read only without it, a finite number, as every number
+    a method reads, and an integer of at least 1."""
+    if flag("pdcae", "use_config_gamma", cfg.method_params.get("use_config_gamma", False)):
         return _zero, _zero, _schedule("pdcae", "gamma", cfg.gamma)
     interval = cfg.method_params.get("restart_interval", 10)
-    _finite("pdcae", "restart_interval", interval)
-    if isinstance(interval, (bool, np.bool_)) or not isinstance(interval, numbers.Integral):
-        raise PreconditionError(f"pdcae needs an integer restart_interval, got {interval!r}")
-    if interval < 1:
-        raise PreconditionError("restart_interval must be >= 1")
-    return _zero, _zero, _nesterov_restart_gamma(int(interval))
+    finite("pdcae", "restart_interval", interval)
+    return _zero, _zero, _nesterov_restart_gamma(count("restart_interval", interval, 1))
 
 
 def _gipalm_weights(cfg: SolverConfig):
-    gq = _constant(_finite("gipalm", "gamma_q", cfg.method_params.get("gamma_q", 0.25)))
-    return _constant(_finite("gipalm", "gamma_p", cfg.method_params.get("gamma_p", 0.5))), gq, gq
+    gq = _constant(finite("gipalm", "gamma_q", cfg.method_params.get("gamma_q", 0.25)))
+    return _constant(finite("gipalm", "gamma_p", cfg.method_params.get("gamma_p", 0.5))), gq, gq
 
 
 _RULES = {
@@ -377,7 +353,7 @@ def _bound(cfg: SolverConfig, declared, schedule: Schedule, fn: Fn, what: str) -
     """A bound's declared value, which must be finite, or else ``fn(0)``: its default, from the
     schedule of the setting ``schedule``, which theorem mode takes only from a constant."""
     if declared is not None:
-        return _finite(cfg.method, what, declared)
+        return finite(cfg.method, what, declared)
     if cfg.theorem_mode and callable(schedule):
         raise PreconditionError(f"theorem_mode requires a declared {what} for non-constant schedules")
     return fn(0)
@@ -387,14 +363,11 @@ def _norm_upper(cfg: SolverConfig, X) -> float:
     """The declared bound on ||X||_2 after a check against ||X||_F / sqrt(min(d, n)), or the exact
     norm times 1 + ``spectral_rel_tol``, which only then is read."""
     if cfg.norm_upper is None:
-        spectral_rel_tol = _number(cfg.spectral_rel_tol)
-        if not (0.0 < spectral_rel_tol < 1.0):
-            raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
-        return spectral_norm(X) * (1.0 + spectral_rel_tol)
-    norm_upper = _number(cfg.norm_upper)
+        return spectral_norm(X) * (1.0 + fraction("spectral_rel_tol", cfg.spectral_rel_tol))
+    norm_upper = finite(cfg.method, "norm_upper", cfg.norm_upper)
     floor = frob(X) / math.sqrt(min(X.shape))
     # the relative slack absorbs roundoff where ||X||_2 = ||X||_F / sqrt(min(d, n))
-    if not 0.0 <= norm_upper < math.inf or norm_upper < floor * (1.0 - 1e-8):
+    if norm_upper < 0.0 or norm_upper < floor * (1.0 - 1e-8):
         raise PreconditionError(
             f"theorem_mode: declared norm_upper={norm_upper:g} is not a finite upper bound on ||X||_2 "
             f"(||X||_F / sqrt(min(d, n)) = {floor:g})"
@@ -444,14 +417,12 @@ def resolve_config(cfg: SolverConfig, X) -> _Plan:
         raise PreconditionError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
     if not isinstance(cfg.method_params, dict):
         raise PreconditionError(f"method_params must be a dict, got {cfg.method_params!r}")
-    if not isinstance(cfg.theorem_mode, (bool, np.bool_)):
-        raise PreconditionError(f"theorem_mode must be a bool, got {cfg.theorem_mode!r}")
+    flag(cfg.method, "theorem_mode", cfg.theorem_mode)
     unknown = [key for key in cfg.method_params if key not in _METHOD_PARAMS]
     if unknown:
         raise PreconditionError(f"unknown method_params keys {unknown}; known keys are {_METHOD_PARAMS}")
-    tol = _number(cfg.tol)
-    if not 0.0 < tol < math.inf or not isinstance(cfg.max_iter, numbers.Integral) or cfg.max_iter < 1:
-        raise PreconditionError("tol must be finite and positive and max_iter at least 1")
+    tol = finite(cfg.method, "tol", cfg.tol, positive=True)
+    count("max_iter", cfg.max_iter, 1)
     if cfg.theorem_mode and cfg.method not in ("pame", "pam"):
         raise PreconditionError("theorem_mode applies to the pame/pam scheme only")
     alpha_fn = _schedule(cfg.method, "alpha", cfg.alpha, positive=True) if rule.prox_p else _zero
@@ -707,10 +678,8 @@ def theorem_config(
     A ``spectral_rel_tol`` outside (0, 1), and a ``beta_scale`` or (for
     pame) ``gamma_frac`` that is not a finite number, is a PreconditionError.
     """
-    spectral_rel_tol = _number(spectral_rel_tol)
-    if not (0.0 < spectral_rel_tol < 1.0):
-        raise PreconditionError("spectral_rel_tol must lie in (0, 1)")
-    beta_scale = _finite("theorem_config", "beta_scale", beta_scale)
+    spectral_rel_tol = fraction("spectral_rel_tol", spectral_rel_tol)
+    beta_scale = finite("theorem_config", "beta_scale", beta_scale)
     s = spectral_norm(X)
     norm_upper = s * (1.0 + spectral_rel_tol)
     if s == 0.0:
@@ -718,7 +687,7 @@ def theorem_config(
     alpha = s
     beta = beta_scale * s
     gamma_star = _gamma_star(alpha, (2.0 / 3.0) * beta, s * (1.0 + spectral_rel_tol))
-    gamma = _finite("theorem_config", "gamma_frac", gamma_frac) * gamma_star if method == "pame" else 0.0
+    gamma = finite("theorem_config", "gamma_frac", gamma_frac) * gamma_star if method == "pame" else 0.0
     return SolverConfig(
         method=method,
         alpha=alpha,

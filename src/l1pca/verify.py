@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
+from ._args import count, finite, fraction
 from .data import FixedEffectSpec, gen_fixed_effect
 from .errors import (
     InvalidInputError,
@@ -123,13 +124,6 @@ class CriticalityReport(_Report):
     alpha_condition_vacuous: bool = False
 
 
-def _require_alpha_args(alpha_star: float, zero_tol: float) -> None:
-    if alpha_star <= 0:
-        raise PreconditionError("alpha_star must be positive")
-    if zero_tol < 0:
-        raise PreconditionError("zero_tol must be nonnegative")
-
-
 def _alpha_condition(M: np.ndarray, alpha_star: float, zero_tol: float) -> tuple[bool, float]:
     """``check_alpha_condition`` from M = X^T Q* and checked arguments."""
     mags = np.abs(M)
@@ -145,9 +139,12 @@ def check_alpha_condition(X, Qstar: np.ndarray, alpha_star: float, zero_tol: flo
 
     Entries with magnitude at most ``zero_tol`` are treated as zero.  When
     every entry is zero the condition is vacuous and the certificate is
-    withheld (flag False, threshold 0).
+    withheld (flag False, threshold 0).  ``alpha_star`` must be a finite
+    positive number and ``zero_tol`` a finite nonnegative one.
     """
-    _require_alpha_args(alpha_star, zero_tol)
+    alpha_star = finite("check_alpha_condition", "alpha_star", alpha_star, positive=True)
+    if (zero_tol := finite("check_alpha_condition", "zero_tol", zero_tol)) < 0.0:
+        raise PreconditionError(f"zero_tol must be nonnegative, got {zero_tol!r}")
     Q = require_stiefel(Qstar, name="Qstar")
     return _alpha_condition(_xt(X, Q), alpha_star, zero_tol)
 
@@ -158,9 +155,11 @@ def criticality_report(X, Pstar: np.ndarray, Qstar: np.ndarray, alpha_star: floa
     Takes X P and X^T Q once each; the sign choices P_gen and P_l1 reuse
     X P when they equal P, as they do at a converged pair, so a limit point
     costs two large products.  ``alpha_star`` and ``zero_tol`` are checked
-    before any product.
+    as in ``check_alpha_condition``, before any product.
     """
-    _require_alpha_args(alpha_star, zero_tol)
+    alpha_star = finite("criticality_report", "alpha_star", alpha_star, positive=True)
+    if (zero_tol := finite("criticality_report", "zero_tol", zero_tol)) < 0.0:
+        raise PreconditionError(f"zero_tol must be nonnegative, got {zero_tol!r}")
     P = require_signs(Pstar, "Pstar")
     Q = require_stiefel(Qstar, name="Qstar")
     _check_dims(X, Q, P)
@@ -201,14 +200,6 @@ class OracleResult(NamedTuple):
 #: byte budget of one chunk's stacked candidates: the (chunk, n, K) sign
 #: matrices and the (chunk, d, K) products X P each stay within it
 _ORACLE_CHUNK_BYTES = 8 << 20
-
-
-def _integer(name: str, value, low: int | None = None) -> int:
-    """``value`` as an int: an integer (numpy's too, bools not), at least ``low`` when given."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or low is not None and value < low:
-        at_least = "" if low is None else f" of at least {low}"
-        raise PreconditionError(f"{name} must be an integer{at_least}, got {value!r}")
-    return int(value)
 
 
 def _sign_matrices(m: np.ndarray, n: int, K: int) -> np.ndarray:
@@ -355,8 +346,7 @@ def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
     d.  At K = 1 each block forms its own columns of V; at K >= 2, V is
     formed once, d x J with J <= 2^(hard_cap / 2 - 1).
     """
-    K = _integer("K", K)
-    hard_cap = _integer("hard_cap", hard_cap)
+    K, hard_cap = count("K", K), count("hard_cap", hard_cap)
     d, n = X.shape
     if not (1 <= K <= min(n, d)):
         raise PreconditionError("K must satisfy 1 <= K <= min(n, d)")
@@ -429,11 +419,12 @@ def _tie_blocks(A: np.ndarray, tie_tol: float, rank_tol: float | None) -> tuple[
     The rank counts the singular values above ``rank_tol`` (in [0, 1);
     default max(d, K) eps) times the largest.  Walking down those r values,
     the first opens block one; each later value joins the current block when
-    it is within relative ``tie_tol`` of the block's first value, and opens
-    a new block otherwise.
+    it is within relative ``tie_tol`` (in [0, 1)) of the block's first value,
+    and opens a new block otherwise.
     """
-    if rank_tol is not None and not 0.0 <= rank_tol < 1.0:
-        raise PreconditionError(f"rank_tol must lie in [0, 1), got {rank_tol}")
+    tie_tol = fraction("tie_tol", tie_tol, "[0, 1)")
+    if rank_tol is not None:
+        rank_tol = fraction("rank_tol", rank_tol, "[0, 1)")
     s = thin_svd(A)
     smax = float(s.sigma[0]) if s.sigma.size else 0.0
     if smax == 0.0:
@@ -543,9 +534,10 @@ def critical_set_separation_probe(
 
     Requires the per-block positive-sign counts of q and qprime to differ
     (otherwise the two families coincide).  Returns the minimum pairwise
-    Frobenius distance over ``samples`` members of each family; the
-    families are at distance at least 2 whenever they are distinct.
+    Frobenius distance over ``samples`` (at least 1) members of each family;
+    the families are at distance at least 2 whenever they are distinct.
     """
+    samples = count("samples", samples, 1)
     spec_q = critical_set_spec(A, q, tie_tol=tie_tol)
     spec_p = critical_set_spec(A, qprime, tie_tol=tie_tol)
     if spec_q.block_sign_counts() == spec_p.block_sign_counts():
@@ -617,10 +609,12 @@ def error_bound_probe(
     distance is exactly computable: K = 1, or square full-rank A with all
     singular values distinct.  Samples feasible Q within ``radius`` < 1 of
     the family's point (``_sample_near``) and reports the worst
-    distance/residual ratio.
+    distance/residual ratio over ``samples`` (at least 1) draws.  A draw
+    within 1e-12 of the point, or whose residual lies below 1e-12 ||A||_2, is
+    skipped: ||R(Q)|| scales with A, and the ratio then carries no signal.
     """
-    if not (0.0 < radius < 1.0):
-        raise PreconditionError("radius must lie in (0, 1)")
+    samples = count("samples", samples, 1)
+    radius = fraction("radius", radius)
     spec = critical_set_spec(A, q, tie_tol=tie_tol)
     kc = kappa_constant(A, tie_tol=tie_tol)
     d, K, r = spec.d, spec.K, spec.rank
@@ -644,7 +638,7 @@ def error_bound_probe(
         if dist < 1e-12:
             continue
         Rn = frob(residual_R(spec.A, Q))
-        if Rn < 1e-12:
+        if Rn < 1e-12 * spec.sigma_pos[0]:
             continue
         ratio = dist / Rn
         used += 1
@@ -740,21 +734,32 @@ def _sample_near(Q0: np.ndarray, radius: float, rng: np.random.Generator) -> np.
     return None
 
 
-def _kl_sweep(
-    Qstar: np.ndarray,
-    radii: Sequence[float],
-    samples: int,
-    rng: np.random.Generator,
-    value_guard: float,
-    gap: Callable[[np.ndarray], float],
-    dist: Callable[[np.ndarray], tuple[float, bool]],
-) -> list[KlRadiusResult]:
-    """Per-radius minimum of dist / sqrt(gap) over points sampled near Qstar.
+#: probe -> (report name, the critical point it names, its seed stream)
+_KL_PROBES = {
+    "kl_ratio_probe": ("kl_ratio_l1", "Qstar", 0x4C),
+    "kl_ratio_probe_h": ("kl_ratio_two_block", "(Pstar, Qstar)", 0x4D),
+}
 
-    A sample is skipped when it cannot be drawn or its value gap is at most
-    ``value_guard``; ``dist`` runs only on the samples kept and returns the
-    distance with its fallback flag.
+
+def _kl_sweep(probe: str, residual: float, star: float, Qstar: np.ndarray, radii: Sequence[float], samples: int,
+              seed: int, crit_tol: float, stability_cap: float, value: Callable[[np.ndarray], float],
+              dist: Callable[[np.ndarray], tuple[float, bool]]) -> KlProbeReport:
+    """The report of ``probe`` (a key of ``_KL_PROBES``) at a critical Qstar with subgradient
+    distance ``residual`` (at most ``crit_tol``) and value ``star``.
+
+    Per radius, the minimum of dist / sqrt(gap), gap = |value(Q) - star|,
+    over points sampled near Qstar.  A sample is skipped when it cannot be
+    drawn or its gap is at most 1e-12 max(1, |star|); ``dist`` runs only on
+    the samples kept and returns the distance with its fallback flag.
     """
+    name, point, stream = _KL_PROBES[probe]
+    rng = seeded_rng(seed, stream)
+    samples = count("samples", samples, 1)
+    radii = [finite(probe, "radius", radius, positive=True) for radius in radii]
+    crit_tol, stability_cap = finite(probe, "crit_tol", crit_tol), finite(probe, "stability_cap", stability_cap)
+    if residual > crit_tol:
+        raise PreconditionError(f"{point} is not critical (residual {residual:.3e} > {crit_tol:.1e})")
+    value_guard = 1e-12 * max(1.0, abs(star))
     per_radius: list[KlRadiusResult] = []
     for radius in radii:
         used = skipped = fallback = 0
@@ -764,7 +769,7 @@ def _kl_sweep(
             if Q is None:
                 skipped += 1
                 continue
-            g = gap(Q)
+            g = abs(value(Q) - star)
             if g <= value_guard:
                 skipped += 1
                 continue
@@ -774,7 +779,7 @@ def _kl_sweep(
             min_ratio = min(min_ratio, dist_q / math.sqrt(g))
         per_radius.append(
             KlRadiusResult(
-                radius=float(radius),
+                radius=radius,
                 min_ratio=min_ratio,
                 samples_used=used,
                 samples_skipped=skipped,
@@ -782,22 +787,13 @@ def _kl_sweep(
                 all_flat=used == 0,
             )
         )
-    return per_radius
-
-
-def _kl_report(name, radii, samples, seed, per_radius, stability_cap) -> KlProbeReport:
-    finite = [r.min_ratio for r in per_radius if math.isfinite(r.min_ratio)]
-    positive = all(r.min_ratio > 0 for r in per_radius)
-    if len(finite) >= 2:
-        factor = max(finite) / min(finite)
-    else:
-        factor = 1.0
-    passed = positive and factor < stability_cap
+    ratios = [r.min_ratio for r in per_radius if math.isfinite(r.min_ratio)]
+    factor = max(ratios) / min(ratios) if len(ratios) >= 2 else 1.0
     return KlProbeReport(
         name=name,
-        parameters={"radii": list(map(float, radii)), "samples": samples, "seed": seed},
+        parameters={"radii": radii, "samples": samples, "seed": seed},
         per_radius=per_radius,
-        passed=passed,
+        passed=all(r.min_ratio > 0 for r in per_radius) and factor < stability_cap,
         stability_factor=factor,
     )
 
@@ -821,20 +817,11 @@ def kl_ratio_probe(
     skipped the radius reports an infinite sentinel and is flagged flat.
     """
     Qstar = require_stiefel(Qstar, name="Qstar")
-    dist0, _ = exact_l1_subgrad_dist(X, Qstar, max_zero_enum=max_zero_enum)
-    if dist0 > crit_tol:
-        raise PreconditionError(f"Qstar is not critical (residual {dist0:.3e} > {crit_tol:.1e})")
-    ell_star = -objective_l1(X, Qstar)
-    per_radius = _kl_sweep(
-        Qstar,
-        radii,
-        samples,
-        seeded_rng(seed, 0x4C),
-        1e-12 * max(1.0, abs(ell_star)),
-        gap=lambda Q: abs(-objective_l1(X, Q) - ell_star),
-        dist=lambda Q: exact_l1_subgrad_dist(X, Q, max_zero_enum=max_zero_enum),
-    )
-    return _kl_report("kl_ratio_l1", radii, samples, seed, per_radius, stability_cap)
+    max_zero_enum = count("max_zero_enum", max_zero_enum, 0)
+    residual = exact_l1_subgrad_dist(X, Qstar, max_zero_enum=max_zero_enum)[0]
+    return _kl_sweep("kl_ratio_probe", residual, -objective_l1(X, Qstar), Qstar, radii, samples, seed, crit_tol,
+                     stability_cap, value=lambda Q: -objective_l1(X, Q),
+                     dist=lambda Q: exact_l1_subgrad_dist(X, Q, max_zero_enum=max_zero_enum))
 
 
 def kl_ratio_probe_h(
@@ -854,21 +841,10 @@ def kl_ratio_probe_h(
     """
     P = require_signs(Pstar, "Pstar")
     Qstar = require_stiefel(Qstar, name="Qstar")
-    res0 = subgrad_dist_h(X, P, Qstar)
-    if res0 > crit_tol:
-        raise PreconditionError(f"(Pstar, Qstar) is not critical (residual {res0:.3e} > {crit_tol:.1e})")
-    h_star = objective_h(X, P, Qstar)
     neg_XP = -(X @ P)
-    per_radius = _kl_sweep(
-        Qstar,
-        radii,
-        samples,
-        seeded_rng(seed, 0x4D),
-        1e-12 * max(1.0, abs(h_star)),
-        gap=lambda Q: abs(objective_h(X, P, Q) - h_star),
-        dist=lambda Q: (subgrad_dist_linear(neg_XP, Q), False),
-    )
-    return _kl_report("kl_ratio_two_block", radii, samples, seed, per_radius, stability_cap)
+    return _kl_sweep("kl_ratio_probe_h", subgrad_dist_h(X, P, Qstar), objective_h(X, P, Qstar), Qstar, radii, samples,
+                     seed, crit_tol, stability_cap, value=lambda Q: objective_h(X, P, Q),
+                     dist=lambda Q: (subgrad_dist_linear(neg_XP, Q), False))
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +899,7 @@ def decrease_and_error_audit(result: SolveResult, slack_tol: float = 1e-10) -> A
     subgradient element recorded during the run has norm at most
     kappa2 ||Delta C||.  A violation is a breach beyond ``slack_tol``.
     """
+    slack_tol = finite("decrease_and_error_audit", "slack_tol", slack_tol)
     kappa1, kappa2 = audit_constants(result)
     info = result.audit_info
     tr = result.trace
@@ -963,8 +940,12 @@ def convergence_fit(trace, tail_fraction: float = 0.6, min_points: int = 4) -> t
 
     The gap at record k is h_k minus the final value; records at or below
     the floating-point floor are excluded (they carry rounding noise, not
-    convergence information).  Returns (slope, r_squared, points_used).
+    convergence information).  The tail, the last ``tail_fraction`` (in (0, 1]) of the
+    records, widens to the whole run when it holds fewer than ``min_points`` (>= 1) gaps.
+    Returns (slope, r_squared, points_used).
     """
+    tail_fraction = fraction("tail_fraction", tail_fraction, "(0, 1]")
+    min_points = count("min_points", min_points, 1)
     h = np.asarray(trace.h_value, dtype=np.float64)
     T = len(h) - 1
     if T < 2:
@@ -994,8 +975,9 @@ def convergence_fit(trace, tail_fraction: float = 0.6, min_points: int = 4) -> t
 
 
 def sandwich_probe(samples: int = 1000, seed: int = 0, dims: Sequence[tuple[int, int]] | None = None) -> ProbeReport:
-    """Random check that the exact subgradient distance is sandwiched
-    between half the residual norm and the residual norm."""
+    """Random check, over ``samples`` (at least 1) draws, that the exact subgradient
+    distance is sandwiched between half the residual norm and the residual norm."""
+    samples = count("samples", samples, 1)
     if dims is None:
         dims = [(2, 1), (2, 2), (5, 1), (5, 2), (5, 5), (20, 1), (20, 2), (20, 5)]
     rng = seeded_rng(seed, 0x5A)
@@ -1150,8 +1132,8 @@ def oracle_suite(
     criticality of every limit.  ``instances``, ``restarts`` and each fixed
     size must be integers of at least 1 (numpy's too, bools not).
     """
-    instances, restarts = _integer("instances", instances, 1), _integer("restarts", restarts, 1)
-    n, d, K = (None if v is None else _integer(name, v, 1) for name, v in (("n", n), ("d", d), ("K", K)))
+    instances, restarts = count("instances", instances, 1), count("restarts", restarts, 1)
+    n, d, K = (None if v is None else count(name, v, 1) for name, v in (("n", n), ("d", d), ("K", K)))
     rng = seeded_rng(seed, 0x0AC1)
     matches = 0
     worst_sub = 0.0

@@ -112,10 +112,11 @@ class TestSolve:
 
     def test_infinite_beta_exit_2(self, tmp_path, capsys):
         inst = _generate(tmp_path)
-        rc = main(["solve", "--method", "pame", "--alpha", "1e-4", "--beta", "inf",
-                   "--input", str(inst), "--out", str(tmp_path / "bad")])
-        assert rc == 2
-        assert "finite positive beta" in capsys.readouterr().err
+        capsys.readouterr()
+        code, _, err = _outcome(["solve", "--method", "pame", "--alpha", "1e-4", "--beta", "inf",
+                                 "--input", str(inst), "--out", str(tmp_path / "bad")], capsys)
+        assert code == 2
+        assert "argument --beta: this flag needs a finite number, got 'inf'" in err
 
     def test_paper_style_flags_run_outside_theorem_mode(self, tmp_path):
         inst = _generate(tmp_path)
@@ -310,7 +311,7 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", *flags])
         assert exc.value.code == 2
-        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert "this flag must be an integer of at least 1, got " in capsys.readouterr().err
 
     def test_audit_suite(self, capsys):
         rc = main(["verify", "--suite", "audit", "--instances", "1", "--n", "80", "--d", "30",
@@ -415,21 +416,21 @@ class TestNegativeSeed:
     @pytest.mark.parametrize("command", sorted(_SEEDED_COMMANDS))
     def test_flag_exit_2(self, tmp_path, capsys, command):
         assert main([*_SEEDED_COMMANDS[command](tmp_path), "--seed", "-1"]) == 2
-        assert capsys.readouterr().err.startswith("error: seeds must be non-negative")
+        assert capsys.readouterr().err.startswith("error: seed must be an integer of at least 0, got -1")
 
     @pytest.mark.parametrize("command", ["generate", "solve", "cluster"])
     def test_config_file_exit_2(self, tmp_path, capsys, command):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"seed": -1}))
         assert main([*_SEEDED_COMMANDS[command](tmp_path), "--config", str(cfgfile)]) == 2
-        assert capsys.readouterr().err.startswith("error: seeds must be non-negative")
+        assert capsys.readouterr().err.startswith("error: seed must be an integer of at least 0, got -1")
 
 
 class TestNonFiniteFloatFlags:
     """Every float flag takes a finite number: NaN or inf exits 2 and writes nothing.
 
-    fpm reads none of alpha, beta and gamma, so only the CLI refuses them;
-    every method reads tol, and the library refuses it in its own words."""
+    argparse refuses it through the library's finite-number converter, also
+    where the method reads no such value (fpm reads none of alpha, beta and gamma)."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -452,10 +453,7 @@ class TestNonFiniteFloatFlags:
         before = sorted(tmp_path.rglob("*"))
         code, out, err = _outcome([*argv, f"{flag}={value}"], capsys)
         assert code == 2 and out == ""
-        if flag == "--tol":
-            assert "error: tol must be finite and positive" in err
-        else:
-            assert f"argument {flag}: expected a finite number, got {value}" in err
+        assert f"error: argument {flag}: this flag needs a finite number, got '{value}'" in err
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_config_entry_exit_2(self, tmp_path, capsys):
@@ -464,7 +462,7 @@ class TestNonFiniteFloatFlags:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"method": "fpm", "alpha": float("inf")}))
         code, _, err = _outcome([*argv, "--config", str(cfgfile)], capsys)
-        assert code == 2 and "error: argument --alpha: expected a finite number, got inf" in err
+        assert code == 2 and "error: argument --alpha: this flag needs a finite number, got 'Infinity'" in err
         assert not (tmp_path / "run").exists()
 
 
@@ -505,7 +503,9 @@ class TestConfigEntriesAreFlags:
         assert by_config == by_flag
         assert by_config[0] == code
         if code == 2:
-            assert f"error: argument {flag[0]}: invalid " in by_config[2]
+            # float flags take the library's finite-number converter, int flags argparse's int
+            refusal = "this flag needs a finite number" if flag[0] in ("--alpha", "--tol", "--threshold") else "invalid"
+            assert f"error: argument {flag[0]}: {refusal}" in by_config[2]
 
     def test_generate_bad_format_writes_nothing(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

@@ -62,7 +62,7 @@ class TestFixedEffect:
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(PreconditionError, match="sigma must be finite"):
+        with pytest.raises(PreconditionError, match=f"FixedEffectSpec needs a finite sigma, got {sigma}"):
             FixedEffectSpec(n=5, d=5, K=2, sigma=sigma)
 
 

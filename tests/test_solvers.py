@@ -653,7 +653,7 @@ class TestRunComparison:
     @pytest.mark.parametrize("seed", ["x", 1.5, math.nan, None])
     def test_malformed_seed_refused(self, seed):
         inst, _ = _gauss_20x40()
-        with pytest.raises(PreconditionError, match="seeds must be non-negative integers, got"):
+        with pytest.raises(PreconditionError, match="seed must be an integer of at least 0, got"):
             run_comparison(inst, [SolverConfig(seed=seed)])
 
     def test_numpy_integer_seed(self):
@@ -806,7 +806,7 @@ class TestStepSizeValidation:
     def test_non_finite_tol_rejected(self, value):
         # tol=inf stopped after one iteration as converged, and tol=nan never stopped on tol
         inst = ProblemInstance(np.random.default_rng(0).standard_normal((20, 40)), 3)
-        with pytest.raises(PreconditionError, match="tol must be finite and positive"):
+        with pytest.raises(PreconditionError, match=f"pame needs a finite positive tol, got {value}"):
             solve(inst, SolverConfig(tol=value), *draw_start(inst, seed=1))
 
     @pytest.mark.parametrize(
@@ -829,11 +829,11 @@ class TestStepSizeValidation:
             ({"method": "pdcae", "method_params": {"restart_interval": None}},
              "pdcae needs a finite restart_interval, got None"),
             ({"method": "pdcae", "method_params": {"restart_interval": 2.9}},
-             "pdcae needs an integer restart_interval, got 2.9"),
+             "restart_interval must be an integer of at least 1, got 2.9"),
             ({"method": "pdcae", "method_params": {"restart_interval": 10.0}},
-             "pdcae needs an integer restart_interval, got 10.0"),
+             "restart_interval must be an integer of at least 1, got 10.0"),
             ({"method": "pdcae", "method_params": {"restart_interval": True}},
-             "pdcae needs an integer restart_interval, got True"),
+             "restart_interval must be an integer of at least 1, got True"),
             ({"method": "pdcae", "gamma": 0.9, "method_params": {"use_config_gamma": "no"}},
              "pdcae needs a bool use_config_gamma, got 'no'"),
             ({"method": "pdcae", "method_params": {"use_config_gamma": 1}},
@@ -954,8 +954,8 @@ class TestConfigNumbers:
         [({"method": ["pame"]}, r"unknown method \['pame'\]"), ({"method": None}, "unknown method None"),
          ({"method_params": None}, "method_params must be a dict, got None"),
          ({"method_params": [("gamma_q", 0.1)]}, "method_params must be a dict"),
-         ({"theorem_mode": "no"}, "theorem_mode must be a bool, got 'no'"),
-         ({"theorem_mode": 1}, "theorem_mode must be a bool, got 1")],
+         ({"theorem_mode": "no"}, "pame needs a bool theorem_mode, got 'no'"),
+         ({"theorem_mode": 1}, "pame needs a bool theorem_mode, got 1")],
         ids=["method_list", "method_none", "method_params_none", "method_params_pairs", "theorem_mode_str",
              "theorem_mode_int"],
     )
@@ -1093,7 +1093,10 @@ class TestDeclaredNormUpper:
         floor = np.linalg.norm(inst.X) / math.sqrt(min(inst.d, inst.n))
         value = {"nan": math.nan, "negative": -1.0, "inf": math.inf, "below_frobenius": 0.99 * floor}[bound]
         cfg = replace(theorem_config(inst.X, method="pam"), norm_upper=value)
-        with pytest.raises(PreconditionError, match="theorem_mode: declared norm_upper=.* not a finite upper bound"):
+        # a non-finite bound is refused like every other declared bound
+        message = f"pam needs a finite norm_upper, got {value}" if bound in ("nan", "inf") else (
+            "theorem_mode: declared norm_upper=.* not a finite upper bound")
+        with pytest.raises(PreconditionError, match=message):
             solve(inst, cfg, *make_start(inst, seed=52))
 
     def test_config_for_other_data_refused(self):

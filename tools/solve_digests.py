@@ -30,7 +30,10 @@ of the error it raised:
 * ``zero``: every method and ``theorem_config`` on zero data.
 * ``refused``: configurations that ``solve`` refuses, and the arguments
   that ``theorem_config`` and ``criticality_report`` refuse, with their
-  messages.
+  messages.  Then ``refused/args``: every scalar argument of the public
+  surface (``argument_table``) called with each value of ``MALFORMED``,
+  digesting the class and message of the error, or None for a call that
+  returns.  The table also drives the Tier-1 test ``tests/test_arguments.py``.
 * ``kernel``: ``polar_factor`` and ``thin_svd`` of drawn rank 0 up to full,
   with repeated columns, in C and F order, at three scales.
 * ``oracle``: ``enumerate_oracle``'s value (a hex float), P and Q on 7
@@ -43,7 +46,7 @@ of the error it raised:
   and 1e-170, dense and CSC).
 * ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300.
 
-The grid prints 2824 digests and takes about 11 s on two cores.  BLAS may
+The grid prints 3382 digests and takes about 12 s on two cores.  BLAS may
 block a product differently with a different thread count, so compare two
 trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -69,7 +72,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +331,123 @@ def refused_runs(l1pca, out: dict) -> None:
                                   ("zero_tol_negative", 1e-4, -1.0)):
         out[f"refused/criticality_report/{name}"] = _digest(
             lambda: vars(report(X, P0, Q0, alpha_star=alpha, zero_tol=zero_tol)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, call in malformed_cases(argument_table(l1pca, Path(tmp))):
+            # a call that returns digests as None: only its refusal is compared
+            out[f"refused/args/{key}"] = _digest(lambda: (call(), None)[1])
+
+
+#: the malformed values each scalar argument of the public surface is tried with,
+#: by label; "fractional" only where an integer is due
+MALFORMED = {
+    "str": "x", "fractional": 1.5, "none": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "negative": -1, "bool": True,
+}
+
+
+def argument_table(l1pca, tmp: Path) -> dict:
+    """Name -> (call, {parameter: kind}) for every callable in ``l1pca.__all__`` but the error classes.
+
+    ``call(**kw)`` runs the callable on small valid arguments, with ``kw`` in
+    place of the named scalar arguments; kind is "int", "float" or "bool".
+    A dataclass's fields are its parameters, and a callable whose scalars
+    all come in through a ``SolverConfig`` or a ``FixedEffectSpec`` (``solve``,
+    ``gen_fixed_effect``), or that takes none, has none.
+    ``SolverConfig.method_params`` holds pdcae's and gipalm's keys.  The
+    sparse-text file ``read_sparse_labeled`` reads is written in ``tmp``.
+    """
+    I, F, B = "int", "float", "bool"
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((4, 6))
+    inst = l1pca.ProblemInstance(X, 2)
+    P, Q = l1pca.draw_start(inst, 1)
+    thm = l1pca.theorem_config(X, max_iter=20)
+    res = l1pca.solve(inst, thm, P, Q)
+    A = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    Xo = rng.standard_normal((3, 3))
+    orc = l1pca.enumerate_oracle(Xo, 1)
+    path = tmp / "x.txt"
+    l1pca.data.write_sparse_labeled(path, sp.csc_matrix(X), np.zeros(6))
+    solver_fields = {name: F for name in ("alpha", "beta", "gamma", "tol", "alpha_star", "alpha_sup", "beta_star",
+                                          "beta_sup", "gamma_sup", "spectral_rel_tol", "norm_upper")}
+    solver_fields.update(max_iter=I, seed=I, theorem_mode=B)
+
+    def solve_config(**kw):
+        cfg = l1pca.SolverConfig(**{**vars(thm), "norm_upper": None, "max_iter": 5, **kw})
+        return l1pca.solve(inst, cfg, *l1pca.draw_start(inst, cfg.seed))
+
+    def method_params(**kw):
+        method = "gipalm" if {"gamma_p", "gamma_q"} & kw.keys() else "pdcae"
+        return l1pca.solve(inst, l1pca.SolverConfig(method=method, gamma=0.5, max_iter=5, method_params=kw), P, Q)
+
+    none = (None, {})
+    return {
+        "AuditReport": none, "CriticalityReport": none, "CriticalSetSpec": none, "IterateTrace": none,
+        "SolveResult": none, "build_critical_point": none, "fpm_solve": none, "gen_fixed_effect": none,
+        "gipalm_solve": none, "ipalm_solve": none, "objective_h": none, "objective_l1": none, "pam_solve": none,
+        "pame_solve": none, "pdcae_solve": none, "residual_R": none, "sample_critical_point": none,
+        "sign_select": none, "solve": none, "spectral_norm": none, "stiefel_residual": none, "tev": none,
+        "write_trace": none,
+        "FixedEffectSpec": (
+            lambda **kw: l1pca.gen_fixed_effect(l1pca.FixedEffectSpec(**{"n": 6, "d": 4, "K": 2, "sigma": 0.5, **kw})),
+            {"n": I, "d": I, "K": I, "sigma": F, "seed": I}),
+        "ProblemInstance": (lambda **kw: l1pca.draw_start(l1pca.ProblemInstance(X, **{"K": 2, **kw}), 1), {"K": I}),
+        "SolverConfig": (solve_config, solver_fields),
+        "SolverConfig.method_params": (
+            method_params, {"restart_interval": I, "use_config_gamma": B, "gamma_p": F, "gamma_q": F}),
+        "check_alpha_condition": (
+            lambda **kw: l1pca.check_alpha_condition(X, Q, **{"alpha_star": 1e-4, **kw}),
+            {"alpha_star": F, "zero_tol": F}),
+        "choose_K_by_variance": (
+            lambda **kw: l1pca.choose_K_by_variance(X, **{"threshold": 0.8, **kw}),
+            {"threshold": F, "large_side": I, "cap": I}),
+        "convergence_fit": (lambda **kw: l1pca.convergence_fit(res.trace, **kw), {"tail_fraction": F, "min_points": I}),
+        "criticality_report": (
+            lambda **kw: l1pca.criticality_report(X, P, Q, **{"alpha_star": 1e-4, **kw}),
+            {"alpha_star": F, "zero_tol": F}),
+        "critical_set_separation_probe": (
+            lambda **kw: l1pca.critical_set_separation_probe(A, [1.0, 1.0], [-1.0, 1.0], **{"samples": 3, **kw}),
+            {"samples": I, "seed": I, "tie_tol": F}),
+        "critical_set_spec": (lambda **kw: l1pca.critical_set_spec(A, [1.0, 1.0], **kw), {"tie_tol": F, "rank_tol": F}),
+        "decrease_and_error_audit": (lambda **kw: l1pca.decrease_and_error_audit(res, **kw), {"slack_tol": F}),
+        "draw_start": (lambda **kw: l1pca.draw_start(inst, **{"seed": 1, **kw}), {"seed": I}),
+        "enumerate_oracle": (lambda **kw: l1pca.enumerate_oracle(Xo, **{"K": 1, **kw}), {"K": I, "hard_cap": I}),
+        "error_bound_probe": (
+            lambda **kw: l1pca.error_bound_probe(A[:, :1], [1.0], **{"samples": 3, **kw}),
+            {"samples": I, "radius": F, "seed": I, "tie_tol": F}),
+        "kappa_constant": (lambda **kw: l1pca.kappa_constant(A, **kw), {"tie_tol": F, "rank_tol": F}),
+        "kl_ratio_probe": (
+            lambda **kw: l1pca.kl_ratio_probe(Xo, orc.Q, [0.01], **{"samples": 3, **kw}),
+            {"samples": I, "seed": I, "max_zero_enum": I, "crit_tol": F, "stability_cap": F}),
+        "kl_ratio_probe_h": (
+            lambda **kw: l1pca.kl_ratio_probe_h(Xo, orc.P, orc.Q, [0.01], **{"samples": 3, **kw}),
+            {"samples": I, "seed": I, "crit_tol": F, "stability_cap": F}),
+        # one label value and two clusters: the majority scoring, which imports no scipy.optimize
+        "kmeans_accuracy": (
+            lambda **kw: l1pca.kmeans_accuracy(X, Q, np.zeros(6), **{"k": 2, **kw}),
+            {"k": I, "restarts": I, "seed": I}),
+        "polar_factor": (lambda **kw: l1pca.polar_factor(X[:, :2], **kw), {"complete": B}),
+        "potential_psi": (lambda **kw: l1pca.potential_psi(X, P, Q, Q, **{"beta": 1.0, **kw}), {"beta": F}),
+        "read_sparse_labeled": (lambda **kw: l1pca.read_sparse_labeled(path, **kw), {"K": I, "n_features": I}),
+        "run_comparison": (
+            lambda **kw: l1pca.run_comparison(inst, [l1pca.SolverConfig(max_iter=5)], **kw), {"seed": I}),
+        "sandwich_probe": (lambda **kw: l1pca.sandwich_probe(**{"samples": 4, **kw}), {"samples": I, "seed": I}),
+        "subgrad_dist_h": (lambda **kw: l1pca.subgrad_dist_h(X, P, Q, **kw), {"feas_tol": F}),
+        "subgrad_dist_linear": (lambda **kw: l1pca.subgrad_dist_linear(X @ P, Q, **kw), {"feas_tol": F}),
+        "theorem_config": (
+            lambda **kw: l1pca.solve(inst, l1pca.theorem_config(X, **{"max_iter": 5, **kw}), P, Q),
+            {"tol": F, "max_iter": I, "gamma_frac": F, "beta_scale": F, "spectral_rel_tol": F}),
+        "thin_svd": (lambda **kw: l1pca.thin_svd(X, **kw), {"rank": I}),
+    }
+
+
+def malformed_cases(table: dict):
+    """(key, thunk) for each ``argument_table`` entry, scalar parameter and fitting ``MALFORMED`` value."""
+    for name, (call, params) in sorted(table.items()):
+        for param, kind in params.items():
+            for label, value in MALFORMED.items():
+                if label != "fractional" or kind == "int":
+                    yield f"{name}/{param}/{label}", functools.partial(call, **{param: value})
 
 
 def kernel_runs(l1pca, out: dict) -> None:
