@@ -19,12 +19,14 @@ Lanczos (ARPACK) on the operator v -> X (X^T v), which never densifies X
 nor forms the Gram matrix.  All routines are deterministic for fixed
 inputs; randomized helpers take an explicit generator.
 
-Every product X^T Q in the library goes through ``_xt``, which hands BLAS
-the operands in the layout it multiplies fastest.  Its one rule: a dense
-C-contiguous X gives ``(Q^T X)^T``, copied to C order; any other X (F-order
-or sparse) gives ``X.T @ Q``.  On a C-order X, ``X.T`` is an F-order view,
-and BLAS then packs the tall n-row operand; ``Q^T X`` packs the short K-row
-one instead, which took 0.54-0.87 of the time at d=500, n=2000 and K from 5
+Every product X^T Q in the library follows ``_xt_for``'s rule, which hands
+BLAS the operands in the layout it multiplies fastest: a dense C-contiguous
+X gives ``(Q^T X)^T``, copied to C order; any other X (F-order or sparse)
+gives ``X.T @ Q``.  ``_xt_for(X)`` decides the layout once and returns the
+product for that X, which the solver binds once per solve; ``_xt`` checks
+Q's rows and applies the same rule to one product.  On a C-order X, ``X.T``
+is an F-order view, and BLAS then packs the tall n-row operand; ``Q^T X``
+packs the short K-row one instead, which took 0.54-0.87 of the time at d=500, n=2000 and K from 5
 to 250 (one BLAS thread).  The two forms agree to roundoff, and bit for bit
 on the shapes the solve digests cover, but not in general (d > n, or K near
 min(d, n), can move a last bit).
@@ -42,7 +44,7 @@ from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dsyevd
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from ._args import count
+from ._args import count, flag
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 
 _EPS = np.finfo(np.float64).eps
@@ -97,7 +99,12 @@ def as_dense(M) -> np.ndarray:
 def require_finite(M, name: str = "matrix") -> None:
     """InvalidInputError unless every entry of M is finite.  A sparse M whose
     ``.data`` is not its stored values (LIL, DOK, DIA) is read through a COO
-    copy, which leaves out DIA padding."""
+    copy, which leaves out DIA padding.
+
+    On the hot path it runs only when M's sum of squares, which a NaN or
+    infinite entry makes non-finite, is not finite: ``polar_factor`` reads
+    it off its ``frob``, ``stiefel_residual`` off one dot product
+    (``_squares_finite``).  A finite M whose squares overflow passes here."""
     if type(M) is np.ndarray:
         data = M
     elif sp.issparse(M):
@@ -108,19 +115,34 @@ def require_finite(M, name: str = "matrix") -> None:
         raise InvalidInputError(f"{name} contains non-finite entries")
 
 
-def _xt(X, Q: np.ndarray) -> np.ndarray:
-    """X^T Q for a d x n X and a d-row Q: ``(Q^T X)^T`` in C order on a dense
-    C-contiguous X, else ``X.T @ Q``.
+def _squares_finite(A: np.ndarray) -> bool:
+    """Whether BLAS's sum of squares of A's entries is finite: True means every entry is, and a
+    finite A gives False only when its squares overflow.  BLAS raises no numpy warning."""
+    a = A.ravel(order="K")
+    return a.size == 0 or math.isfinite(ddot(a, a))
 
-    A Q whose row count is not X's is a DimensionMismatchError.  The
-    ``isinstance`` test lets ndarray subclasses (views of X) take the dense
-    path too.
+
+def _xt_for(X):
+    """The product Q -> X^T Q for a d x n X, its layout decided once:
+    ``(Q^T X)^T`` in C order on a dense C-contiguous X, else ``X.T @ Q``.
+
+    The product does not check Q's rows; ``_xt`` does.  The ``isinstance``
+    test lets ndarray subclasses (views of X) take the dense path too.
+    """
+    if isinstance(X, np.ndarray) and X.flags.c_contiguous:
+        return lambda Q: np.ascontiguousarray((Q.T @ X).T)
+    XT = X.T
+    return lambda Q: XT @ Q
+
+
+def _xt(X, Q: np.ndarray) -> np.ndarray:
+    """X^T Q for a d x n X and a d-row Q, by ``_xt_for``'s rule.
+
+    A Q whose row count is not X's is a DimensionMismatchError.
     """
     if Q.shape[0] != X.shape[0]:
         raise DimensionMismatchError(f"Q has {Q.shape[0]} rows, X has {X.shape[0]}")
-    if isinstance(X, np.ndarray) and X.flags.c_contiguous:
-        return np.ascontiguousarray((Q.T @ X).T)
-    return X.T @ Q
+    return _xt_for(X)(Q)
 
 
 def frob(M) -> float:
@@ -334,8 +356,10 @@ def _polar_and_inverse(M, complete: bool = True) -> tuple[np.ndarray | None, np.
     A = as_dense(M)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
         raise PreconditionError("polar_factor expects rows >= cols >= 1")
-    require_finite(A, "polar_factor input")
-    e = math.frexp(frob(A))[1]
+    norm = frob(A)
+    if not math.isfinite(norm):
+        require_finite(A, "polar_factor input")
+    e = math.frexp(norm)[1]
     As = np.ldexp(A, -e)
     w, V, info = dsyevd(As.T @ As)
     if info == 0 and w[0] >= w[-1] * _GRAM_POLAR_RATIO > 0.0:
@@ -360,10 +384,11 @@ def polar_factor(M, complete: bool = True) -> np.ndarray | None:
     deterministically (``_complete``), as in ``thin_svd``.  With
     ``complete=False`` such an input gives None instead, so a caller that
     needs the unique factor of a full-rank M learns the rank from the same
-    factorization.  ``thin_svd``'s sign convention is not needed: it flips a
-    U column and its V column together, which leaves U V^T unchanged.
+    factorization; ``complete`` must be a bool (numpy's included).
+    ``thin_svd``'s sign convention is not needed: it flips a U column and
+    its V column together, which leaves U V^T unchanged.
     """
-    return _polar_and_inverse(M, complete)[0]
+    return _polar_and_inverse(M, flag("polar_factor", "complete", complete))[0]
 
 
 def spectral_norm(X) -> float:
@@ -395,13 +420,17 @@ def spectral_norm(X) -> float:
 def stiefel_residual(Q) -> float:
     """Frobenius distance of Q^T Q from the identity; 0 iff columns orthonormal.
 
-    Q must be a 2-d matrix (PreconditionError otherwise).  The diagonal of
-    G = Q^T Q loses 1 in place, and the root of the dot product of G's
-    entries with themselves is the result: the arithmetic of
-    ``np.linalg.norm(G - I)``, without forming I.
+    Q must be a finite (InvalidInputError otherwise) 2-d matrix
+    (PreconditionError otherwise).  The diagonal of G = Q^T Q loses 1 in
+    place, and the root of the dot product of G's entries with themselves is
+    the result: the arithmetic of ``np.linalg.norm(G - I)``, without forming
+    I.  Finiteness is read off Q's sum of squares (``_squares_finite``), not
+    off G: numpy warns when a product of a Q with infinite entries makes a
+    NaN, and the check must refuse such a Q before any warning.
     """
     A = as_dense(Q)
-    require_finite(A, "stiefel_residual input")
+    if not _squares_finite(A):
+        require_finite(A, "stiefel_residual input")
     if A.ndim != 2:
         raise PreconditionError(f"stiefel_residual expects a 2-d matrix, got {A.ndim}-d input")
     g = (A.T @ A).ravel()

@@ -59,21 +59,43 @@ class ProblemInstance:
         return self.X.shape[1]
 
 
-def require_stiefel(Q: np.ndarray, tol: float = OPERATION_TOL, name: str = "Q") -> np.ndarray:
+def _frame(Q, name: str) -> tuple[np.ndarray, float]:
+    """(Q, its ``stiefel_residual``) for a finite 2-d Q with at least as many rows as columns.
+
+    ``stiefel_residual`` is Q's one check of finiteness, shape and (by the
+    caller) feasibility; its refusal of a non-finite Q is raised again
+    naming ``name``.
+    """
     Q = np.asarray(Q, dtype=np.float64)
-    require_finite(Q, name)
-    res = stiefel_residual(Q)  # refuses a Q that is not 2-d
+    try:
+        res = stiefel_residual(Q)  # refuses a Q that is not 2-d
+    except InvalidInputError:
+        raise InvalidInputError(f"{name} contains non-finite entries") from None
     if Q.shape[0] < Q.shape[1]:
         raise PreconditionError(f"{name} must have at least as many rows as columns")
+    return Q, res
+
+
+def _require_feasible(res: float, tol: float, name: str) -> None:
     if res > tol:
         raise PreconditionError(f"{name} is not feasible: orthonormality residual {res:.3e} > {tol:.1e}")
+
+
+def require_stiefel(Q: np.ndarray, tol: float = OPERATION_TOL, name: str = "Q") -> np.ndarray:
+    Q, res = _frame(Q, name)
+    _require_feasible(res, tol, name)
     return Q
 
 
 def require_signs(P: np.ndarray, name: str = "P") -> np.ndarray:
+    """P as float64, with every entry exactly +-1 (PreconditionError otherwise).
+
+    P's finiteness is read only when that test fails, so a NaN or infinite
+    entry is still an InvalidInputError.
+    """
     P = np.asarray(P, dtype=np.float64)
-    require_finite(P, name)
-    if P.size and not np.all(np.abs(P) == 1.0):
+    if not (np.abs(P) == 1.0).all():
+        require_finite(P, name)
         raise PreconditionError(f"{name} must have all entries exactly +-1")
     return P
 
@@ -137,7 +159,11 @@ def subgrad_dist_linear(A: np.ndarray, Q: np.ndarray, feas_tol: float = OPERATIO
     """
     if feas_tol is not OPERATION_TOL:
         feas_tol = finite("subgrad_dist_linear", "feas_tol", feas_tol)
-    Q = require_stiefel(Q, tol=feas_tol)
+    return _frame_dist(A, require_stiefel(Q, tol=feas_tol))
+
+
+def _frame_dist(A: np.ndarray, Q: np.ndarray) -> float:
+    """``subgrad_dist_linear``'s value for a Q already checked."""
     R = residual_R(A, Q)
     G = R - 0.5 * Q @ (Q.T @ R)
     return frob(G)
@@ -149,11 +175,16 @@ def subgrad_dist_h(X, P: np.ndarray, Q: np.ndarray, feas_tol: float = OPERATION_
     The sign block contributes zero: every point of the finite sign set is
     isolated, so its limiting normal cone is the whole ambient space.  What
     remains is the Q-block distance for the linear objective <-XP, .>,
-    which checks Q's feasibility against ``feas_tol``.
+    which checks Q's feasibility against ``feas_tol``.  Q's residual is
+    taken once, for its shape, finiteness and feasibility.
     """
+    if feas_tol is not OPERATION_TOL:
+        feas_tol = finite("subgrad_dist_h", "feas_tol", feas_tol)
     P = require_signs(P)
-    _check_dims(X, require_stiefel(Q, tol=np.inf), P)
-    return subgrad_dist_linear(-(X @ P), Q, feas_tol=feas_tol)
+    Q, res = _frame(Q, "Q")
+    _check_dims(X, Q, P)
+    _require_feasible(res, feas_tol, "Q")
+    return _frame_dist(-(X @ P), Q)
 
 
 def sign_select(M: np.ndarray, Pprev: np.ndarray) -> np.ndarray:

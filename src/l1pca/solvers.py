@@ -70,9 +70,12 @@ floating-point range, take ``X^T Q_new`` from X.  The start takes one
 So ``fpm`` takes ``polar(X P)`` again on a flip-free step, and its test takes
 ``polar(X P, complete=False)`` and ``X^T Q*`` again, although its Q already
 is that factor: about 0.5 ms per desk-scale solve, the price of one path.
-Every ``X^T Q`` goes through ``linalg._xt``: on a dense C-order X it is
-formed as ``(Q^T X)^T``, which BLAS runs faster than ``X.T @ Q``; an
-F-order or sparse X keeps ``X.T @ Q``.
+Every ``X^T Q`` follows ``linalg._xt_for``'s layout rule, which ``solve``
+binds to its X once per call: on a dense C-order X it is formed as
+``(Q^T X)^T``, which BLAS runs faster than ``X.T @ Q``; an F-order or sparse
+X keeps ``X.T @ Q``.  Each array on the loop's path is checked once, by
+arithmetic the step does anyway: a step input's finiteness by its norm in
+``polar_factor``, a new frame's by its ``stiefel_residual``.
 
 ``theorem_mode`` enforces the step-size and extrapolation bounds under
 which the extrapolated scheme is provably convergent (bounded alpha, beta
@@ -96,6 +99,7 @@ from .linalg import (
     _polar_and_inverse,
     _prescaled,
     _xt,
+    _xt_for,
     frob,
     polar_factor,
     random_signs,
@@ -493,13 +497,14 @@ def solve(
     if P.shape != (inst.n, inst.K) or Q.shape != (inst.d, inst.K):
         raise PreconditionError("P0/Q0 shapes do not match the instance")
 
+    xt = _xt_for(X)  # Q -> X^T Q; every Q below has X's row count
     Q_prev = Q.copy()  # the pre-first-iteration state reuses Q0
     P_prev = P.copy()
-    XtQ = _xt(X, Q)
+    XtQ = xt(Q)
     XtQ_prev = XtQ
     trace = IterateTrace()
     t0 = time.perf_counter()
-    h0 = -float(np.sum(P * XtQ))
+    h0 = -float((P * XtQ).sum())
     trace.append(0, h0, h0, 0.0, 0.0, 0.0, 0.0, 0)
     dQ = 0.0  # ||Q - Q_prev|| before the first iteration
 
@@ -549,32 +554,33 @@ def solve(
         # frob(P_new - P) exactly: its entries are 0 or +-2, and a correctly rounded
         # sqrt commutes with the factor 4
         dP = 2.0 * math.sqrt(flips)
-        dQp, dQ = dQ, frob(Q_new - Q)  # Q - Q_prev is the last iteration's Q_new - Q
-        dC = float(np.sqrt(dP * dP + dQ * dQ + dQp * dQp))
+        step_Q = Q_new - Q
+        dQp, dQ = dQ, frob(step_Q)  # Q - Q_prev is the last iteration's Q_new - Q
+        dC = math.sqrt(dP * dP + dQ * dQ + dQp * dQp)
 
         feas = stiefel_residual(Q_new)
-        if not np.isfinite(feas) or feas > CONSTRUCTION_TOL:
+        if not math.isfinite(feas) or feas > CONSTRUCTION_TOL:
             raise DivergedError(f"orthonormality lost at iteration {k} (residual {feas:.3e})", trace=trace)
         if T is not None:
             if XtXP is None:
                 XPs, f = _prescaled(XP, frob(XP))
-                XtXP = _xt(X, XPs)
+                XtXP = xt(XPs)
             XtQ_new = _xt_polar(XtXP, f, XtQ, b_k, T, e)
-            h_new = -float(np.sum(P_new * XtQ_new))
+            h_new = -float((P_new * XtQ_new).sum())
         if T is None or not math.isfinite(h_new):
             # from X: no T, or a carried product that left the floating-point range
-            XtQ_new = _xt(X, Q_new)
-            h_new = -float(np.sum(P_new * XtQ_new))
+            XtQ_new = xt(Q_new)
+            h_new = -float((P_new * XtQ_new).sum())
             carried = 0 if not flips else -1
         else:
             carried += 1
         psi_new = h_new + 0.5 * plan.beta_star * dQ * dQ
-        if not np.isfinite(h_new):
+        if not math.isfinite(h_new):
             raise DivergedError(f"non-finite objective at iteration {k}", trace=trace)
 
         if bounds is not None:
             elem_p = (XtE - XtQ_new) - a_k * (P_new - P)
-            q_dist = subgrad_dist_linear(-XP + plan.beta_star * (Q_new - Q), Q_new)
+            q_dist = subgrad_dist_linear(-XP + plan.beta_star * step_Q, Q_new)
             coupling = plan.beta_star * dQ
             audit["subgrad_norms"].append(math.hypot(frob(elem_p), q_dist, coupling))
             audit["alphas"].append(a_k)
@@ -598,7 +604,7 @@ def solve(
             # theorem mode audits every step, so it takes no such jump
             test_due = False
             Q_star = polar_factor(XP, complete=False)
-            XtQ_star = None if Q_star is None else _xt(X, Q_star)
+            XtQ_star = None if Q_star is None else xt(Q_star)
             if XtQ_star is not None and (XtQ_star * P > 0.0).all():
                 Q, XtQ, reason = Q_star, XtQ_star, "fixed_point"
                 break

@@ -522,6 +522,10 @@ def sample_critical_point(spec: CriticalSetSpec, rng: np.random.Generator) -> np
     return build_critical_point(spec, blocks, V)
 
 
+#: byte budget of one block of critical_set_separation_probe's pairwise differences
+_SEPARATION_BLOCK_BYTES = 4 << 20
+
+
 def critical_set_separation_probe(
     A,
     q,
@@ -545,9 +549,14 @@ def critical_set_separation_probe(
     rng = seeded_rng(seed, 0xC417)
     left = np.stack([sample_critical_point(spec_q, rng) for _ in range(samples)])
     right = np.stack([sample_critical_point(spec_p, rng) for _ in range(samples)])
-    diff = left[:, None, :, :] - right[None, :, :, :]
-    dists = np.sqrt((diff**2).sum(axis=(2, 3)))
-    return float(dists.min())
+    # the pairwise differences of a block of left samples at a time, within
+    # _SEPARATION_BLOCK_BYTES; each pair's sum is the same as over all pairs at once
+    rows = max(1, _SEPARATION_BLOCK_BYTES // right.nbytes)
+    block_minima = [
+        np.sqrt(((left[i : i + rows, None, :, :] - right[None, :, :, :]) ** 2).sum(axis=(2, 3))).min()
+        for i in range(0, samples, rows)
+    ]
+    return float(np.min(block_minima))
 
 
 # ---------------------------------------------------------------------------
