@@ -6,6 +6,9 @@ orthonormalized Gaussian basis) plus Laplace noise of prescribed variance.
 Streams for the basis, the coordinates, and the noise are split from one
 seed with a counter-based generator, so changing the noise level never
 perturbs the basis.
+
+Importing this module loads no ``scipy.io``: the first block of sparse text
+that takes the one-pass parse imports its Matrix Market reader.
 """
 
 from __future__ import annotations
@@ -90,43 +93,110 @@ def gen_fixed_effect(spec: FixedEffectSpec) -> tuple[np.ndarray, np.ndarray, np.
 
 #: indices are stored as int64
 _INDEX_LIMIT = 2**63
-#: the bytes a block may hold to take the one-pass parse; a tab, a CR, the
-#: letters of inf or nan, an underscore or non-ASCII text send it token by token
-_FAST_BYTES = b"0123456789.eE+-: \n"
-#: bytes per block of whole lines.  On the 6.4 MB cluster-sparse benchmark file
-#: (2-vCPU KVM guest, 20 alternating rounds) 64 KiB to 1 MiB parsed equally fast
-#: (median CPU 0.175-0.195 s) and 4 KiB about 30% slower; the whole file as one
-#: block raised the parsing process's peak RSS by about 30 MB
+# The one-pass grammar: lines "NUM( DIGITS:NUM)*" joined by LF, where NUM is
+# [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? and D a digit.  The Matrix Market reader stops
+# at the first byte that cannot extend a number (1.2.3 reads 1.2, 1e and 1-2 read
+# 1), so only a block that is all such tokens may go to it.  A block is checked on
+# its bytes that are not digits, as classes: _ESIGN is a sign after an exponent mark.
+_LF, _SP, _COLON, _SIGN, _ESIGN, _DOT, _EXP, _BAD = range(8)
+_CLASS = np.full(256, _BAD, np.uint8)
+_CLASS[list(b"\n :+-.eE")] = _LF, _SP, _COLON, _SIGN, _SIGN, _DOT, _EXP, _EXP
+#: (class, class of the next byte that is not a digit): how many digits may stand
+#: between them; a pair not listed breaks the grammar
+_FOLLOWS = {
+    **{
+        (start, nxt): digits
+        for start in (_LF, _COLON)  # a label or a value begins
+        for nxt, digits in ((_SIGN, "none"), (_DOT, "any"), (_EXP, "some"), (_SP, "some"), (_LF, "some"))
+    },
+    (_SP, _COLON): "some",
+    (_SIGN, _DOT): "any", (_SIGN, _EXP): "some", (_SIGN, _SP): "some", (_SIGN, _LF): "some",
+    (_DOT, _EXP): "any", (_DOT, _SP): "any", (_DOT, _LF): "any",
+    (_EXP, _ESIGN): "none", (_EXP, _SP): "some", (_EXP, _LF): "some",
+    (_ESIGN, _SP): "some", (_ESIGN, _LF): "some",
+}
+
+
+def _pair_table(follows) -> np.ndarray:
+    ok = np.zeros((8, 8, 2), bool)  # [class, next class, any digit between them]
+    for pair, digits in follows.items():
+        ok[pair] = digits != "some", digits != "none"
+    return ok.ravel()
+
+
+_PAIR_OK = _pair_table(_FOLLOWS)
+#: one token per line, as the Matrix Market body below the header
+_TOKEN_LINES = bytes.maketrans(b" :", b"\n\n")
+_MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1\n"
+#: below this every integer is a float, so an index read as a float is exact
+_EXACT_INDEX = 2**53
+#: bytes per block of whole lines.  On the cluster-sparse benchmark (a 6.4 MB file,
+#: 2-vCPU KVM guest, seeds 1 and 2), blocks of 256 KiB, 512 KiB and 1 MiB gave the
+#: same op time within the run-to-run spread (0.21-0.24 ref_s), and peak RSS 2.6,
+#: 3.9 and 8.0 MB above the 107 MB of the numpy.loadtxt reader this one replaced;
+#: each mmread call also costs 0.1-0.3 ms, so much smaller blocks cost time
 _BLOCK_BYTES = 1 << 18
 #: empty (labels, indices, values, counts), so a file without lines concatenates
 _NO_LINES = (np.empty(0), np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
+
+
+def _tokens(blk: bytes):
+    """The class of the byte before each token of ``blk`` (_LF before a label, _SP
+    before an index, _COLON before a value) and whether the token starts with a
+    minus, or None where ``blk`` breaks the one-pass grammar.
+
+    Each byte that is not a digit must be allowed after the one before it (a LF
+    stands before the block and after it), with the digits between them that
+    ``_FOLLOWS`` allows, and a point needs a digit beside it.
+    """
+    b = np.frombuffer(blk, np.uint8)
+    at = np.flatnonzero(b - 48 > 9)  # the bytes that are not ASCII digits
+    pos = np.concatenate(([-1], at, [b.size]))
+    cls = np.concatenate(([_LF], _CLASS[b[at]], [_LF]))
+    cls[1:][(cls[1:] == _SIGN) & (cls[:-1] == _EXP)] = _ESIGN
+    digits = np.diff(pos) > 1
+    if not _PAIR_OK[(cls[:-1] * 8 + cls[1:]) * 2 + digits].all():
+        return None
+    dot = np.flatnonzero(cls == _DOT)
+    if not (digits[dot - 1] | digits[dot]).all():
+        return None
+    sep = np.flatnonzero(cls[:-1] <= _COLON)
+    return cls[sep], b[pos[sep] + 1] == 45
 
 
 def _parse_block(blk: bytes):
     """(labels, 1-based indices, values, features per line) of whole lines, or None
     where the one-pass parse cannot prove them well formed.
 
-    Each line ``label f1 f2 ...`` becomes the rows ``0:label``, ``f1``, ``f2``, ...
-    and one loadtxt call converts them all.  On this alphabet its C reader rejects
-    every field that ``int()`` or ``float()`` would, and indices of 2^63 or more, and
-    rounds as ``float()`` does.  The index-0 rows are the line starts iff there is
-    one per line, and a feature is 1-based and ascending iff its index exceeds the
-    row's before it.
+    ``_tokens`` proves the grammar.  One ``scipy.io.mmread`` call then converts
+    every token as an N x 1 Matrix Market array: its reader (fast_float) rounds as
+    ``float()`` does, but reads ``-0`` and ``-1e-400`` as +0.0, so each number takes
+    its sign from its first byte.  Indices arrive as floats: they are exact below
+    2^53, and a feature is 1-based and ascending iff its index exceeds the one
+    before it on its line (0 at the line's start).
     """
     blk = blk.rstrip(b"\n")
-    if blk.translate(None, _FAST_BYTES):
+    tokens = _tokens(blk)
+    if tokens is None:
         return None
-    body = b"0:" + blk.replace(b"\n", b"\n0:").replace(b" ", b"\n")
-    try:
-        rows = np.loadtxt(io.BytesIO(body), [("i", np.int64), ("v", np.float64)], delimiter=":", comments=None, ndmin=1)
-    except (ValueError, OverflowError):
-        return None
-    i = rows["i"]
-    start = i == 0
-    if np.count_nonzero(start) != blk.count(b"\n") + 1 or not (start[1:] | (i[1:] > i[:-1])).all():
+    kind, neg = tokens
+    if b"+" in blk:  # the reader refuses a leading plus; an exponent's stays
+        blk = blk.replace(b"\n+", b"\n").replace(b":+", b":").removeprefix(b"+")
+    # imported here, not at the top: importing scipy.io costs about 18 ms per process,
+    # and only sparse text needs it
+    from scipy.io import mmread
+
+    v = mmread(io.BytesIO(_MM_HEADER % kind.size + blk.translate(_TOKEN_LINES)))[:, 0]
+    np.abs(v, out=v)
+    np.negative(v, out=v, where=neg)
+    key = kind != _COLON
+    i = v[key]
+    start = kind[key] == _LF
+    i[start] = 0.0
+    if i.max() >= _EXACT_INDEX or not (start[1:] | (i[1:] > i[:-1])).all():
         return None
     counts = np.diff(np.flatnonzero(start), append=i.size) - 1
-    return rows["v"][start], i[~start], rows["v"][~start], counts
+    return v[kind == _LF], i[~start].astype(np.int64), v[~key], counts
 
 
 def _parse_block_slow(blk: bytes, lineno: int):
@@ -175,9 +245,11 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     The feature dimension is the largest index seen unless ``n_features``, an
     integer, overrides it (datasets may have trailing absent features).  Malformed
     lines, undecodable bytes included, raise ParseError with their 1-based
-    line number.  Blocks of ASCII text with LF line ends, space separators
-    and decimal numbers (digits, sign, point, exponent) take one C-level
-    pass; every other block is parsed token by token, with the same result.
+    line number.  A block of ASCII text with LF line ends, single spaces and
+    decimal numbers (digits, sign, point, exponent) whose indices lie below
+    2^53 is checked by vectorized passes and converted by one
+    ``scipy.io.mmread`` call; every other block is parsed token by token,
+    with the same result.
     """
     n_features = None if n_features is None else count("n_features", n_features)
     parts = []

@@ -151,7 +151,8 @@ def frob(M) -> float:
     The plain sum of squares is kept when it is finite and at least
     ``_SQ_MIN``; otherwise (overflow, or squares lost to underflow) the
     entries are divided by a power of two near the largest magnitude first,
-    which is exact.  Non-finite entries give inf or nan, without a warning.
+    which is exact.  Non-finite entries give inf or nan, and finite entries
+    whose norm exceeds the float range give inf, without a warning.
     A sparse M not flagged canonical has its duplicates summed on a copy.
     """
     if sp.issparse(M):
@@ -170,15 +171,29 @@ def frob(M) -> float:
         return amax
     e = math.frexp(amax)[1]
     b = np.ldexp(a, -e)
-    return math.ldexp(math.sqrt(ddot(b, b)), e)
+    return _ldexp(math.sqrt(ddot(b, b)), e)
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, or inf where that exceeds the float range (``math.ldexp`` raises there)."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def _prescaled(X, norm: float):
     """(X / 2^e, e): e = 0 when ``norm`` = frob(X) lies in ``_GRAM_SAFE`` or is 0,
-    else e puts the scaled norm in [1/2, 1).  The division is exact (``_pow2_scaled``)."""
+    else e puts the scaled norm in [1/2, 1).  The division is exact (``_pow2_scaled``).
+    An infinite norm of finite entries takes e as the exponent of the largest entry
+    plus that of the norm of X divided by 2 to that exponent."""
     if norm == 0.0 or _GRAM_SAFE[0] <= norm <= _GRAM_SAFE[1]:
         return X, 0
-    e = math.frexp(norm)[1]
+    if norm == math.inf:
+        big = math.frexp(float(abs(X).max()))[1]  # 0 for an infinite entry: X stays as it is
+        e = big + math.frexp(frob(_pow2_scaled(X, big)))[1]
+    else:
+        e = math.frexp(norm)[1]
     return _pow2_scaled(X, e), e
 
 
@@ -347,7 +362,10 @@ def _polar_and_inverse(M, complete: bool = True) -> tuple[np.ndarray | None, np.
 
     A product of Q with anything linear, such as X^T Q, follows from the
     same product with M and the K x K matrix T.  M / 2^e, with e the
-    exponent of frob(M), is exact and near unit scale.  When ``dsyevd``
+    exponent of frob(M), is exact and near unit scale.  A finite M whose norm
+    overflows is first divided by 2 to the exponent of its largest entry, and
+    e counts that division too (entries below 2^-1021 of the largest turn
+    subnormal and may lose bits).  When ``dsyevd``
     finds the smallest eigenvalue of its Gram matrix V S^2 V^T at least
     ``_GRAM_POLAR_RATIO`` of the largest, T = V S^-1 V^T gives Q.  Otherwise
     Q comes from one SVD of M, with U completed past ``_rank_cutoff``
@@ -357,14 +375,19 @@ def _polar_and_inverse(M, complete: bool = True) -> tuple[np.ndarray | None, np.
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
         raise PreconditionError("polar_factor expects rows >= cols >= 1")
     norm = frob(A)
+    shift = 0
     if not math.isfinite(norm):
         require_finite(A, "polar_factor input")
+        # finite entries whose norm overflows: factor A / 2^shift, shift the exponent of the largest
+        shift = math.frexp(float(np.abs(A).max()))[1]
+        A = np.ldexp(A, -shift)
+        norm = frob(A)
     e = math.frexp(norm)[1]
     As = np.ldexp(A, -e)
     w, V, info = dsyevd(As.T @ As)
     if info == 0 and w[0] >= w[-1] * _GRAM_POLAR_RATIO > 0.0:
         T = (V / np.sqrt(w)) @ V.T
-        return As @ T, T, e
+        return As @ T, T, e + shift
     U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
     if sigma[-1] <= _rank_cutoff(A.shape, sigma):
         if not complete:
@@ -412,9 +435,9 @@ def spectral_norm(X) -> float:
         if m == 0:
             return 0.0
         top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[m - 1, m - 1])[0]
-        return math.ldexp(math.sqrt(max(float(top), 0.0)), e)
+        return _ldexp(math.sqrt(max(float(top), 0.0)), e)
     w, e = _top_eigenvalues(X, 1)
-    return math.ldexp(math.sqrt(w[0]), e) if w.size else 0.0
+    return _ldexp(math.sqrt(w[0]), e) if w.size else 0.0
 
 
 def stiefel_residual(Q) -> float:
@@ -426,11 +449,15 @@ def stiefel_residual(Q) -> float:
     the result: the arithmetic of ``np.linalg.norm(G - I)``, without forming
     I.  Finiteness is read off Q's sum of squares (``_squares_finite``), not
     off G: numpy warns when a product of a Q with infinite entries makes a
-    NaN, and the check must refuse such a Q before any warning.
+    NaN, and the check must refuse such a Q before any warning.  A finite Q
+    whose sum of squares overflows is at least 2^1024 / sqrt(K) - sqrt(K) from
+    orthonormal (K columns), and gives inf, without a warning.
     """
     A = as_dense(Q)
     if not _squares_finite(A):
         require_finite(A, "stiefel_residual input")
+        if A.ndim == 2:  # finite, but Q^T Q would overflow
+            return math.inf
     if A.ndim != 2:
         raise PreconditionError(f"stiefel_residual expects a 2-d matrix, got {A.ndim}-d input")
     g = (A.T @ A).ravel()

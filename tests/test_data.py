@@ -1,6 +1,12 @@
+import itertools
 import json
 import math
+import os
+import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -248,7 +254,53 @@ _PARSE_CASES = {
     "number_forms": _FIRST + "1e0 1:1E-5 2:+.5 3:-5.\n",
     "overflow_underflow": _FIRST + "1e999 1:-1e999 2:1e-400 3:4.9e-324 4:2.4703282292062328e-324\n",
     "largest_index": _FIRST + "-1 9223372036854775807:1\n",
+    # signs the number reader loses on zeros: each number takes its sign from its first byte
+    "negative_zero_forms": _FIRST + "-0.0 1:-0.0 2:-.0 3:-0e5 4:-1e-400\n-.0 1:0\n-0e5\n-1e-400 2:-0\n",
+    "plus_signs": "+1 1:+0.5 2:+.5e+3\n+0 3:+0\n",
+    # rounding: a 40-digit mantissa, and the halfway point between 0 and the least subnormal
+    "forty_digits": _FIRST + "1234567890123456789012345678901234567890 1:0.1234567890123456789012345678901234567890e-300\n",
+    "halfway_subnormal": _FIRST + "2.4703282292062327e-324 1:-2.4703282292062327e-324 2:2.4703282292062328e-324\n",
+    # indices read as floats are exact below 2^53
+    "index_two53_minus_1": _FIRST + "-1 9007199254740991:1\n",
+    "index_two53": _FIRST + "-1 9007199254740992:1\n",
+    "index_two53_plus_1": _FIRST + "-1 9007199254740993:1\n",
+    "index_two53_pair": _FIRST + "-1 9007199254740992:1 9007199254740993:2\n",
+    # prefixes the number reader would take without an error
+    "prefix_two_points": _FIRST + "-1 1:1.2.3\n",
+    "prefix_cut_exponent": _FIRST + "-1 1:1e\n",
+    "prefix_inner_minus": _FIRST + "-1 1:1-2\n",
+    "prefix_label": "1.2.3 1:1\n",
+    "prefix_exponent_sign": _FIRST + "-1 1:1e5-3\n",
+    "prefix_exponent_point": _FIRST + "-1 1:1e-.5\n",
+    "prefix_two_exponents": _FIRST + "-1 1:1e5e5\n",
+    "point_only_mantissa": _FIRST + "-1 1:-.e5\n",
+    "sign_only_value": _FIRST + "-1 1:-\n",
 }
+
+
+#: cases the one-pass parse takes whole, with no block left to the token-by-token parse
+_ONE_PASS_CASES = [
+    "exponent", "negative_zero", "negative_zero_forms", "plus_signs", "number_forms", "overflow_underflow",
+    "forty_digits", "halfway_subnormal", "index_two53_minus_1", "leading_zero_index", "beyond_int32",
+    "label_only_lines", "only_labels", "no_trailing_newline",
+]
+
+#: the one-pass grammar as a regular expression: lines "NUM( DIGITS:NUM)*" joined by LF
+_NUM_SPEC = rb"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_LINE_SPEC = rb"%s(?: [0-9]+:%s)*" % (_NUM_SPEC, _NUM_SPEC)
+_LINES_SPEC = re.compile(rb"%s(?:\n%s)*" % (_LINE_SPEC, _LINE_SPEC))
+
+
+def _check_tokens(blk: bytes):
+    """data._tokens(blk) is None off the grammar, else each token's separator and leading minus."""
+    got = data._tokens(blk)
+    if _LINES_SPEC.fullmatch(blk) is None:
+        assert got is None, blk
+        return
+    seps = {ord("\n"): data._LF, ord(" "): data._SP, ord(":"): data._COLON}
+    kind = [data._LF] + [seps[c] for c in blk if c in seps]
+    neg = [blk[:1] == b"-"] + [blk[k + 1 : k + 2] == b"-" for k, c in enumerate(blk) if c in seps]
+    assert got is not None and got[0].tolist() == kind and got[1].tolist() == neg, blk
 
 
 def _mutants(valid: str):
@@ -275,6 +327,14 @@ class TestParseAgainstReference:
         got = _outcome(read_sparse_labeled, p, n_features=n_features)
         assert got == _outcome(_parse_reference, p, n_features=n_features)
 
+    @pytest.mark.parametrize("name", _ONE_PASS_CASES)
+    def test_case_takes_one_pass(self, tmp_path, name):
+        p = tmp_path / "x.txt"
+        p.write_text(_PARSE_CASES[name], encoding="utf-8")
+        expected = _outcome(_parse_reference, p)
+        with mock.patch.object(data, "_parse_block_slow", side_effect=AssertionError("fell back")):
+            assert _outcome(read_sparse_labeled, p) == expected
+
     def test_generated_file_byte_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         dense = rng.standard_normal((40, 3000))
@@ -300,19 +360,59 @@ class TestOnePassParse:
         with mock.patch.object(data, "_BLOCK_BYTES", block):
             assert _outcome(read_sparse_labeled, p) == _outcome(_parse_reference, p)
 
+    def test_grammar_on_every_short_block(self):
+        # every block of up to 5 bytes over one byte of each class but the bad ones
+        for n in range(6):
+            for blk in itertools.product(b"1.e-+ :\n", repeat=n):
+                _check_tokens(bytes(blk))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(list(b"0129.eE-+ :\n\tx")), max_size=40).map(bytes))
+    def test_grammar_on_longer_blocks(self, blk):
+        _check_tokens(blk)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["1", "0.5", "-2.", ".5e-3", "+7E+2", "-0", "1.2.3", "1e", "1-2", "", "-", "."]),
+                    min_size=1, max_size=12),
+           st.lists(st.sampled_from([" ", ":", "\n"]), min_size=11, max_size=11))
+    def test_grammar_on_token_sequences(self, toks, seps):
+        _check_tokens("".join(t + s for t, s in zip(toks, seps + [""])).encode())
+
     @pytest.mark.parametrize("block", [64, 1 << 18])
     def test_written_files_take_one_pass(self, tmp_path, block):
         rng = np.random.default_rng(12)
         dense = rng.standard_normal((30, 200)) * 10.0 ** rng.integers(-300, 300, (30, 200))
         dense[rng.random(dense.shape) < 0.7] = 0.0
         dense[:, ::17] = 0.0  # label-only lines
+        X = sp.csc_matrix(dense)
+        X.data[::37], X.data[1::37] = 0.0, -0.0  # stored zeros of both signs
         labels = rng.integers(-2, 3, 200) * 0.5
+        labels[::23] = -0.0
         p = tmp_path / "w.txt"
-        write_sparse_labeled(p, sp.csc_matrix(dense), labels)
+        write_sparse_labeled(p, X, labels)
+        text = p.read_text()
+        assert ":-0 " in text and "\n-0 " in text and "e-" in text
         expected = _outcome(_parse_reference, p)
         with mock.patch.object(data, "_BLOCK_BYTES", block), \
-                mock.patch.object(data, "_parse_block_slow", side_effect=AssertionError("fell back")):
+                mock.patch.object(data, "_parse_block_slow", wraps=data._parse_block_slow) as slow:
             assert _outcome(read_sparse_labeled, p) == expected
+        assert slow.call_count == 0
+
+    def test_scipy_io_loaded_on_first_read(self, tmp_path):
+        # importing the package and its CLI loads no scipy.io (about 18 ms per process);
+        # the first read of sparse text does, in a fresh interpreter
+        p = tmp_path / "x.txt"
+        p.write_text(_FIRST)
+        script = (
+            "import sys, l1pca, l1pca.cli\n"
+            "before = 'scipy.io' in sys.modules\n"
+            f"inst = l1pca.data.read_sparse_labeled({str(p)!r})\n"
+            "print(before, 'scipy.io' in sys.modules, inst.X.shape)\n"
+        )
+        src = Path(data.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True", "(3,", "1)"]
 
     def test_undecodable_byte_names_its_line(self, tmp_path):
         p = tmp_path / "x.txt"

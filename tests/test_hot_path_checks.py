@@ -13,11 +13,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from l1pca import verify
 from l1pca.errors import InvalidInputError, PreconditionError
-from l1pca.linalg import polar_factor, random_signs, random_stiefel, seeded_rng, stiefel_residual
-from l1pca.model import ProblemInstance, sign_select, subgrad_dist_h
+from l1pca.linalg import (
+    _polar_and_inverse,
+    as_dense,
+    frob,
+    polar_factor,
+    random_signs,
+    random_stiefel,
+    seeded_rng,
+    spectral_norm,
+    stiefel_residual,
+    thin_svd,
+)
+from l1pca.metrics import choose_K_by_variance, tev
+from l1pca.model import ProblemInstance, require_stiefel, sign_select, subgrad_dist_h
 from l1pca.solvers import SolverConfig, solve
 
 NON_FINITE = pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -116,6 +129,59 @@ class TestExtremeFiniteEntries:
             solve(inst, cfg, P, put(Q, value))
         with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="^Q is not feasible: orthonormality residual"):
             subgrad_dist_h(X, P, put(Q, value))
+
+
+class TestOverflowingSquares:
+    """Finite entries whose sum of squares overflows: no refusal, no warning, and no
+    ``np.errstate`` here, so Tier-1's filters would turn any warning into a failure."""
+
+    def test_frob_is_infinite(self):
+        M = np.full((5, 2), 1e308)
+        assert frob(M) == math.inf
+        assert frob(sp.csc_matrix(M)) == math.inf
+        assert frob(M * 0.5) == pytest.approx(math.sqrt(10.0) * 0.5e308)
+
+    def test_polar_factor_of_rank_one_input(self):
+        # the SVD route factors M / 2^1024, whose entries are not ones: equal to roundoff
+        assert np.allclose(polar_factor(np.full((5, 2), 1e308)), polar_factor(np.ones((5, 2))), rtol=0.0, atol=1e-15)
+
+    def test_polar_factor_by_the_gram_route(self, case):
+        X, P, _ = case
+        M = X @ P
+        M *= 1.5e308 / np.abs(M).max()
+        assert frob(M) == math.inf
+        Q, T, e = _polar_and_inverse(M)
+        # a power-of-two scale leaves the factor's bits, and Q = (M / 2^e) T still holds
+        assert T is not None and np.array_equal(Q, polar_factor(M * 2.0**-1000))
+        assert np.array_equal(np.ldexp(M, -e) @ T, Q)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_spectrum_of_overflowing_norm(self, sparse):
+        # ||X||_F overflows but ||X||_2 does not: the Gram prescale comes from the largest entry
+        X = seeded_rng(30).standard_normal((50, 40)) * 1e307
+        X = sp.csc_matrix(X) if sparse else X
+        assert frob(X) == math.inf
+        assert spectral_norm(X) == pytest.approx(spectral_norm(X / 16.0) * 16.0, rel=1e-14)
+        assert spectral_norm(X * 4.0) == math.inf
+        Q = thin_svd(as_dense(X) / 16.0).U[:, :3]
+        assert tev(X, Q) == pytest.approx(tev(X / 16.0, Q), rel=1e-14)
+        assert choose_K_by_variance(X, 0.5) == choose_K_by_variance(X / 16.0, 0.5)
+
+    def test_stiefel_residual_is_infinite(self, case):
+        _, P, Q = case
+        assert stiefel_residual(put(Q, 1e200)) == math.inf
+        assert stiefel_residual(Q * 1e200) == math.inf
+        refused(lambda: stiefel_residual(np.full(4, 1e200)), PreconditionError,
+                "stiefel_residual expects a 2-d matrix, got 1-d input")
+
+    def test_frame_checks_refuse(self, case):
+        X, P, Q = case
+        message = "Q is not feasible: orthonormality residual inf > 1.0e-06"
+        refused(lambda: require_stiefel(Q * 1e200), PreconditionError, message)
+        with pytest.raises(PreconditionError, match="^Q is not feasible: orthonormality residual inf"):
+            subgrad_dist_h(X, P, put(Q, 1e200))
+        with pytest.raises(PreconditionError, match="^Q0 is not feasible: orthonormality residual inf"):
+            solve(ProblemInstance(X, 2), SolverConfig(gamma=0.5), P, put(Q, 1e200))
 
 
 def test_subgrad_dist_h_takes_one_residual(case, monkeypatch):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,10 +53,21 @@ def test_paired_alternates_and_counts(tool):
     assert order == [("p", 7), ("c", 7), ("p", 7), ("c", 7), ("c", 8), ("p", 8), ("p", 9), ("c", 9), ("c", 10), ("p", 10)]
     assert result["calls"] == 4 and 0 <= result["change_won"] <= 4
     assert result["ratio_q1"] <= result["ratio_median"] <= result["ratio_q3"]
+    assert 0 <= result["wall_change_won"] <= 4
+    assert result["wall_ratio_q1"] <= result["wall_ratio_median"] <= result["wall_ratio_q3"]
+
+
+def test_wall_ratios_see_waiting(tool):
+    # a call that sleeps takes wall time but almost no CPU time: only the wall ratios see it
+    result = tool.paired(lambda s: None, lambda s: time.sleep(0.02), calls=3)
+    assert result["wall_ratio_q1"] > 10.0 and result["wall_change_won"] == 0
 
 
 def test_main_prints_one_json_line(tool, aliases, capsys):
     assert tool.main([_SRC, _SRC, "--op", "oracle", "--calls", "2"]) == 0
     out = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert out["op"] == "oracle" and out["calls"] == 2
-    assert set(out) == {"op", "calls", "ratio_median", "ratio_q1", "ratio_q3", "change_won"}
+    assert set(out) == {
+        "op", "calls", "ratio_median", "ratio_q1", "ratio_q3", "change_won",
+        "wall_ratio_median", "wall_ratio_q1", "wall_ratio_q3", "wall_change_won",
+    }

@@ -9,10 +9,14 @@ PARENT_SRC and CHANGE_SRC are directories holding an ``l1pca`` package
 as the packages ``l1pca_parent`` and ``l1pca_change``.  Each of ``--calls``
 pairs runs the op once on each tree with the same op seed, parent first on
 even pairs and change first on odd ones, and times each call in CPU seconds
-(``time.process_time``).  One warm-up call per tree is not counted.  The
-last line of stdout is one JSON object: the median of the per-pair
-change/parent ratios, its quartiles, and in how many pairs the change took
-less time.
+(``time.process_time``) and in wall seconds (``time.perf_counter``).  One
+warm-up call per tree is not counted.  The last line of stdout is one JSON
+object: the median of the per-pair change/parent CPU-time ratios, its
+quartiles, and in how many pairs the change took less CPU time
+(``ratio_*``, ``change_won``), and the same of the wall-time ratios
+(``wall_ratio_*``, ``wall_change_won``).  CPU time sums every thread of the
+process, so it misstates a change whose library calls run worker threads;
+wall time then shows what a caller waits.
 
 A benchmark run in its own process sees the load of the whole machine, which
 can drift by 10% between runs; the two calls of a pair see the same load, so
@@ -128,34 +132,39 @@ def make_op(pkg, op: str, directory: Path):
     raise ValueError(f"unknown op {op!r}; expected one of {OPS}")
 
 
-def _cpu_seconds(fn, seed: int) -> float:
-    t0 = time.process_time()
+def _seconds(fn, seed: int) -> tuple[float, float]:
+    """(CPU seconds, wall seconds) of one call."""
+    c0, w0 = time.process_time(), time.perf_counter()
     fn(seed)
-    return time.process_time() - t0
+    return time.process_time() - c0, time.perf_counter() - w0
+
+
+def _summary(ratios: list[float], prefix: str) -> dict:
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else (ratios[0],) * 3
+    return {
+        f"{prefix}ratio_median": median,
+        f"{prefix}ratio_q1": q1,
+        f"{prefix}ratio_q3": q3,
+        f"{prefix}change_won": sum(r < 1.0 for r in ratios),
+    }
 
 
 def paired(parent, change, calls: int, seed: int = 0) -> dict:
     """Time ``calls`` pairs of ``parent(s)`` and ``change(s)``, alternating which goes first."""
     parent(seed)
     change(seed)
-    ratios = []
+    cpu, wall = [], []
     for i in range(calls):
         s = seed + i
         if i % 2 == 0:
-            p = _cpu_seconds(parent, s)
-            c = _cpu_seconds(change, s)
+            p = _seconds(parent, s)
+            c = _seconds(change, s)
         else:
-            c = _cpu_seconds(change, s)
-            p = _cpu_seconds(parent, s)
-        ratios.append(c / p if p > 0.0 else 1.0)
-    q1, median, q3 = statistics.quantiles(ratios, n=4) if calls > 1 else (ratios[0],) * 3
-    return {
-        "calls": calls,
-        "ratio_median": median,
-        "ratio_q1": q1,
-        "ratio_q3": q3,
-        "change_won": sum(r < 1.0 for r in ratios),
-    }
+            c = _seconds(change, s)
+            p = _seconds(parent, s)
+        cpu.append(c[0] / p[0] if p[0] > 0.0 else 1.0)
+        wall.append(c[1] / p[1] if p[1] > 0.0 else 1.0)
+    return {"calls": calls, **_summary(cpu, ""), **_summary(wall, "wall_")}
 
 
 def main(argv=None) -> int:
