@@ -7,8 +7,11 @@ Streams for the basis, the coordinates, and the noise are split from one
 seed with a counter-based generator, so changing the noise level never
 perturbs the basis.
 
-Importing this module loads no ``scipy.io``: the first block of sparse text
-that takes the one-pass parse imports its Matrix Market reader.
+Sparse labeled text is checked in blocks of about ``_BLOCK_BYTES`` of whole
+lines; consecutive blocks that pass the check are converted in groups of
+``_GROUP_BLOCKS``, one Matrix Market read per group, and the others token
+by token.  Importing this module loads no ``scipy.io``: the first group of
+sparse text that takes the one-pass parse imports its Matrix Market reader.
 """
 
 from __future__ import annotations
@@ -127,17 +130,38 @@ def _pair_table(follows) -> np.ndarray:
 _PAIR_OK = _pair_table(_FOLLOWS)
 #: one token per line, as the Matrix Market body below the header
 _TOKEN_LINES = bytes.maketrans(b" :", b"\n\n")
-_MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1\n"
+_MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1"
 #: below this every integer is a float, so an index read as a float is exact
 _EXACT_INDEX = 2**53
-#: bytes per block of whole lines.  On the cluster-sparse benchmark (a 6.4 MB file,
-#: 2-vCPU KVM guest, seeds 1 and 2), blocks of 256 KiB, 512 KiB and 1 MiB gave the
-#: same op time within the run-to-run spread (0.21-0.24 ref_s), and peak RSS 2.6,
-#: 3.9 and 8.0 MB above the 107 MB of the numpy.loadtxt reader this one replaced;
-#: each mmread call also costs 0.1-0.3 ms, so much smaller blocks cost time
+#: bytes per block of whole lines that ``_tokens`` checks.  The check's temporaries grow
+#: with the block: on the cluster-sparse benchmark (a 6.4 MB file, 2-vCPU KVM guest), blocks
+#: of 256 KiB, 512 KiB and 1 MiB, each converted alone, gave the same op time and peak RSS
+#: 2.6, 3.9 and 8.0 MB above the 107 MB of the numpy.loadtxt reader this one replaced
 _BLOCK_BYTES = 1 << 18
+#: checked blocks that one mmread call converts.  Each call has a fixed cost (it parses a
+#: header and starts the reader's worker threads), but a group's temporaries grow with it:
+#: reading that file in one process, groups of 2, 3 and 4 blocks took 0.92, 1.00 and 1.07
+#: of the time of single blocks (median ratios over 40 alternating reads), and 12 cluster
+#: ops peaked at -0.6, +1.2 and +0.9 MB of RSS against single blocks
+_GROUP_BLOCKS = 2
 #: empty (labels, indices, values, counts), so a file without lines concatenates
 _NO_LINES = (np.empty(0), np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
+
+
+def _blocks(fh):
+    """The file's bytes in blocks of whole lines: each read of ``_BLOCK_BYTES`` up to its last
+    LF, after the rest of the read before it, or a longer line whole."""
+    held = []
+    for chunk in iter(lambda: fh.read(_BLOCK_BYTES), b""):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*held, memoryview(chunk)[:cut]])
+            held = [chunk[cut:]]
+        else:
+            held.append(chunk)
+    last = b"".join(held)
+    if last:
+        yield last
 
 
 def _tokens(blk: bytes):
@@ -164,31 +188,12 @@ def _tokens(blk: bytes):
     return cls[sep], b[pos[sep] + 1] == 45
 
 
-def _parse_block(blk: bytes):
-    """(labels, 1-based indices, values, features per line) of whole lines, or None
-    where the one-pass parse cannot prove them well formed.
-
-    ``_tokens`` proves the grammar.  One ``scipy.io.mmread`` call then converts
-    every token as an N x 1 Matrix Market array: its reader (fast_float) rounds as
-    ``float()`` does, but reads ``-0`` and ``-1e-400`` as +0.0, so each number takes
-    its sign from its first byte.  Indices arrive as floats: they are exact below
-    2^53, and a feature is 1-based and ascending iff its index exceeds the one
-    before it on its line (0 at the line's start).
-    """
-    blk = blk.rstrip(b"\n")
-    tokens = _tokens(blk)
-    if tokens is None:
-        return None
-    kind, neg = tokens
-    if b"+" in blk:  # the reader refuses a leading plus; an exponent's stays
-        blk = blk.replace(b"\n+", b"\n").replace(b":+", b":").removeprefix(b"+")
-    # imported here, not at the top: importing scipy.io costs about 18 ms per process,
-    # and only sparse text needs it
-    from scipy.io import mmread
-
-    v = mmread(io.BytesIO(_MM_HEADER % kind.size + blk.translate(_TOKEN_LINES)))[:, 0]
-    np.abs(v, out=v)
-    np.negative(v, out=v, where=neg)
+def _lines(v: np.ndarray, kind: np.ndarray):
+    """(labels, 1-based indices, values, features per line) of whole lines from their
+    tokens' numbers v and classes ``kind``, or None where an index reaches 2^53 or does
+    not ascend.  Indices arrive as floats: they are exact below 2^53, and a feature is
+    1-based and ascending iff its index exceeds the one before it on its line (0 at the
+    line's start)."""
     key = kind != _COLON
     i = v[key]
     start = kind[key] == _LF
@@ -197,6 +202,43 @@ def _parse_block(blk: bytes):
         return None
     counts = np.diff(np.flatnonzero(start), append=i.size) - 1
     return v[kind == _LF], i[~start].astype(np.int64), v[~key], counts
+
+
+def _convert(group: list) -> list:
+    """The parts (as ``_lines`` returns them) of consecutive blocks that passed ``_tokens``,
+    each given as (block, line number before it, kind, neg).
+
+    One ``scipy.io.mmread`` call converts every token of the group as an N x 1 Matrix
+    Market array: its reader (fast_float) rounds as ``float()`` does, but reads ``-0``
+    and ``-1e-400`` as +0.0, so each number takes its sign from its first byte.  Should
+    the group's indices fail ``_lines``, each block is judged alone, and one that fails
+    goes to ``_parse_block_slow``.
+    """
+    if not group:
+        return []
+    kind = np.concatenate([g[2] for g in group])
+    texts = (blk.rstrip(b"\n").translate(_TOKEN_LINES) for blk, *_ in group)
+    body = b"\n".join([_MM_HEADER % kind.size, *texts])
+    if b"+" in body:  # the reader refuses a leading plus; an exponent's stays
+        body = body.replace(b"\n+", b"\n")
+    # imported here, not at the top: importing scipy.io costs about 18 ms per process,
+    # and only sparse text needs it
+    from scipy.io import mmread
+
+    v = mmread(io.BytesIO(body))[:, 0]
+    del body
+    np.abs(v, out=v)
+    np.negative(v, out=v, where=np.concatenate([g[3] for g in group]))
+    whole = _lines(v, kind)
+    if whole is not None:
+        return [whole]
+    parts = []
+    end = 0
+    for blk, lineno, k, _ in group:
+        part = _lines(v[end : end + k.size], k)
+        parts.append(_parse_block_slow(blk, lineno)[0] if part is None else part)
+        end += k.size
+    return parts
 
 
 def _parse_block_slow(blk: bytes, lineno: int):
@@ -247,22 +289,30 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     lines, undecodable bytes included, raise ParseError with their 1-based
     line number.  A block of ASCII text with LF line ends, single spaces and
     decimal numbers (digits, sign, point, exponent) whose indices lie below
-    2^53 is checked by vectorized passes and converted by one
-    ``scipy.io.mmread`` call; every other block is parsed token by token,
-    with the same result.
+    2^53 is checked by vectorized passes, and such blocks are converted by
+    one ``scipy.io.mmread`` call per ``_GROUP_BLOCKS`` of them; every other
+    block is parsed token by token, with the same result.
     """
     n_features = None if n_features is None else count("n_features", n_features)
-    parts = []
+    parts, group = [], []  # group: checked blocks not yet converted
     lineno = 0
     with open(path, "rb") as fh:
-        for lines in iter(lambda: fh.readlines(_BLOCK_BYTES), []):
-            blk = b"".join(lines)
-            part = _parse_block(blk)
-            if part is None:
+        for blk in _blocks(fh):
+            tokens = _tokens(blk.rstrip(b"\n"))
+            if tokens is None:
+                # convert the blocks before this one first, so errors come in line order
+                parts += _convert(group)
+                group = []
                 part, lineno = _parse_block_slow(blk, lineno)
-            else:
-                lineno += len(lines)
-            parts.append(part)
+                parts.append(part)
+                continue
+            group.append((blk, lineno, *tokens))
+            # a checked block's lines end in LF alone, the file's last line perhaps in nothing
+            lineno += blk.count(b"\n")
+            if len(group) == _GROUP_BLOCKS:
+                parts += _convert(group)
+                group = []
+    parts += _convert(group)
     labels, indices, data, counts = (np.concatenate(col) for col in zip(_NO_LINES, *parts))
     n = labels.size
     if n == 0:

@@ -12,6 +12,15 @@ whole.  ``_tev_ratio`` and ``_choose_K`` work from ``_spectrum``'s result,
 so a caller that needs the spectrum more than once (the ``cluster`` and
 ``compare`` commands) takes it once and passes it on.
 
+``kmeans_cluster`` runs Lloyd's iteration on the points' coordinates as
+rows (K x n), so each of its passes runs over n contiguous values.  The
+k x n squared distances are summed one coordinate at a time, in the order
+numpy's sum over the last axis of an n x k x K array adds them, and the
+centres come from ``np.bincount`` sums (at K = 1, sums of contiguous
+slices), in the order a mean over each cluster's rows adds them.  Labels
+and within-cluster sums are bit for bit those of that plain arithmetic,
+with no 3-D temporary and no mask per cluster.
+
 Importing this module loads no ``scipy.optimize``: ``kmeans_accuracy`` (the
 ``cluster`` command) imports its ``linear_sum_assignment`` on its first
 call in a process.
@@ -118,38 +127,88 @@ def choose_K_by_variance(X, threshold: float, large_side: int = 10000, cap: int 
     return _choose_K(X, threshold, large_side, cap)[0]
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+def _sum_squares(coords: np.ndarray, centers: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """k x n sums over coordinates lo..hi-1 of (point - centre)^2, the points given as the
+    columns of ``coords``: one k x n array of squares per coordinate, added in the order
+    numpy's pairwise sum adds a contiguous row of them (left to right below 8 terms, in
+    eight running sums up to 128, by halves above)."""
+    def square(t):
+        return (coords[t] - centers[:, t, None]) ** 2
+
+    m = hi - lo
+    if m < 8:
+        out = square(lo)
+        for t in range(lo + 1, hi):
+            out += square(t)
+        return out
+    if m <= 128:
+        acc = [square(t) for t in range(lo, lo + 8)]
+        tail = hi - m % 8
+        for t in range(lo + 8, tail):
+            acc[(t - lo) % 8] += square(t)
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for t in range(tail, hi):
+            out += square(t)
+        return out
+    half = m // 2 - m // 2 % 8
+    return _sum_squares(coords, centers, lo, lo + half) + _sum_squares(coords, centers, lo + half, hi)
+
+
+def _sq_dists(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """k x n squared distances from the k centres to the points ``coords.T``, bit for bit
+    ``((coords.T[:, None] - centers[None]) ** 2).sum(axis=2).T`` without its n x k x K
+    temporary; a k x n layout keeps every pass over n contiguous values."""
+    if len(coords) == 0:  # points without coordinates: every distance is 0
+        return np.zeros((len(centers), coords.shape[1]))
+    return _sum_squares(coords, centers, 0, len(coords))
+
+
+def _kmeanspp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = coords.shape[1]
+    centers = np.empty((k, coords.shape[0]))
+    centers[0] = coords[:, int(rng.integers(n))]
+    d2 = _sq_dists(coords, centers[:1])[0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
-            centers[j] = points[int(rng.integers(n))]
+            centers[j] = coords[:, int(rng.integers(n))]
             continue
-        centers[j] = points[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        centers[j] = coords[:, int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, _sq_dists(coords, centers[j : j + 1])[0])
     return centers
 
 
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100) -> tuple[np.ndarray, float]:
-    centers = _kmeanspp_init(points, k, rng)
+    """(labels, within-cluster sum of squares) of Lloyd's iteration from a plus-plus seeding.
+
+    A cluster left empty takes the point farthest from every centre; one still empty
+    after that (fewer distinct points than clusters) keeps its centre.  A centre is
+    the mean of its cluster's rows, summed in the order ``mean(axis=0)`` of those
+    rows sums them, so the labels and sum are those of the plain n x k x K arithmetic.
+    """
+    coords = np.ascontiguousarray(points.T)
+    centers = _kmeanspp_init(coords, k, rng)
     labels = None
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
+        d2 = _sq_dists(coords, centers)
+        new_labels = d2.argmin(axis=0)
+        counts = np.bincount(new_labels, minlength=k)
         for j in range(k):
-            if not np.any(new_labels == j):
-                far = int(d2.min(axis=1).argmax())
-                centers[j] = points[far]
-                d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-                new_labels = d2.argmin(axis=1)
+            if counts[j] == 0:
+                centers[j] = points[int(d2.min(axis=0).argmax())]
+                d2[j] = _sq_dists(coords, centers[j : j + 1])[0]
+                new_labels = d2.argmin(axis=0)
+                counts = np.bincount(new_labels, minlength=k)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            centers[j] = points[labels == j].mean(axis=0)
+        if len(coords) > 1:  # mean(axis=0) of two or more columns adds the rows in turn, as bincount does
+            sums = np.stack([np.bincount(labels, row, k) for row in coords], axis=1)
+        else:  # of one column it adds them pairwise, as the sum of a contiguous slice does
+            ends = np.cumsum(counts)
+            grouped = points[np.argsort(labels, kind="stable")]
+            sums = np.array([grouped[end - c : end].sum(axis=0) for end, c in zip(ends, counts)])
+        np.divide(sums, counts[:, None], out=centers, where=counts[:, None] > 0)
     d2 = ((points - centers[labels]) ** 2).sum()
     return labels, float(d2)
 

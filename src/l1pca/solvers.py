@@ -96,6 +96,7 @@ import numpy as np
 from ._args import count, finite, flag, fraction
 from .errors import DegenerateUpdateError, DivergedError, InvalidInputError, PreconditionError
 from .linalg import (
+    _ldexp,
     _polar_and_inverse,
     _prescaled,
     _xt,
@@ -365,16 +366,22 @@ def _bound(cfg: SolverConfig, declared, schedule: Schedule, fn: Fn, what: str) -
 
 def _norm_upper(cfg: SolverConfig, X) -> float:
     """The declared bound on ||X||_2 after a check against ||X||_F / sqrt(min(d, n)), or the exact
-    norm times 1 + ``spectral_rel_tol``, which only then is read."""
+    norm times 1 + ``spectral_rel_tol``, which only then is read.  Where ||X||_F overflows, the
+    check compares both sides divided by 2^e, e the exponent of X's largest entry, as
+    ``linalg._prescaled`` scales such X, so a correct bound is not refused for an infinite floor."""
     if cfg.norm_upper is None:
         return spectral_norm(X) * (1.0 + fraction("spectral_rel_tol", cfg.spectral_rel_tol))
     norm_upper = finite(cfg.method, "norm_upper", cfg.norm_upper)
-    floor = frob(X) / math.sqrt(min(X.shape))
+    norm, e = frob(X), 0
+    if norm == math.inf:
+        e = math.frexp(float(abs(X).max()))[1]  # 0 for an infinite entry: the floor stays inf
+        norm = frob(X * math.ldexp(1.0, -e))
+    floor = norm / math.sqrt(min(X.shape))
     # the relative slack absorbs roundoff where ||X||_2 = ||X||_F / sqrt(min(d, n))
-    if norm_upper < 0.0 or norm_upper < floor * (1.0 - 1e-8):
+    if norm_upper < 0.0 or _ldexp(norm_upper, -e) < floor * (1.0 - 1e-8):
         raise PreconditionError(
             f"theorem_mode: declared norm_upper={norm_upper:g} is not a finite upper bound on ||X||_2 "
-            f"(||X||_F / sqrt(min(d, n)) = {floor:g})"
+            f"(||X||_F / sqrt(min(d, n)) = {_ldexp(floor, e):g})"
         )
     return norm_upper
 

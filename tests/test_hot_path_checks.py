@@ -31,7 +31,7 @@ from l1pca.linalg import (
 )
 from l1pca.metrics import choose_K_by_variance, tev
 from l1pca.model import ProblemInstance, require_stiefel, sign_select, subgrad_dist_h
-from l1pca.solvers import SolverConfig, solve
+from l1pca.solvers import SolverConfig, resolve_config, solve
 
 NON_FINITE = pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 EXTREME = pytest.mark.parametrize("value", [1e200, -1e200, 1e-200], ids=["1e200", "-1e200", "1e-200"])
@@ -166,6 +166,22 @@ class TestOverflowingSquares:
         Q = thin_svd(as_dense(X) / 16.0).U[:, :3]
         assert tev(X, Q) == pytest.approx(tev(X / 16.0, Q), rel=1e-14)
         assert choose_K_by_variance(X, 0.5) == choose_K_by_variance(X / 16.0, 0.5)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_declared_norm_bound_of_overflowing_norm(self, sparse):
+        # ||X||_F overflows, so the Frobenius floor on ||X||_2 is compared after the Gram prescale
+        X = seeded_rng(30).standard_normal((50, 40)) * 1e307
+        X = sp.csc_matrix(X) if sparse else X
+        assert frob(X) == math.inf and spectral_norm(X) < 1.4e308
+
+        def config(bound):
+            return SolverConfig(method="pam", alpha=1e308, beta=1e308, theorem_mode=True, norm_upper=bound)
+
+        assert resolve_config(config(1.4e308), X).bounds["norm_upper"] == 1.4e308
+        floor = frob(X / 16.0) / math.sqrt(40) * 16.0  # 7.1e307
+        refused(lambda: resolve_config(config(0.99 * floor), X), PreconditionError,
+                f"theorem_mode: declared norm_upper={0.99 * floor:g} is not a finite upper bound on ||X||_2 "
+                f"(||X||_F / sqrt(min(d, n)) = {floor:g})")
 
     def test_stiefel_residual_is_infinite(self, case):
         _, P, Q = case

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,106 @@ class TestKmeans:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         acc = kmeans_accuracy(X, Q, labels, k=3, restarts=2, seed=1)
         assert out.stdout.split() == ["False", "True", repr(acc)]
+
+
+def _kmeanspp_reference(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = points[int(rng.integers(n))]
+            continue
+        centers[j] = points[int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _lloyd_reference(points, k, rng, max_iter=100):
+    """Plus-plus seeding and Lloyd's iteration as they ran before the distances were summed
+    coordinate by coordinate: an n x K or n x k x K temporary per distance pass, and a
+    boolean mask per cluster."""
+    centers = _kmeanspp_reference(points, k, rng)
+    labels = None
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        for j in range(k):
+            if not np.any(new_labels == j):
+                far = int(d2.min(axis=1).argmax())
+                centers[j] = points[far]
+                d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+                new_labels = d2.argmin(axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centers[j] = points[labels == j].mean(axis=0)
+    d2 = ((points - centers[labels]) ** 2).sum()
+    return labels, float(d2)
+
+
+def _lloyd_points(rng, n, K, kind):
+    """n x K points: Gaussian at a random scale, rounded to integers (ties), or half of
+    them copies of a few rows (duplicates)."""
+    pts = rng.standard_normal((n, K)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "ties":
+        pts = np.round(pts * 10.0 ** -np.floor(np.log10(np.abs(pts).max())))
+    elif kind == "duplicates":
+        pts[rng.integers(0, n, n // 2)] = pts[rng.integers(0, 3, n // 2)]
+    return pts
+
+
+class TestLloydAgainstReference:
+    """_lloyd gives the n x k x K reference's labels and sum of squares, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ties", "duplicates"])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 40, 129, 300])
+    def test_bit_identical(self, K, kind):
+        rng = np.random.default_rng([K, len(kind), 0x110D])
+        for trial in range(12 if K < 40 else 3):
+            n = int(rng.integers(2, 400))
+            k = int(rng.integers(1, min(n, 9) + 1))
+            pts = _lloyd_points(rng, n, K, kind)
+            if len(np.unique(pts, axis=0)) < k:
+                continue  # the reference then takes the mean of an empty cluster
+            got = metrics._lloyd(pts, k, seeded_rng(trial, 0x6B))
+            expected = _lloyd_reference(pts, k, seeded_rng(trial, 0x6B))
+            assert np.array_equal(got[0], expected[0]) and got[1] == expected[1], (n, k, trial)
+
+    def test_squared_distances_bit_identical(self):
+        rng = np.random.default_rng(0x5D)
+        for K in [*range(1, 20), 64, 127, 128, 129, 136, 200, 257]:
+            pts = rng.standard_normal((50, K)) * 10.0 ** rng.integers(-3, 4, (50, K))
+            centers = rng.standard_normal((4, K))
+            expected = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(metrics._sq_dists(np.ascontiguousarray(pts.T), centers), expected.T), K
+            # the plus-plus seeding's distances to one centre
+            expected = ((pts - centers[0]) ** 2).sum(axis=1)
+            assert np.array_equal(metrics._sq_dists(np.ascontiguousarray(pts.T), centers[:1])[0], expected), K
+
+    def test_points_without_coordinates(self):
+        # a frame with no columns projects every sample to the same empty point
+        pts = np.zeros((5, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reference takes the mean of an empty cluster
+            expected = _lloyd_reference(pts, 2, seeded_rng(0, 0x6B))
+        got = metrics._lloyd(pts, 2, seeded_rng(0, 0x6B))
+        assert np.array_equal(got[0], expected[0]) and got[1] == expected[1] == 0.0
+        with pytest.warns(RuntimeWarning, match="all projected points identical"):
+            assert kmeans_accuracy(np.ones((3, 6)), np.zeros((3, 0)), np.arange(6) % 2, k=2, restarts=1) == 0.5
+
+    def test_cluster_left_empty_keeps_its_centre(self):
+        # two distinct values, three clusters: the repair cannot fill the third, which
+        # kept a NaN centre (the mean of no points) and ran all 100 iterations
+        pts = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, wcss, degenerate = kmeans_cluster(pts, 3, restarts=1, seed=0)
+        assert wcss == 0.0 and not degenerate
+        assert len(set(labels[:3])) == 1 and len(set(labels[3:])) == 1 and labels[0] != labels[3]
 
 
 def _assignment_reference(pred, truth, k):

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import l1pca
@@ -71,3 +72,14 @@ def test_main_prints_one_json_line(tool, aliases, capsys):
         "op", "calls", "ratio_median", "ratio_q1", "ratio_q3", "change_won",
         "wall_ratio_median", "wall_ratio_q1", "wall_ratio_q3", "wall_change_won",
     }
+
+
+def test_read_op_parses_the_cluster_file(tool, aliases, tmp_path):
+    # the parse layer of the cluster op alone: the same seeded file, read whole
+    pkg = tool.load(_SRC, "l1pca_side")
+    read = tool.make_op(pkg, "read", tmp_path)
+    inst = read(0)
+    assert inst.X.shape == (1500, 3000) and inst.labels.shape == (3000,)
+    assert set(np.unique(inst.labels)) == {1.0, 2.0, 3.0, 4.0, 5.0}
+    result = tool.paired(read, read, calls=1)
+    assert result["calls"] == 1 and 0 <= result["change_won"] <= 1

@@ -31,6 +31,8 @@ workloads at the same sizes:
   K=20.
 * ``cluster``: the CLI's ``cluster --auto-K`` on a seeded sparse labeled
   file of 3000 samples, 1500 features and five clusters.
+* ``read``: ``data.read_sparse_labeled`` of the same file, the parse layer
+  of ``cluster`` alone.
 
 BLAS and OpenMP thread counts are pinned to 1 unless already set.
 """
@@ -56,7 +58,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
-OPS = ("oracle", "desk", "large", "cluster")
+OPS = ("oracle", "desk", "large", "cluster", "read")
 DATA_SEED = 0
 
 
@@ -97,7 +99,7 @@ def _sparse_file(pkg, directory: Path) -> Path:
 
 
 def make_op(pkg, op: str, directory: Path):
-    """The callable ``seed -> None`` that runs ``op`` once on the package ``pkg``."""
+    """The callable that runs ``op`` once on the package ``pkg``, given an op seed."""
     if op == "oracle":
         return lambda seed: pkg.verify.oracle_suite(instances=1, restarts=20, n=6, d=5, K=2, seed=seed)
     if op == "desk":
@@ -129,6 +131,9 @@ def make_op(pkg, op: str, directory: Path):
                 raise RuntimeError(f"cluster exited with code {code}")
 
         return cluster
+    if op == "read":
+        path = _sparse_file(pkg, directory)
+        return lambda seed: pkg.data.read_sparse_labeled(path)
     raise ValueError(f"unknown op {op!r}; expected one of {OPS}")
 
 
