@@ -8,10 +8,10 @@ seed with a counter-based generator, so changing the noise level never
 perturbs the basis.
 
 Sparse labeled text is checked in blocks of about ``_BLOCK_BYTES`` of whole
-lines; consecutive blocks that pass the check are converted in groups of
-``_GROUP_BLOCKS``, one Matrix Market read per group, and the others token
-by token.  Importing this module loads no ``scipy.io``: the first group of
-sparse text that takes the one-pass parse imports its Matrix Market reader.
+lines; a block that passes the check is converted by one Matrix Market read,
+and the others token by token.  Importing this module loads no ``scipy.io``:
+the first block of sparse text that takes the one-pass parse imports its
+Matrix Market reader.
 """
 
 from __future__ import annotations
@@ -133,17 +133,12 @@ _TOKEN_LINES = bytes.maketrans(b" :", b"\n\n")
 _MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1"
 #: below this every integer is a float, so an index read as a float is exact
 _EXACT_INDEX = 2**53
-#: bytes per block of whole lines that ``_tokens`` checks.  The check's temporaries grow
-#: with the block: on the cluster-sparse benchmark (a 6.4 MB file, 2-vCPU KVM guest), blocks
-#: of 256 KiB, 512 KiB and 1 MiB, each converted alone, gave the same op time and peak RSS
-#: 2.6, 3.9 and 8.0 MB above the 107 MB of the numpy.loadtxt reader this one replaced
-_BLOCK_BYTES = 1 << 18
-#: checked blocks that one mmread call converts.  Each call has a fixed cost (it parses a
-#: header and starts the reader's worker threads), but a group's temporaries grow with it:
-#: reading that file in one process, groups of 2, 3 and 4 blocks took 0.92, 1.00 and 1.07
-#: of the time of single blocks (median ratios over 40 alternating reads), and 12 cluster
-#: ops peaked at -0.6, +1.2 and +0.9 MB of RSS against single blocks
-_GROUP_BLOCKS = 2
+#: bytes per block of whole lines that ``_tokens`` checks and one mmread call converts.
+#: Each call has a fixed cost (it parses a header and starts the reader's worker threads),
+#: but the block's temporaries grow with it: on the cluster-sparse benchmark (a 6.4 MB file,
+#: 2-vCPU KVM guest), 512 KiB blocks read that file in 0.96 of the time of 256 KiB blocks
+#: (median of 60 alternating reads), and 1 MiB blocks peaked 4 MB of RSS higher
+_BLOCK_BYTES = 1 << 19
 #: empty (labels, indices, values, counts), so a file without lines concatenates
 _NO_LINES = (np.empty(0), np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
 
@@ -204,21 +199,15 @@ def _lines(v: np.ndarray, kind: np.ndarray):
     return v[kind == _LF], i[~start].astype(np.int64), v[~key], counts
 
 
-def _convert(group: list) -> list:
-    """The parts (as ``_lines`` returns them) of consecutive blocks that passed ``_tokens``,
-    each given as (block, line number before it, kind, neg).
+def _convert(text: bytes, kind: np.ndarray, neg: np.ndarray):
+    """The parts (as ``_lines`` returns them) of block text that passed ``_tokens`` with the
+    token classes ``kind`` and leading minus signs ``neg``, or None where ``_lines`` refuses.
 
-    One ``scipy.io.mmread`` call converts every token of the group as an N x 1 Matrix
+    One ``scipy.io.mmread`` call converts every token of the block as an N x 1 Matrix
     Market array: its reader (fast_float) rounds as ``float()`` does, but reads ``-0``
-    and ``-1e-400`` as +0.0, so each number takes its sign from its first byte.  Should
-    the group's indices fail ``_lines``, each block is judged alone, and one that fails
-    goes to ``_parse_block_slow``.
+    and ``-1e-400`` as +0.0, so each number takes its sign from its first byte.
     """
-    if not group:
-        return []
-    kind = np.concatenate([g[2] for g in group])
-    texts = (blk.rstrip(b"\n").translate(_TOKEN_LINES) for blk, *_ in group)
-    body = b"\n".join([_MM_HEADER % kind.size, *texts])
+    body = b"\n".join([_MM_HEADER % kind.size, text.translate(_TOKEN_LINES)])
     if b"+" in body:  # the reader refuses a leading plus; an exponent's stays
         body = body.replace(b"\n+", b"\n")
     # imported here, not at the top: importing scipy.io costs about 18 ms per process,
@@ -228,17 +217,8 @@ def _convert(group: list) -> list:
     v = mmread(io.BytesIO(body))[:, 0]
     del body
     np.abs(v, out=v)
-    np.negative(v, out=v, where=np.concatenate([g[3] for g in group]))
-    whole = _lines(v, kind)
-    if whole is not None:
-        return [whole]
-    parts = []
-    end = 0
-    for blk, lineno, k, _ in group:
-        part = _lines(v[end : end + k.size], k)
-        parts.append(_parse_block_slow(blk, lineno)[0] if part is None else part)
-        end += k.size
-    return parts
+    np.negative(v, out=v, where=neg)
+    return _lines(v, kind)
 
 
 def _parse_block_slow(blk: bytes, lineno: int):
@@ -289,30 +269,24 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     lines, undecodable bytes included, raise ParseError with their 1-based
     line number.  A block of ASCII text with LF line ends, single spaces and
     decimal numbers (digits, sign, point, exponent) whose indices lie below
-    2^53 is checked by vectorized passes, and such blocks are converted by
-    one ``scipy.io.mmread`` call per ``_GROUP_BLOCKS`` of them; every other
-    block is parsed token by token, with the same result.
+    2^53 is checked by vectorized passes and converted by one
+    ``scipy.io.mmread`` call; every other block is parsed token by token,
+    with the same result.
     """
     n_features = None if n_features is None else count("n_features", n_features)
-    parts, group = [], []  # group: checked blocks not yet converted
+    parts = []
     lineno = 0
     with open(path, "rb") as fh:
         for blk in _blocks(fh):
-            tokens = _tokens(blk.rstrip(b"\n"))
-            if tokens is None:
-                # convert the blocks before this one first, so errors come in line order
-                parts += _convert(group)
-                group = []
+            text = blk.rstrip(b"\n")
+            tokens = _tokens(text)
+            part = None if tokens is None else _convert(text, *tokens)
+            if part is None:
                 part, lineno = _parse_block_slow(blk, lineno)
-                parts.append(part)
-                continue
-            group.append((blk, lineno, *tokens))
-            # a checked block's lines end in LF alone, the file's last line perhaps in nothing
-            lineno += blk.count(b"\n")
-            if len(group) == _GROUP_BLOCKS:
-                parts += _convert(group)
-                group = []
-    parts += _convert(group)
+            else:
+                # a checked block's lines end in LF alone, the file's last line perhaps in nothing
+                lineno += blk.count(b"\n")
+            parts.append(part)
     labels, indices, data, counts = (np.concatenate(col) for col in zip(_NO_LINES, *parts))
     n = labels.size
     if n == 0:

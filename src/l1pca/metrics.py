@@ -216,7 +216,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int =
 def kmeans_cluster(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> tuple[np.ndarray, float, bool]:
     """Best-of-restarts Lloyd clustering with plus-plus seeding.
 
-    Returns (labels, within-cluster sum of squares, degenerate flag); ties
+    Returns (labels, within-cluster sum of squares, whether all points are equal); ties
     between restarts go to the earliest one, so results are deterministic
     for a fixed seed.  ``k`` and ``restarts`` must be integers of at least 1,
     and more clusters than points is a PreconditionError.
@@ -224,7 +224,7 @@ def kmeans_cluster(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0
     k, restarts = count("k", k, 1), count("restarts", restarts, 1)
     if k > points.shape[0]:
         raise PreconditionError(f"cannot form {k} clusters from {points.shape[0]} points")
-    degenerate = bool(np.allclose(points, points[0]))
+    degenerate = bool((points == points[0]).all())
     best_labels = None
     best_wcss = np.inf
     for r in range(restarts):

@@ -689,7 +689,8 @@ def theorem_config(
     pam.  The config declares that upper bound as ``norm_upper`` (0 for
     zero X), so ``solve`` takes no second norm; use it on this X only.
     A ``spectral_rel_tol`` outside (0, 1), and a ``beta_scale`` or (for
-    pame) ``gamma_frac`` that is not a finite number, is a PreconditionError.
+    pame) ``gamma_frac`` that is not a finite number, is a PreconditionError;
+    so is a beta that overflows.
     """
     spectral_rel_tol = fraction("spectral_rel_tol", spectral_rel_tol)
     beta_scale = finite("theorem_config", "beta_scale", beta_scale)
@@ -699,6 +700,8 @@ def theorem_config(
         s = 1.0
     alpha = s
     beta = beta_scale * s
+    if not math.isfinite(beta):
+        raise PreconditionError(f"theorem_config: beta = beta_scale * ||X||_2 overflows ({beta_scale!r} * {s!r})")
     gamma_star = _gamma_star(alpha, (2.0 / 3.0) * beta, s * (1.0 + spectral_rel_tol))
     gamma = finite("theorem_config", "gamma_frac", gamma_frac) * gamma_star if method == "pame" else 0.0
     return SolverConfig(

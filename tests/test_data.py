@@ -350,19 +350,28 @@ class TestParseAgainstReference:
         assert got[0] == (40, 3000)
 
 
+#: lines the one-pass parse takes, and lines that send their block to the token-by-token parse:
+#: refused by _tokens (1.2.3, a tab, a lone CR, plus signs), or by the index check (descending,
+#: at or above 2^53)
+_GOOD_LINES = [f"{i % 3 - 1} {i % 5 + 1}:0.5 {i % 5 + 7}:-2.5e-3\n" for i in range(30)]
+_ODD_LINES = {
+    "two_points": "1 1:1.2.3\n", "tab": "1\t1:2\n", "lone_cr": "1 1:2\r-1 2:3\n",
+    "descending": "1 2:1 1:1\n", "index_two53_plus_1": "1 9007199254740993:1\n", "plus": "+1 +2:+3\n",
+}
+
+
 class TestOnePassParse:
     """The one-pass parse and its token-by-token fallback give the reference parser's outcome."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(_mutants("3 1:0.5 3:-2.25e-3\n-1 2:7\n\n+2 1:1 4:1E5 5:.5\n1\n-1 10:2\n"), st.sampled_from([1, 12, 1 << 18]),
-           st.sampled_from([1, 3, 1000]))
-    def test_one_byte_mutants(self, tmp_path, text, block, group):
-        # small blocks make fast and token-by-token blocks alternate within one file,
-        # and small groups convert a few checked blocks per reader call
+    @given(_mutants("3 1:0.5 3:-2.25e-3\n-1 2:7\n\n+2 1:1 4:1E5 5:.5\n1\n-1 10:2\n"),
+           st.sampled_from([1, 12, 40, 1 << 19]))
+    def test_one_byte_mutants(self, tmp_path, text, block):
+        # small blocks make fast and token-by-token blocks alternate within one file
         p = tmp_path / "x.txt"
         p.write_text(text, encoding="utf-8", newline="")
-        with mock.patch.object(data, "_BLOCK_BYTES", block), mock.patch.object(data, "_GROUP_BLOCKS", group):
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
             assert _outcome(read_sparse_labeled, p) == _outcome(_parse_reference, p)
 
     def test_grammar_on_every_short_block(self):
@@ -383,12 +392,8 @@ class TestOnePassParse:
     def test_grammar_on_token_sequences(self, toks, seps):
         _check_tokens("".join(t + s for t, s in zip(toks, seps + [""])).encode())
 
-    @pytest.mark.parametrize("block, group", [
-        pytest.param(64, 2, id="64"), pytest.param(1 << 18, 2, id="262144"),
-        pytest.param(64, 1, id="64-group1"), pytest.param(64, 3, id="64-group3"),
-        pytest.param(64, 1000, id="64-group1000"), pytest.param(1 << 18, 1, id="262144-group1"),
-    ])
-    def test_written_files_take_one_pass(self, tmp_path, block, group):
+    @pytest.mark.parametrize("block", [1, 12, 64, 1 << 18, 1 << 19, 1 << 20])
+    def test_written_files_take_one_pass(self, tmp_path, block):
         rng = np.random.default_rng(12)
         dense = rng.standard_normal((30, 200)) * 10.0 ** rng.integers(-300, 300, (30, 200))
         dense[rng.random(dense.shape) < 0.7] = 0.0
@@ -402,20 +407,16 @@ class TestOnePassParse:
         text = p.read_text()
         assert ":-0 " in text and "\n-0 " in text and "e-" in text
         expected = _outcome(_parse_reference, p)
-        with mock.patch.object(data, "_BLOCK_BYTES", block), mock.patch.object(data, "_GROUP_BLOCKS", group), \
+        with mock.patch.object(data, "_BLOCK_BYTES", block), \
                 mock.patch.object(data, "_parse_block_slow", wraps=data._parse_block_slow) as slow:
             assert _outcome(read_sparse_labeled, p) == expected
         assert slow.call_count == 0
 
-    @pytest.mark.parametrize("block, group", [(1, 1), (1, 1000), (40, 3), (100, 2), (64, 1000), (1 << 18, 2)])
-    def test_refused_blocks_within_groups(self, tmp_path, block, group):
+    @pytest.mark.parametrize("block", [1, 12, 40, 64, 100, 1 << 19, 1 << 20])
+    def test_refused_blocks_among_checked(self, tmp_path, block):
         # blocks refused by _tokens (1.2.3, a tab, a lone CR) or by the index check (descending,
         # at or above 2^53) among checked ones: the reference's arrays, or its error and line
-        good = [f"{i % 3 - 1} {i % 5 + 1}:0.5 {i % 5 + 7}:-2.5e-3\n" for i in range(30)]
-        odd = {
-            "two_points": "1 1:1.2.3\n", "tab": "1\t1:2\n", "lone_cr": "1 1:2\r-1 2:3\n",
-            "descending": "1 2:1 1:1\n", "index_two53_plus_1": "1 9007199254740993:1\n", "plus": "+1 +2:+3\n",
-        }
+        good, odd = _GOOD_LINES, _ODD_LINES
         errors = 0
         for first, second in itertools.product(odd, repeat=2):
             for at in (0, 7, 29):
@@ -423,14 +424,33 @@ class TestOnePassParse:
                 p = tmp_path / "x.txt"
                 p.write_text(text, encoding="utf-8", newline="")
                 expected = _outcome(_parse_reference, p)
-                with mock.patch.object(data, "_BLOCK_BYTES", block), mock.patch.object(data, "_GROUP_BLOCKS", group):
+                with mock.patch.object(data, "_BLOCK_BYTES", block):
                     assert _outcome(read_sparse_labeled, p) == expected, (first, second, at)
                 errors += isinstance(expected[-1], int)
         assert errors > 50  # most files hold an error, and each names its line
 
+    @pytest.mark.parametrize("odd", ["descending", "index_two53_plus_1"])
+    def test_index_refusal_parses_one_block_slowly(self, tmp_path, odd):
+        # a block that passes _tokens but not the index check is parsed token by token, alone
+        p = tmp_path / "x.txt"
+        p.write_text("".join(_GOOD_LINES[:12] + [_ODD_LINES[odd]] + _GOOD_LINES[12:]), encoding="utf-8")
+        expected = _outcome(_parse_reference, p)
+        import scipy.io
+
+        with mock.patch.object(data, "_BLOCK_BYTES", 40), \
+                mock.patch.object(data, "_parse_block_slow", wraps=data._parse_block_slow) as slow, \
+                mock.patch.object(scipy.io, "mmread", wraps=scipy.io.mmread) as mmread:
+            assert _outcome(read_sparse_labeled, p) == expected
+            with open(p, "rb") as fh:
+                blocks = list(data._blocks(fh))
+        at = next(i for i, blk in enumerate(blocks) if _ODD_LINES[odd].encode() in blk)
+        read = at + 1 if isinstance(expected[-1], int) else len(blocks)  # an error ends the read
+        assert 0 < at < len(blocks) - 1 and mmread.call_count == read
+        assert slow.call_count == 1 and slow.call_args.args == (blocks[at], b"".join(blocks[:at]).count(b"\n"))
+
     def test_cluster_file_reader_calls(self, tmp_path, monkeypatch):
-        # the benchmark's seed-1 cluster-sparse file: one reader call per _GROUP_BLOCKS blocks of
-        # _BLOCK_BYTES, and at most one more for the rest
+        # the benchmark's seed-1 cluster-sparse file: one reader call per block of _BLOCK_BYTES,
+        # and every block passes _tokens
         spec = importlib.util.spec_from_file_location("_bench_workloads", _ROOT / "bench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
@@ -442,8 +462,9 @@ class TestOnePassParse:
         with mock.patch.object(scipy.io, "mmread", wraps=scipy.io.mmread) as mmread:
             inst = read_sparse_labeled(p)
         assert inst.X.shape == (1500, 3000)
-        group_bytes = data._GROUP_BLOCKS * data._BLOCK_BYTES
-        assert 1 <= mmread.call_count <= math.ceil(p.stat().st_size / group_bytes) + 1
+        with open(p, "rb") as fh:
+            checked = [data._tokens(blk.rstrip(b"\n")) is not None for blk in data._blocks(fh)]
+        assert mmread.call_count == sum(checked) == len(checked) == math.ceil(p.stat().st_size / data._BLOCK_BYTES)
 
     def test_scipy_io_loaded_on_first_read(self, tmp_path):
         # importing the package and its CLI loads no scipy.io (about 18 ms per process);

@@ -386,6 +386,18 @@ class TestKmeans:
             acc = kmeans_accuracy(X, Q, labels, k=2, restarts=2, seed=4)
         assert acc == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_accuracy_does_not_depend_on_scale(self, sparse):
+        # points are degenerate only when exactly equal: projected points within 1e-8 of each
+        # other scored the majority label, so the accuracy depended on the scale of X
+        pts, labels = _separable(seed=6)
+        Q = random_stiefel(3, 2, seeded_rng(60))
+        fmt = sp.csc_matrix if sparse else np.asarray
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc = [kmeans_accuracy(fmt(pts * scale), Q, labels, k=2, restarts=3, seed=5) for scale in (1.0, 2.0**-30)]
+        assert acc[0] == acc[1] == 1.0
+
     def test_more_clusters_than_points_rejected(self):
         rng = seeded_rng(59)
         X = rng.standard_normal((3, 8))

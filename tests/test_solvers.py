@@ -982,6 +982,13 @@ class TestConfigNumbers:
         with pytest.raises(PreconditionError, match=message):
             theorem_config(_gauss_20x40()[0].X, **kw)
 
+    def test_theorem_config_beta_overflow_refused(self):
+        # beta = beta_scale * ||X||_2 overflowed to inf, and gamma came from an infinite beta_star
+        X = seeded_rng(30).standard_normal((50, 40)) * 1e307
+        with pytest.raises(PreconditionError, match=r"beta = beta_scale \* \|\|X\|\|_2 overflows \(5\.0 \* 1\.2"):
+            theorem_config(X)
+        assert theorem_config(X, beta_scale=1.0).beta == spectral_norm(X)
+
     def test_theorem_config_gamma_frac_unread_for_pam(self):
         inst, start = _gauss_20x40()
         cfg = theorem_config(inst.X, method="pam", gamma_frac="x")

@@ -45,8 +45,14 @@ of the error it raised:
   and ``tev`` and ``choose_K_by_variance`` (60 matrices: scales 1, 1e160
   and 1e-170, dense and CSC).
 * ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300.
+* ``read``: ``read_sparse_labeled``'s X arrays and labels, or its
+  ``ParseError`` with its line, on 5 generated files of about 1.3 MB
+  (several blocks of the reader's) at scales 1e-300 to 1e300, with stored
+  zeros and labels of both signs: as written, and with each line of
+  ``READ_SPLICES`` spliced in before the first line, the middle one and
+  after the last.
 
-The grid prints 3382 digests and takes about 12 s on two cores.  BLAS may
+The grid prints 3492 digests and takes about 16 s on two cores.  BLAS may
 block a product differently with a different thread count, so compare two
 trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -554,6 +560,53 @@ def norm_runs(l1pca, out: dict, summary=_digest) -> None:
         out[f"spectral_norm/{d}x{n}/csc"] = summary(lambda: l1pca.linalg.spectral_norm(X))
 
 
+#: scales of the read grid's generated files
+READ_SCALES = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+#: lines the read grid splices into its files: refused by the one-pass grammar (two points,
+#: a tab, CRLF, a sign before an index), by its index check (descending, 2^53 + 1), or taken
+#: by it with leading plus signs
+READ_SPLICES = {
+    "two_points": "1 1:1.2.3\n", "tab": "1\t1:2\n", "crlf": "1 1:2\r\n", "plus_index": "+1 +2:+3\n",
+    "descending": "1 2:1 1:1\n", "index_two53_plus_1": "1 9007199254740993:1\n", "plus": "+1 2:+3 5:+.5e+3\n",
+}
+
+
+def _sparse_text(X: sp.csc_matrix, labels: np.ndarray) -> list[bytes]:
+    """The lines of X (columns = samples) with their labels in sparse labeled text, numbers as %.17g;
+    written here, not by the tree's ``write_sparse_labeled``, so both trees read the same bytes."""
+    return [
+        " ".join([f"{labels[j]:.17g}", *(f"{i + 1}:{v:.17g}" for i, v in zip(X.indices[lo:hi], X.data[lo:hi]))])
+        .encode() + b"\n"
+        for j, (lo, hi) in enumerate(zip(X.indptr[:-1], X.indptr[1:]))
+    ]
+
+
+def read_runs(l1pca, out: dict) -> None:
+    """``read_sparse_labeled`` on each of ``READ_SCALES``' files, as written and with each of
+    ``READ_SPLICES`` spliced in at three places."""
+
+    def parsed(path):
+        inst = l1pca.data.read_sparse_labeled(path)
+        return {"shape": inst.X.shape, "data": inst.X.data, "indices": inst.X.indices, "indptr": inst.X.indptr,
+                "labels": inst.labels}
+
+    rng = np.random.default_rng(17)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.txt"
+        for scale in READ_SCALES:
+            X = sp.random(50, 3000, density=0.35, format="csc", rng=rng, data_rvs=rng.standard_normal) * scale
+            X.data[::37], X.data[1::37] = 0.0, -0.0  # stored zeros of both signs
+            labels = rng.integers(-2, 3, 3000) * 0.5
+            labels[::23] = -0.0
+            lines = _sparse_text(X, labels)
+            path.write_bytes(b"".join(lines))
+            out[f"read/{scale:g}"] = _digest(lambda: parsed(path))
+            for name, line in READ_SPLICES.items():
+                for at in (0, len(lines) // 2, len(lines)):
+                    path.write_bytes(b"".join([*lines[:at], line.encode(), *lines[at:]]))
+                    out[f"read/{scale:g}/{name}/{at}"] = _digest(lambda: parsed(path))
+
+
 def _agree(parent, change) -> bool:
     """Two ``--fields`` values agree: identical, or solve fields identical but a
     final_objective that moved by at most ``OBJECTIVE_REL_TOL`` relative."""
@@ -633,7 +686,7 @@ def main(argv: list[str]) -> int:
         norm_runs(l1pca, out, _value)
     else:
         for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, oracle_runs, suite_runs, generator_runs,
-                     metric_runs, norm_runs):
+                     metric_runs, norm_runs, read_runs):
             runs(l1pca, out)
     print(json.dumps(out, indent=0))
     return 0
