@@ -360,6 +360,23 @@ _ODD_LINES = {
 }
 
 
+def _check_refused_among(tmp_path, block, good):
+    # blocks refused by _tokens (1.2.3, a tab, a lone CR) or by the index check (descending,
+    # at or above 2^53) among checked ones: the reference's arrays, or its error and line
+    odd = _ODD_LINES
+    errors = 0
+    for first, second in itertools.product(odd, repeat=2):
+        for at in (0, 7, 29):
+            text = "".join(good[:at] + [odd[first]] + good[at:at + 5] + [odd[second]] + good[at + 5:])
+            p = tmp_path / "x.txt"
+            p.write_text(text, encoding="utf-8", newline="")
+            expected = _outcome(_parse_reference, p)
+            with mock.patch.object(data, "_BLOCK_BYTES", block):
+                assert _outcome(read_sparse_labeled, p) == expected, (first, second, at)
+            errors += isinstance(expected[-1], int)
+    assert errors > 50  # most files hold an error, and each names its line
+
+
 class TestOnePassParse:
     """The one-pass parse and its token-by-token fallback give the reference parser's outcome."""
 
@@ -392,8 +409,13 @@ class TestOnePassParse:
     def test_grammar_on_token_sequences(self, toks, seps):
         _check_tokens("".join(t + s for t, s in zip(toks, seps + [""])).encode())
 
-    @pytest.mark.parametrize("block", [1, 12, 64, 1 << 18, 1 << 19, 1 << 20])
-    def test_written_files_take_one_pass(self, tmp_path, block):
+    @pytest.mark.parametrize("block, groups", [
+        *[pytest.param(b, None, id=str(b)) for b in (1, 12, 64, 1 << 18, 1 << 19, 1 << 20)],
+        pytest.param(64, 1, id="64-group1"), pytest.param(64, 3, id="64-group3"),
+        pytest.param(64, 1000, id="64-group1000"), pytest.param(1 << 18, 1, id="262144-group1"),
+    ])
+    def test_written_files_take_one_pass(self, tmp_path, block, groups):
+        # groups: the labels are those of that many classes, each a random float of any exponent
         rng = np.random.default_rng(12)
         dense = rng.standard_normal((30, 200)) * 10.0 ** rng.integers(-300, 300, (30, 200))
         dense[rng.random(dense.shape) < 0.7] = 0.0
@@ -401,6 +423,9 @@ class TestOnePassParse:
         X = sp.csc_matrix(dense)
         X.data[::37], X.data[1::37] = 0.0, -0.0  # stored zeros of both signs
         labels = rng.integers(-2, 3, 200) * 0.5
+        if groups:
+            values = rng.standard_normal(groups) * 10.0 ** rng.integers(-300, 300, groups)
+            labels = values[rng.integers(0, groups, 200)]
         labels[::23] = -0.0
         p = tmp_path / "w.txt"
         write_sparse_labeled(p, X, labels)
@@ -414,20 +439,17 @@ class TestOnePassParse:
 
     @pytest.mark.parametrize("block", [1, 12, 40, 64, 100, 1 << 19, 1 << 20])
     def test_refused_blocks_among_checked(self, tmp_path, block):
-        # blocks refused by _tokens (1.2.3, a tab, a lone CR) or by the index check (descending,
-        # at or above 2^53) among checked ones: the reference's arrays, or its error and line
-        good, odd = _GOOD_LINES, _ODD_LINES
-        errors = 0
-        for first, second in itertools.product(odd, repeat=2):
-            for at in (0, 7, 29):
-                text = "".join(good[:at] + [odd[first]] + good[at:at + 5] + [odd[second]] + good[at + 5:])
-                p = tmp_path / "x.txt"
-                p.write_text(text, encoding="utf-8", newline="")
-                expected = _outcome(_parse_reference, p)
-                with mock.patch.object(data, "_BLOCK_BYTES", block):
-                    assert _outcome(read_sparse_labeled, p) == expected, (first, second, at)
-                errors += isinstance(expected[-1], int)
-        assert errors > 50  # most files hold an error, and each names its line
+        _check_refused_among(tmp_path, block, _GOOD_LINES)
+
+    @pytest.mark.parametrize("block, groups", [(1, 1), (1, 1000)])
+    def test_refused_blocks_within_groups(self, tmp_path, block, groups):
+        # the checked lines carry the labels of that many classes (at most one per line) instead
+        # of -1, 0 and 1: one label throughout, or a distinct one on each line (-5e-05 to 75000.0)
+        good = []
+        for i, line in enumerate(_GOOD_LINES):
+            c = i % groups
+            good.append(repr((c - 0.5) * 10.0 ** (c % 9 - 4)) + line[line.index(" "):])
+        _check_refused_among(tmp_path, block, good)
 
     @pytest.mark.parametrize("odd", ["descending", "index_two53_plus_1"])
     def test_index_refusal_parses_one_block_slowly(self, tmp_path, odd):
