@@ -8,14 +8,15 @@ seed with a counter-based generator, so changing the noise level never
 perturbs the basis.
 
 Sparse labeled text is checked in blocks of about ``_BLOCK_BYTES`` of whole
-lines; a block that passes the check is converted by one Matrix Market read,
-and the others token by token.  Importing this module loads no ``scipy.io``:
-the first block of sparse text that takes the one-pass parse imports its
-Matrix Market reader.
+lines; a block that passes the check is converted by one Matrix Market read
+on the calling thread, and the others token by token.  Importing this module
+loads no ``scipy.io``: the first block of sparse text that takes the
+one-pass parse binds its Matrix Market reader (``_array_reader``).
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -96,7 +97,7 @@ def gen_fixed_effect(spec: FixedEffectSpec) -> tuple[np.ndarray, np.ndarray, np.
 
 #: indices are stored as int64
 _INDEX_LIMIT = 2**63
-# The one-pass grammar: lines "NUM( DIGITS:NUM)*" joined by LF, where NUM is
+# The one-pass grammar: lines "NUM( DIGITS:NUM)* ?" joined by LF, where NUM is
 # [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? and D a digit.  The Matrix Market reader stops
 # at the first byte that cannot extend a number (1.2.3 reads 1.2, 1e and 1-2 read
 # 1), so only a block that is all such tokens may go to it.  A block is checked on
@@ -112,7 +113,7 @@ _FOLLOWS = {
         for start in (_LF, _COLON)  # a label or a value begins
         for nxt, digits in ((_SIGN, "none"), (_DOT, "any"), (_EXP, "some"), (_SP, "some"), (_LF, "some"))
     },
-    (_SP, _COLON): "some",
+    (_SP, _COLON): "some", (_SP, _LF): "none",  # a space before an index, or before LF
     (_SIGN, _DOT): "any", (_SIGN, _EXP): "some", (_SIGN, _SP): "some", (_SIGN, _LF): "some",
     (_DOT, _EXP): "any", (_DOT, _SP): "any", (_DOT, _LF): "any",
     (_EXP, _ESIGN): "none", (_EXP, _SP): "some", (_EXP, _LF): "some",
@@ -133,11 +134,11 @@ _TOKEN_LINES = bytes.maketrans(b" :", b"\n\n")
 _MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1"
 #: below this every integer is a float, so an index read as a float is exact
 _EXACT_INDEX = 2**53
-#: bytes per block of whole lines that ``_tokens`` checks and one mmread call converts.
-#: Each call has a fixed cost (it parses a header and starts the reader's worker threads),
-#: but the block's temporaries grow with it: on the cluster-sparse benchmark (a 6.4 MB file,
-#: 2-vCPU KVM guest), 512 KiB blocks read that file in 0.96 of the time of 256 KiB blocks
-#: (median of 60 alternating reads), and 1 MiB blocks peaked 4 MB of RSS higher
+#: bytes per block of whole lines that ``_tokens`` checks and one reader call converts.
+#: Each call has a fixed cost (it parses a header), but the block's temporaries grow with
+#: it: on the cluster-sparse benchmark (a 6.4 MB file, 2-vCPU KVM guest), 512 KiB blocks
+#: read that file in 0.96 of the time of 256 KiB blocks (median of 60 alternating reads),
+#: and 1 MiB blocks peaked 4 MB of RSS higher
 _BLOCK_BYTES = 1 << 19
 #: empty (labels, indices, values, counts), so a file without lines concatenates
 _NO_LINES = (np.empty(0), np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
@@ -166,7 +167,8 @@ def _tokens(blk: bytes):
 
     Each byte that is not a digit must be allowed after the one before it (a LF
     stands before the block and after it), with the digits between them that
-    ``_FOLLOWS`` allows, and a point needs a digit beside it.
+    ``_FOLLOWS`` allows, and a point needs a digit beside it.  A space before a
+    LF ends a line's last token and stands before none.
     """
     b = np.frombuffer(blk, np.uint8)
     at = np.flatnonzero(b - 48 > 9)  # the bytes that are not ASCII digits
@@ -179,7 +181,7 @@ def _tokens(blk: bytes):
     dot = np.flatnonzero(cls == _DOT)
     if not (digits[dot - 1] | digits[dot]).all():
         return None
-    sep = np.flatnonzero(cls[:-1] <= _COLON)
+    sep = np.flatnonzero((cls[:-1] <= _COLON) & ((cls[:-1] != _SP) | (cls[1:] != _LF)))
     return cls[sep], b[pos[sep] + 1] == 45
 
 
@@ -199,22 +201,39 @@ def _lines(v: np.ndarray, kind: np.ndarray):
     return v[kind == _LF], i[~start].astype(np.int64), v[~key], counts
 
 
+@functools.cache
+def _array_reader():
+    """The callable that reads a Matrix Market array from a binary stream, bound on first use.
+
+    ``scipy.io.mmread`` starts fast_matrix_market's worker threads on every call, and takes no
+    thread count; a block is one chunk of the reader's, so the threads add start-up and no
+    parallel work.  scipy's private cursor opens the stream with one thread instead; a scipy
+    without it falls back to ``mmread``, which reads the same values.  Importing ``scipy.io``
+    costs about 18 ms per process, and only sparse text needs it.
+    """
+    try:
+        from scipy.io._fast_matrix_market import _get_read_cursor, _read_body_array
+    except ImportError:  # pragma: no cover - a scipy without the private cursor
+        from scipy.io import mmread
+
+        return mmread
+    return lambda stream: _read_body_array(_get_read_cursor(stream, 1)[0])
+
+
 def _convert(text: bytes, kind: np.ndarray, neg: np.ndarray):
     """The parts (as ``_lines`` returns them) of block text that passed ``_tokens`` with the
     token classes ``kind`` and leading minus signs ``neg``, or None where ``_lines`` refuses.
 
-    One ``scipy.io.mmread`` call converts every token of the block as an N x 1 Matrix
-    Market array: its reader (fast_float) rounds as ``float()`` does, but reads ``-0``
-    and ``-1e-400`` as +0.0, so each number takes its sign from its first byte.
+    One ``_array_reader`` call converts every token of the block as an N x 1 Matrix Market
+    array: its reader (fast_float) rounds as ``float()`` does, but reads ``-0`` and
+    ``-1e-400`` as +0.0, so each number takes its sign from its first byte.  A space before
+    a LF goes before the reader sees the text.
     """
+    text = text.replace(b" \n", b"\n").removesuffix(b" ")
     body = b"\n".join([_MM_HEADER % kind.size, text.translate(_TOKEN_LINES)])
     if b"+" in body:  # the reader refuses a leading plus; an exponent's stays
         body = body.replace(b"\n+", b"\n")
-    # imported here, not at the top: importing scipy.io costs about 18 ms per process,
-    # and only sparse text needs it
-    from scipy.io import mmread
-
-    v = mmread(io.BytesIO(body))[:, 0]
+    v = _array_reader()(io.BytesIO(body))[:, 0]
     del body
     np.abs(v, out=v)
     np.negative(v, out=v, where=neg)
@@ -267,11 +286,11 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     The feature dimension is the largest index seen unless ``n_features``, an
     integer, overrides it (datasets may have trailing absent features).  Malformed
     lines, undecodable bytes included, raise ParseError with their 1-based
-    line number.  A block of ASCII text with LF line ends, single spaces and
-    decimal numbers (digits, sign, point, exponent) whose indices lie below
-    2^53 is checked by vectorized passes and converted by one
-    ``scipy.io.mmread`` call; every other block is parsed token by token,
-    with the same result.
+    line number.  A block of ASCII text with LF line ends, single spaces (one
+    of them perhaps before a LF) and decimal numbers (digits, sign, point,
+    exponent) whose indices lie below 2^53 is checked by vectorized passes
+    and converted by one Matrix Market read; every other block is parsed
+    token by token, with the same result.
     """
     n_features = None if n_features is None else count("n_features", n_features)
     parts = []

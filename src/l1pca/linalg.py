@@ -16,8 +16,12 @@ spectral norm is the root of its top eigenvalue; ``_top_eigenvalues``
 serves the sparse spectral norm and the covariance spectrum in ``metrics``,
 and is the one place that chooses between a dense solve of ``_gram`` and
 Lanczos (ARPACK) on the operator v -> X (X^T v), which never densifies X
-nor forms the Gram matrix.  All routines are deterministic for fixed
-inputs; randomized helpers take an explicit generator.
+nor forms the Gram matrix.  Every Lanczos request starts from the same
+seeded vector, so a search that asks for a growing number of eigenvalues
+hands each request one products memo, and the operator products of the
+first request's initial Lanczos pass are formed once.  All routines are
+deterministic for fixed inputs; randomized helpers take an explicit
+generator.
 
 Every product X^T Q in the library follows ``_xt_for``'s rule, which hands
 BLAS the operands in the layout it multiplies fastest: a dense C-contiguous
@@ -223,7 +227,23 @@ def _gram(X) -> tuple[np.ndarray, int]:
     return as_dense(X @ X.T if d <= n else X.T @ X), e
 
 
-def _top_eigenvalues(X, k: int) -> tuple[np.ndarray, int]:
+def _replaying(product, memo: dict, record: int):
+    """``product`` served from ``memo``, which maps the exact bytes of v to product(v), where
+    it holds v; of the products it forms, it records the first ``record`` in ``memo``."""
+
+    def matvec(v):
+        key = v.tobytes()
+        y = memo.get(key)
+        if y is None:
+            y = product(v)
+            if len(memo) < record:
+                memo[key] = y
+        return y
+
+    return matvec
+
+
+def _top_eigenvalues(X, k: int, memo: dict | None = None) -> tuple[np.ndarray, int]:
     """(w, e): the k largest eigenvalues w of the smaller-side Gram matrix of X / 2^e.
 
     w is nonincreasing and clipped at 0, and e comes from ``_prescaled``.
@@ -237,6 +257,14 @@ def _top_eigenvalues(X, k: int) -> tuple[np.ndarray, int]:
     is at most ``_DENSE_SIDE``, when k reaches ``_LANCZOS_MAX_FRACTION`` of
     m, or when ARPACK does not converge, so len(w) == m marks a whole
     spectrum.  X must be finite; zero X gives min(k, m) zeros.
+
+    ``memo``, a dict that the requests of one search on one X share, maps
+    the exact bytes of v to the operator's product with v.  ARPACK's first
+    ncv + 1 products (the start's, then ncv Lanczos steps) depend on X and
+    the start alone, and ncv grows with k, so a later request replays the
+    first request's initial pass: the first request records those products,
+    no request records more, and a request that finds v there forms no
+    product.  w is bit for bit that of a request without ``memo``.
     """
     d, n = X.shape
     m = min(d, n)
@@ -246,10 +274,14 @@ def _top_eigenvalues(X, k: int) -> tuple[np.ndarray, int]:
     if m > _DENSE_SIDE and k < _LANCZOS_MAX_FRACTION * m:
         Xs, e = _prescaled(X, norm)
         A, B = (Xs, Xs.T) if d <= n else (Xs.T, Xs)
-        op = LinearOperator((m, m), matvec=lambda v: A @ (B @ v), dtype=np.float64)
+        ncv = min(max(2 * k + 1, 20), m)  # eigsh's default
+        matvec = lambda v: A @ (B @ v)
+        if memo is not None:
+            matvec = _replaying(matvec, memo, 0 if memo else ncv + 1)
+        op = LinearOperator((m, m), matvec=matvec, dtype=np.float64)
         try:
             w = eigsh(
-                op, k=k, which="LA", v0=seeded_rng(0).standard_normal(m), tol=0,
+                op, k=k, which="LA", v0=seeded_rng(0).standard_normal(m), ncv=ncv, tol=0,
                 return_eigenvectors=False, rng=seeded_rng(1),
             )
         except ArpackNoConvergence:

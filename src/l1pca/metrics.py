@@ -6,11 +6,14 @@ as many as it takes to reach its share of the trace.  Each request asks
 ``linalg._top_eigenvalues`` for what its caller needs and no more: ``tev``
 the top K, and the cumulative rule the top eigenvalue first, then as many
 as it has grown to, since Lanczos pays restart after restart for a request
-that reaches into a tight noise bulk.  That function alone decides between
-Lanczos and a dense solve of the whole spectrum, which a caller then uses
-whole.  ``_tev_ratio`` and ``_choose_K`` work from ``_spectrum``'s result,
-so a caller that needs the spectrum more than once (the ``cluster`` and
-``compare`` commands) takes it once and passes it on.
+that reaches into a tight noise bulk; the requests of one ``_choose_K``
+call share one products memo, so none after the first forms again the
+products of the initial Lanczos pass the first formed.  ``_top_eigenvalues``
+alone decides between Lanczos and a dense solve of the whole spectrum,
+which a caller then uses whole.  ``_tev_ratio`` and ``_choose_K`` work
+from ``_spectrum``'s result, so a caller that needs the spectrum more than
+once (the ``cluster`` and ``compare`` commands) takes it once and passes it
+on.
 
 ``kmeans_cluster`` runs Lloyd's iteration on the points' coordinates as
 rows (K x n), so each of its passes runs over n contiguous values.  The
@@ -39,10 +42,11 @@ from .linalg import _prescaled, _top_eigenvalues, _xt, frob, require_finite, see
 from .model import _check_dims, require_stiefel
 
 
-def _spectrum(X, zero_message: str, k: int):
+def _spectrum(X, zero_message: str, k: int, memo: dict | None = None):
     """(X scaled, w) for finite, nonzero X: w is the k leading eigenvalues of
     its X X^T, nonincreasing, or the whole spectrum where
-    ``linalg._top_eigenvalues`` solves densely.
+    ``linalg._top_eigenvalues`` solves densely, with the products ``memo``
+    of a search that asks for more later.
 
     X is divided by a power of two near its Frobenius norm when that
     norm lies outside [2^-300, 2^300] (``linalg._prescaled``), where X X^T
@@ -56,7 +60,7 @@ def _spectrum(X, zero_message: str, k: int):
     if norm == 0.0:
         raise UndefinedMetricError(zero_message)
     X = _prescaled(X, norm)[0]
-    return X, _top_eigenvalues(X, k)[0]
+    return X, _top_eigenvalues(X, k, memo)[0]
 
 
 def _tev_ratio(X, w: np.ndarray, Q: np.ndarray) -> float:
@@ -96,17 +100,20 @@ def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
     fall short, or the eigenvalues fall below 1e-12 of the largest, which is
     roundoff on a rank-deficient X, K counts the eigenvalues above that
     cutoff.  ``large_side`` and ``cap`` must be integers of at least 1.
+    Every request of the search shares one products memo, which the call
+    drops when it returns.
     """
     threshold = fraction("threshold", threshold, "(0, 1]")
     cap = count("cap", cap, 1)
     if min(X.shape) < count("large_side", large_side, 1):
-        X, w = _spectrum(X, _K_ZERO, 1)
+        memo = {}
+        X, w = _spectrum(X, _K_ZERO, 1, memo)
         total = frob(X) ** 2
         target = threshold * total - 1e-12 * total
         while (cum := np.cumsum(w))[-1] < target:
             if len(w) == min(X.shape) or w[-1] <= w[0] * 1e-12:
                 return int(np.count_nonzero(w > w[0] * 1e-12)), (X, w)
-            w = _top_eigenvalues(X, len(w) + max(len(w), math.ceil((target - cum[-1]) / w[-1])))[0]
+            w = _top_eigenvalues(X, len(w) + max(len(w), math.ceil((target - cum[-1]) / w[-1])), memo)[0]
         return int(np.argmax(cum >= target)) + 1, (X, w)
     require_finite(X, "X")
     if frob(X) == 0.0:

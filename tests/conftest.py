@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,20 @@ from l1pca.linalg import (
     thin_svd,
 )
 from l1pca.model import ProblemInstance
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """bench/workloads.py as a module, for the benchmark's seeded data."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 @pytest.fixture

@@ -573,9 +573,9 @@ def eig_calls(monkeypatch):
     calls = []
     real = metrics._top_eigenvalues
 
-    def counting(X, k):
+    def counting(X, k, *memo):
         calls.append(X.shape)
-        return real(X, k)
+        return real(X, k, *memo)
 
     monkeypatch.setattr(metrics, "_top_eigenvalues", counting)
     return calls

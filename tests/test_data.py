@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import json
 import math
@@ -30,8 +29,6 @@ from l1pca.data import (
 from l1pca.errors import InvalidInputError, ParseError, PreconditionError
 from l1pca.model import ProblemInstance
 from l1pca.solvers import IterateTrace, SolverConfig, draw_start, solve
-
-_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestFixedEffect:
@@ -254,6 +251,11 @@ _PARSE_CASES = {
     "leading_zero_index": _FIRST + "-1 01:2\n",
     "space_runs": _FIRST + "-1   1:2    3:4\n",
     "trailing_space": _FIRST + "-1 1:2 \n",
+    "trailing_space_after_label": _FIRST + "3 \n-1 2:3\n",
+    "trailing_space_at_end": _FIRST + "-1 2:3 ",
+    "two_trailing_spaces": _FIRST + "-1 1:2  \n",
+    "trailing_space_before_crlf": _FIRST + "-1 1:2 \r\n",
+    "space_before_index_and_lf": _FIRST + "-1 2 \n",
     "number_forms": _FIRST + "1e0 1:1E-5 2:+.5 3:-5.\n",
     "overflow_underflow": _FIRST + "1e999 1:-1e999 2:1e-400 3:4.9e-324 4:2.4703282292062328e-324\n",
     "largest_index": _FIRST + "-1 9223372036854775807:1\n",
@@ -286,23 +288,26 @@ _ONE_PASS_CASES = [
     "exponent", "negative_zero", "negative_zero_forms", "plus_signs", "number_forms", "overflow_underflow",
     "forty_digits", "halfway_subnormal", "index_two53_minus_1", "leading_zero_index", "beyond_int32",
     "label_only_lines", "only_labels", "no_trailing_newline",
+    "trailing_space", "trailing_space_after_label", "trailing_space_at_end",
 ]
 
-#: the one-pass grammar as a regular expression: lines "NUM( DIGITS:NUM)*" joined by LF
+#: the one-pass grammar as a regular expression: lines "NUM( DIGITS:NUM)* ?" joined by LF
 _NUM_SPEC = rb"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_LINE_SPEC = rb"%s(?: [0-9]+:%s)*" % (_NUM_SPEC, _NUM_SPEC)
+_LINE_SPEC = rb"%s(?: [0-9]+:%s)* ?" % (_NUM_SPEC, _NUM_SPEC)
 _LINES_SPEC = re.compile(rb"%s(?:\n%s)*" % (_LINE_SPEC, _LINE_SPEC))
 
 
 def _check_tokens(blk: bytes):
-    """data._tokens(blk) is None off the grammar, else each token's separator and leading minus."""
+    """data._tokens(blk) is None off the grammar, else each token's separator and leading minus;
+    a space before a LF, or at the block's end, stands before no token."""
     got = data._tokens(blk)
     if _LINES_SPEC.fullmatch(blk) is None:
         assert got is None, blk
         return
     seps = {ord("\n"): data._LF, ord(" "): data._SP, ord(":"): data._COLON}
-    kind = [data._LF] + [seps[c] for c in blk if c in seps]
-    neg = [blk[:1] == b"-"] + [blk[k + 1 : k + 2] == b"-" for k, c in enumerate(blk) if c in seps]
+    at = [k for k, c in enumerate(blk) if c in seps and not (c == ord(" ") and blk[k + 1 : k + 2] in (b"\n", b""))]
+    kind = [data._LF] + [seps[blk[k]] for k in at]
+    neg = [blk[:1] == b"-"] + [blk[k + 1 : k + 2] == b"-" for k in at]
     assert got is not None and got[0].tolist() == kind and got[1].tolist() == neg, blk
 
 
@@ -375,6 +380,27 @@ def _check_refused_among(tmp_path, block, good):
                 assert _outcome(read_sparse_labeled, p) == expected, (first, second, at)
             errors += isinstance(expected[-1], int)
     assert errors > 50  # most files hold an error, and each names its line
+
+
+def _stream_opens():
+    """A patch that records fast_matrix_market's stream openings: each Matrix Market read of a
+    block opens its text once, and the opening's second argument is its thread count."""
+    from scipy.io._fast_matrix_market import _fmm_core
+
+    return mock.patch.object(_fmm_core, "open_read_stream", wraps=_fmm_core.open_read_stream)
+
+
+def _one_thread_reads(opened) -> int:
+    """How many of the recorded openings read on one thread."""
+    return sum(c.args[1] == 1 for c in opened.call_args_list)
+
+
+@pytest.fixture(scope="module")
+def cluster_file(bench_workloads, tmp_path_factory):
+    """The benchmark's cluster-sparse file at seed 1 (6.4 MB)."""
+    p = tmp_path_factory.mktemp("cluster") / "cluster.txt"
+    write_sparse_labeled(p, *bench_workloads.sparse_clusters(1))
+    return p
 
 
 class TestOnePassParse:
@@ -457,36 +483,85 @@ class TestOnePassParse:
         p = tmp_path / "x.txt"
         p.write_text("".join(_GOOD_LINES[:12] + [_ODD_LINES[odd]] + _GOOD_LINES[12:]), encoding="utf-8")
         expected = _outcome(_parse_reference, p)
-        import scipy.io
-
         with mock.patch.object(data, "_BLOCK_BYTES", 40), \
                 mock.patch.object(data, "_parse_block_slow", wraps=data._parse_block_slow) as slow, \
-                mock.patch.object(scipy.io, "mmread", wraps=scipy.io.mmread) as mmread:
+                _stream_opens() as opened:
             assert _outcome(read_sparse_labeled, p) == expected
             with open(p, "rb") as fh:
                 blocks = list(data._blocks(fh))
         at = next(i for i, blk in enumerate(blocks) if _ODD_LINES[odd].encode() in blk)
         read = at + 1 if isinstance(expected[-1], int) else len(blocks)  # an error ends the read
-        assert 0 < at < len(blocks) - 1 and mmread.call_count == read
+        assert 0 < at < len(blocks) - 1 and _one_thread_reads(opened) == opened.call_count == read
         assert slow.call_count == 1 and slow.call_args.args == (blocks[at], b"".join(blocks[:at]).count(b"\n"))
 
-    def test_cluster_file_reader_calls(self, tmp_path, monkeypatch):
+    def test_cluster_file_reader_calls(self, cluster_file):
         # the benchmark's seed-1 cluster-sparse file: one reader call per block of _BLOCK_BYTES,
         # and every block passes _tokens
-        spec = importlib.util.spec_from_file_location("_bench_workloads", _ROOT / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
-        spec.loader.exec_module(workloads)
-        p = tmp_path / "cluster.txt"
-        write_sparse_labeled(p, *workloads.sparse_clusters(1))
-        import scipy.io
-
-        with mock.patch.object(scipy.io, "mmread", wraps=scipy.io.mmread) as mmread:
-            inst = read_sparse_labeled(p)
+        with _stream_opens() as opened:
+            inst = read_sparse_labeled(cluster_file)
         assert inst.X.shape == (1500, 3000)
-        with open(p, "rb") as fh:
+        with open(cluster_file, "rb") as fh:
             checked = [data._tokens(blk.rstrip(b"\n")) is not None for blk in data._blocks(fh)]
-        assert mmread.call_count == sum(checked) == len(checked) == math.ceil(p.stat().st_size / data._BLOCK_BYTES)
+        size = cluster_file.stat().st_size
+        assert _one_thread_reads(opened) == opened.call_count == sum(checked) == len(checked)
+        assert len(checked) == math.ceil(size / data._BLOCK_BYTES)
+
+    def test_cluster_file_blocks_read_on_one_thread(self, cluster_file):
+        # each block is one chunk of fast_matrix_market's: worker threads would only add their
+        # start-up, so every block is read at parallelism 1, without mmread, and scipy's global
+        # thread count stays as it was
+        import scipy.io
+        from scipy.io import _fast_matrix_market as fmm
+
+        before = fmm.PARALLELISM
+        with _stream_opens() as opened, mock.patch.object(scipy.io, "mmread", wraps=scipy.io.mmread) as mmread:
+            read_sparse_labeled(cluster_file)
+        blocks = math.ceil(cluster_file.stat().st_size / data._BLOCK_BYTES)
+        assert [c.args[1] for c in opened.call_args_list] == [1] * blocks
+        assert mmread.call_count == 0 and fmm.PARALLELISM == before
+
+    def test_space_before_lf_takes_one_pass(self, tmp_path, cluster_file):
+        # LIBSVM files often end lines in "83:1 \n": the seed-1 cluster file so written reads as
+        # written without the spaces, with no block left to the token-by-token parse
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_bytes(cluster_file.read_bytes().replace(b"\n", b" \n"))
+        expected = _outcome(read_sparse_labeled, cluster_file)
+        with mock.patch.object(data, "_parse_block_slow", wraps=data._parse_block_slow) as slow:
+            assert _outcome(read_sparse_labeled, spaced) == expected
+        assert slow.call_count == 0
+
+    @pytest.mark.parametrize("block", [1, 12, 64, 1 << 19])
+    def test_space_before_lf_with_label_only_lines(self, tmp_path, block):
+        rng = np.random.default_rng(13)
+        dense = rng.standard_normal((30, 200)) * 10.0 ** rng.integers(-300, 300, (30, 200))
+        dense[rng.random(dense.shape) < 0.7] = 0.0
+        dense[:, ::17] = 0.0  # label-only lines
+        labels = rng.integers(-2, 3, 200) * 0.5
+        plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+        write_sparse_labeled(plain, sp.csc_matrix(dense), labels)
+        text = plain.read_bytes()
+        spaced.write_bytes(text.replace(b"\n", b" \n")[:-1])  # the last line ends in its space
+        assert re.search(rb"\n[^ ]+ \n", spaced.read_bytes())  # a label-only line with its space
+        expected = _outcome(read_sparse_labeled, plain)
+        with mock.patch.object(data, "_BLOCK_BYTES", block), \
+                mock.patch.object(data, "_parse_block_slow", wraps=data._parse_block_slow) as slow:
+            assert _outcome(read_sparse_labeled, spaced) == expected
+        assert slow.call_count == 0
+
+    @pytest.mark.parametrize("name, one_pass", [
+        ("trailing_space", True), ("trailing_space_after_label", True), ("trailing_space_at_end", True),
+        ("two_trailing_spaces", False), ("trailing_space_before_crlf", False), ("space_before_index_and_lf", False),
+    ])
+    def test_spaced_lines_agree_with_slow_parse(self, tmp_path, name, one_pass):
+        # one space before LF, after a value or a bare label, takes the one-pass parse; two spaces,
+        # a space before CRLF, or one after an index leave the block to the token-by-token parse
+        p = tmp_path / "x.txt"
+        p.write_text(_PARSE_CASES[name], encoding="utf-8", newline="")
+        with mock.patch.object(data, "_tokens", return_value=None):
+            expected = _outcome(read_sparse_labeled, p)
+        with mock.patch.object(data, "_parse_block_slow", wraps=data._parse_block_slow) as slow:
+            assert _outcome(read_sparse_labeled, p) == expected
+        assert (slow.call_count == 0) == one_pass
 
     def test_scipy_io_loaded_on_first_read(self, tmp_path):
         # importing the package and its CLI loads no scipy.io (about 18 ms per process);

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -190,12 +191,38 @@ def top_requests(monkeypatch):
     requests = []
     real = metrics._top_eigenvalues
 
-    def recording(X, k):
+    def recording(X, k, *memo):
         requests.append(k)
-        return real(X, k)
+        return real(X, k, *memo)
 
     monkeypatch.setattr(metrics, "_top_eigenvalues", recording)
     return requests
+
+
+def _five_topics():
+    """(X, rng): a seeded sparse 400 x 800 X of five topic blocks over a noise bulk, and the
+    generator that drew it, for draws after it."""
+    rng = seeded_rng(67)
+    X = np.where(rng.random((400, 800)) < 0.03, rng.random((400, 800)) * 0.2, 0.0)
+    topic = np.arange(800) % 5
+    for c in range(5):
+        X[20 * c:20 * c + 20, topic == c] += rng.uniform(0.5, 1.5, (20, 160))
+    return sp.csc_matrix(X), rng
+
+
+def _counting_csc(X):
+    """(X as a CSC subclass that counts the products with it on the left, the count in a list).
+
+    Every Lanczos product of ``linalg._top_eigenvalues`` on a d x n X, d <= n, is X (X^T v):
+    one product with X on the left each; X^T is a plain CSR matrix."""
+    count = [0]
+
+    class Counting(sp.csc_matrix):
+        def __matmul__(self, other):
+            count[0] += 1
+            return super().__matmul__(other)
+
+    return Counting(X), count
 
 
 class TestPartialSpectrum:
@@ -312,12 +339,7 @@ class TestPartialSpectrum:
     def test_requests_only_the_eigenvalues_needed(self, top_requests):
         # five topic blocks over a noise bulk: a request for more than five
         # eigenvalues cuts into the bulk, where Lanczos restarts again and again
-        rng = seeded_rng(67)
-        X = np.where(rng.random((400, 800)) < 0.03, rng.random((400, 800)) * 0.2, 0.0)
-        topic = np.arange(800) % 5
-        for c in range(5):
-            X[20 * c:20 * c + 20, topic == c] += rng.uniform(0.5, 1.5, (20, 160))
-        X = sp.csc_matrix(X)
+        X, rng = _five_topics()
         assert metrics._choose_K(X, 0.8)[0] == 5 == variance_K_reference(X, 0.8)
         assert top_requests == [1, 5]
         Q = random_stiefel(400, 5, rng)
@@ -330,6 +352,42 @@ class TestPartialSpectrum:
         K, (_, w) = metrics._choose_K(X[:200], 0.8)
         assert K == variance_K_reference(X[:200], 0.8)
         assert top_requests == [1] and len(w) == 200
+
+    @pytest.mark.parametrize("data", ["five_topics", "bench_cluster"])
+    def test_search_forms_the_first_pass_once(self, data, bench_workloads, top_requests):
+        # requests 1 and 5 start Lanczos from the same vector: the second replays the first's
+        # initial pass from the memo, so the search forms the products of its first request alone
+        X = _five_topics()[0] if data == "five_topics" else bench_workloads.sparse_clusters(1)[0]
+        Xc, count = _counting_csc(X)
+        w1 = linalg._top_eigenvalues(Xc, 1)[0]
+        first = count[0]
+        w5 = linalg._top_eigenvalues(Xc, 5)[0]
+        assert count[0] == 2 * first  # two requests without a memo, as each request stood alone
+        count[0] = 0
+        K, (_, w) = metrics._choose_K(Xc, 0.8)
+        assert top_requests == [1, 5] and count[0] == first > 20
+        assert K == 5 and w.tobytes() == w5.tobytes() and w[0] == w1[0]
+
+    def test_memo_is_bounded_and_dropped(self, bench_workloads, monkeypatch):
+        # at 0.9 the requests grow 1, 6, 45, then solve densely: the memo holds the first request's
+        # initial pass (its start's product and ncv = 20 Lanczos steps) and nothing more, and none
+        # of it outlives the call
+        X = bench_workloads.sparse_clusters(1)[0]
+        real = metrics._top_eigenvalues
+        requests, sizes, held = [], [], []
+
+        def recording(X, k, memo):
+            w = real(X, k, memo)
+            requests.append(k)
+            sizes.append(len(memo))
+            held.extend(weakref.ref(y) for y in memo.values())
+            return w
+
+        monkeypatch.setattr(metrics, "_top_eigenvalues", recording)
+        w = metrics._choose_K(X, 0.9)[1][1]
+        assert requests == [1, 6, 45, 90] and len(w) == 1500
+        assert sizes == [21] * 4 and len(held) == 4 * 21
+        assert all(ref() is None for ref in held)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_first_block_serves_tev_exactly(self, sparse):

@@ -83,3 +83,9 @@ def test_read_op_parses_the_cluster_file(tool, aliases, tmp_path):
     assert set(np.unique(inst.labels)) == {1.0, 2.0, 3.0, 4.0, 5.0}
     result = tool.paired(read, read, calls=1)
     assert result["calls"] == 1 and 0 <= result["change_won"] <= 1
+
+
+def test_spectrum_op_chooses_K_on_the_cluster_matrix(tool, aliases, tmp_path):
+    # the Lanczos layer of the cluster op alone: K at thresholds 0.8 and 0.9 on the parsed file
+    pkg = tool.load(_SRC, "l1pca_side")
+    assert tool.make_op(pkg, "spectrum", tmp_path)(0) == [5, 51]

@@ -33,6 +33,9 @@ workloads at the same sizes:
   file of 3000 samples, 1500 features and five clusters.
 * ``read``: ``data.read_sparse_labeled`` of the same file, the parse layer
   of ``cluster`` alone.
+* ``spectrum``: ``metrics.choose_K_by_variance`` at thresholds 0.8 and 0.9
+  on the matrix of the same file, read once: the Lanczos layer of
+  ``cluster`` apart from the parse.
 
 BLAS and OpenMP thread counts are pinned to 1 unless already set.
 """
@@ -58,7 +61,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
-OPS = ("oracle", "desk", "large", "cluster", "read")
+OPS = ("oracle", "desk", "large", "cluster", "read", "spectrum")
 DATA_SEED = 0
 
 
@@ -134,6 +137,9 @@ def make_op(pkg, op: str, directory: Path):
     if op == "read":
         path = _sparse_file(pkg, directory)
         return lambda seed: pkg.data.read_sparse_labeled(path)
+    if op == "spectrum":
+        X = pkg.data.read_sparse_labeled(_sparse_file(pkg, directory)).X
+        return lambda seed: [pkg.metrics.choose_K_by_variance(X, threshold) for threshold in (0.8, 0.9)]
     raise ValueError(f"unknown op {op!r}; expected one of {OPS}")
 
 

@@ -52,7 +52,7 @@ of the error it raised:
   ``READ_SPLICES`` spliced in before the first line, the middle one and
   after the last.
 
-The grid prints 3492 digests and takes about 16 s on two cores.  BLAS may
+The grid prints 3522 digests and takes about 16 s on two cores.  BLAS may
 block a product differently with a different thread count, so compare two
 trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -564,10 +564,11 @@ def norm_runs(l1pca, out: dict, summary=_digest) -> None:
 READ_SCALES = (1e-300, 1e-150, 1.0, 1e150, 1e300)
 #: lines the read grid splices into its files: refused by the one-pass grammar (two points,
 #: a tab, CRLF, a sign before an index), by its index check (descending, 2^53 + 1), or taken
-#: by it with leading plus signs
+#: by it with leading plus signs or a space before LF (after a value, after a bare label)
 READ_SPLICES = {
     "two_points": "1 1:1.2.3\n", "tab": "1\t1:2\n", "crlf": "1 1:2\r\n", "plus_index": "+1 +2:+3\n",
     "descending": "1 2:1 1:1\n", "index_two53_plus_1": "1 9007199254740993:1\n", "plus": "+1 2:+3 5:+.5e+3\n",
+    "space_lf": "1 1:2 \n", "label_space_lf": "3 \n",
 }
 
 
