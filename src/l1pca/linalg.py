@@ -9,8 +9,12 @@ for a well-conditioned input the K x K matrix T with
 solver carry X^T Q through a flip-free stretch without a product with X;
 orthonormality diagnostics.  Two
 kernels take eigenvalues of the smaller-side Gram matrix X X^T (or
-X^T X), both after the power-of-two prescale of ``_prescaled``
-(which the solver also applies to X P before it forms X^T X P):
+X^T X), both after the power-of-two prescale of ``_prescaled``, the one
+rule by which the library scales data of any floating-point scale, an
+overflowing ||X||_F included, near unit norm (the solver also applies it
+to X P before it forms X^T X P, and the polar step, the theorem-mode bound
+check, ``metrics`` and ``verify``'s oracle, error-bound constant and
+criticality report use it where a norm or a product would overflow):
 ``_gram`` forms it densely, and the dense
 spectral norm is the root of its top eigenvalue; ``_top_eigenvalues``
 serves the sparse spectral norm and the covariance spectrum in ``metrics``,
@@ -52,6 +56,7 @@ from ._args import count, flag
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny  # 2^-1022, the least normal number
 _F64 = np.dtype(np.float64)
 #: a sum of squares at least this large lost at most n * 2^-422 of itself to
 #: squares that underflowed (each below 2^-1022)
@@ -189,11 +194,19 @@ def _ldexp(x: float, e: int) -> float:
 def _prescaled(X, norm: float):
     """(X / 2^e, e): e = 0 when ``norm`` = frob(X) lies in ``_GRAM_SAFE`` or is 0,
     else e puts the scaled norm in [1/2, 1).  The division is exact (``_pow2_scaled``).
-    An infinite norm of finite entries takes e as the exponent of the largest entry
-    plus that of the norm of X divided by 2 to that exponent."""
+
+    This is the library's one power-of-two scale rule (Blue's scaled-norm
+    device, ACM TOMS 4(1), 1978).  An infinite norm of finite entries, or a
+    subnormal one, which ``frob`` rounded to fewer bits than e needs, takes
+    e as the exponent of the largest entry plus that of the norm of X
+    divided by 2 to that exponent; apart from ``frob``'s own rescale, no
+    other code reads an exponent off X's largest entry.  Callers that scale
+    every finite norm into [1/2, 1), window or not (``_polar_and_inverse``,
+    the screen of ``verify.enumerate_oracle``), take frexp(norm) inline and
+    call this where the norm overflows."""
     if norm == 0.0 or _GRAM_SAFE[0] <= norm <= _GRAM_SAFE[1]:
         return X, 0
-    if norm == math.inf:
+    if norm == math.inf or norm < _TINY:
         big = math.frexp(float(abs(X).max()))[1]  # 0 for an infinite entry: X stays as it is
         e = big + math.frexp(frob(_pow2_scaled(X, big)))[1]
     else:
@@ -394,10 +407,10 @@ def _polar_and_inverse(M, complete: bool = True) -> tuple[np.ndarray | None, np.
 
     A product of Q with anything linear, such as X^T Q, follows from the
     same product with M and the K x K matrix T.  M / 2^e, with e the
-    exponent of frob(M), is exact and near unit scale.  A finite M whose norm
-    overflows is first divided by 2 to the exponent of its largest entry, and
-    e counts that division too (entries below 2^-1021 of the largest turn
-    subnormal and may lose bits).  When ``dsyevd``
+    exponent of frob(M), is exact and near unit scale; a finite M whose norm
+    overflows takes e from ``_prescaled``, the library's one rule for that
+    case (entries that turn subnormal may lose bits), and its SVD, if taken,
+    factors M / 2^e.  When ``dsyevd``
     finds the smallest eigenvalue of its Gram matrix V S^2 V^T at least
     ``_GRAM_POLAR_RATIO`` of the largest, T = V S^-1 V^T gives Q.  Otherwise
     Q comes from one SVD of M, with U completed past ``_rank_cutoff``
@@ -407,19 +420,17 @@ def _polar_and_inverse(M, complete: bool = True) -> tuple[np.ndarray | None, np.
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] < 1:
         raise PreconditionError("polar_factor expects rows >= cols >= 1")
     norm = frob(A)
-    shift = 0
-    if not math.isfinite(norm):
+    if math.isfinite(norm):
+        e = math.frexp(norm)[1]
+        As = np.ldexp(A, -e)
+    else:
         require_finite(A, "polar_factor input")
-        # finite entries whose norm overflows: factor A / 2^shift, shift the exponent of the largest
-        shift = math.frexp(float(np.abs(A).max()))[1]
-        A = np.ldexp(A, -shift)
-        norm = frob(A)
-    e = math.frexp(norm)[1]
-    As = np.ldexp(A, -e)
+        A, e = _prescaled(A, norm)  # finite entries whose norm overflows: the SVD factors A / 2^e
+        As = A
     w, V, info = dsyevd(As.T @ As)
     if info == 0 and w[0] >= w[-1] * _GRAM_POLAR_RATIO > 0.0:
         T = (V / np.sqrt(w)) @ V.T
-        return As @ T, T, e + shift
+        return As @ T, T, e
     U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
     if sigma[-1] <= _rank_cutoff(A.shape, sigma):
         if not complete:

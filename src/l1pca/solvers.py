@@ -367,15 +367,15 @@ def _bound(cfg: SolverConfig, declared, schedule: Schedule, fn: Fn, what: str) -
 def _norm_upper(cfg: SolverConfig, X) -> float:
     """The declared bound on ||X||_2 after a check against ||X||_F / sqrt(min(d, n)), or the exact
     norm times 1 + ``spectral_rel_tol``, which only then is read.  Where ||X||_F overflows, the
-    check compares both sides divided by 2^e, e the exponent of X's largest entry, as
-    ``linalg._prescaled`` scales such X, so a correct bound is not refused for an infinite floor."""
+    check compares both sides divided by 2^e, e from ``linalg._prescaled`` (the library's one scale
+    rule), so a correct bound is not refused for an infinite floor."""
     if cfg.norm_upper is None:
         return spectral_norm(X) * (1.0 + fraction("spectral_rel_tol", cfg.spectral_rel_tol))
     norm_upper = finite(cfg.method, "norm_upper", cfg.norm_upper)
     norm, e = frob(X), 0
     if norm == math.inf:
-        e = math.frexp(float(abs(X).max()))[1]  # 0 for an infinite entry: the floor stays inf
-        norm = frob(X * math.ldexp(1.0, -e))
+        Xs, e = _prescaled(X, norm)  # an infinite entry keeps e = 0: the floor stays inf
+        norm = frob(Xs)
     floor = norm / math.sqrt(min(X.shape))
     # the relative slack absorbs roundoff where ||X||_2 = ||X||_F / sqrt(min(d, n))
     if norm_upper < 0.0 or _ldexp(norm_upper, -e) < floor * (1.0 - 1e-8):

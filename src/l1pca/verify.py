@@ -32,7 +32,9 @@ from .errors import (
 )
 from .linalg import (
     ThinSvd,
+    _ldexp,
     _pow2_scaled,
+    _prescaled,
     _xt,
     as_dense,
     complete_orthonormal,
@@ -155,7 +157,11 @@ def criticality_report(X, Pstar: np.ndarray, Qstar: np.ndarray, alpha_star: floa
     Takes X P and X^T Q once each; the sign choices P_gen and P_l1 reuse
     X P when they equal P, as they do at a converged pair, so a limit point
     costs two large products.  ``alpha_star`` and ``zero_tol`` are checked
-    as in ``check_alpha_condition``, before any product.
+    as in ``check_alpha_condition``, before any product.  Where a product of
+    a finite X overflows, the report is taken on X / 2^e, e from
+    ``linalg._prescaled`` (the library's one scale rule), with ``alpha_star``
+    and ``zero_tol`` divided by 2^e too: every residual and the threshold are
+    homogeneous in X, so they come back times 2^e.
     """
     alpha_star = finite("criticality_report", "alpha_star", alpha_star, positive=True)
     if (zero_tol := finite("criticality_report", "zero_tol", zero_tol)) < 0.0:
@@ -163,26 +169,31 @@ def criticality_report(X, Pstar: np.ndarray, Qstar: np.ndarray, alpha_star: floa
     P = require_signs(Pstar, "Pstar")
     Q = require_stiefel(Qstar, name="Qstar")
     _check_dims(X, Q, P)
-    XP = X @ P
+    with np.errstate(over="ignore", invalid="ignore"):
+        XP, M = X @ P, _xt(X, Q)
+    e = 0
+    if not (np.isfinite(XP).all() and np.isfinite(M).all()):
+        X, e = _prescaled(X, frob(X))
+        XP, M = X @ P, _xt(X, Q)
+    alpha = _ldexp(alpha_star, -e)
 
     def times_X(S: np.ndarray) -> np.ndarray:
         # BLAS may round X S differently for another memory layout of the same S
         return XP if S.strides == P.strides and np.array_equal(S, P) else X @ S
 
     h_res = subgrad_dist_linear(-XP, Q)
-    M = _xt(X, Q)
-    P_gen = sign_select(P + M / alpha_star, P)
+    P_gen = sign_select(P + M / alpha, P)
     gen_eq = subgrad_dist_linear(-times_X(P_gen), Q)
     P_l1 = sign_select(M, P)
     l1_res = subgrad_dist_linear(-times_X(P_l1), Q)
-    fired, threshold = _alpha_condition(M, alpha_star, zero_tol)
+    fired, threshold = _alpha_condition(M, alpha, _ldexp(zero_tol, -e))
     return CriticalityReport(
-        h_residual=h_res,
-        gen_eq_residual=gen_eq,
-        alpha_condition_threshold=threshold,
+        h_residual=_ldexp(h_res, e),
+        gen_eq_residual=_ldexp(gen_eq, e),
+        alpha_condition_threshold=_ldexp(threshold, e),
         alpha_star_used=float(alpha_star),
         certified_critical_for_l1=fired,
-        l1_residual=l1_res,
+        l1_residual=_ldexp(l1_res, e),
         alpha_condition_vacuous=threshold == 0.0,
     )
 
@@ -229,13 +240,14 @@ def _screen(sq: np.ndarray, V: np.ndarray, cols: list[slice]) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(G), 0.0)).sum(axis=-1)
 
 
-def _near_maximal(A: np.ndarray, K: int, chunk: int) -> np.ndarray:
-    """The counters, ascending, whose screen lies within the margin of the best (see ``enumerate_oracle``)."""
+def _near_maximal(A: np.ndarray, norm: float, K: int, chunk: int) -> np.ndarray:
+    """The counters, ascending, whose screen lies within the margin of the best (see ``enumerate_oracle``);
+    ``norm`` is frob(A), finite."""
     d, n = A.shape
-    norm = frob(A)
     if norm == 0.0:
         # every X P is zero, and so is every value: the first counter is the first maximizer
         return np.zeros(1, dtype=np.int64)
+    # into [1/2, 1) even inside _prescaled's window, where the screen's squares could overflow
     As = _pow2_scaled(A, math.frexp(norm)[1])
     J = 1 << (n - 1)
 
@@ -298,6 +310,13 @@ def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
     bit, that is also the first maximizer over all 2^(nK) counters, up to
     roundoff between tied values.
 
+    Scale.  Each entry of X P is at most sqrt(n) ||X||_F, and its nuclear
+    norm at most K sqrt(n) ||X||_F.  Where that bound reaches 2^1023, X below
+    stands for X / 2^f, f from ``linalg._prescaled`` (the library's one scale
+    rule): the screen, the rescore and Q run on it, and the value is 2^f
+    times its own, inf where it overflows, as it does whenever ||X||_F does
+    (the maximum is at least sqrt(K) ||X||_F).  Any finite X works.
+
     Screen.  Column k of the sign matrix of counter m is one of the
     J = 2^(n-1) sign vectors with last entry +1, so the column products
     V = (X / 2^e) S, with e the binary exponent of ||X||_F and S those J
@@ -331,8 +350,8 @@ def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
         r = 8K sqrt((d + n + K + 10) eps),
 
     a margin r screen(b) of at least twice the bound on the gap, is
-    rescored with the SVD above on the unscaled X, in ascending counter
-    order, and the first maximizer is kept.  That is the full scan's
+    rescored with the SVD above on X itself, not on X / 2^e, in ascending
+    counter order, and the first maximizer is kept.  That is the full scan's
     maximizer with its own value, P and Q, bit for bit: each candidate's
     SVD is the same LAPACK call on the same product, whichever others share
     its stack.  Random data rescores K! candidates or a few more (the
@@ -357,8 +376,12 @@ def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
         )
     A = as_dense(X)
     require_finite(A, "X")
+    norm, e = frob(A), 0
+    if K * math.sqrt(n) * norm >= 2.0**1023:
+        A, e = _prescaled(A, norm)
+        norm = frob(A)
     chunk = max(1, _ORACLE_CHUNK_BYTES // (8 * K * max(n, d)))
-    kept = _near_maximal(A, K, chunk)
+    kept = _near_maximal(A, norm, K, chunk)
     # rescore: the full scan's SVD value on the near-maximal few
     best_val = -math.inf
     best_P = None
@@ -370,7 +393,7 @@ def enumerate_oracle(X, K: int, hard_cap: int = 22) -> OracleResult:
             best_val = float(vals[i])
             best_P = P[i].copy()
     Q = polar_factor(A @ best_P)
-    return OracleResult(value=best_val, P=best_P, Q=Q)
+    return OracleResult(value=_ldexp(best_val, e), P=best_P, Q=Q)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +607,16 @@ def kappa_constant(A, tie_tol: float = 1e-9, rank_tol: float | None = None) -> K
     induced gradient-inequality factor eta_g = (2 kappa^2 ||A||)^(-1/2),
     evaluated as 1 / (kappa sqrt(2 ||A||)): kappa^2 overflows for a tiny A
     (kappa near 1e160 at ||A|| near 1e-160) and loses digits to underflow
-    for a huge one.
+    for a huge one.  Where ||A||_F reaches 2^1023, so that 2 ||A|| or ||A||_F
+    itself may overflow, the tie blocks are those of A / 2^e, e from
+    ``linalg._prescaled`` (the library's one scale rule), and kappa and
+    eta_g are scaled back by 2^-e and 2^(e/2).
     """
-    s, r, mult = _tie_blocks(as_dense(A), tie_tol, rank_tol)
+    A = as_dense(A)
+    norm, e = frob(A), 0
+    if norm >= 2.0**1023:
+        A, e = _prescaled(A, norm)
+    s, r, mult = _tie_blocks(A, tie_tol, rank_tol)
     pos = s.sigma[:r]
     a_r = float(pos[-1])
     reps = np.array([block.mean() for block in np.split(pos, np.cumsum(mult)[:-1])])
@@ -601,6 +631,8 @@ def kappa_constant(A, tie_tol: float = 1e-9, rank_tol: float | None = None) -> K
         kappa = math.sqrt(13.0 + 6.0 * (6.0 * p - 5.0) / (delta_min**2)) / a_r
     smax = float(s.sigma[0])
     eta_g = 1.0 / (kappa * math.sqrt(2.0 * smax))
+    if e:
+        kappa, eta_g = _ldexp(kappa, -e), _ldexp(eta_g * math.sqrt(1 + e % 2), e // 2)
     return KappaConstants(kappa=kappa, eta_g=eta_g, p=p, delta_min=delta_min)
 
 

@@ -305,6 +305,40 @@ class TestFrob:
         assert frob(with_duplicates(A, -A, fmt)) == 0.0
 
 
+@st.composite
+def _any_scale(draw):
+    """A finite nonzero X, dense or CSC, of at most 6 x 6 entries, whose largest entry has any
+    binary exponent from -1074 to 1023 and whose others lie up to 2^2200 below it (subnormal or
+    rounded to zero there); at exponent 1023 with equal magnitudes ||X||_F overflows."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top = draw(st.integers(-1074, 1023) | st.sampled_from([-1074, -1022, -300, 300, 1020, 1023]))
+    spread = draw(st.sampled_from([0, 4, 60, 2200]))
+    g = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.ldexp(g.uniform(1.0, 2.0, (rows, cols)), top - g.integers(0, spread + 1, (rows, cols)))
+    X.flat[g.integers(X.size)] = np.ldexp(1.5, top)
+    X *= g.choice([-1.0, 1.0], (rows, cols))
+    return sp.csc_matrix(X) if draw(st.booleans()) else X
+
+
+class TestPrescaled:
+    """``_prescaled``, the library's one power-of-two scale rule, at every binary exponent."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_any_scale())
+    def test_rule(self, X):
+        norm = frob(X)
+        Y, e = linalg._prescaled(X, norm)
+        if 2.0**-300 <= norm <= 2.0**300:
+            assert e == 0 and Y is X
+            return
+        Xd, Yd = X.toarray() if sp.issparse(X) else X, Y.toarray() if sp.issparse(Y) else Y
+        # X / 2^e, correctly rounded: exact wherever the quotient is a normal number
+        assert np.array_equal(Yd, np.ldexp(Xd, -e))
+        normal = np.abs(Yd) >= 2.0**-1022
+        assert np.array_equal(np.ldexp(Yd[normal], e), Xd[normal])
+        assert 0.5 * (1.0 - 4 * np.finfo(np.float64).eps) <= frob(Y) < 1.0
+
+
 class TestRequireFinite:
     """Sparse formats whose ``.data`` is not the stored values are read through a COO copy."""
 

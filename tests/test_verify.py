@@ -11,7 +11,7 @@ from l1pca.errors import DimensionMismatchError, InvalidInputError, Precondition
 from l1pca import verify
 from l1pca.linalg import polar_factor, random_orthogonal, random_stiefel, seeded_rng, stiefel_residual
 from l1pca.model import ProblemInstance, residual_R, sign_select, subgrad_dist_h, subgrad_dist_linear
-from l1pca.solvers import SolverConfig, solve
+from l1pca.solvers import SolverConfig, draw_start, solve
 from l1pca.verify import (
     audit_constants,
     build_critical_point,
@@ -118,6 +118,22 @@ class TestCriticalityReport:
         with pytest.raises(PreconditionError, match=message):
             criticality_report(X, P, Q, alpha_star=alpha, zero_tol=zero_tol)
         assert counter["matmul"] == 0
+
+    @pytest.mark.parametrize("power", [1020, 1022])
+    @pytest.mark.parametrize("fmt", ["dense", "csc"])
+    def test_overflowing_products(self, fmt, power):
+        # X P overflows at both scales, ||X||_F too at 2^1022; the report is homogeneous in X
+        X = np.random.default_rng(0).standard_normal((20, 40))
+        inst = ProblemInstance(X, 3)
+        res = solve(inst, SolverConfig(), *draw_start(inst, seed=1))
+        assert res.termination_reason == "fixed_point"
+        Xf = sp.csc_matrix(X) if fmt == "csc" else X
+        ref = criticality_report(Xf, res.P_final, res.Q_final, 1e-4)
+        rep = criticality_report(Xf * 2.0**power, res.P_final, res.Q_final, 1e-4 * 2.0**power)
+        homogeneous = ("h_residual", "gen_eq_residual", "l1_residual", "alpha_condition_threshold")
+        assert [getattr(rep, f) for f in homogeneous] == [getattr(ref, f) * 2.0**power for f in homogeneous]
+        assert rep.certified_critical_for_l1 == ref.certified_critical_for_l1
+        assert not rep.alpha_condition_vacuous
 
     def test_oracle_optimum_is_critical(self):
         rng = seeded_rng(33)
@@ -228,6 +244,16 @@ class TestEnumerateOracle:
 
     def test_zero_data(self):
         assert enumerate_oracle(np.zeros((2, 2)), 1).value == 0.0
+
+    @pytest.mark.parametrize("power", [1020, 1021, 1022])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_near_overflow_scales(self, K, power):
+        # X P or its nuclear norm may overflow, and ||X||_F does at 2^1022: the oracle runs on
+        # X / 2^e, so P and Q are those of X, and the value is 2^power times X's, inf where that overflows
+        X = np.random.default_rng(0).standard_normal((4, 6))
+        ref, orc = enumerate_oracle(X, K), enumerate_oracle(X * 2.0**power, K)
+        assert orc.value == ref.value * 2.0**power
+        assert np.array_equal(orc.P, ref.P) and np.array_equal(orc.Q, ref.Q)
 
     def test_cap_refused(self):
         with pytest.raises(UnsupportedRegimeError):
@@ -360,9 +386,10 @@ class TestKappaConstant:
         with pytest.raises(InvalidInputError):
             kappa_constant(np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("scale", [1e-160, 1e160, 2.0**1021, 2.0**1022])
     def test_extreme_scales(self, scale):
-        # kappa scales as 1/||A|| and eta_g as ||A||^(1/2); kappa^2 overflowed at 1e-160
+        # kappa scales as 1/||A|| and eta_g as ||A||^(1/2); kappa^2 overflowed at 1e-160,
+        # 2 ||A|| at 2^1021 and sigma_1 at 2^1022
         A = np.random.default_rng(0).standard_normal((20, 40))[:, :3]
         kc, ref = kappa_constant(A * scale), kappa_constant(A)
         assert kc.kappa * scale == pytest.approx(ref.kappa, rel=1e-12)

@@ -35,16 +35,23 @@ of the error it raised:
   digesting the class and message of the error, or None for a call that
   returns.  The table also drives the Tier-1 test ``tests/test_arguments.py``.
 * ``kernel``: ``polar_factor`` and ``thin_svd`` of drawn rank 0 up to full,
-  with repeated columns, in C and F order, at three scales.
+  with repeated columns, in C and F order, at three scales and at 2^1022.
 * ``oracle``: ``enumerate_oracle``'s value (a hex float), P and Q on 7
   small shapes (n 1-12, K 1-3) with Gaussian data, a duplicate column,
   equal rows and small integers (exact ties) at scales 1e-150, 1 and
-  1e150, and zero data; then 2^20 candidates at 5x11, K=2, and at 5x6,
-  K=4, with ``hard_cap=24``, and that run's refusal at the default cap.
+  1e150 and at 2^1022, and zero data; then 2^20 candidates at 5x11, K=2,
+  and at 5x6, K=4, with ``hard_cap=24``, and that run's refusal at the
+  default cap.
 * ``error_bound_suite`` (seeds 0-5), ``gen_fixed_effect`` (240 specs),
-  and ``tev`` and ``choose_K_by_variance`` (60 matrices: scales 1, 1e160
-  and 1e-170, dense and CSC).
-* ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300.
+  and ``tev`` and ``choose_K_by_variance`` (80 matrices: scales 1, 1e160
+  and 1e-170 and 2^1022, dense and CSC).
+* ``spectral_norm`` of a 2%-dense CSC X at Gram sides 20, 100 and 300, at
+  scale 1 and at 2^1022.
+* ``top``: ``kappa_constant`` of a 20x3 Gaussian, ``criticality_report`` at
+  the final pair of a 20x40 Gaussian's ``SolverConfig()`` solve (K=3,
+  start 1), and theorem-mode pame on that X (20 iterations) declaring
+  ``norm_upper`` as the largest float and as 2^1020, the second refused at
+  2^1022; each on the data at scale 1 and at 2^1022.
 * ``read``: ``read_sparse_labeled``'s X arrays and labels, or its
   ``ParseError`` with its line, on 5 generated files of about 1.3 MB
   (several blocks of the reader's) at scales 1e-300 to 1e300, with stored
@@ -52,9 +59,13 @@ of the error it raised:
   ``READ_SPLICES`` spliced in before the first line, the middle one and
   after the last.
 
-The grid prints 3522 digests and takes about 16 s on two cores.  BLAS may
-block a product differently with a different thread count, so compare two
-trees at the same ``OPENBLAS_NUM_THREADS``.
+"At 2^1022" means X times the power of two that puts its largest entry
+in [2^1022, 2^1023) (``top``): the entries stay finite, and ||X||_F
+overflows unless X has very few entries near its largest.
+
+The grid prints 3815 digests and takes about 20 s at one BLAS thread on a
+2-vCPU machine.  BLAS may block a product differently with a different
+thread count, so compare two trees at the same ``OPENBLAS_NUM_THREADS``.
 
 ``--fields`` prints, for each run of the solve, metric and spectral-norm
 grids only (no ``criticality_report``), the fields that gate a change which
@@ -94,10 +105,26 @@ GAMMAS = (0.0, 0.5, 0.8)
 BENCH_SHAPES = ((200, 500, 10), (500, 2000, 20))
 #: scales of the theorem-mode runs on the 20x40 Gaussian
 STRETCH_SCALES = (1.0, 1e160, 1e-160)
+#: the exponent ``top`` gives the largest entry: 2^1022 <= max |X| < 2^1023
+TOP_EXPONENT = 1023
 #: how far ``--compare`` lets a solve's final_objective move, relative
 OBJECTIVE_REL_TOL = 1e-12
 #: a solve's ``--fields``, which ``--compare`` counts by name when they move
 SOLVE_FIELDS = ("P_final", "Q_final", "iterations", "termination_reason", "converged", "final_objective")
+
+
+def top(X):
+    """X times the power of two that puts its largest entry in [2^1022, 2^1023), exactly;
+    zero X as it is.  A sparse X keeps its format."""
+    amax = float(abs(X).max())
+    if amax == 0.0:
+        return X
+    e = TOP_EXPONENT - math.frexp(amax)[1]
+    if sp.issparse(X):
+        X = X.copy()
+        X.data = np.ldexp(X.data, e)
+        return X
+    return np.ldexp(X, e)
 
 
 def _canon(value):
@@ -465,10 +492,10 @@ def kernel_runs(l1pca, out: dict) -> None:
             M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
             if rank and cols > 1:
                 M[:, -1] = M[:, 0]  # a repeated column
-            for scale in (1.0, 1e160, 1e-160):
+            for scale in ("1", "1e+160", "1e-160", "2^1022"):
                 for order in ("C", "F"):
-                    A = np.asarray(M * scale, order=order)
-                    key = f"kernel/{rows}x{cols}/rank{rank}/{scale:g}/{order}"
+                    A = np.asarray(top(M) if scale == "2^1022" else M * float(scale), order=order)
+                    key = f"kernel/{rows}x{cols}/rank{rank}/{scale}/{order}"
                     out[f"{key}/thin_svd"] = _digest(lambda: vars(linalg.thin_svd(A)))
                     out[f"{key}/polar_factor"] = _digest(lambda: linalg.polar_factor(A))
 
@@ -491,12 +518,33 @@ def oracle_runs(l1pca, out: dict) -> None:
         for name, X in (("gauss", gauss), ("dup", dup), ("rows", rows), ("ints", ints)):
             for scale in (1e-150, 1.0, 1e150):
                 out[f"oracle/{d}x{n}x{K}/{name}/{scale:g}"] = _digest(lambda: oracle(X * scale, K)._asdict())
+            out[f"oracle/{d}x{n}x{K}/{name}/2^1022"] = _digest(lambda: oracle(top(X), K)._asdict())
         out[f"oracle/{d}x{n}x{K}/zero"] = _digest(lambda: oracle(np.zeros((d, n)), K)._asdict())
     X = rng.standard_normal((5, 11))
     out["oracle/5x11x2/gauss/1"] = _digest(lambda: oracle(X, 2)._asdict())
     X = rng.standard_normal((5, 6))
     out["oracle/5x6x4/gauss/1/hard_cap24"] = _digest(lambda: oracle(X, 4, hard_cap=24)._asdict())
     out["oracle/5x6x4/gauss/1/refused"] = _digest(lambda: oracle(X, 4)._asdict())
+
+
+def top_runs(l1pca, out: dict) -> None:
+    """``kappa_constant``, ``criticality_report`` and a declared ``norm_upper`` at scale 1 and at 2^1022."""
+    verify, solvers = l1pca.verify, l1pca.solvers
+    X = np.random.default_rng(0).standard_normal((20, 40))
+    inst = l1pca.model.ProblemInstance(X, 3)
+    P0, Q0 = solvers.draw_start(inst, 1)
+    res = solvers.solve(inst, solvers.SolverConfig(), P0, Q0)
+    for scale, Xs in (("1", X), ("2^1022", top(X))):
+        out[f"top/{scale}/kappa_constant"] = _digest(lambda: verify.kappa_constant(Xs[:, :3])._asdict())
+        f = float(Xs[0, 0] / X[0, 0])  # the power of two of the scale
+        out[f"top/{scale}/criticality_report"] = _digest(
+            lambda: vars(verify.criticality_report(Xs, res.P_final, res.Q_final, 1e-4 * f)))
+        # at 2^1022 ||X||_2 overflows (so theorem_config refuses), the largest float bounds it,
+        # and 2^1020 lies below ||X||_F / sqrt(20)
+        for bound, norm_upper in (("max_float", np.finfo(np.float64).max), ("2^1020", math.ldexp(1.0, 1020))):
+            cfg = solvers.SolverConfig(alpha=f, beta=5.0 * f, max_iter=20, theorem_mode=True, norm_upper=norm_upper)
+            out[f"top/{scale}/theorem/norm_upper_{bound}"] = _digest(
+                lambda: _result(solvers.solve(l1pca.model.ProblemInstance(Xs, 3), cfg, P0, Q0)))
 
 
 def suite_runs(l1pca, out: dict) -> None:
@@ -537,11 +585,11 @@ def metric_runs(l1pca, out: dict, summary=_digest) -> None:
     for name, X in bases.items():
         d = X.shape[0]
         frames = [random_stiefel(d, K, rng) for K in (1, 3, 9, 12) if K <= d]
-        for scale in (1.0, 1e160, 1e-170):
+        for scale in ("1", "1e+160", "1e-170", "2^1022"):
             for fmt in ("dense", "csc"):
-                Xs = X * scale
+                Xs = top(X) if scale == "2^1022" else X * float(scale)
                 Xs = sp.csc_matrix(Xs) if fmt == "csc" else Xs
-                key = f"metrics/{name}/{scale:g}/{fmt}"
+                key = f"metrics/{name}/{scale}/{fmt}"
                 for Q in frames:
                     out[f"{key}/tev/K{Q.shape[1]}"] = summary(lambda: metrics.tev(Xs, Q))
                 for threshold in (0.5, 0.8, 0.95):
@@ -558,6 +606,7 @@ def norm_runs(l1pca, out: dict, summary=_digest) -> None:
     for d, n in NORM_SHAPES:
         X = sp.random(d, n, density=0.02, format="csc", rng=np.random.default_rng([d, n]))
         out[f"spectral_norm/{d}x{n}/csc"] = summary(lambda: l1pca.linalg.spectral_norm(X))
+        out[f"spectral_norm/{d}x{n}/csc/2^1022"] = summary(lambda: l1pca.linalg.spectral_norm(top(X)))
 
 
 #: scales of the read grid's generated files
@@ -686,8 +735,8 @@ def main(argv: list[str]) -> int:
         metric_runs(l1pca, out, _value)
         norm_runs(l1pca, out, _value)
     else:
-        for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, oracle_runs, suite_runs, generator_runs,
-                     metric_runs, norm_runs, read_runs):
+        for runs in (solve_runs, zero_runs, refused_runs, kernel_runs, oracle_runs, top_runs, suite_runs,
+                     generator_runs, metric_runs, norm_runs, read_runs):
             runs(l1pca, out)
     print(json.dumps(out, indent=0))
     return 0
