@@ -9,9 +9,14 @@ perturbs the basis.
 
 Sparse labeled text is checked in blocks of about ``_BLOCK_BYTES`` of whole
 lines; a block that passes the check is converted by one Matrix Market read
-on the calling thread, and the others token by token.  Importing this module
-loads no ``scipy.io``: the first block of sparse text that takes the
-one-pass parse binds its Matrix Market reader (``_array_reader``).
+on the calling thread, and the others token by token.  The check
+(``_tokens``) is the only scan of a block's bytes before that read: it also
+returns where each token's separator stands, whether a space stands before
+a LF and whether a token starts with a plus, from which ``_convert`` builds
+the reader's input, and ``read_sparse_labeled`` counts the block's lines
+from its labels.  Importing this module loads no ``scipy.io``: the first
+block of sparse text that takes the one-pass parse binds its Matrix Market
+reader (``_array_reader``).
 """
 
 from __future__ import annotations
@@ -131,7 +136,7 @@ def _pair_table(follows) -> np.ndarray:
 _PAIR_OK = _pair_table(_FOLLOWS)
 #: one token per line, as the Matrix Market body below the header
 _TOKEN_LINES = bytes.maketrans(b" :", b"\n\n")
-_MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1"
+_MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1\n"
 #: below this every integer is a float, so an index read as a float is exact
 _EXACT_INDEX = 2**53
 #: bytes per block of whole lines that ``_tokens`` checks and one reader call converts.
@@ -161,9 +166,13 @@ def _blocks(fh):
 
 
 def _tokens(blk: bytes):
-    """The class of the byte before each token of ``blk`` (_LF before a label, _SP
-    before an index, _COLON before a value) and whether the token starts with a
-    minus, or None where ``blk`` breaks the one-pass grammar.
+    """What the one pass over ``blk`` finds, or None where ``blk`` breaks the one-pass grammar:
+    (kind, neg, seps, spaced, plus).  For each token, ``kind`` is the class of the byte
+    before it (_LF before a label, _SP before an index, _COLON before a value), ``neg``
+    whether it starts with a minus and ``seps`` the position of that byte (-1 before the
+    first token); ``spaced`` says whether a space stands before a LF, and ``plus`` whether
+    a token starts with a plus.  ``_convert`` builds its Matrix Market body from these, so
+    no other pass scans the block's bytes before the read.
 
     Each byte that is not a digit must be allowed after the one before it (a LF
     stands before the block and after it), with the digits between them that
@@ -181,24 +190,28 @@ def _tokens(blk: bytes):
     dot = np.flatnonzero(cls == _DOT)
     if not (digits[dot - 1] | digits[dot]).all():
         return None
-    sep = np.flatnonzero((cls[:-1] <= _COLON) & ((cls[:-1] != _SP) | (cls[1:] != _LF)))
-    return cls[sep], b[pos[sep] + 1] == 45
+    space_lf = (cls[:-1] == _SP) & (cls[1:] == _LF)
+    sep = np.flatnonzero((cls[:-1] <= _COLON) & ~space_lf)
+    seps = pos[sep]
+    first = b[seps + 1]
+    return cls[sep], first == 45, seps, bool(space_lf.any()), bool((first == 43).any())
 
 
 def _lines(v: np.ndarray, kind: np.ndarray):
     """(labels, 1-based indices, values, features per line) of whole lines from their
     tokens' numbers v and classes ``kind``, or None where an index reaches 2^53 or does
-    not ascend.  Indices arrive as floats: they are exact below 2^53, and a feature is
-    1-based and ascending iff its index exceeds the one before it on its line (0 at the
-    line's start)."""
-    key = kind != _COLON
-    i = v[key]
-    start = kind[key] == _LF
-    i[start] = 0.0
-    if i.max() >= _EXACT_INDEX or not (start[1:] | (i[1:] > i[:-1])).all():
+    not ascend.  Each line is a label, then index and value tokens in turn, so the index
+    tokens are gathered once and each value stands right after its index.  Indices arrive
+    as floats: they are exact below 2^53, and a line's features are 1-based and ascending
+    iff its first index exceeds 0 and every other one the index before it."""
+    at = np.flatnonzero(kind == _SP)
+    i = v[at]
+    first = kind[at - 1] == _LF  # an index right after its line's label
+    if i.max(initial=0.0) >= _EXACT_INDEX or i.min(initial=1.0) <= 0.0 or not (first[1:] | (i[1:] > i[:-1])).all():
         return None
-    counts = np.diff(np.flatnonzero(start), append=i.size) - 1
-    return v[kind == _LF], i[~start].astype(np.int64), v[~key], counts
+    label = np.flatnonzero(kind == _LF)
+    counts = (np.diff(label, append=kind.size) - 1) >> 1
+    return v[label], i.astype(np.int64), v[at + 1], counts
 
 
 @functools.cache
@@ -220,18 +233,36 @@ def _array_reader():
     return lambda stream: _read_body_array(_get_read_cursor(stream, 1)[0])
 
 
-def _convert(text: bytes, kind: np.ndarray, neg: np.ndarray):
-    """The parts (as ``_lines`` returns them) of block text that passed ``_tokens`` with the
-    token classes ``kind`` and leading minus signs ``neg``, or None where ``_lines`` refuses.
+def _spaced_body(head: bytes, text) -> bytes:
+    """The Matrix Market body of block text in which a space stands before a LF: those spaces
+    go, which moves every separator after them, and ``bytes.translate`` then puts each token
+    on a line of its own behind ``head``."""
+    text = bytes(text).replace(b" \n", b"\n").removesuffix(b" ")
+    return head + text.translate(_TOKEN_LINES)
+
+
+def _convert(text, kind: np.ndarray, neg: np.ndarray, seps: np.ndarray, spaced: bool, plus: bool):
+    """The parts (as ``_lines`` returns them) of block text from what ``_tokens`` found in it,
+    or None where ``_lines`` refuses.
 
     One ``_array_reader`` call converts every token of the block as an N x 1 Matrix Market
     array: its reader (fast_float) rounds as ``float()`` does, but reads ``-0`` and
-    ``-1e-400`` as +0.0, so each number takes its sign from its first byte.  A space before
-    a LF goes before the reader sees the text.
+    ``-1e-400`` as +0.0, so each number takes its sign from its first byte.  Without a space
+    before a LF, the body is the text copied once behind the header, in the buffer of an
+    ``io.BytesIO``, with a LF written in place at each of ``seps``; with one,
+    ``_spaced_body`` builds it.  A leading plus, which the reader refuses, goes only where
+    ``plus`` says a token has one; an exponent's stays.
     """
-    text = text.replace(b" \n", b"\n").removesuffix(b" ")
-    body = b"\n".join([_MM_HEADER % kind.size, text.translate(_TOKEN_LINES)])
-    if b"+" in body:  # the reader refuses a leading plus; an exponent's stays
+    head = _MM_HEADER % kind.size
+    if spaced:
+        body = _spaced_body(head, text)
+    else:
+        body = io.BytesIO()
+        body.write(head)
+        body.write(text)
+        np.frombuffer(body.getbuffer(), np.uint8)[len(head) + seps] = 10  # seps[0] = -1: the header's LF
+        body = body.getvalue()
+    if plus:
         body = body.replace(b"\n+", b"\n")
     v = _array_reader()(io.BytesIO(body))[:, 0]
     del body
@@ -289,7 +320,9 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     line number.  A block of ASCII text with LF line ends, single spaces (one
     of them perhaps before a LF) and decimal numbers (digits, sign, point,
     exponent) whose indices lie below 2^53 is checked by vectorized passes
-    and converted by one Matrix Market read; every other block is parsed
+    (``_tokens``, the one scan of its bytes before the read) and converted by
+    one Matrix Market read (``_convert``); its lines are counted from its
+    labels and the blank lines at its end.  Every other block is parsed
     token by token, with the same result.
     """
     n_features = None if n_features is None else count("n_features", n_features)
@@ -297,14 +330,15 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     lineno = 0
     with open(path, "rb") as fh:
         for blk in _blocks(fh):
-            text = blk.rstrip(b"\n")
+            text = memoryview(blk)[: len(blk.rstrip(b"\n"))]  # no copy held beside blk
             tokens = _tokens(text)
             part = None if tokens is None else _convert(text, *tokens)
             if part is None:
                 part, lineno = _parse_block_slow(blk, lineno)
             else:
-                # a checked block's lines end in LF alone, the file's last line perhaps in nothing
-                lineno += blk.count(b"\n")
+                # a checked block's lines end in LF alone, the file's last line perhaps in nothing:
+                # one between each two labels, and those rstrip took off
+                lineno += part[0].size - 1 + len(blk) - len(text)
             parts.append(part)
     labels, indices, data, counts = (np.concatenate(col) for col in zip(_NO_LINES, *parts))
     n = labels.size

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._args import count, fraction
 from .errors import PreconditionError, UndefinedMetricError
-from .linalg import _prescaled, _top_eigenvalues, _xt, frob, require_finite, seeded_rng
+from .linalg import _ldexp, _prescaled, _top_eigenvalues, _xt, frob, require_finite, seeded_rng
 from .model import _check_dims, require_stiefel
 
 
@@ -180,7 +180,10 @@ def _kmeanspp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         if total <= 0.0:
             centers[j] = coords[:, int(rng.integers(n))]
             continue
-        centers[j] = coords[:, int(rng.choice(n, p=d2 / total))]
+        # the draw of rng.choice(n, p=d2 / total), from the same stream, without its checks
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        centers[j] = coords[:, int(cdf.searchsorted(rng.random(), side="right"))]
         d2 = np.minimum(d2, _sq_dists(coords, centers[j : j + 1])[0])
     return centers
 
@@ -226,21 +229,27 @@ def kmeans_cluster(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0
     Returns (labels, within-cluster sum of squares, whether all points are equal); ties
     between restarts go to the earliest one, so results are deterministic
     for a fixed seed.  ``k`` and ``restarts`` must be integers of at least 1,
-    and more clusters than points is a PreconditionError.
+    more clusters than points is a PreconditionError, and a point that is not
+    finite an InvalidInputError.  Lloyd runs on the points divided by a power
+    of two near their Frobenius norm when it lies outside [2^-300, 2^300]
+    (``linalg._prescaled``), where squared distances would overflow or lose
+    entries to underflow; the sum is scaled back by the square of that power.
     """
     k, restarts = count("k", k, 1), count("restarts", restarts, 1)
     if k > points.shape[0]:
         raise PreconditionError(f"cannot form {k} clusters from {points.shape[0]} points")
+    require_finite(points, "points")
     degenerate = bool((points == points[0]).all())
+    scaled, e = _prescaled(points, frob(points))
     best_labels = None
     best_wcss = np.inf
     for r in range(restarts):
         rng = seeded_rng(seed, 0x6B, r)
-        labels, wcss = _lloyd(points, k, rng)
+        labels, wcss = _lloyd(scaled, k, rng)
         if wcss < best_wcss:
             best_wcss = wcss
             best_labels = labels
-    return best_labels, best_wcss, degenerate
+    return best_labels, _ldexp(best_wcss, 2 * e), degenerate
 
 
 def _assignment_accuracy(pred: np.ndarray, truth: np.ndarray, k: int) -> float:

@@ -443,11 +443,15 @@ def _tie_blocks(A: np.ndarray, tie_tol: float, rank_tol: float | None) -> tuple[
     default max(d, K) eps) times the largest.  Walking down those r values,
     the first opens block one; each later value joins the current block when
     it is within relative ``tie_tol`` (in [0, 1)) of the block's first value,
-    and opens a new block otherwise.
+    and opens a new block otherwise.  Both are counted on the SVD of A / 2^e, e
+    from ``linalg._prescaled`` (the library's one scale rule), so they do not
+    depend on the scale of A; the returned sigma is scaled back by 2^e, inf
+    where a singular value of A overflows.
     """
     tie_tol = fraction("tie_tol", tie_tol, "[0, 1)")
     if rank_tol is not None:
         rank_tol = fraction("rank_tol", rank_tol, "[0, 1)")
+    A, e = _prescaled(A, frob(A))
     s = thin_svd(A)
     smax = float(s.sigma[0]) if s.sigma.size else 0.0
     if smax == 0.0:
@@ -462,6 +466,9 @@ def _tie_blocks(A: np.ndarray, tie_tol: float, rank_tol: float | None) -> tuple[
             mult.append(0)
             block_head = v
         mult[-1] += 1
+    if e:
+        with np.errstate(over="ignore"):
+            s = ThinSvd(s.U, np.ldexp(s.sigma, e), s.V)
     return s, r, tuple(mult)
 
 
@@ -529,8 +536,8 @@ def build_critical_point(spec: CriticalSetSpec, U_blocks: Sequence[np.ndarray], 
     if K - r > 0:
         W[r:, r:] = V
     Q = spec.U_full @ W @ spec.V_full.T
-    scale = max(1.0, frob(spec.A))
-    if stiefel_residual(Q) > 1e-10 or frob(residual_R(spec.A, Q)) > 1e-10 * scale:
+    A = _prescaled(spec.A, frob(spec.A))[0]  # R is linear in A: checked on A / 2^e, where it cannot overflow
+    if stiefel_residual(Q) > 1e-10 or frob(residual_R(A, Q)) > 1e-10 * max(1.0, frob(A)):
         raise InvalidInputError("assembled point failed its defining identities")
     return Q
 
@@ -653,9 +660,14 @@ def error_bound_probe(
     distance/residual ratio over ``samples`` (at least 1) draws.  A draw
     within 1e-12 of the point, or whose residual lies below 1e-12 ||A||_2, is
     skipped: ||R(Q)|| scales with A, and the ratio then carries no signal.
+    The draws are checked on A / 2^e, e from ``linalg._prescaled`` (the
+    library's one scale rule), where no residual overflows; the worst ratio
+    is scaled back by 2^-e, and kappa and eta_g are those of A.
     """
     samples = count("samples", samples, 1)
     radius = fraction("radius", radius)
+    A0 = as_dense(A)
+    A, e = _prescaled(A0, frob(A0))
     spec = critical_set_spec(A, q, tie_tol=tie_tol)
     kc = kappa_constant(A, tie_tol=tie_tol)
     d, K, r = spec.d, spec.K, spec.rank
@@ -686,13 +698,15 @@ def error_bound_probe(
         worst = max(worst, ratio)
         if ratio > kc.kappa * (1.0 + 1e-12):
             violations += 1
+    if e:
+        kc = kappa_constant(A0, tie_tol=tie_tol)
     return ProbeReport(
         name="error_bound",
         parameters={"d": d, "K": K, "radius": radius, "seed": seed, "kappa": kc.kappa, "p": kc.p},
         samples=used,
         violations=violations,
         passed=violations == 0 and used > 0,
-        worst_ratio=worst,
+        worst_ratio=_ldexp(worst, -e),
         details={"kappa": kc.kappa, "eta_g": kc.eta_g},
     )
 

@@ -298,17 +298,21 @@ _LINES_SPEC = re.compile(rb"%s(?:\n%s)*" % (_LINE_SPEC, _LINE_SPEC))
 
 
 def _check_tokens(blk: bytes):
-    """data._tokens(blk) is None off the grammar, else each token's separator and leading minus;
+    """data._tokens(blk) is None off the grammar, else each token's separator, its position and
+    leading minus, whether a space stands before a LF and whether a token starts with a plus;
     a space before a LF, or at the block's end, stands before no token."""
     got = data._tokens(blk)
     if _LINES_SPEC.fullmatch(blk) is None:
         assert got is None, blk
         return
     seps = {ord("\n"): data._LF, ord(" "): data._SP, ord(":"): data._COLON}
-    at = [k for k, c in enumerate(blk) if c in seps and not (c == ord(" ") and blk[k + 1 : k + 2] in (b"\n", b""))]
+    space_lf = [k for k, c in enumerate(blk) if c == ord(" ") and blk[k + 1 : k + 2] in (b"\n", b"")]
+    at = [k for k, c in enumerate(blk) if c in seps and k not in space_lf]
     kind = [data._LF] + [seps[blk[k]] for k in at]
-    neg = [blk[:1] == b"-"] + [blk[k + 1 : k + 2] == b"-" for k in at]
-    assert got is not None and got[0].tolist() == kind and got[1].tolist() == neg, blk
+    first = [blk[k + 1 : k + 2] for k in [-1, *at]]
+    assert got is not None, blk
+    assert [a.tolist() for a in got[:3]] == [kind, [b == b"-" for b in first], [-1, *at]], blk
+    assert got[3:] == (bool(space_lf), b"+" in first), blk
 
 
 def _mutants(valid: str):
@@ -363,6 +367,20 @@ _ODD_LINES = {
     "two_points": "1 1:1.2.3\n", "tab": "1\t1:2\n", "lone_cr": "1 1:2\r-1 2:3\n",
     "descending": "1 2:1 1:1\n", "index_two53_plus_1": "1 9007199254740993:1\n", "plus": "+1 +2:+3\n",
 }
+
+
+#: lines set at a block cut by ``test_lines_at_the_block_cut``: the one-pass parse takes the first
+#: two, and the token-by-token parse raises on the third
+_CUT_LINES = {"spaced": b"1 1:2 \n", "plus": b"+1 2:+3 5:+.5e+3\n", "malformed": b"1 1:1.2.3\n"}
+_GOOD_CUT_LINE = [b"-1 2:0.5 7:-2.25e-3\n"]
+
+
+def _lines_of(size: int) -> bytes:
+    """Lines of ``_GOOD_CUT_LINE``'s form, ``size`` bytes in all: the last pads its first value
+    with zeros."""
+    line = _GOOD_CUT_LINE[0]
+    count, pad = divmod(size, len(line))
+    return line * (count - 1) + line.replace(b":0.5", b":0.5" + b"0" * pad)
 
 
 def _check_refused_among(tmp_path, block, good):
@@ -562,6 +580,41 @@ class TestOnePassParse:
         with mock.patch.object(data, "_parse_block_slow", wraps=data._parse_block_slow) as slow:
             assert _outcome(read_sparse_labeled, p) == expected
         assert (slow.call_count == 0) == one_pass
+
+    @pytest.mark.parametrize("before, after", [
+        pytest.param(b"\n\n\n", b"", id="blank_lines"),
+        pytest.param(_CUT_LINES["spaced"], b"", id="spaced_before"),
+        pytest.param(b"", _CUT_LINES["spaced"], id="spaced_after"),
+        pytest.param(_CUT_LINES["plus"], b"", id="plus_before"),
+        pytest.param(b"", _CUT_LINES["plus"], id="plus_after"),
+    ])
+    @pytest.mark.parametrize("bad", [False, True], ids=["valid", "malformed"])
+    def test_lines_at_the_block_cut(self, tmp_path, before, after, bad):
+        # the first read of _BLOCK_BYTES ends in ``before``, and the next block starts with ``after``;
+        # a malformed line a few lines on names its line as the token-by-token parse does
+        p = tmp_path / "x.txt"
+        tail = [after, *_GOOD_CUT_LINE * 3, _CUT_LINES["malformed"] if bad else b"", *_GOOD_CUT_LINE * 3]
+        p.write_bytes(_lines_of(data._BLOCK_BYTES - len(before)) + before + b"".join(tail))
+        with open(p, "rb") as fh:
+            blocks = list(data._blocks(fh))
+        assert blocks[0].endswith(b"\n" + before) and blocks[1].startswith(after or _GOOD_CUT_LINE[0])
+        assert data._tokens(blocks[0].rstrip(b"\n")) is not None
+        with mock.patch.object(data, "_tokens", return_value=None):
+            expected = _outcome(read_sparse_labeled, p)
+        assert _outcome(read_sparse_labeled, p) == expected
+        assert isinstance(expected[-1], int) == bad  # a ParseError names its line
+
+    def test_unspaced_blocks_skip_the_spaced_body(self, tmp_path, cluster_file):
+        # no block of the seed-1 cluster file has a space before a LF, so none reaches the
+        # bytes.replace of _spaced_body; with one on every line, every block does
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_bytes(cluster_file.read_bytes().replace(b"\n", b" \n"))
+        with mock.patch.object(data, "_spaced_body", wraps=data._spaced_body) as body:
+            plain = _outcome(read_sparse_labeled, cluster_file)
+            assert body.call_count == 0
+            assert _outcome(read_sparse_labeled, spaced) == plain
+        with open(spaced, "rb") as fh:
+            assert body.call_count == len(list(data._blocks(fh)))
 
     def test_scipy_io_loaded_on_first_read(self, tmp_path):
         # importing the package and its CLI loads no scipy.io (about 18 ms per process);

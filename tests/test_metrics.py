@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import gram_eigenvalues_reference, variance_K_reference, with_duplicates
 from l1pca import linalg, metrics
-from l1pca.errors import DimensionMismatchError, PreconditionError, UndefinedMetricError
+from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError, UndefinedMetricError
 from l1pca.linalg import random_orthogonal, random_stiefel, seeded_rng
 from l1pca.metrics import choose_K_by_variance, kmeans_accuracy, kmeans_cluster, tev
 
@@ -465,6 +465,26 @@ class TestKmeans:
         with pytest.raises(PreconditionError, match="cannot form 3 clusters from 2 points"):
             kmeans_cluster(np.zeros((2, 1)), 3)
         assert kmeans_cluster(np.arange(8.0)[:, None], 8, restarts=1)[1] == 0.0
+
+    @pytest.mark.parametrize("scale", [2.0**540, 2.0**-540, 1e160, 1e300])
+    def test_cluster_labels_do_not_depend_on_scale(self, scale):
+        # squared distances overflowed past about 1e154, and the plus-plus draw raised
+        # "Probabilities contain NaN"; Lloyd now runs on the points over a power of two
+        pts = np.random.default_rng(0).standard_normal((50, 3))
+        labels, wcss, _ = kmeans_cluster(pts, 3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_wcss, degenerate = kmeans_cluster(pts * scale, 3, seed=1)
+        assert np.array_equal(got, labels) and not degenerate
+        # the sum scales by scale^2 with one rounding, to a subnormal at 2^-1080
+        assert got_wcss == (math.ldexp(wcss, -1080) if scale == 2.0**-540 else math.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cluster_refuses_points_not_finite(self, bad):
+        pts = np.random.default_rng(0).standard_normal((10, 2))
+        pts[3, 1] = bad
+        with pytest.raises(InvalidInputError, match="points"):
+            kmeans_cluster(pts, 2)
 
     def test_cluster_objective_improves_with_restarts(self):
         pts, _ = _separable(seed=5)

@@ -415,6 +415,36 @@ def test_rank_tol_range_ends():
     assert critical_set_spec(A, [1.0], rank_tol=0.9).rank == 1
 
 
+class TestCriticalSetsAtTheTopOfTheRange:
+    """Rank and tie blocks are counted on A / 2^e: at 2^1022 sigma_1 overflows, and the rank
+    of A, counted against inf, read 0."""
+
+    A = np.random.default_rng(0).standard_normal((20, 40))[:, :3]
+
+    def test_spec_rank_and_blocks(self):
+        base, spec = (critical_set_spec(M, [1.0] * 3) for M in (self.A, self.A * 2.0**1022))
+        assert spec.rank == base.rank == 3 and spec.multiplicities == base.multiplicities == (1, 1, 1)
+        assert spec.sigma_pos[0] == math.inf  # sigma_1 of A itself, which overflows
+        assert np.allclose(spec.sigma_pos[1:] / 2.0**1022, base.sigma_pos[1:], rtol=1e-14, atol=0.0)
+        with np.errstate(all="raise"):
+            Q, ref = (sample_critical_point(s, seeded_rng(5)) for s in (spec, base))
+        assert np.allclose(Q, ref, rtol=0.0, atol=1e-12)
+
+    def test_probe_refuses_the_regime_not_the_rank(self):
+        for M in (self.A, self.A * 2.0**1022):
+            with pytest.raises(UnsupportedRegimeError, match="exact family distance"):
+                error_bound_probe(M, [1.0] * 3, samples=3)
+
+    def test_probe_where_sigma_1_overflows(self):
+        x = np.linspace(1.0, 2.0, 20)[:, None]  # ||x|| = 6.8: sigma_1 of x 2^1022 overflows
+        base = error_bound_probe(x, [1.0], samples=30)
+        with np.errstate(all="raise"):
+            rep = error_bound_probe(x * 2.0**1022, [1.0], samples=30)
+        assert rep.samples == base.samples == 30 and rep.passed and rep.violations == 0
+        assert math.ldexp(rep.worst_ratio, 1022) == pytest.approx(base.worst_ratio, rel=1e-12)
+        assert rep.parameters["kappa"] == kappa_constant(x * 2.0**1022).kappa
+
+
 class TestErrorBound:
     def test_closed_form_single_direction(self):
         # A = (2,0), Q at angle pi/4: distance 2 sin(pi/8), residual 2 sin(pi/4)

@@ -56,14 +56,15 @@ of the error it raised:
   ``ParseError`` with its line, on 5 generated files of about 1.3 MB
   (several blocks of the reader's) at scales 1e-300 to 1e300, with stored
   zeros and labels of both signs: as written, and with each line of
-  ``READ_SPLICES`` spliced in before the first line, the middle one and
-  after the last.
+  ``READ_SPLICES`` spliced in before the first line, before the first line
+  that starts past byte 2^19 (the reader's first block cut), before the
+  middle one and after the last.
 
 "At 2^1022" means X times the power of two that puts its largest entry
 in [2^1022, 2^1023) (``top``): the entries stay finite, and ||X||_F
 overflows unless X has very few entries near its largest.
 
-The grid prints 3815 digests and takes about 20 s at one BLAS thread on a
+The grid prints 3880 digests and takes about 20 s at one BLAS thread on a
 2-vCPU machine.  BLAS may block a product differently with a different
 thread count, so compare two trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -613,12 +614,15 @@ def norm_runs(l1pca, out: dict, summary=_digest) -> None:
 READ_SCALES = (1e-300, 1e-150, 1.0, 1e150, 1e300)
 #: lines the read grid splices into its files: refused by the one-pass grammar (two points,
 #: a tab, CRLF, a sign before an index), by its index check (descending, 2^53 + 1), or taken
-#: by it with leading plus signs or a space before LF (after a value, after a bare label)
+#: by it with leading plus signs, a space before LF (after a value, after a bare label) or
+#: blank lines
 READ_SPLICES = {
     "two_points": "1 1:1.2.3\n", "tab": "1\t1:2\n", "crlf": "1 1:2\r\n", "plus_index": "+1 +2:+3\n",
     "descending": "1 2:1 1:1\n", "index_two53_plus_1": "1 9007199254740993:1\n", "plus": "+1 2:+3 5:+.5e+3\n",
-    "space_lf": "1 1:2 \n", "label_space_lf": "3 \n",
+    "space_lf": "1 1:2 \n", "label_space_lf": "3 \n", "blank_lines": "\n\n\n",
 }
+#: the reader's block size: the grid also splices at the first line that starts past this byte
+READ_CUT = 1 << 19
 
 
 def _sparse_text(X: sp.csc_matrix, labels: np.ndarray) -> list[bytes]:
@@ -633,7 +637,7 @@ def _sparse_text(X: sp.csc_matrix, labels: np.ndarray) -> list[bytes]:
 
 def read_runs(l1pca, out: dict) -> None:
     """``read_sparse_labeled`` on each of ``READ_SCALES``' files, as written and with each of
-    ``READ_SPLICES`` spliced in at three places."""
+    ``READ_SPLICES`` spliced in at four places, one of them at the first block cut."""
 
     def parsed(path):
         inst = l1pca.data.read_sparse_labeled(path)
@@ -651,8 +655,9 @@ def read_runs(l1pca, out: dict) -> None:
             lines = _sparse_text(X, labels)
             path.write_bytes(b"".join(lines))
             out[f"read/{scale:g}"] = _digest(lambda: parsed(path))
+            cut = int(np.cumsum([len(line) for line in lines]).searchsorted(READ_CUT, side="right")) + 1
             for name, line in READ_SPLICES.items():
-                for at in (0, len(lines) // 2, len(lines)):
+                for at in (0, cut, len(lines) // 2, len(lines)):
                     path.write_bytes(b"".join([*lines[:at], line.encode(), *lines[at:]]))
                     out[f"read/{scale:g}/{name}/{at}"] = _digest(lambda: parsed(path))
 
