@@ -14,6 +14,7 @@ suite failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -393,8 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):

@@ -10,9 +10,12 @@ perturbs the basis.
 Sparse labeled text is checked in blocks of about ``_BLOCK_BYTES`` of whole
 lines; a block that passes the check is converted by one Matrix Market read
 on the calling thread, and the others token by token.  The check
-(``_tokens``) is the only scan of a block's bytes before that read: it also
-returns where each token's separator stands, whether a space stands before
-a LF and whether a token starts with a plus, from which ``_convert`` builds
+(``_tokens``) is the only scan of a block's bytes before that read: numpy
+gathers the bytes that are not digits once, as codes, and two
+``bytes.translate`` lookups over each code and the next judge the grammar
+and mark the bytes that stand before a token.  It returns where each
+token's separator stands, its sign, whether a space stands before a line
+end and whether a token starts with a plus, from which ``_convert`` builds
 the reader's input, and ``read_sparse_labeled`` counts the block's lines
 from its labels.  Importing this module loads no ``scipy.io``: the first
 block of sparse text that takes the one-pass parse binds its Matrix Market
@@ -102,16 +105,24 @@ def gen_fixed_effect(spec: FixedEffectSpec) -> tuple[np.ndarray, np.ndarray, np.
 
 #: indices are stored as int64
 _INDEX_LIMIT = 2**63
-# The one-pass grammar: lines "NUM( DIGITS:NUM)* ?" joined by LF, where NUM is
-# [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? and D a digit.  The Matrix Market reader stops
-# at the first byte that cannot extend a number (1.2.3 reads 1.2, 1e and 1-2 read
-# 1), so only a block that is all such tokens may go to it.  A block is checked on
-# its bytes that are not digits, as classes: _ESIGN is a sign after an exponent mark.
-_LF, _SP, _COLON, _SIGN, _ESIGN, _DOT, _EXP, _BAD = range(8)
-_CLASS = np.full(256, _BAD, np.uint8)
-_CLASS[list(b"\n :+-.eE")] = _LF, _SP, _COLON, _SIGN, _SIGN, _DOT, _EXP, _EXP
+# The one-pass grammar: lines "NUM( DIGITS:NUM)* ?" joined by LF or CRLF, where NUM is
+# [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? and D a digit.  The Matrix Market reader stops at
+# the first byte that cannot extend a number (1.2.3 reads 1.2, 1e and 1-2 read 1), so
+# only a block that is all such tokens may go to it.  A block is checked on its bytes
+# that are not digits, as codes: the byte's class times two, plus one where a digit
+# follows it.  A CR stands only right before a LF, so a CR with a digit after it is _BAD.
+_LF, _SP, _COLON, _PLUS, _MINUS, _DOT, _EXP, _CR = range(0, 16, 2)
+_BAD = 15
+_CLASS_BITS = 0b1110
+_CODE = bytearray([_BAD]) * 256
+for _byte, _code in zip(b"\n :+-.eE\r", (_LF, _SP, _COLON, _PLUS, _MINUS, _DOT, _EXP, _EXP, _CR)):
+    _CODE[_byte] = _code
+_CODE = bytes(_CODE)
+#: the grammar's classes of a sign, in the two sign slots: any sign, and a sign right after an
+#: exponent mark
+_SIGN, _ESIGN = _PLUS, _MINUS
 #: (class, class of the next byte that is not a digit): how many digits may stand
-#: between them; a pair not listed breaks the grammar
+#: between them; a pair not listed breaks the grammar.  A CR counts as the LF after it
 _FOLLOWS = {
     **{
         (start, nxt): digits
@@ -124,16 +135,52 @@ _FOLLOWS = {
     (_EXP, _ESIGN): "none", (_EXP, _SP): "some", (_EXP, _LF): "some",
     (_ESIGN, _SP): "some", (_ESIGN, _LF): "some",
 }
+#: what ``_CHECK`` says of a pair: it breaks the grammar (0), is fine, or has a space before a
+#: line end; or its first byte stands before a token, and _TOKEN holds the byte's class, with
+#: _NEG or _PLUS_FIRST where the token starts with that sign
+_FINE, _SPACED, _TOKEN, _NEG, _PLUS_FIRST = 1, 2, 0x80, 1, 0x40
 
 
-def _pair_table(follows) -> np.ndarray:
-    ok = np.zeros((8, 8, 2), bool)  # [class, next class, any digit between them]
-    for pair, digits in follows.items():
-        ok[pair] = digits != "some", digits != "none"
-    return ok.ravel()
+def _grammar_class(code: int, before: int) -> int:
+    """The grammar's class of a byte of code ``code`` after one of code ``before``."""
+    cls = code & _CLASS_BITS
+    if cls in (_PLUS, _MINUS):
+        return _ESIGN if before == _EXP else _SIGN
+    return cls
 
 
-_PAIR_OK = _pair_table(_FOLLOWS)
+def _grammar_tables(follows) -> tuple[bytes, bytes]:
+    """The ``bytes.translate`` tables of ``_tokens``, each indexed by two codes as one byte.
+
+    ``_REFINE`` maps (code before, code) to the code with its class made the grammar's, in the
+    high four bits.  ``_CHECK`` maps (refined code, next code) to what ``_FINE`` and its kin
+    say of the pair: its classes and the digits between them must be allowed by ``follows``,
+    a CR must stand right before a LF, and a point needs a digit beside it.
+    """
+    refine = bytes(
+        0 if code == _BAD else (_grammar_class(code, before) | code & 1) << 4 for before, code in np.ndindex(16, 16)
+    )
+    check = bytearray(256)
+    for code, nxt in np.ndindex(16, 16):
+        cls, some, after = code & _CLASS_BITS, code & 1, _grammar_class(nxt, code)
+        if cls == _CR:
+            ok = after == _LF and not some
+        else:
+            digits = follows.get((cls, _LF if after == _CR else after))
+            ok = digits == "any" or digits == ("some" if some else "none")
+        if nxt == _BAD or not ok or (after == _DOT and not (some or nxt & 1)):
+            continue
+        if cls == _SP and not some and after in (_LF, _CR):
+            check[code << 4 | nxt] = _SPACED
+        elif cls in (_LF, _SP, _COLON):
+            sign = {_MINUS: _NEG, _PLUS: _PLUS_FIRST}.get(nxt & _CLASS_BITS, 0) if not some else 0
+            check[code << 4 | nxt] = _TOKEN | cls | sign
+        else:
+            check[code << 4 | nxt] = _FINE
+    return refine, bytes(check)
+
+
+_REFINE, _CHECK = _grammar_tables(_FOLLOWS)
 #: one token per line, as the Matrix Market body below the header
 _TOKEN_LINES = bytes.maketrans(b" :", b"\n\n")
 _MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1\n"
@@ -168,33 +215,40 @@ def _blocks(fh):
 def _tokens(blk: bytes):
     """What the one pass over ``blk`` finds, or None where ``blk`` breaks the one-pass grammar:
     (kind, neg, seps, spaced, plus).  For each token, ``kind`` is the class of the byte
-    before it (_LF before a label, _SP before an index, _COLON before a value), ``neg``
-    whether it starts with a minus and ``seps`` the position of that byte (-1 before the
-    first token); ``spaced`` says whether a space stands before a LF, and ``plus`` whether
-    a token starts with a plus.  ``_convert`` builds its Matrix Market body from these, so
-    no other pass scans the block's bytes before the read.
+    before it (_LF before a label, _SP before an index, _COLON before a value) and ``neg``
+    whether it starts with a minus; ``seps`` holds the positions of those bytes but the
+    first token's, ``spaced`` says whether a space stands before a line end, and ``plus``
+    whether a token starts with a plus.  ``_convert`` builds its Matrix Market body from
+    these, so no other pass scans the block's bytes before the read.
 
-    Each byte that is not a digit must be allowed after the one before it (a LF
-    stands before the block and after it), with the digits between them that
-    ``_FOLLOWS`` allows, and a point needs a digit beside it.  A space before a
-    LF ends a line's last token and stands before none.
+    The bytes that are not digits are gathered once, with a LF before and after them, as
+    codes (``_CODE``); two table lookups over each code and the next (``_REFINE``, then
+    ``_CHECK``) judge every pair and mark the bytes that stand before a token.  A space
+    before a line end stands before no token, nor does a CR.
     """
     b = np.frombuffer(blk, np.uint8)
-    at = np.flatnonzero(b - 48 > 9)  # the bytes that are not ASCII digits
-    pos = np.concatenate(([-1], at, [b.size]))
-    cls = np.concatenate(([_LF], _CLASS[b[at]], [_LF]))
-    cls[1:][(cls[1:] == _SIGN) & (cls[:-1] == _EXP)] = _ESIGN
-    digits = np.diff(pos) > 1
-    if not _PAIR_OK[(cls[:-1] * 8 + cls[1:]) * 2 + digits].all():
+    other = b - 48
+    other = np.greater(other, 9, out=other.view(bool))  # the bytes that are not ASCII digits
+    at = np.flatnonzero(other)
+    # digits follow the block's leading LF, and each byte in ``at`` but the block's last byte
+    some = np.zeros(at.size + 3, bool)
+    if b.size:
+        some[1] = not other[0]
+        inner = at[:-1] if at.size and at[-1] == b.size - 1 else at
+        np.logical_not(other[1:][inner], out=some[2 : 2 + inner.size])
+    # two LFs before the block, so that the first refined code is the leading LF's
+    code = np.frombuffer(b"".join((b"\n\n", b[at], b"\n")).translate(_CODE), np.uint8) | some
+    pair = code[:-1] << 4
+    pair |= code[1:]
+    refined = np.frombuffer(pair.tobytes().translate(_REFINE), np.uint8)
+    said = (refined[:-1] | code[2:]).tobytes().translate(_CHECK)
+    if b"\0" in said:
         return None
-    dot = np.flatnonzero(cls == _DOT)
-    if not (digits[dot - 1] | digits[dot]).all():
-        return None
-    space_lf = (cls[:-1] == _SP) & (cls[1:] == _LF)
-    sep = np.flatnonzero((cls[:-1] <= _COLON) & ~space_lf)
-    seps = pos[sep]
-    first = b[seps + 1]
-    return cls[sep], first == 45, seps, bool(space_lf.any()), bool((first == 43).any())
+    spaced = bytes([_SPACED]) in said
+    said = np.frombuffer(said, np.uint8)
+    sep = np.flatnonzero(said[1:] >= _TOKEN)
+    first = np.concatenate((said[:1], said[1:][sep]))
+    return first & _CLASS_BITS, (first & _NEG).view(bool), at[sep], spaced, bool(first.max() >= _TOKEN | _PLUS_FIRST)
 
 
 def _lines(v: np.ndarray, kind: np.ndarray):
@@ -204,14 +258,14 @@ def _lines(v: np.ndarray, kind: np.ndarray):
     tokens are gathered once and each value stands right after its index.  Indices arrive
     as floats: they are exact below 2^53, and a line's features are 1-based and ascending
     iff its first index exceeds 0 and every other one the index before it."""
-    at = np.flatnonzero(kind == _SP)
-    i = v[at]
-    first = kind[at - 1] == _LF  # an index right after its line's label
+    at = np.flatnonzero(kind[1:] == _SP)  # each index token's position, less one: a label leads
+    i = v[1:][at]
+    first = kind[at] == _LF  # an index right after its line's label
     if i.max(initial=0.0) >= _EXACT_INDEX or i.min(initial=1.0) <= 0.0 or not (first[1:] | (i[1:] > i[:-1])).all():
         return None
     label = np.flatnonzero(kind == _LF)
     counts = (np.diff(label, append=kind.size) - 1) >> 1
-    return v[label], i.astype(np.int64), v[at + 1], counts
+    return v[label], i.astype(np.int64), v[2:][at], counts
 
 
 @functools.cache
@@ -234,11 +288,11 @@ def _array_reader():
 
 
 def _spaced_body(head: bytes, text) -> bytes:
-    """The Matrix Market body of block text in which a space stands before a LF: those spaces
-    go, which moves every separator after them, and ``bytes.translate`` then puts each token
-    on a line of its own behind ``head``."""
-    text = bytes(text).replace(b" \n", b"\n").removesuffix(b" ")
-    return head + text.translate(_TOKEN_LINES)
+    """The Matrix Market body of block text in which a space stands before a line end: those
+    spaces go, which moves every separator after them, and ``bytes.translate`` then puts each
+    token on a line of its own behind ``head``."""
+    text = bytes(text).replace(b" \n", b"\n").replace(b" \r", b"\r").removesuffix(b" ")
+    return b"".join((head, text.translate(_TOKEN_LINES), b"\n"))
 
 
 def _convert(text, kind: np.ndarray, neg: np.ndarray, seps: np.ndarray, spaced: bool, plus: bool):
@@ -248,10 +302,11 @@ def _convert(text, kind: np.ndarray, neg: np.ndarray, seps: np.ndarray, spaced: 
     One ``_array_reader`` call converts every token of the block as an N x 1 Matrix Market
     array: its reader (fast_float) rounds as ``float()`` does, but reads ``-0`` and
     ``-1e-400`` as +0.0, so each number takes its sign from its first byte.  Without a space
-    before a LF, the body is the text copied once behind the header, in the buffer of an
-    ``io.BytesIO``, with a LF written in place at each of ``seps``; with one,
-    ``_spaced_body`` builds it.  A leading plus, which the reader refuses, goes only where
-    ``plus`` says a token has one; an exponent's stays.
+    before a line end, the body is the text copied once behind the header, in the buffer of
+    an ``io.BytesIO``, with a LF written in place at each of ``seps``; with one,
+    ``_spaced_body`` builds it.  Either ends in a LF, so that a CR before a LF, which the
+    reader passes over, never ends the body.  A leading plus, which the reader refuses, goes
+    only where ``plus`` says a token has one; an exponent's stays.
     """
     head = _MM_HEADER % kind.size
     if spaced:
@@ -260,7 +315,8 @@ def _convert(text, kind: np.ndarray, neg: np.ndarray, seps: np.ndarray, spaced: 
         body = io.BytesIO()
         body.write(head)
         body.write(text)
-        np.frombuffer(body.getbuffer(), np.uint8)[len(head) + seps] = 10  # seps[0] = -1: the header's LF
+        body.write(b"\n")
+        np.frombuffer(body.getbuffer(), np.uint8)[len(head) :][seps] = 10
         body = body.getvalue()
     if plus:
         body = body.replace(b"\n+", b"\n")
@@ -317,13 +373,13 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     The feature dimension is the largest index seen unless ``n_features``, an
     integer, overrides it (datasets may have trailing absent features).  Malformed
     lines, undecodable bytes included, raise ParseError with their 1-based
-    line number.  A block of ASCII text with LF line ends, single spaces (one
-    of them perhaps before a LF) and decimal numbers (digits, sign, point,
-    exponent) whose indices lie below 2^53 is checked by vectorized passes
-    (``_tokens``, the one scan of its bytes before the read) and converted by
-    one Matrix Market read (``_convert``); its lines are counted from its
-    labels and the blank lines at its end.  Every other block is parsed
-    token by token, with the same result.
+    line number.  A block of ASCII text with LF or CRLF line ends, single
+    spaces (one of them perhaps before a line end) and decimal numbers
+    (digits, sign, point, exponent) whose indices lie below 2^53 is checked
+    by vectorized passes (``_tokens``, the one scan of its bytes before the
+    read) and converted by one Matrix Market read (``_convert``); its lines
+    are counted from its labels and the blank lines at its end.  Every other
+    block is parsed token by token, with the same result.
     """
     n_features = None if n_features is None else count("n_features", n_features)
     parts = []
@@ -336,8 +392,8 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
             if part is None:
                 part, lineno = _parse_block_slow(blk, lineno)
             else:
-                # a checked block's lines end in LF alone, the file's last line perhaps in nothing:
-                # one between each two labels, and those rstrip took off
+                # a checked block's lines end in LF or CRLF, the file's last line perhaps in nothing
+                # or a CR: one LF between each two labels, and those rstrip took off
                 lineno += part[0].size - 1 + len(blk) - len(text)
             parts.append(part)
     labels, indices, data, counts = (np.concatenate(col) for col in zip(_NO_LINES, *parts))

@@ -1,12 +1,13 @@
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import variance_K_reference
-from l1pca import metrics
+from l1pca import cli, metrics
 from l1pca.cli import main
 from l1pca.data import read_dense_matrix, read_sparse_labeled, write_sparse_labeled
 from l1pca.linalg import seeded_rng
@@ -408,6 +409,32 @@ _SEEDED_COMMANDS = {
     "cluster": lambda tmp: ["cluster", "--input", str(_separable_dataset(tmp / "sep.txt")), "--K", "1"],
     "verify": lambda tmp: ["verify", "--suite", "sandwich", "--samples", "10"],
 }
+
+
+class TestParserReuse:
+    def test_one_parser_serves_each_command(self, tmp_path, capsys):
+        # main builds its parser once per process: each command prints what it prints on a parser
+        # built for it alone, after the shared parser has read other commands and a config file,
+        # whose entries stay out of the cluster run after it
+        data = _separable_dataset(tmp_path / "sep.txt")
+        inst = _generate(tmp_path)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"method": "pam", "restarts": 3, "tol": 1e-7}))
+        capsys.readouterr()
+        runs = [
+            ["cluster", "--input", str(data), "--K", "2", "--seed", "1"],
+            ["cluster", "--config", str(cfgfile), "--input", str(data), "--auto-K", "--seed", "2"],
+            ["solve", "--input", str(inst), "--out", str(tmp_path / "run"), "--seed", "3"],
+            ["cluster", "--input", str(data), "--K", "2", "--seed", "1"],
+        ]
+        shared = []
+        for argv in runs:
+            shared.append((main(argv), capsys.readouterr().out))
+        assert cli._parser() is cli._parser()
+        with mock.patch.object(cli, "_parser", cli.build_parser):
+            fresh = [(main(argv), capsys.readouterr().out) for argv in runs]
+        assert fresh == shared
+        assert [rc for rc, _ in shared] == [0] * 4 and all(out for _, out in shared)
 
 
 class TestNegativeSeed:

@@ -288,30 +288,32 @@ _ONE_PASS_CASES = [
     "exponent", "negative_zero", "negative_zero_forms", "plus_signs", "number_forms", "overflow_underflow",
     "forty_digits", "halfway_subnormal", "index_two53_minus_1", "leading_zero_index", "beyond_int32",
     "label_only_lines", "only_labels", "no_trailing_newline",
-    "trailing_space", "trailing_space_after_label", "trailing_space_at_end",
+    "trailing_space", "trailing_space_after_label", "trailing_space_at_end", "crlf", "trailing_space_before_crlf",
 ]
 
-#: the one-pass grammar as a regular expression: lines "NUM( DIGITS:NUM)* ?" joined by LF
+#: the one-pass grammar as a regular expression: lines "NUM( DIGITS:NUM)* ?" joined by LF or
+#: CRLF; a block's last line may end in the CR of a CRLF whose LF ends the block
 _NUM_SPEC = rb"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _LINE_SPEC = rb"%s(?: [0-9]+:%s)* ?" % (_NUM_SPEC, _NUM_SPEC)
-_LINES_SPEC = re.compile(rb"%s(?:\n%s)*" % (_LINE_SPEC, _LINE_SPEC))
+_LINES_SPEC = re.compile(rb"%s(?:\r?\n%s)*\r?" % (_LINE_SPEC, _LINE_SPEC))
 
 
 def _check_tokens(blk: bytes):
-    """data._tokens(blk) is None off the grammar, else each token's separator, its position and
-    leading minus, whether a space stands before a LF and whether a token starts with a plus;
-    a space before a LF, or at the block's end, stands before no token."""
+    """data._tokens(blk) is None off the grammar, else each token's separator and leading minus,
+    the positions of the separators after the first token's, whether a space stands before a
+    line end and whether a token starts with a plus; a space before a LF, a CR or the block's
+    end stands before no token, nor does a CR."""
     got = data._tokens(blk)
     if _LINES_SPEC.fullmatch(blk) is None:
         assert got is None, blk
         return
     seps = {ord("\n"): data._LF, ord(" "): data._SP, ord(":"): data._COLON}
-    space_lf = [k for k, c in enumerate(blk) if c == ord(" ") and blk[k + 1 : k + 2] in (b"\n", b"")]
+    space_lf = [k for k, c in enumerate(blk) if c == ord(" ") and blk[k + 1 : k + 2] in (b"\n", b"\r", b"")]
     at = [k for k, c in enumerate(blk) if c in seps and k not in space_lf]
     kind = [data._LF] + [seps[blk[k]] for k in at]
     first = [blk[k + 1 : k + 2] for k in [-1, *at]]
     assert got is not None, blk
-    assert [a.tolist() for a in got[:3]] == [kind, [b == b"-" for b in first], [-1, *at]], blk
+    assert [a.tolist() for a in got[:3]] == [kind, [b == b"-" for b in first], at], blk
     assert got[3:] == (bool(space_lf), b"+" in first), blk
 
 
@@ -438,18 +440,18 @@ class TestOnePassParse:
     def test_grammar_on_every_short_block(self):
         # every block of up to 5 bytes over one byte of each class but the bad ones
         for n in range(6):
-            for blk in itertools.product(b"1.e-+ :\n", repeat=n):
+            for blk in itertools.product(b"1.e-+ :\n\r", repeat=n):
                 _check_tokens(bytes(blk))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(st.sampled_from(list(b"0129.eE-+ :\n\tx")), max_size=40).map(bytes))
+    @given(st.lists(st.sampled_from(list(b"0129.eE-+ :\n\r\tx")), max_size=40).map(bytes))
     def test_grammar_on_longer_blocks(self, blk):
         _check_tokens(blk)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.sampled_from(["1", "0.5", "-2.", ".5e-3", "+7E+2", "-0", "1.2.3", "1e", "1-2", "", "-", "."]),
                     min_size=1, max_size=12),
-           st.lists(st.sampled_from([" ", ":", "\n"]), min_size=11, max_size=11))
+           st.lists(st.sampled_from([" ", ":", "\n", "\r\n", " \r\n"]), min_size=11, max_size=11))
     def test_grammar_on_token_sequences(self, toks, seps):
         _check_tokens("".join(t + s for t, s in zip(toks, seps + [""])).encode())
 
@@ -548,6 +550,27 @@ class TestOnePassParse:
             assert _outcome(read_sparse_labeled, spaced) == expected
         assert slow.call_count == 0
 
+    @pytest.mark.parametrize("line_end", [b"\r\n", b" \r\n"], ids=["crlf", "space_crlf"])
+    def test_crlf_takes_one_pass(self, tmp_path, cluster_file, line_end):
+        # the seed-1 cluster file with CRLF line ends, with or without a space before each, reads
+        # as written, with no block left to the token-by-token parse
+        p = tmp_path / "crlf.txt"
+        p.write_bytes(cluster_file.read_bytes().replace(b"\n", line_end))
+        expected = _outcome(read_sparse_labeled, cluster_file)
+        with mock.patch.object(data, "_parse_block_slow", side_effect=AssertionError("fell back")):
+            assert _outcome(read_sparse_labeled, p) == expected
+
+    @pytest.mark.parametrize("text", [
+        b"1 1:2\r-1 2:3", b"1\r2 1:1", b"1 1:2\r\r", b"1 1:2\r\r\n-1", b"1 1:2\r \n-1", b"\r\n1 1:2", b"1 1:2\n\r",
+    ])
+    def test_lone_cr_refused(self, text):
+        # a CR not right before a LF (or the block's end, where a LF was cut off) breaks the grammar
+        assert data._tokens(text) is None
+
+    @pytest.mark.parametrize("block", [12, 1 << 19])
+    def test_refused_blocks_among_crlf_lines(self, tmp_path, block):
+        _check_refused_among(tmp_path, block, [line.replace("\n", "\r\n") for line in _GOOD_LINES])
+
     @pytest.mark.parametrize("block", [1, 12, 64, 1 << 19])
     def test_space_before_lf_with_label_only_lines(self, tmp_path, block):
         rng = np.random.default_rng(13)
@@ -568,11 +591,11 @@ class TestOnePassParse:
 
     @pytest.mark.parametrize("name, one_pass", [
         ("trailing_space", True), ("trailing_space_after_label", True), ("trailing_space_at_end", True),
-        ("two_trailing_spaces", False), ("trailing_space_before_crlf", False), ("space_before_index_and_lf", False),
+        ("two_trailing_spaces", False), ("trailing_space_before_crlf", True), ("space_before_index_and_lf", False),
     ])
     def test_spaced_lines_agree_with_slow_parse(self, tmp_path, name, one_pass):
-        # one space before LF, after a value or a bare label, takes the one-pass parse; two spaces,
-        # a space before CRLF, or one after an index leave the block to the token-by-token parse
+        # one space before LF or CRLF, after a value or a bare label, takes the one-pass parse; two
+        # spaces, or one after an index, leave the block to the token-by-token parse
         p = tmp_path / "x.txt"
         p.write_text(_PARSE_CASES[name], encoding="utf-8", newline="")
         with mock.patch.object(data, "_tokens", return_value=None):
