@@ -13,13 +13,14 @@ on the calling thread, and the others token by token.  The check
 (``_tokens``) is the only scan of a block's bytes before that read: numpy
 gathers the bytes that are not digits once, as codes, and two
 ``bytes.translate`` lookups over each code and the next judge the grammar
-and mark the bytes that stand before a token.  It returns where each
-token's separator stands, its sign, whether a space stands before a line
-end and whether a token starts with a plus, from which ``_convert`` builds
-the reader's input, and ``read_sparse_labeled`` counts the block's lines
-from its labels.  Importing this module loads no ``scipy.io``: the first
-block of sparse text that takes the one-pass parse binds its Matrix Market
-reader (``_array_reader``).
+and mark the bytes that stand before a token and each token's leading sign.
+It returns where each token's separator and leading sign stand, and whether
+that sign is a minus.  ``_convert`` copies the block once behind a header,
+writes a LF at each separator and a space over each leading sign, and gives
+each number read the sign its text had; ``read_sparse_labeled`` counts the
+block's lines from its labels.  Importing this module loads no
+``scipy.io``: the first block of sparse text that takes the one-pass parse
+binds its Matrix Market reader (``_array_reader``).
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ _FOLLOWS = {
     (_EXP, _ESIGN): "none", (_EXP, _SP): "some", (_EXP, _LF): "some",
     (_ESIGN, _SP): "some", (_ESIGN, _LF): "some",
 }
-#: what ``_CHECK`` says of a pair: it breaks the grammar (0), is fine, or has a space before a
-#: line end; or its first byte stands before a token, and _TOKEN holds the byte's class, with
-#: _NEG or _PLUS_FIRST where the token starts with that sign
-_FINE, _SPACED, _TOKEN, _NEG, _PLUS_FIRST = 1, 2, 0x80, 1, 0x40
+#: what ``_CHECK`` says of a pair: it breaks the grammar (0), is fine, or its first byte is a
+#: token's leading sign (_LEAD); or its first byte stands before a token, and _TOKEN holds the
+#: byte's class, with _NEG where the token starts with a minus.  A space before a line end is
+#: fine: it stands before no token
+_FINE, _LEAD, _TOKEN, _NEG = 1, 2, 0x80, 1
 
 
 def _grammar_class(code: int, before: int) -> int:
@@ -170,19 +172,15 @@ def _grammar_tables(follows) -> tuple[bytes, bytes]:
             ok = digits == "any" or digits == ("some" if some else "none")
         if nxt == _BAD or not ok or (after == _DOT and not (some or nxt & 1)):
             continue
-        if cls == _SP and not some and after in (_LF, _CR):
-            check[code << 4 | nxt] = _SPACED
-        elif cls in (_LF, _SP, _COLON):
-            sign = {_MINUS: _NEG, _PLUS: _PLUS_FIRST}.get(nxt & _CLASS_BITS, 0) if not some else 0
-            check[code << 4 | nxt] = _TOKEN | cls | sign
+        if cls in (_LF, _COLON) or cls == _SP and some:  # a space before a line end leads no token
+            neg = _NEG if not some and nxt & _CLASS_BITS == _MINUS else 0
+            check[code << 4 | nxt] = _TOKEN | cls | neg
         else:
-            check[code << 4 | nxt] = _FINE
+            check[code << 4 | nxt] = _LEAD if cls == _SIGN else _FINE
     return refine, bytes(check)
 
 
 _REFINE, _CHECK = _grammar_tables(_FOLLOWS)
-#: one token per line, as the Matrix Market body below the header
-_TOKEN_LINES = bytes.maketrans(b" :", b"\n\n")
 _MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1\n"
 #: below this every integer is a float, so an index read as a float is exact
 _EXACT_INDEX = 2**53
@@ -214,17 +212,16 @@ def _blocks(fh):
 
 def _tokens(blk: bytes):
     """What the one pass over ``blk`` finds, or None where ``blk`` breaks the one-pass grammar:
-    (kind, neg, seps, spaced, plus).  For each token, ``kind`` is the class of the byte
-    before it (_LF before a label, _SP before an index, _COLON before a value) and ``neg``
-    whether it starts with a minus; ``seps`` holds the positions of those bytes but the
-    first token's, ``spaced`` says whether a space stands before a line end, and ``plus``
-    whether a token starts with a plus.  ``_convert`` builds its Matrix Market body from
-    these, so no other pass scans the block's bytes before the read.
+    (kind, neg, seps, signs).  For each token, ``kind`` is the class of the byte before it
+    (_LF before a label, _SP before an index, _COLON before a value) and ``neg`` whether it
+    starts with a minus; ``seps`` holds the positions of those bytes but the first token's,
+    and ``signs`` the positions of the tokens' leading signs.  ``_convert`` builds its Matrix
+    Market body from these, so no other pass scans the block's bytes before the read.
 
     The bytes that are not digits are gathered once, with a LF before and after them, as
     codes (``_CODE``); two table lookups over each code and the next (``_REFINE``, then
-    ``_CHECK``) judge every pair and mark the bytes that stand before a token.  A space
-    before a line end stands before no token, nor does a CR.
+    ``_CHECK``) judge every pair and mark the bytes that stand before a token or lead one.
+    A space before a line end stands before no token, nor does a CR.
     """
     b = np.frombuffer(blk, np.uint8)
     other = b - 48
@@ -244,11 +241,10 @@ def _tokens(blk: bytes):
     said = (refined[:-1] | code[2:]).tobytes().translate(_CHECK)
     if b"\0" in said:
         return None
-    spaced = bytes([_SPACED]) in said
     said = np.frombuffer(said, np.uint8)
     sep = np.flatnonzero(said[1:] >= _TOKEN)
     first = np.concatenate((said[:1], said[1:][sep]))
-    return first & _CLASS_BITS, (first & _NEG).view(bool), at[sep], spaced, bool(first.max() >= _TOKEN | _PLUS_FIRST)
+    return first & _CLASS_BITS, (first & _NEG).view(bool), at[sep], at[np.flatnonzero(said[1:] == _LEAD)]
 
 
 def _lines(v: np.ndarray, kind: np.ndarray):
@@ -287,42 +283,31 @@ def _array_reader():
     return lambda stream: _read_body_array(_get_read_cursor(stream, 1)[0])
 
 
-def _spaced_body(head: bytes, text) -> bytes:
-    """The Matrix Market body of block text in which a space stands before a line end: those
-    spaces go, which moves every separator after them, and ``bytes.translate`` then puts each
-    token on a line of its own behind ``head``."""
-    text = bytes(text).replace(b" \n", b"\n").replace(b" \r", b"\r").removesuffix(b" ")
-    return b"".join((head, text.translate(_TOKEN_LINES), b"\n"))
-
-
-def _convert(text, kind: np.ndarray, neg: np.ndarray, seps: np.ndarray, spaced: bool, plus: bool):
+def _convert(text, kind: np.ndarray, neg: np.ndarray, seps: np.ndarray, signs: np.ndarray):
     """The parts (as ``_lines`` returns them) of block text from what ``_tokens`` found in it,
     or None where ``_lines`` refuses.
 
     One ``_array_reader`` call converts every token of the block as an N x 1 Matrix Market
-    array: its reader (fast_float) rounds as ``float()`` does, but reads ``-0`` and
-    ``-1e-400`` as +0.0, so each number takes its sign from its first byte.  Without a space
-    before a line end, the body is the text copied once behind the header, in the buffer of
-    an ``io.BytesIO``, with a LF written in place at each of ``seps``; with one,
-    ``_spaced_body`` builds it.  Either ends in a LF, so that a CR before a LF, which the
-    reader passes over, never ends the body.  A leading plus, which the reader refuses, goes
-    only where ``plus`` says a token has one; an exponent's stays.
+    array.  Its body is the text copied once behind the header, in the buffer of an
+    ``io.BytesIO``, with a LF written in place at each of ``seps`` and a space at each of
+    ``signs``: the reader (fast_float) rounds as ``float()`` does and passes over a space
+    around a number, but refuses a leading plus and reads ``-0`` and ``-1e-400`` as +0.0, so
+    each number read unsigned takes its sign from ``neg``.  A space left before a line end
+    stays in the body, and the body ends in a LF, so that neither a space nor a CR before a
+    LF ever ends it.
     """
     head = _MM_HEADER % kind.size
-    if spaced:
-        body = _spaced_body(head, text)
-    else:
-        body = io.BytesIO()
-        body.write(head)
-        body.write(text)
-        body.write(b"\n")
-        np.frombuffer(body.getbuffer(), np.uint8)[len(head) :][seps] = 10
-        body = body.getvalue()
-    if plus:
-        body = body.replace(b"\n+", b"\n")
-    v = _array_reader()(io.BytesIO(body))[:, 0]
+    body = io.BytesIO()
+    body.write(head)
+    body.write(text)
+    body.write(b"\n")
+    tokens = np.frombuffer(body.getbuffer(), np.uint8)[len(head) :]
+    tokens[seps] = 10
+    tokens[signs] = 32
+    del tokens
+    body.seek(0)
+    v = _array_reader()(body)[:, 0]
     del body
-    np.abs(v, out=v)
     np.negative(v, out=v, where=neg)
     return _lines(v, kind)
 
@@ -377,9 +362,10 @@ def read_sparse_labeled(path, K: int = 1, n_features: int | None = None) -> Prob
     spaces (one of them perhaps before a line end) and decimal numbers
     (digits, sign, point, exponent) whose indices lie below 2^53 is checked
     by vectorized passes (``_tokens``, the one scan of its bytes before the
-    read) and converted by one Matrix Market read (``_convert``); its lines
-    are counted from its labels and the blank lines at its end.  Every other
-    block is parsed token by token, with the same result.
+    read) and converted by one Matrix Market read of its bytes, with a LF
+    at each separator and a space over each leading sign (``_convert``);
+    its lines are counted from its labels and the blank lines at its end.
+    Every other block is parsed token by token, with the same result.
     """
     n_features = None if n_features is None else count("n_features", n_features)
     parts = []

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -300,9 +301,9 @@ _LINES_SPEC = re.compile(rb"%s(?:\r?\n%s)*\r?" % (_LINE_SPEC, _LINE_SPEC))
 
 def _check_tokens(blk: bytes):
     """data._tokens(blk) is None off the grammar, else each token's separator and leading minus,
-    the positions of the separators after the first token's, whether a space stands before a
-    line end and whether a token starts with a plus; a space before a LF, a CR or the block's
-    end stands before no token, nor does a CR."""
+    the positions of the separators after the first token's, and the positions of the tokens'
+    leading signs; a space before a LF, a CR or the block's end stands before no token, nor does
+    a CR, and a sign in an exponent leads no token."""
     got = data._tokens(blk)
     if _LINES_SPEC.fullmatch(blk) is None:
         assert got is None, blk
@@ -312,9 +313,9 @@ def _check_tokens(blk: bytes):
     at = [k for k, c in enumerate(blk) if c in seps and k not in space_lf]
     kind = [data._LF] + [seps[blk[k]] for k in at]
     first = [blk[k + 1 : k + 2] for k in [-1, *at]]
+    signs = [k + 1 for k in [-1, *at] if blk[k + 1 : k + 2] in (b"+", b"-")]
     assert got is not None, blk
-    assert [a.tolist() for a in got[:3]] == [kind, [b == b"-" for b in first], at], blk
-    assert got[3:] == (bool(space_lf), b"+" in first), blk
+    assert [a.tolist() for a in got] == [kind, [b == b"-" for b in first], at, signs], blk
 
 
 def _mutants(valid: str):
@@ -560,6 +561,34 @@ class TestOnePassParse:
         with mock.patch.object(data, "_parse_block_slow", side_effect=AssertionError("fell back")):
             assert _outcome(read_sparse_labeled, p) == expected
 
+    @pytest.mark.parametrize("signed", ["negated", "plus"])
+    def test_signed_blocks_take_one_pass(self, tmp_path, cluster_file, signed):
+        # the seed-1 cluster file, all of whose labels and values are positive, with every value
+        # negated or with a plus before every label and value, and each with a space and CRLF
+        # ending every line: the reference's arrays, with no block left to the token-by-token parse
+        text = cluster_file.read_bytes()
+        text = text.replace(b":", b":-") if signed == "negated" else re.sub(rb"(?m)(^|:)(?=[0-9])", rb"\1+", text)
+        p = tmp_path / "signed.txt"
+        p.write_bytes(text)
+        expected = _outcome(_parse_reference, p)
+        assert expected[0] == (1500, 3000)
+        with mock.patch.object(data, "_parse_block_slow", side_effect=AssertionError("fell back")):
+            assert _outcome(read_sparse_labeled, p) == expected
+            p.write_bytes(text.replace(b"\n", b" \r\n"))
+            assert _outcome(read_sparse_labeled, p) == expected
+
+    @pytest.mark.parametrize("reader", ["array_reader", "mmread"])
+    def test_reader_passes_over_blanks(self, reader):
+        # _convert's body keeps a space where a sign was blanked and a space, or a space and a CR,
+        # before a LF; the one-thread reader and the public mmread it falls back to pass over them
+        import scipy.io
+
+        body = data._MM_HEADER % 6 + b" .5\n5 \n 5.e3 \r\n 1e-400\n 1e+3 \n2.5\r\n"
+        read = data._array_reader() if reader == "array_reader" else scipy.io.mmread
+        v = read(io.BytesIO(body))
+        assert v.shape == (6, 1) and v.dtype == np.float64
+        assert v[:, 0].tobytes() == np.array([0.5, 5.0, 5000.0, 0.0, 1000.0, 2.5]).tobytes()
+
     @pytest.mark.parametrize("text", [
         b"1 1:2\r-1 2:3", b"1\r2 1:1", b"1 1:2\r\r", b"1 1:2\r\r\n-1", b"1 1:2\r \n-1", b"\r\n1 1:2", b"1 1:2\n\r",
     ])
@@ -626,18 +655,6 @@ class TestOnePassParse:
             expected = _outcome(read_sparse_labeled, p)
         assert _outcome(read_sparse_labeled, p) == expected
         assert isinstance(expected[-1], int) == bad  # a ParseError names its line
-
-    def test_unspaced_blocks_skip_the_spaced_body(self, tmp_path, cluster_file):
-        # no block of the seed-1 cluster file has a space before a LF, so none reaches the
-        # bytes.replace of _spaced_body; with one on every line, every block does
-        spaced = tmp_path / "spaced.txt"
-        spaced.write_bytes(cluster_file.read_bytes().replace(b"\n", b" \n"))
-        with mock.patch.object(data, "_spaced_body", wraps=data._spaced_body) as body:
-            plain = _outcome(read_sparse_labeled, cluster_file)
-            assert body.call_count == 0
-            assert _outcome(read_sparse_labeled, spaced) == plain
-        with open(spaced, "rb") as fh:
-            assert body.call_count == len(list(data._blocks(fh)))
 
     def test_scipy_io_loaded_on_first_read(self, tmp_path):
         # importing the package and its CLI loads no scipy.io (about 18 ms per process);

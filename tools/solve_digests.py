@@ -58,14 +58,16 @@ of the error it raised:
   zeros and labels of both signs: as written, and with each line of
   ``READ_SPLICES`` spliced in before the first line, before the first line
   that starts past byte 2^19 (the reader's first block cut), before the
-  middle one and after the last; and with every LF turned into CRLF, and
-  into a space and CRLF.
+  middle one and after the last; with every LF turned into CRLF, and
+  into a space and CRLF; and with every value's sign flipped, and with a
+  plus before every label and value that has no sign, each also with a
+  space and CRLF ending every line.
 
 "At 2^1022" means X times the power of two that puts its largest entry
 in [2^1022, 2^1023) (``top``): the entries stay finite, and ||X||_F
 overflows unless X has very few entries near its largest.
 
-The grid prints 3910 digests and takes about 20 s at one BLAS thread on a
+The grid prints 3930 digests and takes about 20 s at one BLAS thread on a
 2-vCPU machine.  BLAS may block a product differently with a different
 thread count, so compare two trees at the same ``OPENBLAS_NUM_THREADS``.
 
@@ -92,6 +94,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -624,6 +627,11 @@ READ_SPLICES = {
 }
 #: line ends the read grid also writes each whole file with, in place of its LFs
 READ_LINE_ENDS = {"crlf_lines": b"\r\n", "space_crlf_lines": b" \r\n"}
+#: signed copies the read grid also writes each whole file as, with LF and with space-CRLF line ends
+READ_SIGNS = {
+    "negated": lambda text: re.sub(rb":(-?)", lambda m: b":" if m[1] else b":-", text),
+    "plus": lambda text: re.sub(rb"(?m)(^|:)(?=[0-9])", rb"\1+", text),
+}
 #: the reader's block size: the grid also splices at the first line that starts past this byte
 READ_CUT = 1 << 19
 
@@ -640,8 +648,8 @@ def _sparse_text(X: sp.csc_matrix, labels: np.ndarray) -> list[bytes]:
 
 def read_runs(l1pca, out: dict) -> None:
     """``read_sparse_labeled`` on each of ``READ_SCALES``' files, as written, with each of
-    ``READ_SPLICES`` spliced in at four places, one of them at the first block cut, and with
-    each of ``READ_LINE_ENDS``."""
+    ``READ_SPLICES`` spliced in at four places, one of them at the first block cut, with each
+    of ``READ_LINE_ENDS``, and as each of ``READ_SIGNS``' copies."""
 
     def parsed(path):
         inst = l1pca.data.read_sparse_labeled(path)
@@ -662,6 +670,12 @@ def read_runs(l1pca, out: dict) -> None:
             for name, end in READ_LINE_ENDS.items():
                 path.write_bytes(b"".join(lines).replace(b"\n", end))
                 out[f"read/{scale:g}/{name}"] = _digest(lambda: parsed(path))
+            for name, signed in READ_SIGNS.items():
+                text = signed(b"".join(lines))
+                path.write_bytes(text)
+                out[f"read/{scale:g}/{name}"] = _digest(lambda: parsed(path))
+                path.write_bytes(text.replace(b"\n", READ_LINE_ENDS["space_crlf_lines"]))
+                out[f"read/{scale:g}/{name}/space_crlf_lines"] = _digest(lambda: parsed(path))
             cut = int(np.cumsum([len(line) for line in lines]).searchsorted(READ_CUT, side="right")) + 1
             for name, line in READ_SPLICES.items():
                 for at in (0, cut, len(lines) // 2, len(lines)):
