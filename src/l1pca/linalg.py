@@ -7,25 +7,25 @@ input (cond <= 4) and from one SVD of any other, and (``_polar_and_inverse``)
 for a well-conditioned input the K x K matrix T with
 ``polar(A) = (A / 2^e) T`` from the same eigenvectors, which lets the
 solver carry X^T Q through a flip-free stretch without a product with X;
-orthonormality diagnostics.  Two
-kernels take eigenvalues of the smaller-side Gram matrix X X^T (or
-X^T X), both after the power-of-two prescale of ``_prescaled``, the one
-rule by which the library scales data of any floating-point scale, an
-overflowing ||X||_F included, near unit norm (the solver also applies it
-to X P before it forms X^T X P, and the polar step, the theorem-mode bound
-check, ``metrics`` and ``verify``'s oracle, error-bound constant and
-criticality report use it where a norm or a product would overflow):
-``_gram`` forms it densely, and the dense
-spectral norm is the root of its top eigenvalue; ``_top_eigenvalues``
-serves the sparse spectral norm and the covariance spectrum in ``metrics``,
-and is the one place that chooses between a dense solve of ``_gram`` and
-Lanczos (ARPACK) on the operator v -> X (X^T v), which never densifies X
-nor forms the Gram matrix.  Every Lanczos request starts from the same
-seeded vector, so a search that asks for a growing number of eigenvalues
-hands each request one products memo, and the operator products of the
-first request's initial Lanczos pass are formed once.  All routines are
-deterministic for fixed inputs; randomized helpers take an explicit
-generator.
+orthonormality diagnostics.
+
+Kernels compute, entries scale.  ``_gram`` forms the smaller-side Gram
+matrix X X^T (or X^T X) densely, and ``_top_eigenvalues`` takes its leading
+eigenvalues, the one place that chooses between a dense solve of ``_gram``
+and Lanczos (ARPACK) on the operator v -> X (X^T v), which never densifies
+X nor forms the Gram matrix.  Both compute on the X they are given, which
+must be finite, nonzero and already scaled.  Each public entry over them
+(``spectral_norm``, ``metrics.tev`` and ``choose_K_by_variance``) checks X,
+refuses zero data or returns its short cut, applies ``_prescaled`` once and
+scales back only what it reports; ``verify.kappa_constant`` and
+``critical_set_spec`` do the same around their SVD.  ``_prescaled`` is the
+library's one power-of-two scale rule for data of any floating-point scale,
+an overflowing ||X||_F included.  Every Lanczos request starts from the
+same seeded vector, so a search that asks for a growing number of
+eigenvalues hands each request one products memo, and the operator
+products of the first request's initial pass are formed once.  All
+routines are deterministic for fixed inputs; randomized helpers take an
+explicit generator.
 
 Every product X^T Q in the library follows ``_xt_for``'s rule, which hands
 BLAS the operands in the layout it multiplies fastest: a dense C-contiguous
@@ -225,19 +225,14 @@ def _pow2_scaled(X, e: int):
     return X * math.ldexp(1.0, h) * math.ldexp(1.0, -e - h)
 
 
-def _gram(X) -> tuple[np.ndarray, int]:
-    """(G, e): the smaller-side Gram matrix G of X / 2^e, with e from ``_prescaled``.
-
-    G is X X^T when X has no more rows than columns, else X^T X; both have
-    the nonzero eigenvalues of X X^T, here scaled by 4^-e.  G is dense; a
-    sparse X stays sparse, so only the min(d, n)^2 entries of G are stored
-    densely.  X must be finite.
-    """
+def _gram(X) -> np.ndarray:
+    """The smaller-side Gram matrix of X, dense: X X^T when X has no more rows than columns,
+    else X^T X, both with the nonzero eigenvalues of X X^T.  A kernel (module docstring); a
+    sparse X stays sparse, so only the min(d, n)^2 entries of the result are dense."""
     if not sp.issparse(X):
         X = as_dense(X)
-    X, e = _prescaled(X, frob(X))
     d, n = X.shape
-    return as_dense(X @ X.T if d <= n else X.T @ X), e
+    return as_dense(X @ X.T if d <= n else X.T @ X)
 
 
 def _replaying(product, memo: dict, record: int):
@@ -256,10 +251,10 @@ def _replaying(product, memo: dict, record: int):
     return matvec
 
 
-def _top_eigenvalues(X, k: int, memo: dict | None = None) -> tuple[np.ndarray, int]:
-    """(w, e): the k largest eigenvalues w of the smaller-side Gram matrix of X / 2^e.
+def _top_eigenvalues(X, k: int, memo: dict | None = None) -> np.ndarray:
+    """The k largest eigenvalues w of the smaller-side Gram matrix of X, nonincreasing and
+    clipped at 0; a kernel (module docstring).
 
-    w is nonincreasing and clipped at 0, and e comes from ``_prescaled``.
     Dense and sparse X take the same path: ARPACK's implicitly restarted
     Lanczos (``eigsh``, tol 0, i.e. to roundoff) on v -> X (X^T v), or
     X^T (X v) when X has more rows than columns, so X stays as stored.  The
@@ -269,7 +264,7 @@ def _top_eigenvalues(X, k: int, memo: dict | None = None) -> tuple[np.ndarray, i
     m = min(d, n) eigenvalues come from LAPACK on ``_gram`` instead when m
     is at most ``_DENSE_SIDE``, when k reaches ``_LANCZOS_MAX_FRACTION`` of
     m, or when ARPACK does not converge, so len(w) == m marks a whole
-    spectrum.  X must be finite; zero X gives min(k, m) zeros.
+    spectrum.
 
     ``memo``, a dict that the requests of one search on one X share, maps
     the exact bytes of v to the operator's product with v.  ARPACK's first
@@ -281,12 +276,8 @@ def _top_eigenvalues(X, k: int, memo: dict | None = None) -> tuple[np.ndarray, i
     """
     d, n = X.shape
     m = min(d, n)
-    norm = frob(X)
-    if norm == 0.0:
-        return np.zeros(min(k, m)), 0
     if m > _DENSE_SIDE and k < _LANCZOS_MAX_FRACTION * m:
-        Xs, e = _prescaled(X, norm)
-        A, B = (Xs, Xs.T) if d <= n else (Xs.T, Xs)
+        A, B = (X, X.T) if d <= n else (X.T, X)
         ncv = min(max(2 * k + 1, 20), m)  # eigsh's default
         matvec = lambda v: A @ (B @ v)
         if memo is not None:
@@ -300,9 +291,8 @@ def _top_eigenvalues(X, k: int, memo: dict | None = None) -> tuple[np.ndarray, i
         except ArpackNoConvergence:
             pass
         else:
-            return np.maximum(np.sort(w)[::-1], 0.0), e
-    G, e = _gram(X)
-    return np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0), e
+            return np.maximum(np.sort(w)[::-1], 0.0)
+    return np.maximum(np.linalg.eigvalsh(_gram(X))[::-1], 0.0)
 
 
 def complete_orthonormal(U: np.ndarray, n_cols: int) -> np.ndarray:
@@ -460,27 +450,28 @@ def polar_factor(M, complete: bool = True) -> np.ndarray | None:
 def spectral_norm(X) -> float:
     """Largest singular value ||X||_2 of a dense or sparse matrix, exact to roundoff.
 
-    Dense input: the square root of the top eigenvalue of the smaller-side
-    Gram matrix (``_gram``), taken alone by LAPACK's ``syevr``.  The largest
-    eigenvalue of a symmetric matrix is perfectly conditioned (Weyl: it
-    moves by at most the 2-norm of a perturbation), and forming G perturbs
-    it by a few ulps of ||X||^2, so the root is exact to roundoff; the
-    prescale keeps G finite and its entries normal at any scale.  Sparse
-    input takes the root of the top eigenvalue from ``_top_eigenvalues``
-    (Lanczos to roundoff on the unformed Gram operator, with the same
-    prescale), which solves ``_gram`` densely instead when min(d, n) is at
-    most ``_DENSE_SIDE`` (256).
+    An entry (module docstring); zero X gives 0.0.  Dense input: the square
+    root of the top eigenvalue of the smaller-side Gram matrix (``_gram``),
+    taken alone by LAPACK's ``syevr``.  The largest eigenvalue of a
+    symmetric matrix is perfectly conditioned (Weyl: it moves by at most the
+    2-norm of a perturbation), and forming G perturbs it by a few ulps of
+    ||X||^2, so the root is exact to roundoff; the prescale keeps G finite
+    and its entries normal at any scale.  Sparse input takes the root of the
+    top eigenvalue from ``_top_eigenvalues`` (Lanczos to roundoff on the
+    unformed Gram operator), which solves ``_gram`` densely instead when
+    min(d, n) is at most ``_DENSE_SIDE`` (256).
     """
     require_finite(X, "spectral_norm input")
-    if not sp.issparse(X):
-        G, e = _gram(X)
-        m = G.shape[0]
-        if m == 0:
-            return 0.0
-        top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[m - 1, m - 1])[0]
-        return _ldexp(math.sqrt(max(float(top), 0.0)), e)
-    w, e = _top_eigenvalues(X, 1)
-    return _ldexp(math.sqrt(w[0]), e) if w.size else 0.0
+    X = X if sp.issparse(X) else as_dense(X)
+    norm = frob(X)
+    if norm == 0.0:
+        return 0.0
+    X, e = _prescaled(X, norm)
+    if sp.issparse(X):
+        top = _top_eigenvalues(X, 1)[0]
+    else:
+        top = scipy.linalg.eigh(_gram(X), eigvals_only=True, subset_by_index=[min(X.shape) - 1] * 2)[0]
+    return _ldexp(math.sqrt(max(float(top), 0.0)), e)
 
 
 def stiefel_residual(Q) -> float:

@@ -2,18 +2,21 @@
 
 ``tev`` and ``choose_K_by_variance`` need only the leading eigenvalues of
 X X^T and its trace, frob(X)^2: ``tev`` the top K, and the cumulative rule
-as many as it takes to reach its share of the trace.  Each request asks
-``linalg._top_eigenvalues`` for what its caller needs and no more: ``tev``
-the top K, and the cumulative rule the top eigenvalue first, then as many
-as it has grown to, since Lanczos pays restart after restart for a request
+as many as it takes to reach its share of the trace.  Kernels compute,
+entries scale: each entry checks X once, and ``_spectrum`` takes the one
+prescale, under which ``linalg._top_eigenvalues`` computes; both metrics
+are ratios, so nothing is scaled back.  Each request asks
+``_top_eigenvalues`` for what its caller needs and no more: ``tev`` the
+top K, and the cumulative rule the top eigenvalue first, then as many as
+it has grown to, since Lanczos pays restart after restart for a request
 that reaches into a tight noise bulk; the requests of one ``_choose_K``
 call share one products memo, so none after the first forms again the
-products of the initial Lanczos pass the first formed.  ``_top_eigenvalues``
-alone decides between Lanczos and a dense solve of the whole spectrum,
-which a caller then uses whole.  ``_tev_ratio`` and ``_choose_K`` work
-from ``_spectrum``'s result, so a caller that needs the spectrum more than
-once (the ``cluster`` and ``compare`` commands) takes it once and passes it
-on.
+products of the initial Lanczos pass the first formed.
+``_top_eigenvalues`` alone decides between Lanczos and a dense solve of
+the whole spectrum, which a caller then uses whole.  ``_tev_ratio`` and
+``_choose_K`` work from ``_spectrum``'s result, so a caller that needs the
+spectrum more than once (the ``cluster`` and ``compare`` commands) takes
+it once and passes it on.
 
 ``kmeans_cluster`` runs Lloyd's iteration on the points' coordinates as
 rows (K x n), so each of its passes runs over n contiguous values.  The
@@ -43,24 +46,18 @@ from .model import _check_dims, require_stiefel
 
 
 def _spectrum(X, zero_message: str, k: int, memo: dict | None = None):
-    """(X scaled, w) for finite, nonzero X: w is the k leading eigenvalues of
-    its X X^T, nonincreasing, or the whole spectrum where
-    ``linalg._top_eigenvalues`` solves densely, with the products ``memo``
-    of a search that asks for more later.
-
-    X is divided by a power of two near its Frobenius norm when that
-    norm lies outside [2^-300, 2^300] (``linalg._prescaled``), where X X^T
-    would overflow or lose entries to underflow; the division is exact and
-    leaves every ratio of quadratic forms in X unchanged, and the exponent
-    ``_top_eigenvalues`` then returns is 0.  Zero data raises
-    UndefinedMetricError(zero_message).
+    """(X scaled, w) for finite X: w is the k leading eigenvalues of its X X^T,
+    nonincreasing, or the whole spectrum where ``linalg._top_eigenvalues``
+    solves densely, with the products ``memo`` of a search that asks for
+    more later.  Here alone the metrics refuse zero data, with
+    UndefinedMetricError(zero_message), and scale X (``linalg._prescaled``):
+    the scale is exact and moves no ratio of quadratic forms in X.
     """
-    require_finite(X, "X")
     norm = frob(X)
     if norm == 0.0:
         raise UndefinedMetricError(zero_message)
     X = _prescaled(X, norm)[0]
-    return X, _top_eigenvalues(X, k, memo)[0]
+    return X, _top_eigenvalues(X, k, memo)
 
 
 def _tev_ratio(X, w: np.ndarray, Q: np.ndarray) -> float:
@@ -105,7 +102,9 @@ def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
     """
     threshold = fraction("threshold", threshold, "(0, 1]")
     cap = count("cap", cap, 1)
-    if min(X.shape) < count("large_side", large_side, 1):
+    large_side = count("large_side", large_side, 1)
+    require_finite(X, "X")
+    if min(X.shape) < large_side:
         memo = {}
         X, w = _spectrum(X, _K_ZERO, 1, memo)
         total = frob(X) ** 2
@@ -113,9 +112,8 @@ def _choose_K(X, threshold: float, large_side: int = 10000, cap: int = 50):
         while (cum := np.cumsum(w))[-1] < target:
             if len(w) == min(X.shape) or w[-1] <= w[0] * 1e-12:
                 return int(np.count_nonzero(w > w[0] * 1e-12)), (X, w)
-            w = _top_eigenvalues(X, len(w) + max(len(w), math.ceil((target - cum[-1]) / w[-1])), memo)[0]
+            w = _top_eigenvalues(X, len(w) + max(len(w), math.ceil((target - cum[-1]) / w[-1])), memo)
         return int(np.argmax(cum >= target)) + 1, (X, w)
-    require_finite(X, "X")
     if frob(X) == 0.0:
         raise UndefinedMetricError(_K_ZERO)
     return cap, None

@@ -437,28 +437,24 @@ class CriticalSetSpec:
 
 
 def _tie_blocks(A: np.ndarray, tie_tol: float, rank_tol: float | None) -> tuple[ThinSvd, int, tuple[int, ...]]:
-    """Thin SVD of a nonzero A, its rank r, and the multiplicities of its tie blocks.
+    """Thin SVD of A as computed, its rank r, and the multiplicities of its tie blocks.
 
-    The rank counts the singular values above ``rank_tol`` (in [0, 1);
-    default max(d, K) eps) times the largest.  Walking down those r values,
-    the first opens block one; each later value joins the current block when
-    it is within relative ``tie_tol`` (in [0, 1)) of the block's first value,
-    and opens a new block otherwise.  Both are counted on the SVD of A / 2^e, e
-    from ``linalg._prescaled`` (the library's one scale rule), so they do not
-    depend on the scale of A; the returned sigma is scaled back by 2^e, inf
-    where a singular value of A overflows.
+    A kernel: its caller has scaled A (``linalg._prescaled``), so the counts
+    do not depend on the scale of the data, and refuses a zero A, which has
+    rank 0 here; ``thin_svd`` refuses a non-finite one.  The rank counts the
+    singular values above ``rank_tol`` (in [0, 1); default max(d, K) eps)
+    times the largest.  Walking down those r values, the first opens block
+    one; each later value joins the current block when it is within
+    relative ``tie_tol`` (in [0, 1)) of the block's first value, and opens a
+    new block otherwise.
     """
     tie_tol = fraction("tie_tol", tie_tol, "[0, 1)")
     if rank_tol is not None:
         rank_tol = fraction("rank_tol", rank_tol, "[0, 1)")
-    A, e = _prescaled(A, frob(A))
     s = thin_svd(A)
-    smax = float(s.sigma[0]) if s.sigma.size else 0.0
-    if smax == 0.0:
-        raise InvalidInputError("A must be nonzero")
     if rank_tol is None:
         rank_tol = max(A.shape) * _EPS
-    r = int(np.sum(s.sigma > rank_tol * smax))
+    r = int(np.sum(s.sigma > rank_tol * s.sigma[0]))
     mult = [0]
     block_head = s.sigma[0]
     for v in s.sigma[:r]:
@@ -466,9 +462,6 @@ def _tie_blocks(A: np.ndarray, tie_tol: float, rank_tol: float | None) -> tuple[
             mult.append(0)
             block_head = v
         mult[-1] += 1
-    if e:
-        with np.errstate(over="ignore"):
-            s = ThinSvd(s.U, np.ldexp(s.sigma, e), s.V)
     return s, r, tuple(mult)
 
 
@@ -477,25 +470,32 @@ def critical_set_spec(A, q, tie_tol: float = 1e-9, rank_tol: float | None = None
 
     Singular values within relative ``tie_tol`` of each other are grouped
     into one multiplicity block; ``q`` must have one sign per positive
-    singular value (rank entries).
+    singular value (rank entries).  Rank and blocks are counted on A / 2^e,
+    e from ``linalg._prescaled``; ``sigma_pos`` is scaled back, inf where it
+    overflows.
     """
     Ad = as_dense(A)
     d, K = Ad.shape
     if d < K or K < 1:
         raise PreconditionError("A must be d x K with d >= K >= 1")
-    s, r, mult = _tie_blocks(Ad, tie_tol, rank_tol)
+    As, e = _prescaled(Ad, frob(Ad))
+    s, r, mult = _tie_blocks(As, tie_tol, rank_tol)
+    if s.sigma[0] == 0.0:
+        raise InvalidInputError("A must be nonzero")
     qv = np.asarray(q, dtype=np.float64).reshape(-1)
     if qv.shape != (r,):
         raise PreconditionError(f"q must have one sign per positive singular value (rank {r})")
     if not np.all(np.abs(qv) == 1.0):
         raise PreconditionError("q entries must be exactly +-1")
     U_full = complete_orthonormal(s.U[:, :r], d)
+    with np.errstate(over="ignore"):
+        sigma_pos = np.ldexp(s.sigma[:r], e)
     return CriticalSetSpec(
         A=Ad,
         q=qv,
         multiplicities=mult,
         U_full=U_full,
-        sigma_pos=s.sigma[:r].copy(),
+        sigma_pos=sigma_pos,
         V_full=s.V,
         rank=r,
         tie_tol=tie_tol,
@@ -614,16 +614,15 @@ def kappa_constant(A, tie_tol: float = 1e-9, rank_tol: float | None = None) -> K
     induced gradient-inequality factor eta_g = (2 kappa^2 ||A||)^(-1/2),
     evaluated as 1 / (kappa sqrt(2 ||A||)): kappa^2 overflows for a tiny A
     (kappa near 1e160 at ||A|| near 1e-160) and loses digits to underflow
-    for a huge one.  Where ||A||_F reaches 2^1023, so that 2 ||A|| or ||A||_F
-    itself may overflow, the tie blocks are those of A / 2^e, e from
-    ``linalg._prescaled`` (the library's one scale rule), and kappa and
-    eta_g are scaled back by 2^-e and 2^(e/2).
+    for a huge one.  Everything above is taken from A / 2^e, e from
+    ``linalg._prescaled``, where neither 2 ||A|| nor ||A||_F overflows, and
+    only kappa and eta_g are scaled back, by 2^-e and 2^(e // 2).
     """
     A = as_dense(A)
-    norm, e = frob(A), 0
-    if norm >= 2.0**1023:
-        A, e = _prescaled(A, norm)
+    A, e = _prescaled(A, frob(A))
     s, r, mult = _tie_blocks(A, tie_tol, rank_tol)
+    if s.sigma[0] == 0.0:
+        raise InvalidInputError("A must be nonzero")
     pos = s.sigma[:r]
     a_r = float(pos[-1])
     reps = np.array([block.mean() for block in np.split(pos, np.cumsum(mult)[:-1])])
@@ -636,11 +635,10 @@ def kappa_constant(A, tie_tol: float = 1e-9, rank_tol: float | None = None) -> K
         deltas = np.abs(reps[:, None] / reps - reps / reps[:, None])
         delta_min = float(deltas[~np.eye(p, dtype=bool)].min())
         kappa = math.sqrt(13.0 + 6.0 * (6.0 * p - 5.0) / (delta_min**2)) / a_r
-    smax = float(s.sigma[0])
-    eta_g = 1.0 / (kappa * math.sqrt(2.0 * smax))
-    if e:
-        kappa, eta_g = _ldexp(kappa, -e), _ldexp(eta_g * math.sqrt(1 + e % 2), e // 2)
-    return KappaConstants(kappa=kappa, eta_g=eta_g, p=p, delta_min=delta_min)
+    # 2 ||A|| = 4^(e - e // 2) (2 - e % 2) s_1 exactly, s_1 that of A / 2^e, so with kappa
+    # scaled back by 2^-e, eta_g is 2^(e // 2) / (kappa sqrt((2 - e % 2) s_1))
+    eta_g = 1.0 / (kappa * math.sqrt((2 - e % 2) * float(s.sigma[0])))
+    return KappaConstants(kappa=_ldexp(kappa, -e), eta_g=_ldexp(eta_g, e // 2), p=p, delta_min=delta_min)
 
 
 def error_bound_probe(
@@ -661,15 +659,17 @@ def error_bound_probe(
     within 1e-12 of the point, or whose residual lies below 1e-12 ||A||_2, is
     skipped: ||R(Q)|| scales with A, and the ratio then carries no signal.
     The draws are checked on A / 2^e, e from ``linalg._prescaled`` (the
-    library's one scale rule), where no residual overflows; the worst ratio
-    is scaled back by 2^-e, and kappa and eta_g are those of A.
+    library's one scale rule), where no residual overflows, each ratio
+    against kappa of A times 2^e; the worst ratio is scaled back by 2^-e,
+    and kappa and eta_g are those of A, from one ``kappa_constant`` call.
     """
     samples = count("samples", samples, 1)
     radius = fraction("radius", radius)
     A0 = as_dense(A)
     A, e = _prescaled(A0, frob(A0))
     spec = critical_set_spec(A, q, tie_tol=tie_tol)
-    kc = kappa_constant(A, tie_tol=tie_tol)
+    kc = kappa_constant(A0, tie_tol=tie_tol)
+    bound = _ldexp(kc.kappa, e) * (1.0 + 1e-12)  # kappa of A / 2^e
     d, K, r = spec.d, spec.K, spec.rank
     if K == 1:
         target = build_critical_point(spec, [np.eye(1)], np.zeros((d - 1, 0)))
@@ -696,10 +696,8 @@ def error_bound_probe(
         ratio = dist / Rn
         used += 1
         worst = max(worst, ratio)
-        if ratio > kc.kappa * (1.0 + 1e-12):
+        if ratio > bound:
             violations += 1
-    if e:
-        kc = kappa_constant(A0, tie_tol=tie_tol)
     return ProbeReport(
         name="error_bound",
         parameters={"d": d, "K": K, "radius": radius, "seed": seed, "kappa": kc.kappa, "p": kc.p},

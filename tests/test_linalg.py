@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_orthonormal_reference, with_duplicates
 from l1pca.errors import DimensionMismatchError, InvalidInputError, PreconditionError
-from l1pca import linalg
+from l1pca import linalg, metrics, verify
 from l1pca.linalg import (
     _xt,
     complete_orthonormal,
@@ -337,6 +337,47 @@ class TestPrescaled:
         normal = np.abs(Yd) >= 2.0**-1022
         assert np.array_equal(np.ldexp(Yd[normal], e), Xd[normal])
         assert 0.5 * (1.0 - 4 * np.finfo(np.float64).eps) <= frob(Y) < 1.0
+
+
+@pytest.fixture
+def prescales(monkeypatch):
+    """[number of ``_prescaled`` calls] through its bindings in linalg, metrics and verify."""
+    calls = [0]
+    real = linalg._prescaled
+
+    def counting(X, norm):
+        calls[0] += 1
+        return real(X, norm)
+
+    for module in (linalg, metrics, verify):
+        monkeypatch.setattr(module, "_prescaled", counting)
+    return calls
+
+
+class TestOnePrescalePerEntry:
+    """Kernels compute, entries scale: each spectral entry takes the power-of-two scale once,
+    and ``_gram``, ``_top_eigenvalues`` and ``verify._tie_blocks`` under it take none."""
+
+    @pytest.mark.parametrize("entry", ["tev", "choose_K_by_variance", "spectral_norm"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    @pytest.mark.parametrize("d", [6, 300], ids=["dense-side", "lanczos-side"])
+    def test_metrics_and_spectral_norm(self, prescales, d, sparse, entry):
+        rng = seeded_rng(71)
+        X = rng.standard_normal((d, d + 20))
+        Q = random_stiefel(d, 3, rng)
+        X = sp.csc_matrix(X) if sparse else X
+        {"tev": lambda: tev(X, Q), "choose_K_by_variance": lambda: choose_K_by_variance(X, 0.8),
+         "spectral_norm": lambda: spectral_norm(X)}[entry]()
+        assert prescales == [1]
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**1022])
+    def test_verify(self, prescales, scale):
+        A = np.random.default_rng(0).standard_normal((20, 40))[:, :3] * scale
+        verify.kappa_constant(A)
+        assert prescales == [1]
+        prescales[0] = 0
+        verify.critical_set_spec(A, [1.0] * 3)
+        assert prescales == [1]
 
 
 class TestRequireFinite:

@@ -231,13 +231,18 @@ class TestPartialSpectrum:
     @staticmethod
     def _check(X, k, scale, sparse):
         Xs = sp.csc_matrix(X * scale) if sparse else X * scale
-        w, e = linalg._top_eigenvalues(Xs, k)
-        m = min(X.shape)
-        w2, e2 = linalg._top_eigenvalues(Xs, k)
-        assert e2 == e and np.array_equal(w2, w)
         if not X.any():
-            assert e == 0 and np.array_equal(w, np.zeros(min(k, m)))
+            # the kernel takes no zero X: each entry refuses it or returns its short cut
+            assert linalg.spectral_norm(Xs) == 0.0
+            with pytest.raises(UndefinedMetricError):
+                tev(Xs, np.eye(X.shape[0])[:, :1])
+            with pytest.raises(UndefinedMetricError):
+                choose_K_by_variance(Xs, 0.8)
             return
+        Xs, e = linalg._prescaled(Xs, linalg.frob(Xs))
+        w = linalg._top_eigenvalues(Xs, k)
+        m = min(X.shape)
+        assert np.array_equal(linalg._top_eigenvalues(Xs, k), w)
         assert len(w) == (k if m > linalg._DENSE_SIDE and k < linalg._LANCZOS_MAX_FRACTION * m else m)
         assert np.all(np.diff(w) <= 0.0) and w[-1] >= 0.0
         # X * scale / 2^e == X * ldexp(scale, -e) exactly: the prescale is a power of two
@@ -282,15 +287,17 @@ class TestPartialSpectrum:
 
         X = seeded_rng(65).standard_normal((300, 320))
         monkeypatch.setattr(linalg, "eigsh", fail)
-        w, e = linalg._top_eigenvalues(sp.csc_matrix(X), 8)
-        assert e == 0 and len(w) == 300
-        ref = gram_eigenvalues_reference(X)
+        Xs, e = linalg._prescaled(sp.csc_matrix(X), linalg.frob(X))
+        w = linalg._top_eigenvalues(Xs, 8)
+        assert len(w) == 300
+        ref = gram_eigenvalues_reference(X) * math.ldexp(1.0, -e) ** 2
         assert np.abs(w - ref).max() <= 1e-12 * ref[0]
 
     def test_repeated_eigenvalue(self):
         X = sp.eye(300, format="csc") * 2.0
-        w, e = linalg._top_eigenvalues(X, 8)
-        assert e == 0 and np.allclose(w, 4.0, rtol=1e-14, atol=0.0)
+        Xs, e = linalg._prescaled(X, linalg.frob(X))
+        w = linalg._top_eigenvalues(Xs, 8)
+        assert np.allclose(w, 4.0 * math.ldexp(1.0, -e) ** 2, rtol=1e-14, atol=0.0)
         assert choose_K_by_variance(X, 0.8) == 240
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -359,9 +366,10 @@ class TestPartialSpectrum:
         # initial pass from the memo, so the search forms the products of its first request alone
         X = _five_topics()[0] if data == "five_topics" else bench_workloads.sparse_clusters(1)[0]
         Xc, count = _counting_csc(X)
-        w1 = linalg._top_eigenvalues(Xc, 1)[0]
+        Xs = linalg._prescaled(Xc, linalg.frob(Xc))[0]
+        w1 = linalg._top_eigenvalues(Xs, 1)
         first = count[0]
-        w5 = linalg._top_eigenvalues(Xc, 5)[0]
+        w5 = linalg._top_eigenvalues(Xs, 5)
         assert count[0] == 2 * first  # two requests without a memo, as each request stood alone
         count[0] = 0
         K, (_, w) = metrics._choose_K(Xc, 0.8)

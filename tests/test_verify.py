@@ -395,6 +395,15 @@ class TestKappaConstant:
         assert kc.kappa * scale == pytest.approx(ref.kappa, rel=1e-12)
         assert kc.eta_g / math.sqrt(scale) == pytest.approx(ref.eta_g, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [-1000, -320, 320, 1000, 1022])
+    def test_exact_under_even_powers_of_two(self, k):
+        # both are taken on the same A / 2^e, and 2 ||A|| = 4^(e - e // 2) (2 - e % 2) s_1 exactly,
+        # s_1 that of A / 2^e: no rounding depends on k (eta_g at 2^1022 was 1 ulp off)
+        A = np.random.default_rng(0).standard_normal((8, 3))
+        kc, ref = kappa_constant(A * 2.0**k), kappa_constant(A)
+        assert kc.kappa == math.ldexp(ref.kappa, -k)
+        assert kc.eta_g == math.ldexp(ref.eta_g, k // 2)
+
 
 @pytest.mark.parametrize("rank_tol", [1.0, 2.0, -0.5, math.nan])
 @pytest.mark.parametrize("function", ["critical_set_spec", "kappa_constant"])
